@@ -22,6 +22,8 @@ NetworkConfig::validate() const
 {
     if (net.dims.empty())
         fail("topology needs at least one dimension");
+    if (net.dims.size() > 31)
+        fail("at most 31 dimensions (router ports fit one 64-bit mask)");
     unsigned nodes = 1;
     for (const unsigned k : net.dims) {
         if (k < 2)

@@ -7,46 +7,35 @@
 namespace orion::router {
 
 Arbiter::Arbiter(unsigned requests)
-    : requests_(requests),
-      reqWords_(wordsFor(requests), 0),
-      lastWords_(wordsFor(requests), 0)
+    : requests_(requests), lastWords_(wordsFor(requests), 0)
 {
     assert(requests > 0);
 }
 
 unsigned
-Arbiter::requestDelta(const std::vector<bool>& reqs)
+Arbiter::requestDelta(std::span<const std::uint64_t> reqs)
 {
-    assert(reqs.size() == requests_);
-    const std::size_t words = reqWords_.size();
-    for (std::size_t k = 0; k < words; ++k) {
-        const unsigned base = static_cast<unsigned>(k) * 64;
-        const unsigned top = std::min(requests_ - base, 64u);
-        std::uint64_t w = 0;
-        for (unsigned b = 0; b < top; ++b)
-            w |= static_cast<std::uint64_t>(reqs[base + b]) << b;
-        reqWords_[k] = w;
-    }
+    assert(reqs.size() == lastWords_.size());
+    assert(requests_ % 64 == 0 || reqs.back() >> (requests_ % 64) == 0);
     unsigned delta = 0;
-    for (std::size_t k = 0; k < words; ++k) {
+    for (std::size_t k = 0; k < reqs.size(); ++k) {
         delta += static_cast<unsigned>(
-            std::popcount(reqWords_[k] ^ lastWords_[k]));
-        lastWords_[k] = reqWords_[k];
+            std::popcount(reqs[k] ^ lastWords_[k]));
+        lastWords_[k] = reqs[k];
     }
     return delta;
 }
 
 MatrixArbiter::MatrixArbiter(unsigned requests)
     : Arbiter(requests),
-      row_(requests * wordsFor(requests), 0),
-      col_(requests * wordsFor(requests), 0)
+      words_(wordsFor(requests)),
+      matrix_(2 * requests * words_, 0)
 {
     // Initial total order: lower index beats higher index.
-    const std::size_t words = wordsFor(requests);
     for (unsigned i = 0; i < requests; ++i) {
         for (unsigned j = i + 1; j < requests; ++j) {
-            row_[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
-            col_[j * words + i / 64] |= std::uint64_t{1} << (i % 64);
+            row(i)[j / 64] |= std::uint64_t{1} << (j % 64);
+            row(j)[words_ + i / 64] |= std::uint64_t{1} << (i % 64);
         }
     }
 }
@@ -55,16 +44,14 @@ bool
 MatrixArbiter::hasPriority(unsigned i, unsigned j) const
 {
     assert(i < requests_ && j < requests_ && i != j);
-    const std::size_t words = wordsFor(requests_);
-    return (row_[i * words + j / 64] >> (j % 64)) & 1;
+    return (matrix_[2 * i * words_ + j / 64] >> (j % 64)) & 1;
 }
 
 ArbitrationResult
-MatrixArbiter::arbitrate(const std::vector<bool>& reqs)
+MatrixArbiter::arbitrate(std::span<const std::uint64_t> reqs)
 {
     const unsigned delta_req = requestDelta(reqs);
-    const std::vector<std::uint64_t>& req_words = reqWords();
-    const std::size_t words = req_words.size();
+    const std::size_t words = words_;
 
     // grant_i = req_i AND no other pending request has priority over i:
     // one AND of the request set against i's beaten-by column. The
@@ -72,15 +59,15 @@ MatrixArbiter::arbitrate(const std::vector<bool>& reqs)
     // order finds the unique unbeaten one regardless of order.
     int winner = -1;
     for (std::size_t k = 0; k < words && winner < 0; ++k) {
-        std::uint64_t pending = req_words[k];
+        std::uint64_t pending = reqs[k];
         while (pending != 0) {
             const unsigned i = static_cast<unsigned>(k) * 64 +
                                std::countr_zero(pending);
             pending &= pending - 1;
-            const std::uint64_t* beats = &col_[i * words];
+            const std::uint64_t* beats = row(i) + words;
             std::uint64_t beaten = 0;
             for (std::size_t m = 0; m < words; ++m)
-                beaten |= req_words[m] & beats[m];
+                beaten |= reqs[m] & beats[m];
             if (beaten == 0) {
                 winner = static_cast<int>(i);
                 break;
@@ -90,8 +77,7 @@ MatrixArbiter::arbitrate(const std::vector<bool>& reqs)
     // The priority matrix encodes a total order, so an asserted request
     // set always has exactly one unbeaten member.
     assert(winner >= 0 ||
-           std::none_of(reqs.begin(), reqs.end(),
-                        [](bool r) { return r; }));
+           std::ranges::none_of(reqs, [](std::uint64_t r) { return r; }));
 
     unsigned delta_pri = 0;
     if (winner >= 0) {
@@ -99,8 +85,9 @@ MatrixArbiter::arbitrate(const std::vector<bool>& reqs)
         // and columns of every requester it used to beat (each such
         // pair toggles two flip-flops of one priority bit).
         const auto w = static_cast<unsigned>(winner);
-        std::uint64_t* w_row = &row_[w * words];
-        std::uint64_t* w_col = &col_[w * words];
+        std::uint64_t* w_row = row(w);
+        std::uint64_t* w_col = w_row + words;
+        const std::uint64_t w_bit = std::uint64_t{1} << (w % 64);
         for (std::size_t k = 0; k < words; ++k) {
             std::uint64_t lost = w_row[k];
             if (lost == 0)
@@ -108,13 +95,12 @@ MatrixArbiter::arbitrate(const std::vector<bool>& reqs)
             delta_pri += static_cast<unsigned>(std::popcount(lost));
             w_col[k] |= lost;
             w_row[k] = 0;
-            const std::uint64_t w_bit = std::uint64_t{1} << (w % 64);
             while (lost != 0) {
                 const unsigned j = static_cast<unsigned>(k) * 64 +
                                    std::countr_zero(lost);
                 lost &= lost - 1;
-                row_[j * words + w / 64] |= w_bit;
-                col_[j * words + w / 64] &= ~w_bit;
+                row(j)[w / 64] |= w_bit;
+                row(j)[words + w / 64] &= ~w_bit;
             }
         }
     }
@@ -126,24 +112,62 @@ RoundRobinArbiter::RoundRobinArbiter(unsigned requests)
 {
 }
 
+ArbitrationResult
+RoundRobinArbiter::arbitrate(std::span<const std::uint64_t> reqs)
+{
+    const unsigned delta_req = requestDelta(reqs);
+
+    // First asserted request at or after the token, cyclically: the
+    // token's word masked to bits >= token, then the following words,
+    // wrapping round to the token's word in full (its bits >= token
+    // are already known clear, so that last visit finds the ones
+    // below the token).
+    int winner = -1;
+    std::size_t k = token_ / 64;
+    std::uint64_t w = reqs[k] & (~std::uint64_t{0} << (token_ % 64));
+    for (std::size_t n = 0; n <= reqs.size(); ++n) {
+        if (w != 0) {
+            winner = static_cast<int>(k * 64 + std::countr_zero(w));
+            break;
+        }
+        k = k + 1 == reqs.size() ? 0 : k + 1;
+        w = reqs[k];
+    }
+
+    unsigned delta_pri = 0;
+    if (winner >= 0) {
+        const unsigned next =
+            (static_cast<unsigned>(winner) + 1) % requests_;
+        if (next != token_) {
+            // One-hot token moves: two flip-flops toggle.
+            delta_pri = 2;
+            token_ = next;
+        }
+    }
+    return {winner, delta_req, delta_pri};
+}
+
 QueuingArbiter::QueuingArbiter(unsigned requests)
-    : Arbiter(requests), queued_(requests, false)
+    : Arbiter(requests), queued_(wordsFor(requests), 0)
 {
 }
 
 ArbitrationResult
-QueuingArbiter::arbitrate(const std::vector<bool>& reqs)
+QueuingArbiter::arbitrate(std::span<const std::uint64_t> reqs)
 {
     const unsigned delta_req = requestDelta(reqs);
 
     // Newly asserted requesters join the queue in index order (ties
     // within one cycle are broken by requester index).
     unsigned delta_pri = 0;
-    for (unsigned i = 0; i < requests_; ++i) {
-        if (reqs[i] && !queued_[i]) {
-            queue_.push_back(i);
-            queued_[i] = true;
-            ++delta_pri; // one queue write per enqueued id
+    for (std::size_t k = 0; k < reqs.size(); ++k) {
+        std::uint64_t fresh = reqs[k] & ~queued_[k];
+        queued_[k] |= fresh;
+        // One queue write per enqueued id.
+        delta_pri += static_cast<unsigned>(std::popcount(fresh));
+        for (; fresh != 0; fresh &= fresh - 1) {
+            queue_.push_back(static_cast<unsigned>(k) * 64 +
+                             std::countr_zero(fresh));
         }
     }
 
@@ -153,8 +177,9 @@ QueuingArbiter::arbitrate(const std::vector<bool>& reqs)
     while (!queue_.empty()) {
         const unsigned front = queue_.front();
         queue_.pop_front();
-        queued_[front] = false;
-        if (reqs[front]) {
+        const std::uint64_t bit = std::uint64_t{1} << (front % 64);
+        queued_[front / 64] &= ~bit;
+        if (reqs[front / 64] & bit) {
             winner = static_cast<int>(front);
             break;
         }
@@ -174,33 +199,6 @@ makeArbiter(ArbiterKind kind, unsigned requests)
         return std::make_unique<QueuingArbiter>(requests);
     }
     return std::make_unique<MatrixArbiter>(requests);
-}
-
-ArbitrationResult
-RoundRobinArbiter::arbitrate(const std::vector<bool>& reqs)
-{
-    const unsigned delta_req = requestDelta(reqs);
-
-    int winner = -1;
-    for (unsigned k = 0; k < requests_; ++k) {
-        const unsigned i = (token_ + k) % requests_;
-        if (reqs[i]) {
-            winner = static_cast<int>(i);
-            break;
-        }
-    }
-
-    unsigned delta_pri = 0;
-    if (winner >= 0) {
-        const unsigned next =
-            (static_cast<unsigned>(winner) + 1) % requests_;
-        if (next != token_) {
-            // One-hot token moves: two flip-flops toggle.
-            delta_pri = 2;
-            token_ = next;
-        }
-    }
-    return {winner, delta_req, delta_pri};
 }
 
 } // namespace orion::router

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace orion::router {
@@ -40,7 +41,14 @@ struct ArbitrationResult
     unsigned deltaPri;
 };
 
-/** Abstract arbiter over a fixed number of requesters. */
+/**
+ * Abstract arbiter over a fixed number of requesters.
+ *
+ * A request set is wordsFor(requests()) packed 64-bit words: bit i % 64
+ * of word i / 64 is requester i, and bits at or above requests() are
+ * zero. The routers build these words directly as they scan for
+ * requests, and every arbiter style runs on them.
+ */
 class Arbiter
 {
   public:
@@ -49,38 +57,31 @@ class Arbiter
 
     unsigned requests() const { return requests_; }
 
-    /**
-     * Resolve one arbitration among @p reqs (size == requests()).
-     * Grants exactly one of the asserted requests (or none if all are
-     * false) and updates priority state.
-     */
-    virtual ArbitrationResult arbitrate(const std::vector<bool>& reqs) = 0;
-
-  protected:
-    /**
-     * Hamming distance of @p reqs against the remembered request
-     * vector, which is then updated. As a side effect the request
-     * vector is packed into reqWords() (64 requesters per word), the
-     * representation the arbitration inner loops run on.
-     */
-    unsigned requestDelta(const std::vector<bool>& reqs);
-
-    /** @p reqs from the last requestDelta() call, bit-packed. */
-    const std::vector<std::uint64_t>& reqWords() const
-    {
-        return reqWords_;
-    }
-
     /** 64-bit words needed for one bit per requester. */
-    static std::size_t wordsFor(unsigned requests)
+    static std::size_t
+    wordsFor(unsigned requests)
     {
         return (requests + 63) / 64;
     }
 
+    /**
+     * Resolve one arbitration among the set bits of @p reqs
+     * (wordsFor(requests()) words). Grants exactly one of the asserted
+     * requests (or none if no bit is set) and updates priority state.
+     */
+    virtual ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) = 0;
+
+  protected:
+    /**
+     * Request lines that changed since the previous call: popcount of
+     * @p reqs XOR the remembered words, which are then updated.
+     */
+    unsigned requestDelta(std::span<const std::uint64_t> reqs);
+
     unsigned requests_;
 
   private:
-    std::vector<std::uint64_t> reqWords_;
     std::vector<std::uint64_t> lastWords_;
 };
 
@@ -95,23 +96,32 @@ class MatrixArbiter : public Arbiter
   public:
     explicit MatrixArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     /** True if requester @p i currently has priority over @p j. */
     bool hasPriority(unsigned i, unsigned j) const;
 
   private:
+    /** Requester @p i's row: the requesters i beats (bit j =
+     * prio[i][j]). Its column (the requesters beating i, bit j =
+     * prio[j][i]) follows at row(i) + words_. */
+    std::uint64_t*
+    row(unsigned i)
+    {
+        return &matrix_[2 * i * words_];
+    }
+
+    std::size_t words_;
     /**
-     * The priority matrix, bit-packed both ways so the grant scan is
-     * word-parallel: row_[i] holds the requesters i beats (bit j =
-     * prio[i][j]) and col_[i] the requesters that beat i (bit j =
-     * prio[j][i]). Antisymmetry is maintained as an invariant, making
-     * col_ the transpose of row_; it is kept materialized because the
-     * hot test "is any pending requester beating i" is one AND against
-     * col_[i].
+     * The priority matrix, bit-packed both ways in one allocation so
+     * the grant scan is word-parallel: requester i's row and column
+     * words sit side by side. Antisymmetry is maintained as an
+     * invariant, making the columns the transpose of the rows; they
+     * are kept materialized because the hot test "is any pending
+     * requester beating i" is one AND against i's column.
      */
-    std::vector<std::uint64_t> row_;
-    std::vector<std::uint64_t> col_;
+    std::vector<std::uint64_t> matrix_;
 };
 
 /**
@@ -124,7 +134,8 @@ class RoundRobinArbiter : public Arbiter
   public:
     explicit RoundRobinArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     unsigned token() const { return token_; }
 
@@ -143,13 +154,15 @@ class QueuingArbiter : public Arbiter
   public:
     explicit QueuingArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     std::size_t queueLength() const { return queue_.size(); }
 
   private:
     std::deque<unsigned> queue_;
-    std::vector<bool> queued_;
+    /** Requesters currently in queue_, packed like a request set. */
+    std::vector<std::uint64_t> queued_;
 };
 
 /** Construct an arbiter of the given behavioural kind. */

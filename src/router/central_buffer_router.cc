@@ -1,6 +1,8 @@
 #include "router/central_buffer_router.hh"
 
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace orion::router {
 
@@ -11,7 +13,7 @@ CentralBufferRouter::CentralBufferRouter(
       cb_(cb),
       currentWrite_(params.ports, nullptr),
       freeSlots_(cb.capacityFlits),
-      rowContents_(cb.capacityFlits, power::BitVec(params.flitBits)),
+      rowContents_(cb.capacityFlits * ((params.flitBits + 63) / 64), 0),
       writeRow_(0)
 {
     assert(params.vcs == 1 && "CB router input buffers are plain FIFOs");
@@ -98,9 +100,10 @@ CentralBufferRouter::cycle(sim::Cycle now)
     // readable input message means every stage is a no-op. The
     // emptiness walks are O(ports) loads on an idle router — far
     // cheaper than the per-stage request-vector setup they replace.
-    if (!inputPending_ && pendingCreditTotal_ == 0 && quiescent())
+    if ((flitInputs_ | creditInputs_) == 0 && pendingCreditTotal_ == 0 &&
+        quiescent()) {
         return;
-    inputPending_ = false;
+    }
     receiveCredits();
     drainPendingCredits(now);
     readStage(now);
@@ -126,13 +129,13 @@ void
 CentralBufferRouter::readStage(sim::Cycle now)
 {
     const unsigned ports = params_.ports;
-    std::vector<bool> used(ports, false);
+    // Outputs already served by an earlier read port, one bit each.
+    std::uint64_t used = 0;
 
     for (unsigned r = 0; r < cb_.readPorts; ++r) {
-        std::vector<bool> reqs(ports, false);
-        bool any = false;
+        std::uint64_t reqs = 0;
         for (unsigned o = 0; o < ports; ++o) {
-            if (used[o] || outputQueues_[o].empty())
+            if ((used >> o & 1) || outputQueues_[o].empty())
                 continue;
             if (faultHooks_ && faultHooks_->portStalled(node(), o, now))
                 continue;
@@ -147,16 +150,15 @@ CentralBufferRouter::readStage(sim::Cycle now)
                 flit.head ? flit.routeHop().newRing : false, o);
             if (outputCredits(o, 0) < need)
                 continue;
-            reqs[o] = true;
-            any = true;
+            reqs |= std::uint64_t{1} << o;
         }
-        if (!any)
+        if (reqs == 0)
             continue;
 
-        const ArbitrationResult res = readArb_[r]->arbitrate(reqs);
+        const ArbitrationResult res = readArb_[r]->arbitrate({&reqs, 1});
         assert(res.winner >= 0);
         const auto o = static_cast<unsigned>(res.winner);
-        used[o] = true;
+        used |= std::uint64_t{1} << o;
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(ports + cb_.writePorts + r),
                    res.deltaReq, res.deltaPri, now});
@@ -195,9 +197,9 @@ CentralBufferRouter::writeStage(sim::Cycle now)
     const unsigned ports = params_.ports;
     // Eligibility is re-evaluated per write port: an earlier port's
     // admission shrinks the pool, which can disqualify a later head.
-    std::vector<bool> granted(ports, false);
+    std::uint64_t granted = 0;
     const auto eligible = [&](unsigned p) {
-        if (granted[p] || inputFifos_[p].empty())
+        if ((granted >> p & 1) || inputFifos_[p].empty())
             return false;
         const Flit& front = inputFifos_[p].front();
         if (front.head) {
@@ -210,19 +212,16 @@ CentralBufferRouter::writeStage(sim::Cycle now)
     };
 
     for (unsigned w = 0; w < cb_.writePorts; ++w) {
-        std::vector<bool> reqs(ports, false);
-        bool pending = false;
-        for (unsigned p = 0; p < ports; ++p) {
-            reqs[p] = eligible(p);
-            pending = pending || reqs[p];
-        }
-        if (!pending)
+        std::uint64_t reqs = 0;
+        for (unsigned p = 0; p < ports; ++p)
+            reqs |= static_cast<std::uint64_t>(eligible(p)) << p;
+        if (reqs == 0)
             break;
 
-        const ArbitrationResult res = writeArb_[w]->arbitrate(reqs);
+        const ArbitrationResult res = writeArb_[w]->arbitrate({&reqs, 1});
         assert(res.winner >= 0);
         const auto p = static_cast<unsigned>(res.winner);
-        granted[p] = true;
+        granted |= std::uint64_t{1} << p;
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(ports + w), res.deltaReq,
                    res.deltaPri, now});
@@ -246,10 +245,16 @@ CentralBufferRouter::writeStage(sim::Cycle now)
 
         const unsigned delta_bits =
             power::hammingDistance(flit.payload, lastWritten_[w]);
-        const unsigned delta_bc = power::flippedCells(
-            flit.payload, rowContents_[writeRow_]);
+        // Flipped cells (delta_bc): the datum against the stale row.
+        unsigned delta_bc = 0;
+        const std::uint64_t* datum = flit.payload.data();
+        const std::size_t words = flit.payload.wordCount();
+        std::uint64_t* row = &rowContents_[writeRow_ * words];
+        for (std::size_t k = 0; k < words; ++k) {
+            delta_bc += static_cast<unsigned>(std::popcount(datum[k] ^ row[k]));
+            row[k] = datum[k];
+        }
         lastWritten_[w] = flit.payload;
-        rowContents_[writeRow_] = flit.payload;
         writeRow_ = (writeRow_ + 1) % cb_.capacityFlits;
         bus_.emit({sim::EventType::CentralBufferWrite, node(),
                    static_cast<int>(w), delta_bits, delta_bc, now});
@@ -274,11 +279,10 @@ CentralBufferRouter::writeStage(sim::Cycle now)
 void
 CentralBufferRouter::bwStage(sim::Cycle now)
 {
-    for (unsigned p = 0; p < params_.ports; ++p) {
-        FlitLink* in = inLinks_[p];
-        if (!in || !in->valid())
-            continue;
-        Flit flit = in->read();
+    for (std::uint64_t m = std::exchange(flitInputs_, 0); m != 0;
+         m &= m - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(m));
+        Flit flit = inLinks_[p]->read();
         if (faultHooks_ &&
             screenArrival(p, flit, now) == ArrivalAction::Discard) {
             continue;

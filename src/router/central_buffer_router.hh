@@ -126,8 +126,9 @@ class CentralBufferRouter : public Router
     std::vector<power::BitVec> lastWritten_;
     /** Last datum each read port carried. */
     std::vector<power::BitVec> lastRead_;
-    /** Stale row contents of the pool (ring-indexed). */
-    std::vector<power::BitVec> rowContents_;
+    /** Stale row contents of the pool (ring-indexed), one flit's
+     * payload words per row in one flat array. */
+    std::vector<std::uint64_t> rowContents_;
     std::size_t writeRow_ = 0;
 };
 

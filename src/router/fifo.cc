@@ -1,6 +1,7 @@
 #include "router/fifo.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "core/check.hh"
@@ -14,8 +15,8 @@ FlitFifo::FlitFifo(sim::EventBus& bus, int node, int component,
       component_(component),
       capacity_(capacity),
       flitBits_(flit_bits),
-      rowContents_(capacity, power::BitVec(flit_bits)),
-      lastWritten_(flit_bits)
+      words_((flit_bits + 63) / 64),
+      rows_((capacity + 1) * words_, 0)
 {
     assert(capacity > 0 && flit_bits > 0);
 }
@@ -40,20 +41,26 @@ FlitFifo::grow()
 }
 
 void
-FlitFifo::write(Flit flit, sim::Cycle now)
+FlitFifo::write(Flit&& flit, sim::Cycle now)
 {
     ORION_CHECK(!full(), "FIFO overflow (credit discipline violated) at "
                              << "node " << node_ << " component "
                              << component_ << " depth " << capacity_);
     assert(flit.payload.width() == flitBits_);
 
-    const unsigned delta_bw =
-        power::switchingWriteBitlines(flit.payload, lastWritten_);
-    const unsigned delta_bc =
-        power::flippedCells(flit.payload, rowContents_[writeRow_]);
-
-    lastWritten_ = flit.payload;
-    rowContents_[writeRow_] = flit.payload;
+    // delta_bw counts switching write bitlines (new datum vs the
+    // drivers' last one), delta_bc flipped cells (vs the row's stale
+    // contents); see power::switchingWriteBitlines / flippedCells.
+    unsigned delta_bw = 0;
+    unsigned delta_bc = 0;
+    const std::uint64_t* datum = flit.payload.data();
+    std::uint64_t* row = &rows_[writeRow_ * words_];
+    std::uint64_t* driver = &rows_[capacity_ * words_];
+    for (std::size_t k = 0; k < words_; ++k) {
+        delta_bw += static_cast<unsigned>(std::popcount(datum[k] ^ driver[k]));
+        delta_bc += static_cast<unsigned>(std::popcount(datum[k] ^ row[k]));
+        driver[k] = row[k] = datum[k];
+    }
     writeRow_ = (writeRow_ + 1) % capacity_;
 
     bus_.emit({sim::EventType::BufferWrite, node_, component_, delta_bw,

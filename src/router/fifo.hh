@@ -17,9 +17,9 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "power/activity.hh"
 #include "router/flit.hh"
 #include "sim/event.hh"
 
@@ -46,10 +46,10 @@ class FlitFifo
     std::size_t freeSlots() const { return capacity_ - count_; }
 
     /**
-     * Write @p flit into the tail slot; emits BufferWrite with the
+     * Move @p flit into the tail slot; emits BufferWrite with the
      * monitored delta_bw / delta_bc. The FIFO must not be full.
      */
-    void write(Flit flit, sim::Cycle now);
+    void write(Flit&& flit, sim::Cycle now);
 
     /** The flit at the head (must not be empty). */
     const Flit&
@@ -87,12 +87,16 @@ class FlitFifo
     /** Buffered flit count. */
     std::size_t count_ = 0;
 
-    /** Stale contents of each SRAM row (ring-indexed). */
-    std::vector<power::BitVec> rowContents_;
+    /** 64-bit words per flit payload. */
+    std::size_t words_;
+    /**
+     * Stale contents of each SRAM row (ring-indexed), words_ words per
+     * row, followed by one more row: the last datum the write bitline
+     * drivers carried.
+     */
+    std::vector<std::uint64_t> rows_;
     /** Row the next write lands in. */
     std::size_t writeRow_ = 0;
-    /** Last datum the write bitline drivers carried. */
-    power::BitVec lastWritten_;
 };
 
 } // namespace orion::router

@@ -1,5 +1,7 @@
 #include "router/link.hh"
 
+#include <utility>
+
 namespace orion::router {
 
 FlitLink::FlitLink(int node, int component, unsigned flit_bits,
@@ -12,7 +14,7 @@ FlitLink::FlitLink(int node, int component, unsigned flit_bits,
 }
 
 void
-FlitLink::send(Flit flit, sim::EventBus& bus, sim::Cycle now)
+FlitLink::send(Flit&& flit, sim::EventBus& bus, sim::Cycle now)
 {
     // Poison tails are exempt from faulting: corrupting one would
     // reopen a worm the receiver already closed, breaking forward
@@ -39,7 +41,7 @@ CreditLink::send(Credit credit, sim::EventBus& bus, sim::Cycle now)
 {
     bus.emit({sim::EventType::CreditTransfer, node_, component_, 0, 0,
               now});
-    write(credit);
+    write(std::move(credit));
 }
 
 } // namespace orion::router

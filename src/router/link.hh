@@ -40,9 +40,10 @@ class FlitLink : public sim::RegisteredChannel<Flit>
 
     /**
      * Send @p flit down the link: emits LinkTraversal (if enabled) and
-     * stages the flit for delivery next cycle.
+     * stages the flit for delivery next cycle, moving it straight
+     * from the sender's storage into the wire register.
      */
-    void send(Flit flit, sim::EventBus& bus, sim::Cycle now);
+    void send(Flit&& flit, sim::EventBus& bus, sim::Cycle now);
 
     bool emitsTraversal() const { return emitsTraversal_; }
 

@@ -1,6 +1,8 @@
 #include "router/router.hh"
 
+#include <bit>
 #include <cassert>
+#include <utility>
 
 namespace orion::router {
 
@@ -16,6 +18,7 @@ Router::Router(std::string name, int node, const RouterParams& params,
       outputCredits_(params.ports)
 {
     assert(params.ports >= 2);
+    assert(params.ports <= 64 && "per-port masks are 64-bit words");
     assert(params.vcs >= 1);
     assert(params.bufferDepth >= 1);
     assert(params.flitBits >= 1);
@@ -38,7 +41,7 @@ Router::connectInput(unsigned port, FlitLink* in,
     inLinks_[port] = in;
     creditReturnLinks_[port] = credit_return;
     if (in)
-        in->setWakeFlag(&inputPending_);
+        in->setWakeFlag(&flitInputs_, std::uint64_t{1} << port);
 }
 
 void
@@ -50,7 +53,7 @@ Router::connectOutput(unsigned port, FlitLink* out,
     outLinks_[port] = out;
     creditInLinks_[port] = credit_in;
     if (credit_in)
-        credit_in->setWakeFlag(&inputPending_);
+        credit_in->setWakeFlag(&creditInputs_, std::uint64_t{1} << port);
     outputCredits_[port] = std::make_unique<CreditCounter>(
         downstream_vcs, unlimited ? 1 : downstream_depth, unlimited);
 }
@@ -222,12 +225,10 @@ Router::screenArrival(unsigned port, Flit& flit, sim::Cycle now)
 void
 Router::receiveCredits()
 {
-    for (unsigned p = 0; p < params_.ports; ++p) {
-        auto* ch = creditInLinks_[p];
-        if (ch && ch->valid()) {
-            const Credit c = ch->read();
-            outputCredits_[p]->restore(c.vc);
-        }
+    for (std::uint64_t m = std::exchange(creditInputs_, 0); m != 0;
+         m &= m - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(m));
+        outputCredits_[p]->restore(creditInLinks_[p]->read().vc);
     }
 }
 

@@ -282,7 +282,8 @@ class Router : public sim::Module
      * per cycle). Call at the top of cycle(); no-op without faults. */
     void drainPendingCredits(sim::Cycle now);
 
-    /** Drain credit-in channels and restore output credit counters. */
+    /** Drain the credit-in channels raised in creditInputs_ and
+     * restore output credit counters. */
     void receiveCredits();
 
     /** True if @p port is the local ejection port. */
@@ -329,15 +330,18 @@ class Router : public sim::Module
     FaultHooks* faultHooks_ = nullptr;
 
     /**
-     * Raised by every attached input channel (flit inputs and credit
-     * returns) when a message becomes readable; cleared at the top of
-     * an active cycle. Routers combine it with their resident-state
+     * Wake masks, one bit per port: an attached flit input (credit
+     * input) raises its port's bit in flitInputs_ (creditInputs_) when
+     * a message becomes readable. bwStage and receiveCredits read
+     * exactly the raised ports, in ascending order, and clear the
+     * mask. Routers combine the masks with their resident-state
      * counters for the skip-quiescent fast path: a router with no
      * buffered flits, no latched outputs, no deferred credits and no
-     * raised wake flag can skip its cycle entirely — nothing it would
+     * raised wake bit can skip its cycle entirely — nothing it would
      * compute or emit differs from not running at all.
      */
-    bool inputPending_ = false;
+    std::uint64_t flitInputs_ = 0;
+    std::uint64_t creditInputs_ = 0;
 
     /** Deferred upstream credits across all ports (size of the
      * pendingCredits_ queues; part of the quiescence test). */

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <span>
+#include <utility>
 
 namespace orion::router {
 
@@ -17,12 +19,12 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
       stLatch_(params.ports),
       portFlits_(params.ports, 0),
       saCand_(params.ports),
-      saReqs_(params.ports - 1, false),
-      vaBids_(params.ports * params.vcs),
-      vaReqs_((params.ports - 1) * params.vcs, false)
+      saReqs_(params.ports, 0),
+      vaWords_(Arbiter::wordsFor((params.ports - 1) * params.vcs)),
+      vaReqs_(params.ports * params.vcs * vaWords_, 0),
+      vaNewRing_(params.ports * vaWords_, 0)
 {
     assert(va_enabled || params.vcs == 1);
-    assert(params.ports <= 64 && "saStage output bitmask is 64-wide");
 
     const unsigned n_vcs = params.ports * params.vcs;
     fifos_.reserve(n_vcs);
@@ -72,11 +74,7 @@ CrossbarRouter::bufferedFlits() const
 std::size_t
 CrossbarRouter::latchedFlits() const
 {
-    std::size_t n = 0;
-    for (const auto& slot : stLatch_)
-        if (slot)
-            ++n;
-    return n;
+    return static_cast<std::size_t>(std::popcount(latched_));
 }
 
 std::size_t
@@ -91,8 +89,7 @@ CrossbarRouter::latchedForOutput(unsigned port, unsigned vc) const
     // The SA stage rewrites flit.vc to the downstream input VC before
     // latching, so the latched flit is matched against the downstream
     // VC the audit is balancing.
-    const auto& slot = stLatch_[port];
-    return slot && slot->flit.vc == vc ? 1 : 0;
+    return (latched_ >> port & 1) && stLatch_[port].flit.vc == vc ? 1 : 0;
 }
 
 void
@@ -194,16 +191,15 @@ CrossbarRouter::cycle(sim::Cycle now)
 {
     // Skip-quiescent fast path: with no buffered flits, no occupied
     // ST latch, no deferred credits and no message readable on any
-    // input (flit or credit — the links' wake flags cover both), every
+    // input (flit or credit — the links' wake masks cover both), every
     // stage below is a no-op that emits nothing and mutates nothing,
     // so the cycle can be skipped without changing any observable
     // state. At low load most routers idle most cycles; this turns
     // their cost into four scalar tests.
-    if (!inputPending_ && totalFlits_ == 0 && latchedCount_ == 0 &&
-        pendingCreditTotal_ == 0) {
+    if ((flitInputs_ | creditInputs_) == 0 && totalFlits_ == 0 &&
+        latched_ == 0 && pendingCreditTotal_ == 0) {
         return;
     }
-    inputPending_ = false;
     receiveCredits();
     drainPendingCredits(now);
     stStage(now);
@@ -224,16 +220,14 @@ CrossbarRouter::cycle(sim::Cycle now)
 void
 CrossbarRouter::stStage(sim::Cycle now)
 {
-    for (unsigned o = 0; o < params_.ports; ++o) {
-        if (!stLatch_[o])
-            continue;
+    for (std::uint64_t m = latched_; m != 0; m &= m - 1) {
+        const auto o = static_cast<unsigned>(std::countr_zero(m));
         // Scheduled port-stall fault: the flit stays latched (and SA
         // will not refill the occupied latch) until the stall lifts.
         if (faultHooks_ && faultHooks_->portStalled(node(), o, now))
             continue;
-        StEntry entry = std::move(*stLatch_[o]);
-        stLatch_[o].reset();
-        --latchedCount_;
+        latched_ &= ~(std::uint64_t{1} << o);
+        StEntry& entry = stLatch_[o];
         xbar_.traverse(entry.inPort, o, entry.flit, now);
         assert(outLinks_[o] && "flit routed to unconnected output");
         outLinks_[o]->send(std::move(entry.flit), bus_, now);
@@ -252,11 +246,11 @@ CrossbarRouter::classVcRange(unsigned cls) const
     return {0u, params_.vcs};
 }
 
-std::optional<CrossbarRouter::Candidate>
-CrossbarRouter::pickCandidate(unsigned p)
+bool
+CrossbarRouter::pickCandidate(unsigned p, Candidate& c)
 {
     if (portFlits_[p] == 0)
-        return std::nullopt;
+        return false;
     for (unsigned k = 0; k < params_.vcs; ++k) {
         const unsigned v = (rrNextVc_[p] + k) % params_.vcs;
         FlitFifo& fifo = fifoAt(p, v);
@@ -274,9 +268,10 @@ CrossbarRouter::pickCandidate(unsigned p)
                 vaEnabled_
                     ? 1
                     : requiredSpace(front.head, st.newRing, st.outPort);
-            if (outputCredits(st.outPort, st.outVc) >= need)
-                return Candidate{v, st.outPort, st.outVc, false};
-            continue;
+            if (outputCredits(st.outPort, st.outVc) < need)
+                continue;
+            c = {v, st.outPort, st.outVc, false};
+            return true;
         }
 
         // Wormhole mode: route setup and output claim happen at SA.
@@ -289,11 +284,13 @@ CrossbarRouter::pickCandidate(unsigned p)
                 continue;
             const unsigned need =
                 requiredSpace(true, hop.newRing, o);
-            if (outputCredits(o, 0) >= need)
-                return Candidate{v, o, 0, true};
+            if (outputCredits(o, 0) >= need) {
+                c = {v, o, 0, true};
+                return true;
+            }
         }
     }
-    return std::nullopt;
+    return false;
 }
 
 void
@@ -301,41 +298,33 @@ CrossbarRouter::saStage(sim::Cycle now)
 {
     if (totalFlits_ == 0)
         return;
-    const unsigned ports = params_.ports;
 
-    auto& cand = saCand_;
+    // Each input's candidate sets its requester bit in its output's
+    // request word, and out_pending marks the outputs holding one, so
+    // the arbitration loop below visits only contested outputs —
+    // usually one — in ascending order.
     unsigned requesters = 0;
-    // Outputs with at least one candidate, as a bitmask (ports is
-    // 2 * dims + 1, far below 64): the arbitration loop below then
-    // visits only contested outputs — usually one — instead of
-    // scanning every port's candidates for every output.
     std::uint64_t out_pending = 0;
-    for (unsigned p = 0; p < ports; ++p) {
-        cand[p] = pickCandidate(p);
-        if (cand[p]) {
-            ++requesters;
-            out_pending |= std::uint64_t{1} << cand[p]->outPort;
-        }
+    for (unsigned p = 0; p < params_.ports; ++p) {
+        Candidate& c = saCand_[p];
+        if (!pickCandidate(p, c))
+            continue;
+        assert(c.outPort != p && "u-turn in route");
+        ++requesters;
+        saReqs_[c.outPort] |= std::uint64_t{1} << saRequester(p, c.outPort);
+        out_pending |= std::uint64_t{1} << c.outPort;
     }
     unsigned granted = 0;
 
-    while (out_pending != 0) {
-        const unsigned o =
-            static_cast<unsigned>(std::countr_zero(out_pending));
-        out_pending &= out_pending - 1;
+    for (; out_pending != 0; out_pending &= out_pending - 1) {
+        const auto o = static_cast<unsigned>(std::countr_zero(out_pending));
+        const std::uint64_t reqs = std::exchange(saReqs_[o], 0);
         // A port-stall fault leaves the ST latch occupied; don't
         // arbitrate for an output that can't accept a new flit.
-        if (stLatch_[o])
+        if (latched_ >> o & 1)
             continue;
-        auto& reqs = saReqs_;
-        std::fill(reqs.begin(), reqs.end(), false);
-        for (unsigned p = 0; p < ports; ++p) {
-            if (p == o || !cand[p] || cand[p]->outPort != o)
-                continue;
-            reqs[saRequester(p, o)] = true;
-        }
 
-        const ArbitrationResult res = saArb_[o]->arbitrate(reqs);
+        const ArbitrationResult res = saArb_[o]->arbitrate({&reqs, 1});
         assert(res.winner >= 0);
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(o), res.deltaReq, res.deltaPri,
@@ -345,7 +334,7 @@ CrossbarRouter::saStage(sim::Cycle now)
         unsigned p = static_cast<unsigned>(res.winner);
         if (p >= o)
             ++p;
-        const Candidate& c = *cand[p];
+        const Candidate& c = saCand_[p];
         VcState& st = vcStateAt(p, c.vc);
 
         if (c.claimOnGrant) {
@@ -359,12 +348,16 @@ CrossbarRouter::saStage(sim::Cycle now)
             outVcBusy_[vcIndex(o, c.outVc)] = true;
         }
 
-        Flit flit = fifoAt(p, c.vc).read(now);
+        StEntry& slot = stLatch_[o];
+        slot.flit = fifoAt(p, c.vc).read(now);
+        slot.inPort = p;
+        latched_ |= std::uint64_t{1} << o;
         --portFlits_[p];
         --totalFlits_;
         outputCredits_[o]->consume(c.outVc);
         sendCreditUpstream(p, c.vc, now);
 
+        Flit& flit = slot.flit;
         flit.vc = static_cast<std::uint8_t>(c.outVc);
         if (flit.hop + 1 < flit.packet->route.size())
             ++flit.hop;
@@ -373,10 +366,6 @@ CrossbarRouter::saStage(sim::Cycle now)
             outVcBusy_[vcIndex(o, st.outVc)] = false;
             st.reset();
         }
-
-        assert(!stLatch_[o]);
-        stLatch_[o] = StEntry{std::move(flit), p};
-        ++latchedCount_;
         rrNextVc_[p] = (c.vc + 1) % params_.vcs;
         ++granted;
     }
@@ -390,29 +379,13 @@ CrossbarRouter::vaStage(sim::Cycle now)
         return;
     const unsigned ports = params_.ports;
     const unsigned vcs = params_.vcs;
+    const std::size_t words = vaWords_;
 
-    // 1. Heads newly at the front of their FIFOs enter WaitingVc.
-    for (unsigned p = 0; p < ports; ++p) {
-        if (portFlits_[p] == 0)
-            continue;
-        for (unsigned v = 0; v < vcs; ++v) {
-            VcState& st = vcStateAt(p, v);
-            const FlitFifo& fifo = fifoAt(p, v);
-            if (st.phase != VcState::Phase::Idle || fifo.empty() ||
-                !fifo.front().head) {
-                continue;
-            }
-            const RouteHop& hop = fifo.front().routeHop();
-            assert(hop.port != p && "u-turn in route");
-            st.phase = VcState::Phase::WaitingVc;
-            st.outPort = hop.port;
-            st.vcClass = hop.vcClass;
-            st.newRing = hop.newRing;
-        }
-    }
-
-    // 2. Each waiting input VC bids for one free output VC of its
-    //    class; collect the bids per (output port, output VC).
+    // 1. Heads newly at the front of their FIFOs enter WaitingVc, and
+    // 2. each waiting input VC bids for one free output VC of its
+    //    class: its requester bit goes into that (output port, output
+    //    VC)'s request set, and into the output's new-ring set when
+    //    the head enters a new ring there.
     //
     //    Bubble mode (slot-granular virtual cut-through): a head may
     //    only be allocated a *completely empty* downstream VC (atomic
@@ -422,14 +395,22 @@ CrossbarRouter::vaStage(sim::Cycle now)
     //    bubble. This is deadlock-free on tori without splitting the
     //    VCs into dateline classes.
     const bool bubble = params_.deadlock == DeadlockMode::Bubble;
-    auto& bids = vaBids_;
-    for (auto& b : bids)
-        b.clear();
+    std::uint64_t out_pending = 0;
     for (unsigned p = 0; p < ports; ++p) {
         if (portFlits_[p] == 0)
             continue;
         for (unsigned v = 0; v < vcs; ++v) {
             VcState& st = vcStateAt(p, v);
+            const FlitFifo& fifo = fifoAt(p, v);
+            if (st.phase == VcState::Phase::Idle && !fifo.empty() &&
+                fifo.front().head) {
+                const RouteHop& hop = fifo.front().routeHop();
+                assert(hop.port != p && "u-turn in route");
+                st.phase = VcState::Phase::WaitingVc;
+                st.outPort = hop.port;
+                st.vcClass = hop.vcClass;
+                st.newRing = hop.newRing;
+            }
             if (st.phase != VcState::Phase::WaitingVc)
                 continue;
             const auto [first, last] = classVcRange(st.vcClass);
@@ -444,7 +425,12 @@ CrossbarRouter::vaStage(sim::Cycle now)
                     !outputCredits_[o]->empty(ov)) {
                     continue;
                 }
-                bids[o * vcs + ov].emplace_back(p, v);
+                const unsigned r = vaRequester(p, v, o);
+                const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+                vaReqs_[vcIndex(o, ov) * words + r / 64] |= bit;
+                if (st.newRing)
+                    vaNewRing_[o * words + r / 64] |= bit;
+                out_pending |= std::uint64_t{1} << o;
                 break;
             }
         }
@@ -465,34 +451,35 @@ CrossbarRouter::vaStage(sim::Cycle now)
     };
 
     // 3. Arbitrate each contested output VC, enforcing the bubble
-    //    slot budget against grants already made this cycle.
-    const unsigned va_reqs = (ports - 1) * vcs;
-    for (unsigned o = 0; o < ports; ++o) {
+    //    slot budget against grants already made this cycle, and
+    //    clear the request words behind.
+    for (; out_pending != 0; out_pending &= out_pending - 1) {
+        const auto o = static_cast<unsigned>(std::countr_zero(out_pending));
+        const std::span<std::uint64_t> new_ring(&vaNewRing_[o * words],
+                                                words);
         bool granted_any = false;
         for (unsigned ov = 0; ov < vcs; ++ov) {
-            if (bids[o * vcs + ov].empty())
-                continue;
-            if (bubble && !isLocalPort(o)) {
+            const std::span<std::uint64_t> reqs(
+                &vaReqs_[vcIndex(o, ov) * words], words);
+            std::uint64_t any = 0;
+            for (const std::uint64_t r : reqs)
+                any |= r;
+            if (any != 0 && bubble && !isLocalPort(o)) {
                 // Target slot must still be free, and ring entries
                 // must leave a bubble behind.
                 const unsigned remaining = free_slots(o);
-                if (remaining == 0)
-                    continue;
-                auto& candidates = bids[o * vcs + ov];
-                std::erase_if(candidates, [&](const auto& bid) {
-                    return vcStateAt(bid.first, bid.second).newRing &&
-                           remaining < 2;
-                });
-                if (candidates.empty())
-                    continue;
+                any = 0;
+                for (std::size_t k = 0; k < words; ++k) {
+                    if (remaining < 2)
+                        reqs[k] &= remaining == 0 ? 0 : ~new_ring[k];
+                    any |= reqs[k];
+                }
             }
-            auto& reqs = vaReqs_;
-            assert(reqs.size() == va_reqs);
-            std::fill(reqs.begin(), reqs.end(), false);
-            for (const auto& [p, v] : bids[o * vcs + ov])
-                reqs[vaRequester(p, v, o)] = true;
+            if (any == 0)
+                continue;
             const ArbitrationResult res =
                 vaArb_[vcIndex(o, ov)]->arbitrate(reqs);
+            std::ranges::fill(reqs, 0);
             assert(res.winner >= 0);
             bus_.emit({sim::EventType::VcAllocation, node(),
                        static_cast<int>(o * vcs + ov), res.deltaReq,
@@ -511,6 +498,7 @@ CrossbarRouter::vaStage(sim::Cycle now)
             outVcBusy_[vcIndex(o, ov)] = true;
             granted_any = true;
         }
+        std::ranges::fill(new_ring, 0);
         if (granted_any)
             vaScan_[o] = (vaScan_[o] + 1) % vcs;
     }
@@ -519,11 +507,10 @@ CrossbarRouter::vaStage(sim::Cycle now)
 void
 CrossbarRouter::bwStage(sim::Cycle now)
 {
-    for (unsigned p = 0; p < params_.ports; ++p) {
-        FlitLink* in = inLinks_[p];
-        if (!in || !in->valid())
-            continue;
-        Flit flit = in->read();
+    for (std::uint64_t m = std::exchange(flitInputs_, 0); m != 0;
+         m &= m - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(m));
+        Flit flit = inLinks_[p]->read();
         if (faultHooks_ &&
             screenArrival(p, flit, now) == ArrivalAction::Discard) {
             continue;

@@ -26,8 +26,8 @@
 #ifndef ORION_ROUTER_VC_ROUTER_HH
 #define ORION_ROUTER_VC_ROUTER_HH
 
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -97,7 +97,7 @@ class CrossbarRouter : public Router
     struct StEntry
     {
         Flit flit;
-        unsigned inPort;
+        unsigned inPort = 0;
     };
 
     void stStage(sim::Cycle now);
@@ -105,8 +105,9 @@ class CrossbarRouter : public Router
     void vaStage(sim::Cycle now);
     void bwStage(sim::Cycle now);
 
-    /** Pick this cycle's switch request for input port @p p. */
-    std::optional<Candidate> pickCandidate(unsigned p);
+    /** Pick this cycle's switch request for input port @p p into
+     * @p c; false when the port has none. */
+    bool pickCandidate(unsigned p, Candidate& c);
 
     /** VC index range [first, last) for dateline class @p cls. */
     std::pair<unsigned, unsigned> classVcRange(unsigned cls) const;
@@ -165,22 +166,31 @@ class CrossbarRouter : public Router
     /** Rotating free-VC scan start per output port. */
     std::vector<unsigned> vaScan_;
     /** SA -> ST pipeline latch, one slot per output port. */
-    std::vector<std::optional<StEntry>> stLatch_;
+    std::vector<StEntry> stLatch_;
+    /** Occupied latch slots, one bit per output port. */
+    std::uint64_t latched_ = 0;
 
     /** Flits buffered per input port (fast idle-port skip). */
     std::vector<unsigned> portFlits_;
     /** Total buffered flits (fast idle-router skip). */
     unsigned totalFlits_ = 0;
-    /** Occupied SA -> ST latches (fast idle-router skip). */
-    unsigned latchedCount_ = 0;
 
     /// @name Per-cycle workspaces (members to avoid re-allocation)
+    /// Request words are all zero between cycles: each stage clears
+    /// the words it set once it has arbitrated them.
     /// @{
-    std::vector<std::optional<Candidate>> saCand_;
-    std::vector<bool> saReqs_;
-    /** VA bids, flattened [outPort * vcs + outVc]. */
-    std::vector<std::vector<std::pair<unsigned, unsigned>>> vaBids_;
-    std::vector<bool> vaReqs_;
+    /** Switch request per input port (valid where saStage saw one). */
+    std::vector<Candidate> saCand_;
+    /** SA request word per output port: bit saRequester(p, o). */
+    std::vector<std::uint64_t> saReqs_;
+    /** Words per VA request set ((ports - 1) * vcs requesters). */
+    std::size_t vaWords_;
+    /** VA request sets, vaWords_ words per (output port, output VC),
+     * flattened [(outPort * vcs + outVc) * vaWords_]. */
+    std::vector<std::uint64_t> vaReqs_;
+    /** VA requesters entering a new ring, vaWords_ words per output
+     * port (bit positions as in vaReqs_). */
+    std::vector<std::uint64_t> vaNewRing_;
     /// @}
 };
 

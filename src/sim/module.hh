@@ -18,6 +18,7 @@
 #define ORION_SIM_MODULE_HH
 
 #include <cassert>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
@@ -70,9 +71,10 @@ class ChannelBase;
  * scheduling: write() appends the channel to the simulator's
  * pending-advance list, so the cycle boundary touches only channels
  * that actually carry a message instead of walking every wire in the
- * network. A consumer-side wake flag (setWakeFlag) is raised whenever
- * a message becomes readable, giving consumers a cheap "anything
- * new?" test for idle fast paths.
+ * network. A consumer-side wake bit (setWakeFlag) is raised in the
+ * consumer's wake mask whenever a message becomes readable, giving
+ * consumers a cheap "anything new, and where?" test: one mask per
+ * consumer, one bit per input port.
  */
 template <typename T>
 class Channel
@@ -80,7 +82,7 @@ class Channel
   public:
     /** Stage a message for delivery next cycle. At most one per cycle. */
     void
-    write(T msg)
+    write(T&& msg)
     {
         assert(!staged_.has_value() && "channel written twice in a cycle");
         staged_ = std::move(msg);
@@ -124,20 +126,26 @@ class Channel
                "channel overrun: message not consumed");
         current_ = std::move(staged_);
         staged_.reset();
-        if (wakeFlag_)
-            *wakeFlag_ = true;
+        if (wakeMask_)
+            *wakeMask_ |= wakeBit_;
     }
 
     /** True if something was staged this cycle (producer-side query). */
     bool staged() const { return staged_.has_value(); }
 
     /**
-     * Raise @p flag whenever a message becomes readable on this
-     * channel. Consumers with an idle fast path (quiescent routers)
-     * register a wake flag on every input so skipping a cycle can
-     * never strand an in-flight message.
+     * OR @p bit into @p *mask whenever a message becomes readable on
+     * this channel. Consumers register a distinct bit per input, so
+     * the mask says which inputs to read this cycle, and a zero mask
+     * (with no resident state) lets an idle consumer skip its cycle
+     * without ever stranding an in-flight message.
      */
-    void setWakeFlag(bool* flag) { wakeFlag_ = flag; }
+    void
+    setWakeFlag(std::uint64_t* mask, std::uint64_t bit)
+    {
+        wakeMask_ = mask;
+        wakeBit_ = bit;
+    }
 
     /**
      * Attach this channel to a simulator's pending-advance list
@@ -175,8 +183,10 @@ class Channel
     /** Simulator pending-advance list this channel enqueues on. */
     std::vector<ChannelBase*>* advanceQueue_ = nullptr;
     ChannelBase* advanceSelf_ = nullptr;
-    /** Consumer wake flag raised when a message becomes readable. */
-    bool* wakeFlag_ = nullptr;
+    /** Consumer wake mask and this channel's bit in it, raised when a
+     * message becomes readable. */
+    std::uint64_t* wakeMask_ = nullptr;
+    std::uint64_t wakeBit_ = 0;
 };
 
 /** Type-erased hook for the simulator to advance channels. */

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "router/arbiter.hh"
@@ -16,12 +17,13 @@ namespace {
 
 using namespace orion::router;
 
-std::vector<bool>
+/** The packed request words asserting @p asserted among @p n. */
+std::vector<std::uint64_t>
 reqs(std::initializer_list<int> asserted, unsigned n)
 {
-    std::vector<bool> v(n, false);
+    std::vector<std::uint64_t> v(Arbiter::wordsFor(n), 0);
     for (int i : asserted)
-        v[static_cast<unsigned>(i)] = true;
+        v[static_cast<unsigned>(i) / 64] |= std::uint64_t{1} << (i % 64);
     return v;
 }
 
@@ -78,16 +80,13 @@ TEST(MatrixArbiter, AlwaysGrantsExactlyOneUnderRandomRequests)
     MatrixArbiter arb(6);
     orion::sim::Rng rng(17);
     for (int t = 0; t < 2000; ++t) {
-        std::vector<bool> r(6);
-        bool any = false;
-        for (unsigned i = 0; i < 6; ++i) {
-            r[i] = rng.chance(0.4);
-            any = any || r[i];
-        }
-        const auto res = arb.arbitrate(r);
-        if (any) {
+        std::uint64_t r = 0;
+        for (unsigned i = 0; i < 6; ++i)
+            r |= static_cast<std::uint64_t>(rng.chance(0.4)) << i;
+        const auto res = arb.arbitrate({&r, 1});
+        if (r != 0) {
             ASSERT_GE(res.winner, 0);
-            EXPECT_TRUE(r[static_cast<unsigned>(res.winner)]);
+            EXPECT_TRUE(r >> res.winner & 1);
         } else {
             EXPECT_EQ(res.winner, -1);
         }
@@ -99,10 +98,10 @@ TEST(MatrixArbiter, PriorityMatrixStaysAntisymmetric)
     MatrixArbiter arb(5);
     orion::sim::Rng rng(23);
     for (int t = 0; t < 500; ++t) {
-        std::vector<bool> r(5);
+        std::uint64_t r = 0;
         for (unsigned i = 0; i < 5; ++i)
-            r[i] = rng.chance(0.5);
-        arb.arbitrate(r);
+            r |= static_cast<std::uint64_t>(rng.chance(0.5)) << i;
+        arb.arbitrate({&r, 1});
         for (unsigned i = 0; i < 5; ++i)
             for (unsigned j = i + 1; j < 5; ++j)
                 EXPECT_NE(arb.hasPriority(i, j), arb.hasPriority(j, i));

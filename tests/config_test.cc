@@ -95,6 +95,9 @@ TEST(Validation, RejectsBadTopology)
     EXPECT_THROW(c.validate(), std::invalid_argument);
     c.net.dims = {4, 1};
     EXPECT_THROW(c.validate(), std::invalid_argument);
+    // Router ports (2 per dimension + local) must fit a 64-bit mask.
+    c.net.dims.assign(32, 2);
+    EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(Validation, RejectsVcsOnNonVcRouters)

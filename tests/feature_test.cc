@@ -22,12 +22,13 @@ namespace {
 using namespace orion;
 using namespace orion::router;
 
-std::vector<bool>
+/** The packed request words asserting @p asserted among @p n. */
+std::vector<std::uint64_t>
 reqs(std::initializer_list<int> asserted, unsigned n)
 {
-    std::vector<bool> v(n, false);
+    std::vector<std::uint64_t> v(Arbiter::wordsFor(n), 0);
     for (int i : asserted)
-        v[static_cast<unsigned>(i)] = true;
+        v[static_cast<unsigned>(i) / 64] |= std::uint64_t{1} << (i % 64);
     return v;
 }
 

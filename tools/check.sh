@@ -15,7 +15,10 @@
 #                an opt-in debugging mode)
 #   5. kernel:   bench/kernel_speed serial flits/sec vs the committed
 #                BENCH_kernel.json — fails on a >10% regression on
-#                either reference config (vc16, k16n2). Runs twice:
+#                either reference config (vc16, k16n2), or when a
+#                determinism digest (total_cycles, flits_ejected,
+#                flits_forwarded, avg_latency_cycles, network_power_w)
+#                differs from the committed value in any bit. Runs twice:
 #                once plain (cancellation compiled in, token unset)
 #                and once under ORION_KERNEL_CANCEL=1 (live armed
 #                token that never fires), both against the same gate,
@@ -187,13 +190,21 @@ if run_leg kernel; then
 import json, sys
 now = json.load(open(sys.argv[1]))["configs"]
 ref = json.load(open(sys.argv[2]))["configs"]
+# The determinism digests are written with %.17g, which round-trips a
+# double exactly, so == on the parsed values is a bit-for-bit check.
+digests = ("total_cycles", "flits_ejected", "flits_forwarded",
+           "avg_latency_cycles", "network_power_w")
 fail = []
 for name, r in ref.items():
+    differ = [f for f in digests if now[name][f] != r[f]]
+    for f in differ:
+        fail.append(f"{name} {f} is {now[name][f]!r}, committed {r[f]!r}")
     cur = now[name]["flits_per_s"]
     base = r["flits_per_s"]
     delta = 100.0 * (cur - base) / base
     print(f"  {name:6s} {cur/1e6:.3f} Mflits/s vs committed "
-          f"{base/1e6:.3f} ({delta:+.1f}%)")
+          f"{base/1e6:.3f} ({delta:+.1f}%), digests "
+          f"{'DIFFER' if differ else 'match'}")
     if delta < -10.0:
         fail.append(f"{name} regressed {delta:.1f}% (> 10% threshold)")
 if fail:
