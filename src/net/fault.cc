@@ -214,8 +214,7 @@ FaultInjector::portStalled(int node, unsigned port, sim::Cycle now)
 }
 
 void
-FaultInjector::onPacketKilled(
-    const std::shared_ptr<const router::PacketInfo>& p, sim::Cycle now)
+FaultInjector::onPacketKilled(const router::PacketRef& p, sim::Cycle now)
 {
     assert(finalized_);
     assert(p->src >= 0 &&

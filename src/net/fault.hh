@@ -117,7 +117,7 @@ struct FaultEvent
 /** A retransmission request delivered to a source node. */
 struct Nack
 {
-    std::shared_ptr<const router::PacketInfo> packet;
+    router::PacketRef packet;
     sim::Cycle cycle = 0;
 };
 
@@ -155,9 +155,8 @@ class FaultInjector : public router::FaultHooks
                          sim::Cycle now) override;
     bool portStalled(int node, unsigned port,
                      sim::Cycle now) override;
-    void
-    onPacketKilled(const std::shared_ptr<const router::PacketInfo>& p,
-                   sim::Cycle now) override;
+    void onPacketKilled(const router::PacketRef& p,
+                        sim::Cycle now) override;
     void onFlitDiscarded(const router::Flit& flit,
                          sim::Cycle now) override;
     /// @}

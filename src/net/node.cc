@@ -56,7 +56,7 @@ Node::setHealthMonitor(HealthMonitor* health)
 }
 
 void
-Node::debugInjectPacket(std::shared_ptr<const router::PacketInfo> pkt)
+Node::debugInjectPacket(router::PacketRef pkt)
 {
     assert(pkt && pkt->length >= 1 && !pkt->route.empty());
     ++packetsInjected_;
@@ -97,7 +97,7 @@ Node::dropUnreachable(const router::PacketInfo& pkt)
 }
 
 bool
-Node::healRoute(std::shared_ptr<const router::PacketInfo>& pkt)
+Node::healRoute(router::PacketRef& pkt)
 {
     if (health_->routeHealthy(node(), pkt->route))
         return true;
@@ -106,10 +106,9 @@ Node::healRoute(std::shared_ptr<const router::PacketInfo>& pkt)
         return false;
     // PacketInfo is shared immutably with in-flight flits; replace the
     // route on a private clone.
-    std::shared_ptr<router::PacketInfo> clone =
-        shared_.packetPool.acquire();
-    *clone = *pkt;
-    clone->route = std::move(*detour);
+    router::PacketRef clone = shared_.packetPool.acquire();
+    clone.edit() = *pkt;
+    clone.edit().route = std::move(*detour);
     pkt = std::move(clone);
     health_->noteReroute();
     return true;
@@ -210,12 +209,9 @@ Node::retransmitStage(sim::Cycle now)
         // sample flag, route — recovery time counts toward latency)
         // as a fresh worm with a bumped attempt number, after a
         // backoff that doubles per attempt.
-        std::shared_ptr<router::PacketInfo> clone =
-            shared_.packetPool.acquire();
-        *clone = *pkt;
-        clone->attempt = next;
-        std::shared_ptr<const router::PacketInfo> resend =
-            std::move(clone);
+        router::PacketRef resend = shared_.packetPool.acquire();
+        resend.edit() = *pkt;
+        resend.edit().attempt = next;
         // With rerouting on, don't retransmit into a dead link: build
         // a surviving-graph detour now, or fail fast as unreachable
         // when the destination is partitioned.
@@ -252,19 +248,18 @@ Node::generateStage(sim::Cycle now)
 
     // Pooled allocation: a recycled PacketInfo keeps its old field
     // values (and, usefully, its route vector's capacity), so every
-    // field is assigned here — including attempt, which make_shared
-    // used to zero via the default initializer.
-    std::shared_ptr<router::PacketInfo> pkt =
-        shared_.packetPool.acquire();
-    pkt->id = shared_.nextPacketId++;
-    pkt->src = node();
-    pkt->dst = *dst;
-    pkt->createdAt = now;
-    pkt->length = packetLength_;
-    pkt->sample = false;
-    pkt->attempt = 0;
+    // field is assigned here.
+    router::PacketRef pkt = shared_.packetPool.acquire();
+    router::PacketInfo& info = pkt.edit();
+    info.id = shared_.nextPacketId++;
+    info.src = node();
+    info.dst = *dst;
+    info.createdAt = now;
+    info.length = packetLength_;
+    info.sample = false;
+    info.attempt = 0;
     if (shared_.sampling && shared_.sampleRemaining > 0) {
-        pkt->sample = true;
+        info.sample = true;
         --shared_.sampleRemaining;
         ++shared_.sampleInjected;
         if (shared_.sampleRemaining == 0)
@@ -273,13 +268,13 @@ Node::generateStage(sim::Cycle now)
     // Always draw the normal DOR route first so the RNG stream is
     // identical with and without rerouting enabled; only then check
     // it against the surviving topology.
-    routing_.routeInto(node(), *dst, rng_, pkt->route);
+    routing_.routeInto(node(), *dst, rng_, info.route);
     bool unreachable = false;
     if (health_ && health_->degraded() &&
-        !health_->routeHealthy(node(), pkt->route)) {
+        !health_->routeHealthy(node(), info.route)) {
         auto detour = health_->buildDetour(node(), *dst);
         if (detour) {
-            pkt->route = std::move(*detour);
+            info.route = std::move(*detour);
             health_->noteReroute();
         } else {
             unreachable = true;

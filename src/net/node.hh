@@ -27,7 +27,6 @@
 #include "router/credit.hh"
 #include "router/link.hh"
 #include "sim/module.hh"
-#include "sim/pool.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -58,11 +57,11 @@ struct SharedState
      * 4096 cycles, overflow beyond). */
     sim::Histogram sampleLatencyHist{1.0, 4096};
     /**
-     * Shared PacketInfo recycler: at steady state every generated or
+     * Shared packet recycler: at steady state every generated or
      * cloned packet reuses the storage (and route-vector capacity) of
-     * one that finished, instead of a make_shared per packet.
+     * one that finished, instead of an allocation per packet.
      */
-    sim::RecyclingPool<router::PacketInfo> packetPool;
+    router::PacketPool packetPool;
 };
 
 /**
@@ -126,8 +125,7 @@ class Node : public sim::Module
      * already set) for injection, bypassing the traffic process —
      * the debug knob behind injected-deadlock tests.
      */
-    void
-    debugInjectPacket(std::shared_ptr<const router::PacketInfo> pkt);
+    void debugInjectPacket(router::PacketRef pkt);
 
     void cycle(sim::Cycle now) override;
 
@@ -179,7 +177,7 @@ class Node : public sim::Module
      * crosses a dead link. Returns false when the destination is
      * partitioned (caller drops the packet as unreachable).
      */
-    bool healRoute(std::shared_ptr<const router::PacketInfo>& pkt);
+    bool healRoute(router::PacketRef& pkt);
 
     power::BitVec randomPayload();
 
@@ -201,7 +199,7 @@ class Node : public sim::Module
     std::unique_ptr<router::CreditCounter> injectionCredits_;
 
     /** Packets waiting to enter the network. */
-    std::deque<std::shared_ptr<const router::PacketInfo>> sourceQueue_;
+    std::deque<router::PacketRef> sourceQueue_;
     /** Next flit index of the packet currently being injected. */
     unsigned injectSeq_ = 0;
     /** VC the current packet is being injected on. */
@@ -223,9 +221,7 @@ class Node : public sim::Module
     std::unordered_map<std::uint64_t, unsigned> attempts_;
     /** Retransmissions waiting out their backoff: (due cycle, clone
      * with bumped attempt), in scheduling order. */
-    std::deque<std::pair<sim::Cycle,
-                         std::shared_ptr<const router::PacketInfo>>>
-        retryQueue_;
+    std::deque<std::pair<sim::Cycle, router::PacketRef>> retryQueue_;
     /// @}
 
     /// @name Fault-tolerant rerouting (inert while health_ is null)

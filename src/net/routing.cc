@@ -41,21 +41,22 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
     assert(src != dst);
     hops.clear();
 
-    Coord cur = topo_.coordsOf(src);
-    const Coord goal = topo_.coordsOf(dst);
-
+    // Coordinates are taken one dimension at a time: routing runs once
+    // per packet and must not allocate.
     for (unsigned d : dimOrder_) {
         const unsigned k = topo_.radix(d);
-        if (cur[d] == goal[d])
+        const unsigned from = topo_.coordOf(src, d);
+        const unsigned to = topo_.coordOf(dst, d);
+        if (from == to)
             continue;
 
         // Choose direction: minimal on a torus (random tie-break at
         // exactly half way), sign of the offset on a mesh.
-        const unsigned fwd = (goal[d] + k - cur[d]) % k;
+        const unsigned fwd = (to + k - from) % k;
         const unsigned bwd = k - fwd;
         bool plus;
         if (!topo_.wrapped())
-            plus = goal[d] > cur[d];
+            plus = to > from;
         else if (fwd < bwd)
             plus = true;
         else if (bwd < fwd)
@@ -63,30 +64,27 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
         else if (tieBreak_ == TieBreak::PreferWrap)
             // Exactly one direction of a half-way tie crosses the
             // wraparound edge: + iff the path passes coordinate k-1.
-            plus = cur[d] + fwd >= k;
+            plus = from + fwd >= k;
         else
             plus = rng.chance(0.5);
 
         const unsigned steps = plus ? fwd : bwd;
+        assert((plus ? from + steps : from + k - steps) % k == to);
 
         // Dateline class: 1 if this ring traversal uses the wraparound
         // edge (k-1 -> 0 going plus, 0 -> k-1 going minus).
         std::uint8_t vc_class = 0;
         if (deadlock_ == router::DeadlockMode::Dateline &&
             topo_.wrapped()) {
-            const bool crosses =
-                plus ? cur[d] + steps >= k : cur[d] < steps;
+            const bool crosses = plus ? from + steps >= k : from < steps;
             vc_class = crosses ? 1 : 0;
         }
 
         const auto port =
             static_cast<std::uint8_t>(topo_.port(d, plus));
-        for (unsigned s = 0; s < steps; ++s) {
+        for (unsigned s = 0; s < steps; ++s)
             hops.push_back(router::RouteHop{port, vc_class, s == 0});
-            cur[d] = plus ? (cur[d] + 1) % k : (cur[d] + k - 1) % k;
-        }
     }
-    assert(cur == goal);
 
     // Ejection hop at the destination router.
     hops.push_back(router::RouteHop{

@@ -76,6 +76,17 @@ Topology::coordsOf(int node) const
     return c;
 }
 
+unsigned
+Topology::coordOf(int node, unsigned dim) const
+{
+    assert(node >= 0 && static_cast<unsigned>(node) < numNodes_);
+    assert(dim < dims_.size());
+    auto rem = static_cast<unsigned>(node);
+    for (unsigned d = 0; d < dim; ++d)
+        rem /= dims_[d];
+    return rem % dims_[dim];
+}
+
 int
 Topology::neighbor(int node, unsigned port) const
 {

@@ -51,6 +51,9 @@ class Topology
     int nodeAt(const Coord& c) const;
     /** Coordinates of node @p node. */
     Coord coordsOf(int node) const;
+    /** Coordinate of node @p node in dimension @p dim (allocation-free
+     * coordsOf(node)[dim]). */
+    unsigned coordOf(int node, unsigned dim) const;
 
     /**
      * Neighbor of @p node through @p port, or -1 if the port faces a

@@ -6,13 +6,25 @@
 
 namespace orion::power {
 
+namespace {
+
+// A wide BitVec's words are owned through its union (a smart pointer
+// cannot share storage with the inline words), so they are allocated
+// here and freed in BitVec::freeWide, by hand.
+std::uint64_t*
+allocWords(std::size_t n)
+{
+    return new std::uint64_t[n](); // lint-allow: naked-new
+}
+
+} // namespace
+
 BitVec::BitVec(unsigned width)
     : width_(width),
       words_(static_cast<std::uint32_t>((width + 63) / 64))
 {
-    if (words_ > kInlineWords)
-        heap_ = std::make_unique<std::uint64_t[]>(words_);
-    std::fill_n(data(), words_, 0ull);
+    if (wide())
+        store_.heap = allocWords(words_);
 }
 
 BitVec::BitVec(unsigned width, std::uint64_t low_word)
@@ -24,54 +36,40 @@ BitVec::BitVec(unsigned width, std::uint64_t low_word)
     }
 }
 
-BitVec::BitVec(const BitVec& o)
-    : width_(o.width_), words_(o.words_)
+void
+BitVec::copyWide(const BitVec& o)
 {
-    if (words_ > kInlineWords)
-        heap_ = std::make_unique<std::uint64_t[]>(words_);
-    std::copy_n(o.data(), words_, data());
+    store_.heap = allocWords(words_);
+    std::copy_n(o.store_.heap, words_, store_.heap);
 }
 
-BitVec::BitVec(BitVec&& o) noexcept
-    : width_(o.width_),
-      words_(o.words_),
-      inline_(o.inline_),
-      heap_(std::move(o.heap_))
-{
-    o.width_ = 0;
-    o.words_ = 0;
-}
-
-BitVec&
-BitVec::operator=(const BitVec& o)
+void
+BitVec::assignWide(const BitVec& o)
 {
     if (this == &o)
-        return *this;
-    if (o.words_ > kInlineWords) {
-        // Reuse an existing heap buffer of sufficient size.
-        if (!heap_ || words_ < o.words_)
-            heap_ = std::make_unique<std::uint64_t[]>(o.words_);
+        return;
+    if (o.wide()) {
+        // Keep a heap buffer of the same size; allocate before
+        // freeing so a failed allocation leaves *this intact.
+        if (words_ != o.words_) {
+            std::uint64_t* fresh = allocWords(o.words_);
+            if (wide())
+                freeWide();
+            store_.heap = fresh;
+        }
+        std::copy_n(o.store_.heap, o.words_, store_.heap);
     } else {
-        heap_.reset();
+        freeWide();
+        store_ = o.store_;
     }
     width_ = o.width_;
     words_ = o.words_;
-    std::copy_n(o.data(), words_, data());
-    return *this;
 }
 
-BitVec&
-BitVec::operator=(BitVec&& o) noexcept
+void
+BitVec::freeWide() noexcept
 {
-    if (this == &o)
-        return *this;
-    width_ = o.width_;
-    words_ = o.words_;
-    inline_ = o.inline_;
-    heap_ = std::move(o.heap_);
-    o.width_ = 0;
-    o.words_ = 0;
-    return *this;
+    delete[] store_.heap; // lint-allow: naked-new
 }
 
 bool

@@ -16,8 +16,9 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 namespace orion::power {
 
@@ -27,8 +28,11 @@ namespace orion::power {
  * little-endian 64-bit words with unused high bits kept at zero.
  *
  * Widths up to 256 bits (every configuration in the paper) live in
- * inline storage — no heap allocation per flit; wider vectors fall
- * back to a heap buffer.
+ * inline storage: no heap allocation per flit, and copies and moves
+ * are inline word copies. Wider vectors keep their words in a heap
+ * buffer of exactly wordCount() words, which shares the inline
+ * storage's bytes; that path is out of line. A moved-from vector is
+ * empty (width 0) and may be assigned to again.
  */
 class BitVec
 {
@@ -41,11 +45,57 @@ class BitVec
     /** A vector of @p width bits whose low word is @p low_word. */
     BitVec(unsigned width, std::uint64_t low_word);
 
-    BitVec(const BitVec& o);
-    BitVec(BitVec&& o) noexcept;
-    BitVec& operator=(const BitVec& o);
-    BitVec& operator=(BitVec&& o) noexcept;
-    ~BitVec() = default;
+    BitVec(const BitVec& o)
+        : width_(o.width_), words_(o.words_), store_(o.store_)
+    {
+        if (o.wide())
+            copyWide(o);
+    }
+
+    /** Copying the storage union carries a heap pointer over too. */
+    BitVec(BitVec&& o) noexcept
+        : width_(std::exchange(o.width_, 0u)),
+          words_(std::exchange(o.words_, 0u)),
+          store_(o.store_)
+    {
+    }
+
+    BitVec&
+    operator=(const BitVec& o)
+    {
+        if (wide() || o.wide()) {
+            assignWide(o);
+            return *this;
+        }
+        width_ = o.width_;
+        words_ = o.words_;
+        store_ = o.store_;
+        return *this;
+    }
+
+    BitVec&
+    operator=(BitVec&& o) noexcept
+    {
+        if (wide()) {
+            if (this == &o)
+                return *this;
+            freeWide();
+        }
+        // Read the source before emptying it: an inline self-move
+        // then puts back what it took.
+        const unsigned width = std::exchange(o.width_, 0u);
+        const std::uint32_t words = std::exchange(o.words_, 0u);
+        store_ = o.store_;
+        width_ = width;
+        words_ = words;
+        return *this;
+    }
+
+    ~BitVec()
+    {
+        if (wide())
+            freeWide();
+    }
 
     unsigned width() const { return width_; }
 
@@ -68,25 +118,46 @@ class BitVec
     const std::uint64_t*
     data() const
     {
-        return heap_ ? heap_.get() : inline_.data();
+        return wide() ? store_.heap : store_.inlineWords.data();
     }
 
     std::uint64_t*
     data()
     {
-        return heap_ ? heap_.get() : inline_.data();
+        return wide() ? store_.heap : store_.inlineWords.data();
     }
 
   private:
     static constexpr std::size_t kInlineWords = 4; // up to 256 bits
 
+    /** True when the words live in the heap buffer. */
+    bool wide() const { return words_ > kInlineWords; }
+
+    /** Copy-construction tail for a wide @p o: a buffer of its own. */
+    void copyWide(const BitVec& o);
+    /** Copy assignment when either side is wide. */
+    void assignWide(const BitVec& o);
+    /** Free the heap buffer; the caller overwrites or destroys the
+     * storage next. */
+    void freeWide() noexcept;
+
     void maskTop();
+
+    /** The words: inline, or a heap buffer of words_ words when
+     * wide(). Both members are trivially copyable, so copying the
+     * whole union copies whichever one is live. */
+    union Storage
+    {
+        std::array<std::uint64_t, kInlineWords> inlineWords;
+        std::uint64_t* heap;
+    };
 
     unsigned width_;
     std::uint32_t words_;
-    std::array<std::uint64_t, kInlineWords> inline_{};
-    std::unique_ptr<std::uint64_t[]> heap_;
+    Storage store_{};
 };
+
+static_assert(sizeof(BitVec) == 40, "flits embed BitVec; keep it small");
 
 /**
  * Hamming distance between two equal-width bit vectors: the number of

@@ -282,7 +282,9 @@ CentralBufferRouter::bwStage(sim::Cycle now)
     for (std::uint64_t m = std::exchange(flitInputs_, 0); m != 0;
          m &= m - 1) {
         const auto p = static_cast<unsigned>(std::countr_zero(m));
-        Flit flit = inLinks_[p]->read();
+        // Screen the flit in its channel slot, then move it straight
+        // into its FIFO slot.
+        Flit& flit = inLinks_[p]->consume();
         if (faultHooks_ &&
             screenArrival(p, flit, now) == ArrivalAction::Discard) {
             continue;

@@ -15,8 +15,6 @@
 #ifndef ORION_ROUTER_FAULT_HOOKS_HH
 #define ORION_ROUTER_FAULT_HOOKS_HH
 
-#include <memory>
-
 #include "router/flit.hh"
 #include "sim/event.hh"
 
@@ -51,9 +49,8 @@ class FaultHooks
      * May be called more than once per attempt (multi-hop faults);
      * sources deduplicate by (id, attempt).
      */
-    virtual void
-    onPacketKilled(const std::shared_ptr<const PacketInfo>& packet,
-                   sim::Cycle now) = 0;
+    virtual void onPacketKilled(const PacketRef& packet,
+                                sim::Cycle now) = 0;
 
     /** A faulted or superseded flit was discarded at a router input
      * (its buffer credit is returned upstream separately). */

@@ -74,18 +74,25 @@ FlitFifo::write(Flit&& flit, sim::Cycle now)
     ++count_;
 }
 
-Flit
-FlitFifo::read(sim::Cycle now)
+void
+FlitFifo::readInto(Flit& dst, sim::Cycle now)
 {
     ORION_CHECK(!empty(), "FIFO underflow: read from empty buffer at "
                               << "node " << node_ << " component "
                               << component_);
-    Flit f = std::move(slots_[head_]);
+    dst = std::move(slots_[head_]);
     ++head_;
     if (head_ == slots_.size())
         head_ = 0;
     --count_;
     bus_.emit({sim::EventType::BufferRead, node_, component_, 0, 0, now});
+}
+
+Flit
+FlitFifo::read(sim::Cycle now)
+{
+    Flit f;
+    readInto(f, now);
     return f;
 }
 

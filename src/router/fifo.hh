@@ -59,9 +59,10 @@ class FlitFifo
         return slots_[head_];
     }
 
-    /**
-     * Pop and return the head flit; emits BufferRead.
-     */
+    /** Pop the head flit, moving it into @p dst; emits BufferRead. */
+    void readInto(Flit& dst, sim::Cycle now);
+
+    /** Pop and return the head flit; emits BufferRead. */
     Flit read(sim::Cycle now);
 
   private:

@@ -1,6 +1,131 @@
 #include "router/flit.hh"
 
+#include <memory>
+
+#include "core/sync.hh"
+
 namespace orion::router {
+
+/**
+ * A pool's packets, free list and ledger. It lives apart from the
+ * PacketPool so that packets released after the pool is gone still
+ * find it: the pool closes it on destruction, and whichever of the
+ * pool and its last live packet goes second frees it, and with it
+ * every packet the pool ever allocated.
+ *
+ * One pool serves one Simulation's thread. If partitions of one run
+ * ever share a pool, this Role becomes a Mutex; every touch point
+ * below is already capability-checked.
+ */
+struct PacketPoolState
+{
+    core::Role serial;
+    /** Every packet this pool allocated, live or parked. */
+    std::vector<std::unique_ptr<detail::PacketBlock>> blocks
+        ORION_GUARDED_BY(serial);
+    /** Parked packets, most recently released first. */
+    detail::PacketBlock* free ORION_GUARDED_BY(serial) = nullptr;
+    std::size_t parked ORION_GUARDED_BY(serial) = 0;
+    std::uint64_t recycled ORION_GUARDED_BY(serial) = 0;
+    std::uint64_t returned ORION_GUARDED_BY(serial) = 0;
+    /** False once the PacketPool is destroyed. */
+    bool open ORION_GUARDED_BY(serial) = true;
+
+    std::uint64_t
+    live() const ORION_REQUIRES(serial)
+    {
+        return blocks.size() + recycled - returned;
+    }
+};
+
+PacketRef
+PacketRef::make(PacketInfo info)
+{
+    // A pool of one: it closes here and is freed with the packet.
+    PacketPool pool;
+    PacketRef ref = pool.acquire();
+    ref.edit() = std::move(info);
+    return ref;
+}
+
+void
+PacketRef::destroy(detail::PacketBlock* p) noexcept
+{
+    PacketPoolState* st = p->pool;
+    {
+        const core::RoleGuard guard(st->serial);
+        ++st->returned;
+        p->nextFree = st->free;
+        st->free = p;
+        ++st->parked;
+        if (st->open || st->live() != 0)
+            return;
+    }
+    // The pool is gone and this was its last live packet.
+    const std::unique_ptr<PacketPoolState> owner(st);
+}
+
+PacketPool::PacketPool() : state_(std::make_unique<PacketPoolState>()) {}
+
+PacketPool::~PacketPool()
+{
+    bool live = false;
+    {
+        const core::RoleGuard guard(state_->serial);
+        state_->open = false;
+        live = state_->live() != 0;
+    }
+    // Live packets keep the state; the last of them frees it.
+    if (live)
+        (void)state_.release();
+}
+
+PacketRef
+PacketPool::acquire()
+{
+    PacketPoolState& st = *state_;
+    const core::RoleGuard guard(st.serial);
+    detail::PacketBlock* p = st.free;
+    if (p) {
+        st.free = p->nextFree;
+        --st.parked;
+        ++st.recycled;
+    } else {
+        st.blocks.push_back(std::make_unique<detail::PacketBlock>());
+        p = st.blocks.back().get();
+        p->pool = &st;
+    }
+    p->refs = 1;
+    return PacketRef(p);
+}
+
+std::uint64_t
+PacketPool::allocatedCount() const
+{
+    const core::RoleGuard guard(state_->serial);
+    return state_->blocks.size();
+}
+
+std::uint64_t
+PacketPool::recycledCount() const
+{
+    const core::RoleGuard guard(state_->serial);
+    return state_->recycled;
+}
+
+std::size_t
+PacketPool::freeCount() const
+{
+    const core::RoleGuard guard(state_->serial);
+    return state_->parked;
+}
+
+std::uint64_t
+PacketPool::liveCount() const
+{
+    const core::RoleGuard guard(state_->serial);
+    return state_->live();
+}
 
 std::uint32_t
 payloadChecksum(const power::BitVec& payload)

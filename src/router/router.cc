@@ -166,7 +166,7 @@ Router::armDropUntilTail(unsigned port, unsigned vc,
 }
 
 void
-Router::discardArrival(unsigned port, const Flit& flit, sim::Cycle now)
+Router::discardArrival(unsigned port, Flit& flit, sim::Cycle now)
 {
     // The flit did arrive (link energy was spent) but is dropped
     // before buffering: ledger it so conservation still proves out,
@@ -175,6 +175,9 @@ Router::discardArrival(unsigned port, const Flit& flit, sim::Cycle now)
     ++flitsDiscarded_;
     sendCreditUpstream(port, flit.vc, now);
     faultHooks_->onFlitDiscarded(flit, now);
+    // The flit stays in its channel slot until the slot is written
+    // again; release its packet now.
+    flit.packet.reset();
 }
 
 Router::ArrivalAction

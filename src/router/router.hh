@@ -359,9 +359,8 @@ class Router : public sim::Module
     };
 
     /** Ledger + credit return + hook notification for one discarded
-     * arrival. */
-    void discardArrival(unsigned port, const Flit& flit,
-                        sim::Cycle now);
+     * arrival; drops the flit's packet reference. */
+    void discardArrival(unsigned port, Flit& flit, sim::Cycle now);
 
     std::vector<std::vector<DropState>> dropState_;
     /** Credits owed upstream but not yet on the wire, per input port

@@ -349,7 +349,7 @@ CrossbarRouter::saStage(sim::Cycle now)
         }
 
         StEntry& slot = stLatch_[o];
-        slot.flit = fifoAt(p, c.vc).read(now);
+        fifoAt(p, c.vc).readInto(slot.flit, now);
         slot.inPort = p;
         latched_ |= std::uint64_t{1} << o;
         --portFlits_[p];
@@ -510,7 +510,9 @@ CrossbarRouter::bwStage(sim::Cycle now)
     for (std::uint64_t m = std::exchange(flitInputs_, 0); m != 0;
          m &= m - 1) {
         const auto p = static_cast<unsigned>(std::countr_zero(m));
-        Flit flit = inLinks_[p]->read();
+        // Screen the flit in its channel slot, then move it straight
+        // into its FIFO slot.
+        Flit& flit = inLinks_[p]->consume();
         if (faultHooks_ &&
             screenArrival(p, flit, now) == ArrivalAction::Discard) {
             continue;

@@ -10,8 +10,12 @@
  * Here a Module is a named hardware block with a per-cycle evaluate
  * hook; Channel<T> is a 1-cycle registered point-to-point port pair
  * (write this cycle, readable next cycle). Registering every
- * inter-module connection breaks all combinational cycles, making
- * evaluation order within a cycle irrelevant across modules.
+ * inter-module connection breaks all combinational cycles: no module
+ * sees another's channel writes before the next cycle, whatever order
+ * modules are evaluated in. State shared outside channels has no such
+ * protection. The packet-id and sample counters of net::SharedState
+ * (net/node.cc) are updated in module order, which is why reversing
+ * the module loop changes reports (ROADMAP item 1).
  */
 
 #ifndef ORION_SIM_MODULE_HH
@@ -19,7 +23,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -67,6 +70,14 @@ class ChannelBase;
  * consumer sees the message via read() during the *next* cycle, after
  * the simulator advances all channels at the cycle boundary.
  *
+ * The register is two message slots and an index: write() fills the
+ * staged slot, and advance() flips which slot is current instead of
+ * moving the message, so a message is moved once into the wire and
+ * once out of it. A consumer may screen the current message in place
+ * (consume()) before moving it on. The current slot is not written
+ * again until the next advance(), so a consumed slot stays intact
+ * for the rest of the cycle.
+ *
  * Channels registered with a Simulator are advanced by write
  * scheduling: write() appends the channel to the simulator's
  * pending-advance list, so the cycle boundary touches only channels
@@ -84,31 +95,41 @@ class Channel
     void
     write(T&& msg)
     {
-        assert(!staged_.has_value() && "channel written twice in a cycle");
-        staged_ = std::move(msg);
+        assert(!hasStaged_ && "channel written twice in a cycle");
+        slots_[cur_ ^ 1] = std::move(msg);
+        hasStaged_ = true;
         if (advanceQueue_)
             advanceQueue_->push_back(advanceSelf_);
     }
 
     /** True if a message is available this cycle. */
-    bool valid() const { return current_.has_value(); }
+    bool valid() const { return hasCurrent_; }
 
     /** The message delivered this cycle (valid() must be true). */
     const T&
     peek() const
     {
-        assert(current_.has_value());
-        return *current_;
+        assert(hasCurrent_);
+        return slots_[cur_];
     }
 
     /** Consume and return this cycle's message. */
     T
     read()
     {
-        assert(current_.has_value());
-        T v = std::move(*current_);
-        current_.reset();
-        return v;
+        return std::move(consume());
+    }
+
+    /**
+     * Consume this cycle's message in place: the returned slot may be
+     * inspected, modified and moved from until the next advance().
+     */
+    T&
+    consume()
+    {
+        assert(hasCurrent_);
+        hasCurrent_ = false;
+        return slots_[cur_];
     }
 
     /**
@@ -120,18 +141,18 @@ class Channel
     void
     advance()
     {
-        if (!staged_.has_value())
+        if (!hasStaged_)
             return;
-        assert(!current_.has_value() &&
-               "channel overrun: message not consumed");
-        current_ = std::move(staged_);
-        staged_.reset();
+        assert(!hasCurrent_ && "channel overrun: message not consumed");
+        cur_ ^= 1;
+        hasStaged_ = false;
+        hasCurrent_ = true;
         if (wakeMask_)
             *wakeMask_ |= wakeBit_;
     }
 
     /** True if something was staged this cycle (producer-side query). */
-    bool staged() const { return staged_.has_value(); }
+    bool staged() const { return hasStaged_; }
 
     /**
      * OR @p bit into @p *mask whenever a message becomes readable on
@@ -166,20 +187,23 @@ class Channel
     const T*
     auditCurrent() const
     {
-        return current_.has_value() ? &*current_ : nullptr;
+        return hasCurrent_ ? &slots_[cur_] : nullptr;
     }
 
     /** The staged (not yet delivered) message, or nullptr. */
     const T*
     auditStaged() const
     {
-        return staged_.has_value() ? &*staged_ : nullptr;
+        return hasStaged_ ? &slots_[cur_ ^ 1] : nullptr;
     }
     /// @}
 
   private:
-    std::optional<T> staged_;
-    std::optional<T> current_;
+    /** slots_[cur_] is current, slots_[cur_ ^ 1] staged. */
+    T slots_[2]{};
+    unsigned cur_ = 0;
+    bool hasCurrent_ = false;
+    bool hasStaged_ = false;
     /** Simulator pending-advance list this channel enqueues on. */
     std::vector<ChannelBase*>* advanceQueue_ = nullptr;
     ChannelBase* advanceSelf_ = nullptr;

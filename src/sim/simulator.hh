@@ -2,10 +2,13 @@
  * @file
  * The cycle-driven simulation loop.
  *
- * Each cycle: every module's cycle() hook runs (order-independent
- * across modules, because all inter-module channels are registered),
- * then all channels advance. The simulator owns the event bus modules
- * publish power events on.
+ * Each cycle: every module's cycle() hook runs in registration order,
+ * then all channels advance. Registered channels hide each module's
+ * writes from the others until the next cycle, so state carried on
+ * channels does not depend on that order. State shared outside
+ * channels does: today the net::SharedState packet-id and sample
+ * counters in net/node.cc (ROADMAP item 1). The simulator owns the
+ * event bus modules publish power events on.
  */
 
 #ifndef ORION_SIM_SIMULATOR_HH

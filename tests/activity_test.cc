@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for switching-activity primitives (BitVec, Hamming
- * distance, bitline/cell delta computation).
+ * distance, bitline/cell delta computation), including BitVec copies
+ * and moves between inline and heap storage.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +164,90 @@ TEST(BitVec, WideVectorsUseHeapPathCorrectly)
     wide = BitVec(32, 0x7);
     EXPECT_EQ(wide.width(), 32u);
     EXPECT_EQ(wide.popcount(), 3u);
+}
+
+/** A @p width-bit vector of random words drawn from seed @p seed. */
+BitVec
+randomVec(unsigned width, std::uint64_t seed)
+{
+    orion::sim::Rng rng(seed);
+    BitVec v(width);
+    for (std::size_t w = 0; w < v.wordCount(); ++w)
+        v.setWord(w, rng.next());
+    return v;
+}
+
+// Widths on both sides of the 256-bit inline capacity.
+constexpr unsigned kInline = 200;
+constexpr unsigned kWide = 520;
+
+TEST(BitVec, MoveAssignAcrossStorageKinds)
+{
+    for (const unsigned to : {kInline, kWide}) {
+        for (const unsigned from : {kInline, kWide}) {
+            SCOPED_TRACE(testing::Message() << from << " -> " << to);
+            const BitVec want = randomVec(from, from);
+            BitVec dst = randomVec(to, 1);
+            BitVec src = want;
+            dst = std::move(src);
+            EXPECT_EQ(dst, want);
+            EXPECT_EQ(dst.popcount(), want.popcount());
+            // A moved-from vector is empty.
+            EXPECT_EQ(src.width(), 0u);
+            EXPECT_EQ(src.wordCount(), 0u);
+        }
+    }
+}
+
+TEST(BitVec, CopyAssignAcrossStorageKinds)
+{
+    for (const unsigned to : {kInline, kWide}) {
+        for (const unsigned from : {kInline, kWide}) {
+            SCOPED_TRACE(testing::Message() << from << " -> " << to);
+            const BitVec src = randomVec(from, from);
+            BitVec dst = randomVec(to, 1);
+            dst = src;
+            EXPECT_EQ(dst, src);
+            // The copy owns its words.
+            dst.setBit(from - 1, !dst.bit(from - 1));
+            EXPECT_EQ(hammingDistance(dst, src), 1u);
+            EXPECT_EQ(src, randomVec(from, from));
+        }
+    }
+}
+
+TEST(BitVec, MovedFromVectorIsReusable)
+{
+    for (const unsigned width : {kInline, kWide}) {
+        SCOPED_TRACE(width);
+        BitVec a = randomVec(width, 3);
+        const BitVec b = std::move(a);
+        EXPECT_EQ(b, randomVec(width, 3));
+        EXPECT_EQ(BitVec(a).width(), 0u); // copying an empty vector
+
+        // Refill by move, wide and inline alike, then by copy.
+        for (const unsigned next : {kWide, kInline, kWide}) {
+            a = randomVec(next, next);
+            EXPECT_EQ(a, randomVec(next, next));
+            BitVec c(std::move(a));
+            EXPECT_EQ(c, randomVec(next, next));
+            EXPECT_EQ(a.width(), 0u);
+        }
+        a = b;
+        EXPECT_EQ(a, b);
+        a.setBit(0, !a.bit(0));
+        EXPECT_EQ(hammingDistance(a, b), 1u);
+    }
+}
+
+TEST(BitVec, SelfMoveKeepsTheValue)
+{
+    for (const unsigned width : {kInline, kWide}) {
+        BitVec v = randomVec(width, 9);
+        BitVec& alias = v;
+        v = std::move(alias);
+        EXPECT_EQ(v, randomVec(width, 9));
+    }
 }
 
 TEST(BitVec, SelfAssignmentIsSafe)

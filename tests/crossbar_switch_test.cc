@@ -22,7 +22,7 @@ Flit
 makeFlit(unsigned width, std::uint64_t payload)
 {
     Flit f;
-    f.packet = std::make_shared<PacketInfo>();
+    f.packet = PacketRef::make();
     f.payload = power::BitVec(width, payload);
     return f;
 }

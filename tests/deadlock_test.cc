@@ -78,22 +78,22 @@ detectRun()
  * than the ring's total buffering — so the head comes to wait on the
  * VC its own body holds.
  */
-std::shared_ptr<const router::PacketInfo>
+router::PacketRef
 wedgeWorm()
 {
-    auto pkt = std::make_shared<router::PacketInfo>();
-    pkt->id = 9999999;
-    pkt->src = 0;
-    pkt->dst = 0;
-    pkt->createdAt = 0;
-    pkt->length = 40;
-    pkt->sample = false;
+    router::PacketInfo pkt;
+    pkt.id = 9999999;
+    pkt.src = 0;
+    pkt.dst = 0;
+    pkt.createdAt = 0;
+    pkt.length = 40;
+    pkt.sample = false;
     for (int h = 0; h < 8; ++h)
-        pkt->route.push_back(
+        pkt.route.push_back(
             {.port = 0, .vcClass = 0, .newRing = h == 0});
     // Ejection hop: the local port of a 1D router (ports 0, 1, 2).
-    pkt->route.push_back({.port = 2, .vcClass = 0, .newRing = false});
-    return pkt;
+    pkt.route.push_back({.port = 2, .vcClass = 0, .newRing = false});
+    return router::PacketRef::make(std::move(pkt));
 }
 
 // --- disabled-by-default fast path ------------------------------------

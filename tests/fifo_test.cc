@@ -23,7 +23,7 @@ Flit
 makeFlit(unsigned width, std::uint64_t payload, unsigned seq = 0)
 {
     Flit f;
-    f.packet = std::make_shared<PacketInfo>();
+    f.packet = PacketRef::make();
     f.seq = seq;
     f.payload = power::BitVec(width, payload);
     return f;

@@ -212,6 +212,15 @@ goldenCases()
             {.node = 6, .port = 4, .start = 500, .end = 800});
         cases.push_back(std::move(c));
     }
+
+    // 512-bit flits are wider than BitVec's inline storage: these pin
+    // its heap path, the 8-word link CRC and bit flips past word 3.
+    NetworkConfig wide_flits = NetworkConfig::vc16();
+    wide_flits.net.flitBits = 512;
+    cases.push_back(uniform("vc16-512b/uniform/clean", wide_flits, 0.08));
+    GoldenCase wide_ber = uniform("vc16-512b/uniform/ber", wide_flits, 0.08);
+    applyScenario(Scenario::LinkBer, wide_ber.sim);
+    cases.push_back(std::move(wide_ber));
     return cases;
 }
 

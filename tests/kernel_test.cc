@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the simulation kernel: event bus dispatch, registered
- * channels (1-cycle latency), the simulator loop, the recycling
- * object pool behind flit/packet allocation, and bit-identity of the
- * hot-path optimizations on the hardest configuration (faults +
+ * channels (1-cycle latency), the simulator loop, the packet pool
+ * behind packet allocation (including that finished fault and
+ * deadlock-recovery runs release every packet), and bit-identity of
+ * the hot-path optimizations on the hardest configuration (faults +
  * rerouting + deadlock recovery under paranoid audits).
  */
 
@@ -16,9 +17,11 @@
 #include "core/config.hh"
 #include "core/simulation.hh"
 #include "net/fault.hh"
+#include "net/network.hh"
+#include "net/trace.hh"
+#include "router/flit.hh"
 #include "sim/event.hh"
 #include "sim/module.hh"
-#include "sim/pool.hh"
 #include "sim/simulator.hh"
 
 namespace {
@@ -216,52 +219,59 @@ TEST(Simulator, RunUntilRespectsCap)
     EXPECT_EQ(sim.now(), 7u);
 }
 
-// --- recycling pool ---------------------------------------------------
+// --- packet pool -----------------------------------------------------
 
-TEST(RecyclingPool, NoIdentityReuseWithinLifetimeWindow)
+using orion::router::PacketInfo;
+using orion::router::PacketPool;
+using orion::router::PacketRef;
+
+TEST(PacketPool, NoIdentityReuseWithinLifetimeWindow)
 {
-    // While an object is held, acquire() must never hand out the same
-    // address again — recycling only draws from released objects.
-    RecyclingPool<int> pool;
-    std::vector<std::shared_ptr<int>> live;
-    std::set<const int*> addresses;
+    // While a packet is held, acquire() must never hand out the same
+    // address again — recycling only draws from released packets.
+    PacketPool pool;
+    std::vector<PacketRef> live;
+    std::set<const PacketInfo*> addresses;
     for (int i = 0; i < 256; ++i) {
         live.push_back(pool.acquire());
         const bool fresh = addresses.insert(live.back().get()).second;
-        EXPECT_TRUE(fresh) << "live object handed out twice";
+        EXPECT_TRUE(fresh) << "live packet handed out twice";
     }
     EXPECT_EQ(pool.allocatedCount(), 256u);
     EXPECT_EQ(pool.recycledCount(), 0u);
     EXPECT_EQ(pool.liveCount(), 256u);
 }
 
-TEST(RecyclingPool, ReleasedObjectsAreRecycledNotReallocated)
+TEST(PacketPool, ReleasedPacketsAreRecycledNotReallocated)
 {
-    RecyclingPool<int> pool;
-    auto a = pool.acquire();
-    const int* addr = a.get();
+    PacketPool pool;
+    PacketRef a = pool.acquire();
+    const PacketInfo* addr = a.get();
+    PacketRef copy = a;
     a.reset();
+    EXPECT_EQ(pool.freeCount(), 0u) << "a copy still holds the packet";
+    copy.reset();
     ASSERT_EQ(pool.freeCount(), 1u);
-    auto b = pool.acquire();
-    // LIFO free list: the most recently parked object comes back.
+    PacketRef b = pool.acquire();
+    // LIFO free list: the most recently parked packet comes back.
     EXPECT_EQ(b.get(), addr);
     EXPECT_EQ(pool.allocatedCount(), 1u);
     EXPECT_EQ(pool.recycledCount(), 1u);
 }
 
-TEST(RecyclingPool, LedgerBalances)
+TEST(PacketPool, LedgerBalances)
 {
     // allocated + recycled == returned + live at every point, and
     // once everything is released the whole population is parked.
-    RecyclingPool<int> pool;
-    std::vector<std::shared_ptr<int>> live;
+    PacketPool pool;
+    std::vector<PacketRef> live;
     for (int round = 0; round < 3; ++round) {
         for (int i = 0; i < 50; ++i)
             live.push_back(pool.acquire());
         EXPECT_EQ(pool.liveCount(), live.size());
         live.resize(live.size() / 2);
         EXPECT_EQ(pool.liveCount(), live.size());
-        // Every object ever constructed is either handed out or
+        // Every packet ever constructed is either handed out or
         // parked — nothing escapes, nothing is double-counted.
         EXPECT_EQ(pool.allocatedCount(),
                   pool.liveCount() + pool.freeCount());
@@ -271,18 +281,115 @@ TEST(RecyclingPool, LedgerBalances)
     EXPECT_EQ(pool.freeCount(), pool.allocatedCount());
 }
 
-TEST(RecyclingPool, ObjectsOutlivingThePoolStillRelease)
+TEST(PacketPool, PacketsOutlivingThePoolStillRelease)
 {
-    std::shared_ptr<int> survivor;
+    PacketRef survivor;
+    PacketRef second;
     {
-        RecyclingPool<int> pool;
+        PacketPool pool;
         survivor = pool.acquire();
-        *survivor = 7;
+        survivor.edit().id = 7;
+        second = survivor;
+        pool.acquire().reset(); // leaves one parked packet behind
     }
-    // The recycler keeps the shared state alive; releasing after the
-    // pool's death must not crash or leak (ASan leg verifies).
-    EXPECT_EQ(*survivor, 7);
+    // The pool's state outlives it until its last packet is released;
+    // releasing after the pool's death must not crash or leak (the
+    // ASan leg verifies).
+    EXPECT_EQ(survivor->id, 7u);
     survivor.reset();
+    EXPECT_EQ(second->id, 7u);
+    second.reset();
+}
+
+/** A finite trace of @p packets packets over @p nodes nodes, two
+ * cycles apart from cycle @p start: the network drains once it ends. */
+orion::TrafficConfig
+finiteTrace(unsigned nodes, unsigned packets, Cycle start)
+{
+    auto trace =
+        std::make_shared<std::vector<orion::net::TraceRecord>>();
+    for (unsigned i = 0; i < packets; ++i) {
+        const int src = static_cast<int>(i % nodes);
+        const int dst = static_cast<int>((i * 7 + 3) % nodes);
+        if (src != dst)
+            trace->push_back({start + 2 * i, src, dst});
+    }
+    orion::TrafficConfig t;
+    t.pattern = orion::net::TrafficPattern::Trace;
+    t.trace = std::move(trace);
+    return t;
+}
+
+/** Run @p sim to completion, drain what is left in flight, and expect
+ * every packet of the network's pool to be released. */
+void
+expectEveryPacketReleased(orion::Simulation& sim)
+{
+    const orion::Report r = sim.run();
+    ASSERT_TRUE(r.completed)
+        << "stop: " << orion::stopReasonName(r.stopReason);
+    sim.step(20000);
+    EXPECT_EQ(sim.network().inFlight(), 0u);
+    const PacketPool& pool = sim.network().shared().packetPool;
+    EXPECT_GT(pool.allocatedCount(), 0u);
+    EXPECT_EQ(pool.liveCount(), 0u)
+        << "a packet reference outlived its packet (NACK, retry "
+           "queue, channel or buffer slot)";
+}
+
+TEST(PacketPool, FinishedBerRunReleasesEveryPacket)
+{
+    orion::SimConfig s;
+    s.warmupCycles = 200;
+    s.samplePackets = 600;
+    s.maxCycles = 100000;
+    s.fault.linkBitErrorRate = 5e-5;
+    orion::Simulation sim(orion::NetworkConfig::vc16(),
+                          finiteTrace(16, 640, 200), s);
+    expectEveryPacketReleased(sim);
+    EXPECT_GT(sim.faultInjector()->packetsRetransmitted(), 0u)
+        << "no packet was killed; the test lost its teeth";
+}
+
+TEST(PacketPool, FinishedDeadlockRecoveryRunReleasesEveryPacket)
+{
+    // A worm that loops twice around a 4-node ring with one VC and no
+    // avoidance wedges the ring; the detector poisons it (NACK with
+    // retry limit 0) and the finite background trace completes.
+    orion::NetworkConfig ring = orion::NetworkConfig::vc16();
+    ring.net.dims = {4};
+    ring.net.vcs = 1;
+    ring.net.bufferDepth = 4;
+    ring.net.deadlock = orion::router::DeadlockMode::None;
+    orion::SimConfig s;
+    s.warmupCycles = 100;
+    s.samplePackets = 50;
+    s.maxCycles = 100000;
+    s.watchdogCycles = 5000;
+    s.deadlockDetect.enabled = true;
+    s.deadlockDetect.probeCycles = 16;
+    s.deadlockDetect.thresholdCycles = 256;
+    s.fault.retryLimit = 0;
+    orion::Simulation sim(ring, finiteTrace(4, 60, 150), s);
+
+    PacketRef wedge = sim.network().shared().packetPool.acquire();
+    PacketInfo& w = wedge.edit();
+    w.id = 9999999;
+    w.src = 0;
+    w.dst = 0;
+    w.createdAt = 0;
+    w.length = 40;
+    w.sample = false;
+    w.attempt = 0;
+    w.route.clear();
+    for (int h = 0; h < 8; ++h)
+        w.route.push_back({.port = 0, .vcClass = 0, .newRing = h == 0});
+    w.route.push_back({.port = 2, .vcClass = 0, .newRing = false});
+    sim.network().endpoint(0).debugInjectPacket(std::move(wedge));
+
+    expectEveryPacketReleased(sim);
+    ASSERT_NE(sim.deadlockDetector(), nullptr);
+    EXPECT_GE(sim.deadlockDetector()->recoveries(), 1u);
 }
 
 // --- bit-identity of the optimized kernel ------------------------------

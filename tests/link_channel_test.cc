@@ -1,8 +1,9 @@
 /**
  * @file
  * Edge-case tests for links and registered channels: traversal-event
- * gating, per-link activity history, credit links, and channel
- * overrun detection.
+ * gating, per-link activity history, credit links, channel overrun
+ * detection, and the two-slot register (staged and consumed slots
+ * stay intact, audit views track the current slot).
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@ Flit
 makeFlit(unsigned width, std::uint64_t payload)
 {
     Flit f;
-    f.packet = std::make_shared<PacketInfo>();
+    f.packet = PacketRef::make();
     f.payload = power::BitVec(width, payload);
     return f;
 }
@@ -100,6 +101,81 @@ TEST(ChannelDeath, DoubleWriteAsserts)
     EXPECT_DEATH(ch.write(2), "written twice");
 }
 
+TEST(ChannelDeath, OverrunAssertsWithEitherSlotCurrent)
+{
+    // The register flips between its two slots; the checks must fire
+    // whichever slot is current.
+    for (int flips = 0; flips < 2; ++flips) {
+        sim::Channel<int> ch;
+        for (int i = 0; i < flips; ++i) {
+            ch.write(int{i});
+            ch.advance();
+            (void)ch.read();
+        }
+        ch.write(1);
+        ch.advance();
+        ch.write(2);
+        EXPECT_DEATH(ch.advance(), "channel overrun");
+        EXPECT_DEATH(ch.write(3), "written twice");
+    }
+}
+
+TEST(Channel, StagedMessageArrivesIntactBehindAnUnreadOne)
+{
+    // Heap-backed messages show that staging the next message moves
+    // nothing out of the current slot, and reading the current one
+    // leaves the staged slot alone.
+    sim::Channel<std::vector<int>> ch;
+    ch.write(std::vector<int>(100, 1));
+    ch.advance();
+    ch.write(std::vector<int>(100, 2)); // staged while 1s are unread
+    ASSERT_TRUE(ch.valid());
+    EXPECT_EQ(ch.peek(), std::vector<int>(100, 1));
+    EXPECT_EQ(ch.read(), std::vector<int>(100, 1));
+    ch.advance();
+    ASSERT_TRUE(ch.valid());
+    EXPECT_EQ(ch.read(), std::vector<int>(100, 2));
+}
+
+TEST(Channel, ConsumedSlotStaysIntactUntilTheNextAdvance)
+{
+    sim::Channel<std::vector<int>> ch;
+    ch.write(std::vector<int>(8, 5));
+    ch.advance();
+    std::vector<int>& slot = ch.consume();
+    EXPECT_FALSE(ch.valid());
+    ch.write(std::vector<int>(8, 6)); // lands in the other slot
+    EXPECT_EQ(slot, std::vector<int>(8, 5));
+    slot.push_back(7); // screened in place
+    EXPECT_EQ(slot.size(), 9u);
+    ch.advance();
+    EXPECT_EQ(ch.read(), std::vector<int>(8, 6));
+}
+
+TEST(Channel, AuditViewsNameTheRightSlotAcrossAdvances)
+{
+    sim::Channel<int> ch;
+    for (int i = 0; i < 100; ++i) {
+        EXPECT_EQ(ch.auditStaged(), nullptr);
+        ch.write(int{i});
+        ASSERT_NE(ch.auditStaged(), nullptr);
+        EXPECT_EQ(*ch.auditStaged(), i);
+        if (i > 0) {
+            ASSERT_NE(ch.auditCurrent(), nullptr);
+            EXPECT_EQ(*ch.auditCurrent(), i - 1);
+            EXPECT_EQ(ch.read(), i - 1);
+        }
+        EXPECT_EQ(ch.auditCurrent(), nullptr);
+        ch.advance();
+        // Idle advances every third cycle must not flip the slots.
+        if (i % 3 == 0)
+            ch.advance();
+        EXPECT_EQ(ch.auditStaged(), nullptr);
+        ASSERT_NE(ch.auditCurrent(), nullptr);
+        EXPECT_EQ(*ch.auditCurrent(), i);
+    }
+}
+
 TEST(Channel, UnreadMessageLatches)
 {
     sim::Channel<int> ch;
@@ -113,11 +189,11 @@ TEST(Channel, UnreadMessageLatches)
 
 TEST(Flit, RouteHopAccessors)
 {
-    auto info = std::make_shared<PacketInfo>();
-    info->route = {RouteHop{2, 0, true}, RouteHop{0, 1, false},
-                   RouteHop{4, 0, false}};
+    PacketInfo info;
+    info.route = {RouteHop{2, 0, true}, RouteHop{0, 1, false},
+                  RouteHop{4, 0, false}};
     Flit f;
-    f.packet = info;
+    f.packet = PacketRef::make(std::move(info));
     f.hop = 0;
     EXPECT_EQ(f.routeHop().port, 2);
     EXPECT_TRUE(f.routeHop().newRing);

@@ -115,14 +115,15 @@ makePacket(std::uint64_t id, int src, int dst, unsigned length,
            unsigned flit_bits, std::vector<router::RouteHop> route,
            sim::Rng& rng, sim::Cycle created_at = 0)
 {
-    auto info = std::make_shared<router::PacketInfo>();
-    info->id = id;
-    info->src = src;
-    info->dst = dst;
-    info->createdAt = created_at;
-    info->length = length;
-    info->sample = true;
-    info->route = std::move(route);
+    router::PacketInfo fields;
+    fields.id = id;
+    fields.src = src;
+    fields.dst = dst;
+    fields.createdAt = created_at;
+    fields.length = length;
+    fields.sample = true;
+    fields.route = std::move(route);
+    const router::PacketRef info = router::PacketRef::make(std::move(fields));
 
     std::vector<router::Flit> flits;
     for (unsigned s = 0; s < length; ++s) {

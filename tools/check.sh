@@ -3,7 +3,9 @@
 #
 #   1. tier-1:   configure + build (warnings-as-errors) + full ctest
 #   2. asan:     ASan+UBSan build; fuzz, audit, fault and
-#                parallel-sweep tests at the paranoid check level,
+#                parallel-sweep tests, plus the kernel, BitVec, channel,
+#                FIFO and golden-corpus tests (packet reference counts,
+#                BitVec union storage), at the paranoid check level,
 #                plus a fault-injection orion_sweep smoke run
 #   3. tsan:     ThreadSanitizer build of the parallel sweep engine
 #   4. overhead: bench/sweep_speed at check levels off/cheap/paranoid,
@@ -80,14 +82,15 @@ if run_leg tier1; then
 fi
 
 if run_leg asan; then
-    echo "== ASan+UBSan: fuzz/audit/sweep tests, paranoid checks =="
+    echo "== ASan+UBSan: fuzz/audit/sweep/kernel tests, paranoid checks =="
     cmake -B "$root/build-asan" -S "$root" \
         -DORION_ASAN=ON -DORION_UBSAN=ON -DORION_WERROR=ON
+    asan_tests="fuzz_test audit_test fault_test parallel_sweep_test \
+        sweep_test reroute_test deadlock_test kernel_test activity_test \
+        link_channel_test fifo_test golden_test"
     cmake --build "$root/build-asan" -j "$jobs" \
-        --target fuzz_test audit_test fault_test parallel_sweep_test \
-        sweep_test reroute_test deadlock_test orion_sweep
-    for t in fuzz_test audit_test fault_test parallel_sweep_test \
-        sweep_test reroute_test deadlock_test; do
+        --target $asan_tests orion_sweep
+    for t in $asan_tests; do
         ORION_CHECK=paranoid "$root/build-asan/tests/$t"
     done
     echo "== ASan+UBSan: fault-injection sweep smoke =="
