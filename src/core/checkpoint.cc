@@ -14,6 +14,11 @@
 
 namespace orion::core {
 
+namespace {
+
+/** Escape a string field for the '|'-separated line format: '%',
+ * '|', newline and CR become %XX so a field can never fake a
+ * separator or break line framing. */
 std::string
 escapeField(const std::string& s)
 {
@@ -31,8 +36,6 @@ escapeField(const std::string& s)
     return out;
 }
 
-namespace {
-
 int
 hexNibble(char c)
 {
@@ -45,8 +48,8 @@ hexNibble(char c)
     return -1;
 }
 
-} // namespace
-
+/** Undo escapeField. @throw CheckpointError on a malformed or
+ * truncated %-escape. */
 std::string
 unescapeField(std::string_view s)
 {
@@ -68,6 +71,8 @@ unescapeField(std::string_view s)
     }
     return out;
 }
+
+} // namespace
 
 std::string
 hex16(std::uint64_t v)
@@ -573,6 +578,7 @@ loadCheckpoint(const std::string& path,
 
     CheckpointLoad load;
     load.fingerprint = fp;
+    load.acceptedBytes = header.size() + (in.eof() ? 0 : 1);
 
     // Read every remaining line; remember whether the file ended in a
     // newline (a torn final line does not).
@@ -602,6 +608,7 @@ loadCheckpoint(const std::string& path,
                 throw CheckpointError(
                     "checkpoint: torn final line (no newline)");
             load.entries.push_back(parseEntry(lines[i]));
+            load.acceptedBytes += lines[i].size() + 1;
         } catch (const CheckpointError& e) {
             if (is_last) {
                 // The torn tail of a crash: drop it, flag it — the
@@ -622,6 +629,10 @@ CheckpointJournal::CheckpointJournal(const std::string& path,
                                      bool resume)
     : path_(path)
 {
+    // A resumed journal ends at its last accepted entry: whatever
+    // loadCheckpoint dropped is cut before the first append.
+    const std::uint64_t keep =
+        resume ? loadCheckpoint(path, fingerprint).acceptedBytes : 0;
     const int flags =
         resume ? (O_WRONLY | O_APPEND)
                : (O_WRONLY | O_CREAT | O_TRUNC | O_APPEND);
@@ -631,6 +642,13 @@ CheckpointJournal::CheckpointJournal(const std::string& path,
         throw CheckpointError("checkpoint: cannot open '" + path +
                               "' for writing: " +
                               std::strerror(errno));
+    }
+    if (resume && ::ftruncate(fd_, static_cast<off_t>(keep)) != 0) {
+        const int err = errno;
+        ::close(fd_);
+        fd_ = -1;
+        throw CheckpointError("checkpoint: cannot cut the torn tail of '" +
+                              path + "': " + std::strerror(err));
     }
     if (!resume) {
         const std::string header =

@@ -90,21 +90,8 @@ std::string exactDouble(double v);
 double parseExactDouble(const std::string& s);
 /// @}
 
-/// @name Line-format building blocks
-/// Shared with core/cache, whose segment lines wrap journal entries.
-/// @{
-/** Escape a string field for the '|'-separated line format: '%',
- * '|', newline and CR become %XX so a field can never fake a
- * separator or break line framing. */
-std::string escapeField(const std::string& s);
-
-/** Undo escapeField. @throw CheckpointError on a malformed or
- * truncated %-escape. */
-std::string unescapeField(std::string_view s);
-
 /** @p v as 16 lowercase hex digits (checksum/fingerprint fields). */
 std::string hex16(std::uint64_t v);
-/// @}
 
 /** FNV-1a 64-bit offset basis. */
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -159,6 +146,9 @@ struct CheckpointLoad
     /** The final line was torn (partial write at the crash) and was
      * dropped. Normal after a SIGKILL; worth a diagnostic line. */
     bool truncatedTail = false;
+    /** File bytes up to the end of the last accepted line: the
+     * header and every entry in `entries`, without a dropped tail. */
+    std::uint64_t acceptedBytes = 0;
 };
 
 /**
@@ -186,11 +176,13 @@ class CheckpointJournal
     /**
      * Open @p path for appending. With @p resume false the file is
      * created (or truncated) and the fingerprint header written; with
-     * @p resume true the file must already carry this fingerprint
-     * (validate via loadCheckpoint first) and new entries append
+     * @p resume true the file is validated as by loadCheckpoint, cut
+     * back to its acceptedBytes (so a dropped torn or corrupt final
+     * line cannot glue onto the next entry), and new entries append
      * after the existing ones.
      *
-     * @throw CheckpointError when the file cannot be opened/written.
+     * @throw CheckpointError when the file cannot be opened/written,
+     * or, with @p resume, when loadCheckpoint rejects it.
      */
     CheckpointJournal(const std::string& path,
                       std::uint64_t fingerprint, bool resume);

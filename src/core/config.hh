@@ -230,10 +230,10 @@ struct SimConfig
 /**
  * The single validation entry point for one runnable configuration:
  * network.validate() + validateTraffic() + sim.validate() +
- * sim.fault.validate(). CLI tools and the orion_served daemon call
- * this before construction so a malformed request is a structured
- * `invalid_config` rejection (std::invalid_argument), never an
- * assert deep inside the simulator.
+ * sim.fault.validate(). The CLI parser calls this before
+ * construction so a malformed configuration is a structured
+ * rejection (std::invalid_argument), never an assert deep inside the
+ * simulator.
  */
 void validateConfig(const NetworkConfig& network,
                     const TrafficConfig& traffic, const SimConfig& sim);

@@ -48,6 +48,15 @@ runIsolated(const IsolateOptions& opts)
     if (opts.argv.empty())
         throw std::runtime_error("isolate: empty argv");
 
+    // The child's argv is built here: allocating between fork and
+    // exec is not async-signal-safe, and sweeps fork from worker
+    // threads.
+    std::vector<char*> argv;
+    argv.reserve(opts.argv.size() + 1);
+    for (const std::string& a : opts.argv)
+        argv.push_back(const_cast<char*>(a.c_str()));
+    argv.push_back(nullptr);
+
     int err_pipe[2];
     if (::pipe(err_pipe) != 0) {
         throw std::runtime_error(std::string("isolate: pipe: ") +
@@ -87,11 +96,6 @@ runIsolated(const IsolateOptions& opts)
             lim.rlim_max = opts.maxCpuSeconds;
             ::setrlimit(RLIMIT_CPU, &lim);
         }
-        std::vector<char*> argv;
-        argv.reserve(opts.argv.size() + 1);
-        for (const std::string& a : opts.argv)
-            argv.push_back(const_cast<char*>(a.c_str()));
-        argv.push_back(nullptr);
         ::execv(argv[0], argv.data());
         // exec failed: report on the (redirected) stderr and bail
         // with a code outside orion_sim's healthy range.

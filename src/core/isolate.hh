@@ -3,9 +3,10 @@
  * Process-isolated execution of one sweep cell (docs/ROBUSTNESS.md,
  * "Survivable runs").
  *
- * `orion_sweep --isolate` runs every (rate, seed) cell in a
- * fork/exec'd orion_sim subprocess instead of in-process, so a cell
- * that SIGSEGVs, OOMs, or wedges past its deadline is recorded as a
+ * The sweep engine's isolated backend (SweepOptions::workerCommand,
+ * `orion_sweep --isolate`) runs each cell attempt in a fork/exec'd
+ * orion_sim subprocess instead of in-process, so a cell that
+ * SIGSEGVs, OOMs, or wedges past its deadline is recorded as a
  * structured per-cell failure (exit status or signal captured, stderr
  * tail attached) while every other cell completes normally. The child
  * writes its report with `orion_sim --report-out FILE` using the

@@ -3,19 +3,38 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdio>
 #include <ctime>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
+#include <stdlib.h>
+
 #include "core/executor.hh"
 #include "core/forensics.hh"
+#include "core/isolate.hh"
+#include "core/log.hh"
 #include "core/progress.hh"
 #include "sim/rng.hh"
 
 namespace orion {
 
 namespace {
+
+namespace log = core::log;
+
+/**
+ * Retry attempts rederive the seed in a disjoint seed-index band:
+ * attempt k runs on sim::deriveSeed(seed, rate index, seed index +
+ * k * kRetrySeedOffset), so a retried cell cannot collide with any
+ * sibling cell's stream.
+ */
+constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
 
 /** Monotonic seconds for per-cell resource accounting (observability
  * only; never journaled or compared). */
@@ -37,30 +56,63 @@ threadCpuSeconds()
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/** What one (rate, seed) cell produced. */
+/** What one attempt (or one whole cell) produced. */
 struct CellResult
 {
-    Report report;
-    std::optional<PointFailure> failure;
-    unsigned attempts = 1;
-    /** See SweepPoint::ran / SweepPoint::fromCheckpoint. */
-    bool ran = false;
-    bool fromCheckpoint = false;
-    /** Telemetry exports (only when captured — see runPoint). */
-    std::string metricsCsv;
-    std::string traceJson;
-    /** Execution cost (fresh runs only; see PointResources). */
-    PointResources resources;
+    SweepPoint point;
+    /** How the isolated worker of the last attempt ended ("exit 0",
+     * "signal 11"); empty in-process. The journal records it. */
+    std::string workerExit;
 };
+
+/**
+ * The sweep's failure triage of a finished run, shared by the
+ * in-process backend and the isolated worker's report: check
+ * failures, deadlines and interrupts are failures, anything else is a
+ * result.
+ */
+std::optional<PointFailure>
+triage(Simulation& run, const Report& r)
+{
+    switch (r.stopReason) {
+    case StopReason::CheckFailure:
+        return PointFailure{
+            StopReason::CheckFailure, r.checkFailureDiagnostic,
+            forensicSnapshot(run, r.checkFailureDiagnostic)};
+    case StopReason::Deadline:
+        return PointFailure{StopReason::Deadline,
+                            "point exceeded its deadline after " +
+                                std::to_string(r.totalCycles) +
+                                " cycles",
+                            forensicSnapshot(run,
+                                             "point deadline expired")};
+    case StopReason::Interrupted:
+        return PointFailure{StopReason::Interrupted,
+                            "interrupted mid-run (SIGINT/SIGTERM)",
+                            std::string{}};
+    default:
+        return std::nullopt;
+    }
+}
+
+/** Only CheckFailure and WorkerCrash may be transient. A deadline
+ * overrun will overrun again, and nobody waits for an interrupted
+ * cell. */
+bool
+retryable(const std::optional<PointFailure>& failure)
+{
+    return failure && (failure->reason == StopReason::CheckFailure ||
+                       failure->reason == StopReason::WorkerCrash);
+}
 
 /** A cell outcome worth journaling: deterministic given the seed.
  * Deadline/Interrupted stops depend on wall-clock/machine load and
  * must rerun on resume instead. */
 bool
-journalable(const CellResult& cell)
+journalable(const SweepPoint& p)
 {
-    const StopReason sr = cell.failure ? cell.failure->reason
-                                       : cell.report.stopReason;
+    const StopReason sr =
+        p.failure ? p.failure->reason : p.report.stopReason;
     return sr != StopReason::Deadline &&
            sr != StopReason::Interrupted;
 }
@@ -72,30 +124,46 @@ makeEntry(std::size_t rate_index, unsigned seed_index,
     core::CheckpointEntry e;
     e.rateIndex = rate_index;
     e.seedIndex = seed_index;
-    e.attempts = cell.attempts;
-    e.report = cell.report;
-    if (cell.failure) {
+    e.attempts = cell.point.attempts;
+    e.report = cell.point.report;
+    if (cell.point.failure) {
         e.failed = true;
-        e.failureReason = cell.failure->reason;
-        e.failureMessage = cell.failure->message;
-        e.failureForensics = cell.failure->forensicsJson;
+        e.failureReason = cell.point.failure->reason;
+        e.failureMessage = cell.point.failure->message;
+        e.failureForensics = cell.point.failure->forensicsJson;
     }
+    e.workerExit = cell.workerExit;
     return e;
 }
 
-CellResult
-cellFromEntry(const core::CheckpointEntry& e)
+SweepPoint
+pointFromEntry(const core::CheckpointEntry& e)
 {
-    CellResult cell;
-    cell.report = e.report;
-    cell.attempts = e.attempts;
-    cell.ran = true;
-    cell.fromCheckpoint = true;
+    SweepPoint p;
+    p.report = e.report;
+    p.attempts = e.attempts;
+    p.ran = true;
     if (e.failed) {
-        cell.failure = PointFailure{e.failureReason, e.failureMessage,
-                                    e.failureForensics};
+        p.failure = PointFailure{e.failureReason, e.failureMessage,
+                                 e.failureForensics};
     }
-    return cell;
+    return p;
+}
+
+/** The entry line a worker wrote with --report-out, or nullopt when
+ * the file is missing, empty or corrupt (a crashed worker). */
+std::optional<core::CheckpointEntry>
+readWorkerEntry(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    if (!in || !std::getline(in, line) || line.empty())
+        return std::nullopt;
+    try {
+        return core::parseEntry(line);
+    } catch (const core::CheckpointError&) {
+        return std::nullopt;
+    }
 }
 
 /** (rate index, seed index) -> cached entry; duplicates last-wins
@@ -103,145 +171,333 @@ cellFromEntry(const core::CheckpointEntry& e)
 using ResumeIndex =
     std::unordered_map<std::uint64_t, const core::CheckpointEntry*>;
 
-ResumeIndex
-buildResumeIndex(const std::vector<core::CheckpointEntry>* entries,
-                 std::size_t num_rates, unsigned num_seeds)
+std::uint64_t
+cellKey(std::size_t rate_index, unsigned seed_index)
 {
-    ResumeIndex index;
-    if (entries == nullptr)
-        return index;
-    for (const core::CheckpointEntry& e : *entries) {
-        if (e.rateIndex >= num_rates || e.seedIndex >= num_seeds)
-            continue; // defensive; the fingerprint binds the grid
-        index[(e.rateIndex << 32) | e.seedIndex] = &e;
-    }
-    return index;
+    return (static_cast<std::uint64_t>(rate_index) << 32) | seed_index;
 }
 
-const core::CheckpointEntry*
-lookupResume(const ResumeIndex& index, std::size_t rate_index,
-             unsigned seed_index)
+/** A private directory for isolated workers' report files, removed
+ * with everything in it when the sweep returns. */
+class WorkerDir
 {
-    const auto it = index.find(
-        (static_cast<std::uint64_t>(rate_index) << 32) | seed_index);
-    return it == index.end() ? nullptr : it->second;
-}
+  public:
+    explicit WorkerDir(bool needed)
+    {
+        if (!needed)
+            return;
+        const std::filesystem::path tmp =
+            std::filesystem::temp_directory_path();
+        std::string tmpl = (tmp / "orion_sweep.XXXXXX").string();
+        if (::mkdtemp(tmpl.data()) == nullptr) {
+            throw std::runtime_error(
+                "sweep: cannot create a directory for worker report "
+                "files in '" +
+                tmp.string() + "'");
+        }
+        path_ = tmpl;
+    }
+
+    ~WorkerDir()
+    {
+        std::error_code ec;
+        if (!path_.empty())
+            std::filesystem::remove_all(path_, ec);
+    }
+
+    WorkerDir(const WorkerDir&) = delete;
+    WorkerDir& operator=(const WorkerDir&) = delete;
+
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /**
- * Run one (rate index, seed index) cell with its derived RNG stream,
- * isolating failures: a check failure gets bounded retries on
- * rederived seeds (SweepOptions::retry), and any failure (including a
- * throwing constructor) is captured per-cell instead of propagating
- * into the worker pool — a worker exception would abort the whole
- * sweep and discard every completed point. A per-cell deadline and
- * the sweep-wide cancel token ride in via a chained CancelToken; a
- * token is installed on the simulation only when either is active,
- * so plain sweeps keep the token-free cycle loop.
+ * The one sweep engine: resolves every (rate index, seed index) cell
+ * of a sweep, from the resume journal or by running it. A cell runs
+ * up to RetryPolicy::maxAttempts attempts, each on its own seed band,
+ * either in-process or in a fork/exec'd worker
+ * (SweepOptions::workerCommand); failures are captured per cell
+ * instead of propagating into the worker pool, where an exception
+ * would abort the whole sweep and discard every completed point.
+ * run() is called concurrently from parallelFor workers; it only
+ * reads the runner's state.
  */
-CellResult
-runPoint(const NetworkConfig& network, const TrafficConfig& traffic,
-         const SimConfig& sim, double rate, std::size_t rate_index,
-         unsigned seed_index, bool capture_telemetry,
-         const SweepOptions& opts, core::ProgressScope* scope)
+class CellRunner
 {
-    TrafficConfig t = traffic;
-    t.injectionRate = rate;
-
-    CellResult res;
-    res.ran = true;
-    const unsigned max_attempts =
-        std::max(1u, opts.retry.maxAttempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        // An interrupt between attempts ends the cell immediately:
-        // retrying a point nobody will wait for helps no one.
-        if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-            res.report = Report{};
-            res.report.stopReason = StopReason::Interrupted;
-            res.failure = PointFailure{StopReason::Interrupted,
-                                       "sweep interrupted before the "
-                                       "cell could run",
-                                       std::string{}};
-            return res;
-        }
-        if (attempt > 0 && opts.retry.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts.retry.backoffMs));
-        }
-
-        SimConfig s = sim;
-        const std::uint64_t band = attempt * kRetrySeedOffset;
-        s.seed = sim::deriveSeed(sim.seed, rate_index,
-                                 seed_index + band);
-        // The transient flavor of the poison drill only fails the
-        // first attempt, modelling a seed-dependent transient.
-        if (attempt > 0 && s.debugPoisonTransient)
-            s.debugPoisonRate = -1.0;
-        res.attempts = attempt + 1;
-        if (scope != nullptr) {
-            scope->setAttempt(res.attempts);
-            // Publish live cycle counts for the heartbeat thread.
-            // Observability only: the periodic hook this installs is
-            // a relaxed store, so results stay bit-identical.
-            s.progressCycles = scope->cycles();
-        }
-
-        core::CancelToken token(opts.cancel);
-        if (opts.pointTimeoutSeconds > 0.0)
-            token.armDeadline(opts.pointTimeoutSeconds);
-        if (opts.pointTimeoutSeconds > 0.0 ||
-            opts.cancel != nullptr) {
-            s.cancel = &token;
-        }
-
-        try {
-            Simulation run(network, t, s);
-            res.report = run.run();
-            if (capture_telemetry && s.telemetry.enabled()) {
-                res.metricsCsv = run.metricsCsv();
-                res.traceJson = run.traceJson(
-                    "rate " + std::to_string(rate) + " seed " +
-                    std::to_string(seed_index));
-            }
-            const StopReason sr = res.report.stopReason;
-            if (sr == StopReason::Deadline) {
-                // Not transient, not retried: a point that overran
-                // its wall-clock budget will overrun it again.
-                res.failure = PointFailure{
-                    StopReason::Deadline,
-                    "point exceeded its deadline after " +
-                        std::to_string(res.report.totalCycles) +
-                        " cycles",
-                    forensicSnapshot(run, "point deadline expired")};
-                return res;
-            }
-            if (sr == StopReason::Interrupted) {
-                res.failure = PointFailure{
-                    StopReason::Interrupted,
-                    "interrupted mid-run (SIGINT/SIGTERM)",
-                    std::string{}};
-                return res;
-            }
-            if (sr != StopReason::CheckFailure) {
-                res.failure.reset();
-                return res;
-            }
-            res.failure = PointFailure{
-                StopReason::CheckFailure,
-                res.report.checkFailureDiagnostic,
-                forensicSnapshot(run,
-                                 res.report.checkFailureDiagnostic)};
-        } catch (const std::exception& e) {
-            res.report = Report{};
-            res.report.stopReason = StopReason::CheckFailure;
-            res.report.checkFailureDiagnostic = e.what();
-            res.failure = PointFailure{StopReason::CheckFailure,
-                                       e.what(), std::string{}};
+  public:
+    CellRunner(const NetworkConfig& network, const TrafficConfig& traffic,
+               const SimConfig& sim, const std::vector<double>& rates,
+               unsigned num_seeds, const SweepOptions& opts)
+        : network_(network), traffic_(traffic), sim_(sim),
+          rates_(rates), opts_(opts),
+          workerDir_(!opts.workerCommand.empty())
+    {
+        if (opts.resume == nullptr)
+            return;
+        for (const core::CheckpointEntry& e : *opts.resume) {
+            if (e.rateIndex >= rates.size() || e.seedIndex >= num_seeds)
+                continue; // defensive; the fingerprint binds the grid
+            resume_[cellKey(e.rateIndex,
+                            static_cast<unsigned>(e.seedIndex))] = &e;
         }
     }
-    return res;
-}
+
+    /** Cell (@p i, @p k): merged from the resume journal, or run and
+     * then journaled when its outcome is deterministic. */
+    SweepPoint
+    run(std::size_t i, unsigned k) const
+    {
+        const auto hit = resume_.find(cellKey(i, k));
+        if (hit != resume_.end()) {
+            SweepPoint p = pointFromEntry(*hit->second);
+            p.injectionRate = rates_[i];
+            p.fromCheckpoint = true;
+            if (opts_.progress != nullptr)
+                opts_.progress->noteCached();
+            return p;
+        }
+
+        core::ProgressScope scope(opts_.progress, i, k);
+        const double wall0 = monotonicSeconds();
+        const double cpu0 = threadCpuSeconds();
+        CellResult cell = attempts(i, k, scope);
+        PointResources& rs = cell.point.resources;
+        if (opts_.workerCommand.empty()) {
+            rs.valid = true;
+            rs.cpuSeconds = threadCpuSeconds() - cpu0;
+        }
+        if (rs.valid)
+            rs.wallSeconds = monotonicSeconds() - wall0;
+        cell.point.injectionRate = rates_[i];
+        if (opts_.journal != nullptr && journalable(cell.point))
+            opts_.journal->append(makeEntry(i, k, cell));
+        // End after the journal append so a heartbeat's done count
+        // never exceeds the journal's entry count.
+        scope.end(cell.point.failure.has_value());
+        return std::move(cell.point);
+    }
+
+  private:
+    /** The retry loop: one attempt per seed band until one succeeds
+     * or fails for good. */
+    CellResult
+    attempts(std::size_t i, unsigned k,
+             core::ProgressScope& scope) const
+    {
+        CellResult res;
+        PointResources used;
+        const unsigned max_attempts =
+            std::max(1u, opts_.retry.maxAttempts);
+        for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
+            // An interrupt between attempts ends the cell immediately:
+            // retrying a point nobody will wait for helps no one.
+            if (opts_.cancel != nullptr && opts_.cancel->cancelled()) {
+                res.point.report = Report{};
+                res.point.report.stopReason = StopReason::Interrupted;
+                res.point.failure = PointFailure{
+                    StopReason::Interrupted,
+                    "sweep interrupted before the cell could run",
+                    std::string{}};
+                break;
+            }
+            if (attempt > 0 && opts_.retry.backoffMs > 0) {
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(opts_.retry.backoffMs));
+            }
+
+            SimConfig s = sim_;
+            s.seed = sim::deriveSeed(sim_.seed, i,
+                                     k + attempt * kRetrySeedOffset);
+            // The transient flavor of the poison drill only fails the
+            // first attempt, modelling a seed-dependent transient.
+            if (attempt > 0 && s.debugPoisonTransient)
+                s.debugPoisonRate = -1.0;
+            scope.setAttempt(attempt + 1);
+
+            res = opts_.workerCommand.empty()
+                      ? inProcess(s, i, k, scope)
+                      : isolated(s.seed, i, k, attempt);
+            res.point.attempts = attempt + 1;
+            const PointResources& r = res.point.resources;
+            if (r.valid) {
+                used.valid = true;
+                used.cpuSeconds += r.cpuSeconds;
+                used.maxRssKb = std::max(used.maxRssKb, r.maxRssKb);
+            }
+            if (!retryable(res.point.failure))
+                break;
+        }
+        res.point.ran = true;
+        res.point.resources = used;
+        return res;
+    }
+
+    /**
+     * One attempt on the calling thread. A per-cell deadline and the
+     * sweep-wide cancel token ride in via a chained CancelToken,
+     * installed only when either is active so plain sweeps keep the
+     * token-free cycle loop. A throwing constructor is a check
+     * failure without forensics.
+     */
+    CellResult
+    inProcess(SimConfig s, std::size_t i, unsigned k,
+              core::ProgressScope& scope) const
+    {
+        TrafficConfig t = traffic_;
+        t.injectionRate = rates_[i];
+        // Publish live cycle counts for the heartbeat thread.
+        // Observability only: the periodic hook this installs is a
+        // relaxed store, so results stay bit-identical.
+        s.progressCycles = scope.cycles();
+        core::CancelToken token(opts_.cancel);
+        if (opts_.pointTimeoutSeconds > 0.0)
+            token.armDeadline(opts_.pointTimeoutSeconds);
+        if (opts_.pointTimeoutSeconds > 0.0 || opts_.cancel != nullptr)
+            s.cancel = &token;
+
+        CellResult res;
+        SweepPoint& p = res.point;
+        try {
+            Simulation run(network_, t, s);
+            p.report = run.run();
+            if (s.telemetry.enabled()) {
+                p.metricsCsv = run.metricsCsv();
+                p.traceJson = run.traceJson(
+                    "rate " + std::to_string(t.injectionRate) +
+                    " seed " + std::to_string(k));
+            }
+            p.failure = triage(run, p.report);
+        } catch (const std::exception& e) {
+            p.report = Report{};
+            p.report.stopReason = StopReason::CheckFailure;
+            p.report.checkFailureDiagnostic = e.what();
+            p.failure = PointFailure{StopReason::CheckFailure, e.what(),
+                                     std::string{}};
+        }
+        return res;
+    }
+
+    /**
+     * One attempt in a fork/exec'd worker: the worker command plus
+     * this attempt's rate and seed. The worker returns its report
+     * through --report-out in the journal's entry format (exact
+     * hexfloat doubles, triaged by workerReportLine), so the result is
+     * bit-identical to an in-process attempt. A crash, OOM kill, exec
+     * failure or missing report becomes a WorkerCrash failure with
+     * the exit status and stderr tail attached.
+     */
+    CellResult
+    isolated(std::uint64_t seed, std::size_t i, unsigned k,
+             unsigned attempt) const
+    {
+        const std::string report_path =
+            workerDir_.path() + "/point_" + std::to_string(i) + "_" +
+            std::to_string(k) + "_" + std::to_string(attempt) +
+            ".entry";
+        core::IsolateOptions io;
+        io.argv = opts_.workerCommand;
+        // Appended flags win over the shared command. The rate rides
+        // as a hexfloat so the worker rebuilds the identical double.
+        const std::string extra[] = {
+            "--rate",       core::exactDouble(rates_[i]),
+            "--seed",       std::to_string(seed),
+            "--report-out", report_path};
+        io.argv.insert(io.argv.end(), std::begin(extra),
+                       std::end(extra));
+        // The worker's own --point-timeout (in the command) stops it
+        // cooperatively with forensics; this watchdog is only the
+        // backstop for a wedged worker.
+        io.timeoutSeconds = opts_.pointTimeoutSeconds > 0.0
+                                ? opts_.pointTimeoutSeconds * 2.0 + 5.0
+                                : 0.0;
+        io.maxAddressSpaceBytes = opts_.workerMemBytes;
+        io.maxCpuSeconds = opts_.workerCpuSeconds;
+        io.quietStdout = true;
+        io.cancel = opts_.cancel;
+
+        const core::IsolateResult w = core::runIsolated(io);
+        const std::optional<core::CheckpointEntry> entry =
+            readWorkerEntry(report_path);
+        std::remove(report_path.c_str());
+        if (log::enabled(log::Level::Debug)) {
+            log::event(
+                log::Level::Debug, "sweep.worker_exit",
+                {log::u64("rate_index", i),
+                 log::u64("attempt", attempt + 1),
+                 log::str("exit", w.describe()),
+                 log::num("cpu_s", w.cpuSeconds),
+                 log::u64("maxrss_kb", static_cast<std::uint64_t>(
+                                           std::max(0L, w.maxRssKb)))});
+        }
+
+        CellResult res;
+        SweepPoint& p = res.point;
+        const auto fail = [&p](StopReason why, std::string message) {
+            p.report = Report{};
+            p.report.stopReason = why;
+            p.failure =
+                PointFailure{why, std::move(message), std::string{}};
+        };
+        if (w.interrupted || (w.exited && w.exitCode == 5)) {
+            fail(StopReason::Interrupted,
+                 "interrupted mid-run (SIGINT/SIGTERM)");
+        } else if (w.timedOut) {
+            // A wedge the cooperative deadline could not reach.
+            fail(StopReason::Deadline,
+                 "worker exceeded the watchdog deadline and was "
+                 "killed (" +
+                     w.describe() + ")");
+        } else if (entry && (w.healthyExit() ||
+                             (w.exited && w.exitCode == 6))) {
+            // Exit 6 is the worker's cooperative --point-timeout; its
+            // entry carries the deadline forensics.
+            p = pointFromEntry(*entry);
+            res.workerExit = w.describe();
+        } else if (w.exited && w.exitCode == 6) {
+            fail(StopReason::Deadline,
+                 "worker hit --point-timeout (exit 6)");
+        } else {
+            res.workerExit = w.describe();
+            std::string message =
+                w.healthyExit()
+                    ? "worker " + res.workerExit +
+                          " but wrote no parseable report"
+                    : "worker crashed (" + res.workerExit + ")";
+            if (!w.stderrTail.empty())
+                message += ": " + w.stderrTail;
+            fail(StopReason::WorkerCrash, std::move(message));
+        }
+        if (w.haveRusage) {
+            p.resources.valid = true;
+            p.resources.cpuSeconds = w.cpuSeconds;
+            p.resources.maxRssKb = w.maxRssKb;
+        }
+        return res;
+    }
+
+    const NetworkConfig& network_;
+    const TrafficConfig& traffic_;
+    const SimConfig& sim_;
+    const std::vector<double>& rates_;
+    const SweepOptions& opts_;
+    ResumeIndex resume_;
+    WorkerDir workerDir_;
+};
 
 } // namespace
+
+std::string
+workerReportLine(Simulation& run, const Report& report)
+{
+    CellResult cell;
+    cell.point.report = report;
+    cell.point.failure = triage(run, report);
+    // Coordinates are (0, 0); the parent knows which cell it ran.
+    return core::serializeEntry(makeEntry(0, 0, cell)) + "\n";
+}
 
 std::vector<SweepPoint>
 Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
@@ -251,46 +507,13 @@ Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
     // Index-addressed capture: worker i writes only slot i, so the
     // merged vector is independent of completion order. WorkerSlots
     // makes that contract a checked capability instead of a comment.
-    const ResumeIndex cached =
-        buildResumeIndex(opts.resume, rates.size(), 1);
+    const CellRunner runner(network, traffic, sim, rates, 1, opts);
     core::WorkerSlots<SweepPoint> points(rates.size());
     core::parallelFor(
         opts.jobs, rates.size(),
         [&](std::size_t i) {
             core::RoleGuard guard(points.role());
-            SweepPoint& p = points.slot(i);
-            p.injectionRate = rates[i];
-            CellResult cell;
-            if (const core::CheckpointEntry* e =
-                    lookupResume(cached, i, 0)) {
-                cell = cellFromEntry(*e);
-                if (opts.progress != nullptr)
-                    opts.progress->noteCached();
-            } else {
-                core::ProgressScope scope(opts.progress, i, 0);
-                const double wall0 = monotonicSeconds();
-                const double cpu0 = threadCpuSeconds();
-                cell = runPoint(network, traffic, sim, rates[i], i,
-                                0, /*capture_telemetry=*/true, opts,
-                                &scope);
-                cell.resources.valid = true;
-                cell.resources.wallSeconds =
-                    monotonicSeconds() - wall0;
-                cell.resources.cpuSeconds = threadCpuSeconds() - cpu0;
-                if (opts.journal != nullptr && journalable(cell))
-                    opts.journal->append(makeEntry(i, 0, cell));
-                // End after the journal append so a heartbeat's done
-                // count never exceeds the journal's entry count.
-                scope.end(cell.failure.has_value());
-            }
-            p.report = std::move(cell.report);
-            p.failure = std::move(cell.failure);
-            p.attempts = cell.attempts;
-            p.ran = cell.ran;
-            p.fromCheckpoint = cell.fromCheckpoint;
-            p.metricsCsv = std::move(cell.metricsCsv);
-            p.traceJson = std::move(cell.traceJson);
-            p.resources = cell.resources;
+            points.slot(i) = runner.run(i, 0);
         },
         opts.cancel);
     std::vector<SweepPoint> out = std::move(points).take();
@@ -313,39 +536,18 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
     // Fan out over the flattened (rate, seed) grid — finer-grained
     // than per-rate fan-out, so a few rates with many seeds still
     // saturate the pool.
-    const ResumeIndex cached =
-        buildResumeIndex(opts.resume, rates.size(), num_seeds);
-    core::WorkerSlots<CellResult> cells(rates.size() * num_seeds);
+    const CellRunner runner(network, traffic, sim, rates, num_seeds,
+                            opts);
+    core::WorkerSlots<SweepPoint> cells(rates.size() * num_seeds);
     core::parallelFor(
         opts.jobs, rates.size() * num_seeds,
         [&](std::size_t cell) {
-            const std::size_t i = cell / num_seeds;
-            const unsigned k = static_cast<unsigned>(cell % num_seeds);
             core::RoleGuard guard(cells.role());
-            if (const core::CheckpointEntry* e =
-                    lookupResume(cached, i, k)) {
-                cells.slot(cell) = cellFromEntry(*e);
-                if (opts.progress != nullptr)
-                    opts.progress->noteCached();
-                return;
-            }
-            core::ProgressScope scope(opts.progress, i, k);
-            const double wall0 = monotonicSeconds();
-            const double cpu0 = threadCpuSeconds();
-            CellResult res = runPoint(network, traffic, sim,
-                                      rates[i], i, k,
-                                      /*capture_telemetry=*/true,
-                                      opts, &scope);
-            res.resources.valid = true;
-            res.resources.wallSeconds = monotonicSeconds() - wall0;
-            res.resources.cpuSeconds = threadCpuSeconds() - cpu0;
-            if (opts.journal != nullptr && journalable(res))
-                opts.journal->append(makeEntry(i, k, res));
-            scope.end(res.failure.has_value());
-            cells.slot(cell) = std::move(res);
+            cells.slot(cell) = runner.run(
+                cell / num_seeds, static_cast<unsigned>(cell % num_seeds));
         },
         opts.cancel);
-    std::vector<CellResult> grid = std::move(cells).take();
+    std::vector<SweepPoint> grid = std::move(cells).take();
 
     // Deterministic merge: aggregate each rate's seeds in seed order,
     // on the calling thread, so the floating-point accumulation order
@@ -362,7 +564,7 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
         avg.allCompleted = true;
         unsigned ok = 0;
         for (unsigned k = 0; k < num_seeds; ++k) {
-            CellResult& cell = grid[i * num_seeds + k];
+            SweepPoint& cell = grid[i * num_seeds + k];
             // Telemetry merges for every seed (empty for failed
             // seeds), keeping seed indexes aligned for per-seed
             // export directories.

@@ -69,9 +69,10 @@ struct PointFailure
  * the rederived seed stream sim::deriveSeed(seed, rate index,
  * seed index + k * 2^32) — disjoint from every sibling cell — so
  * transient, seed-dependent failures recover while results stay
- * deterministic. Shared by the in-process and --isolate execution
- * modes; the default (2 attempts, no backoff) reproduces the
- * historical "one rederived-seed retry" exactly.
+ * deterministic. Only check failures and worker crashes are retried.
+ * Shared by the in-process and isolated backends; the default (2
+ * attempts, no backoff) reproduces the historical "one
+ * rederived-seed retry" exactly.
  */
 struct RetryPolicy
 {
@@ -81,15 +82,6 @@ struct RetryPolicy
      * resource pressure (ENOMEM, thrashing). 0 = none. */
     unsigned backoffMs = 0;
 };
-
-/**
- * Retry attempts rederive the seed in a disjoint seed-index band —
- * attempt k runs on sim::deriveSeed(seed, rate index, seed index +
- * k * kRetrySeedOffset) — so a retried cell cannot collide with any
- * sibling cell's stream. Public so `orion_sweep --isolate` derives
- * the exact same streams when it re-invokes a crashed worker.
- */
-constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
 
 /** One point of an injection-rate sweep. */
 struct SweepPoint
@@ -176,6 +168,24 @@ struct SweepOptions
      * outside the simulated machine. See core/progress.hh.
      */
     core::ProgressTracker* progress = nullptr;
+    /**
+     * Crash isolation (orion_sweep --isolate). When non-empty, every
+     * cell attempt runs in a fork/exec'd worker instead of
+     * in-process: this command — an orion_sim binary followed by the
+     * options that describe the same network, traffic and sim
+     * configuration as the sweep call — plus `--rate R --seed S
+     * --report-out FILE` for the attempt. Retry, journal and resume
+     * are the in-process ones, and results are bit-identical to
+     * in-process cells. A worker that crashes, is OOM-killed or
+     * writes no report becomes a StopReason::WorkerCrash failure;
+     * one that outlives twice the point timeout (plus 5 s) is killed
+     * as a Deadline. Telemetry is not captured.
+     */
+    std::vector<std::string> workerCommand;
+    /** Isolated workers' RLIMIT_AS cap in bytes (0 = none). */
+    std::uint64_t workerMemBytes = 0;
+    /** Isolated workers' RLIMIT_CPU cap in seconds (0 = none). */
+    std::uint64_t workerCpuSeconds = 0;
 
     /** Options with only a worker count set — the common call-site
      * shape (avoids missing-field-initializer noise now that the
@@ -226,6 +236,14 @@ struct AveragedPoint
     PointResources resources;
 };
 
+/**
+ * The report an isolated worker hands back (`orion_sim --report-out`):
+ * @p report plus the sweep's failure triage, as one checkpoint-journal
+ * entry line with its newline. The sweep merges it bit-identically
+ * with an in-process run of the same cell.
+ */
+std::string workerReportLine(Simulation& run, const Report& report);
+
 /** Injection-rate sweep driver. */
 class Sweep
 {
@@ -245,7 +263,8 @@ class Sweep
      * if every attempt fails, SweepPoint::failure records the stop
      * reason, diagnostic, and a JSON forensic snapshot, and every
      * other point still reports normally. Deadlines, cancellation,
-     * and checkpoint/resume ride in via opts — see SweepOptions.
+     * checkpoint/resume and crash isolation ride in via opts — see
+     * SweepOptions.
      */
     static std::vector<SweepPoint> overRates(
         const NetworkConfig& network, const TrafficConfig& traffic,

@@ -24,7 +24,6 @@ CASES = [
     ("raw-subscribe", "raw-subscribe", "raw-subscribe", 2),
     ("unguarded", "unguarded,unused-suppression", "unguarded", 1),
     ("signal-safety", "signal-safety", "signal-safety", 2),
-    ("socket-under-lock", "socket-under-lock", "socket-under-lock", 2),
     ("unused-suppression", "unordered-iteration,unused-suppression",
      "unused-suppression", 3),
 ]

@@ -326,6 +326,52 @@ TEST(CheckpointJournal, TornFinalLineIsToleratedAndDropped)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointJournal, ResumeCutsADroppedTailBeforeAppending)
+{
+    // Two kinds of damaged final line that loadCheckpoint drops: a
+    // torn write without its newline, and a bit-flipped entry that
+    // does end in one. Resuming must not glue the next entry onto the
+    // fragment, so a second load sees every entry and no damage.
+    const std::uint64_t fp = 11;
+    for (const bool with_newline : {false, true}) {
+        SCOPED_TRACE(with_newline ? "bit-flipped line" : "torn line");
+        const std::string path = tmpPath("resume_tail.journal");
+        {
+            core::CheckpointJournal j(path, fp, false);
+            core::CheckpointEntry e = sampleEntry();
+            for (unsigned i = 0; i < 2; ++i) {
+                e.rateIndex = i;
+                j.append(e);
+            }
+        }
+        core::CheckpointEntry e = sampleEntry();
+        e.rateIndex = 2;
+        std::string damaged = core::serializeEntry(e);
+        if (with_newline) {
+            damaged[damaged.size() / 2] ^= 0x01;
+            damaged += '\n';
+        } else {
+            damaged.resize(damaged.size() / 2);
+        }
+        writeAll(path, readAll(path) + damaged);
+        ASSERT_TRUE(core::loadCheckpoint(path, fp).truncatedTail);
+
+        {
+            core::CheckpointJournal j(path, fp, /*resume=*/true);
+            for (unsigned i = 2; i < 4; ++i) {
+                e.rateIndex = i;
+                j.append(e);
+            }
+        }
+        const core::CheckpointLoad load = core::loadCheckpoint(path, fp);
+        EXPECT_FALSE(load.truncatedTail);
+        ASSERT_EQ(load.entries.size(), 4u);
+        for (unsigned i = 0; i < 4; ++i)
+            EXPECT_EQ(load.entries[i].rateIndex, i);
+        std::remove(path.c_str());
+    }
+}
+
 TEST(CheckpointJournal, MidFileCorruptionIsAStructuredError)
 {
     const std::string path = tmpPath("corrupt.journal");

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cache.hh"
 #include "core/check.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
@@ -354,123 +353,5 @@ TEST(HeartbeatFuzz, ConcurrentWritersNeverTearTheFile)
     EXPECT_NE(final_hb.find("\"finished\":true"), std::string::npos);
     std::remove(path.c_str());
 }
-
-// --- result-cache corruption fuzzing ----------------------------------
-//
-// The cache behind orion_served is *forgiving* where the journal is
-// strict: whatever a crash or bad disk does to a segment file, opening
-// the cache must NEVER throw for entry damage — corrupt lines are
-// quarantined and their keys simply miss. Keys that do hit must return
-// the pristine bytes (every line carries its own checksum, so damage
-// can flunk a line but never alter one).
-
-namespace cache_fuzz {
-
-core::CheckpointEntry
-cacheEntry(unsigned i)
-{
-    core::CheckpointEntry e;
-    e.report.completed = true;
-    e.report.stopReason = StopReason::Completed;
-    e.report.avgLatencyCycles = 21.5 + i;
-    e.report.offeredLoad = 0.01 * (i + 1);
-    e.report.sampleInjected = 300;
-    e.report.sampleEjected = 300;
-    return e;
-}
-
-} // namespace cache_fuzz
-
-class CacheFuzz : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(CacheFuzz, MutatedSegmentLoadsCleanlyWithQuarantine)
-{
-    const std::uint64_t seed = GetParam();
-    sim::Rng rng(seed * 6151 + 7);
-    constexpr unsigned kKeys = 6;
-
-    core::CacheOptions opts;
-    opts.dir = testing::TempDir() + "orion_cache_fuzz_" +
-               std::to_string(seed);
-
-    for (unsigned round = 0; round < 40; ++round) {
-        // Fresh pristine segment each round.
-        {
-            core::ResultCache cache(opts);
-            for (unsigned i = 0; i < kKeys; ++i)
-                cache.insert(1000 + i, cache_fuzz::cacheEntry(i));
-        }
-        const std::string seg =
-            opts.dir + "/" + core::ResultCache::segmentFileName(1);
-        std::string bytes;
-        {
-            std::ifstream in(seg, std::ios::binary);
-            std::ostringstream ss;
-            ss << in.rdbuf();
-            bytes = ss.str();
-        }
-
-        std::string mutated = bytes;
-        switch (rng.below(3)) {
-        case 0: // truncate anywhere (SIGKILL mid-append)
-            mutated.resize(rng.below(mutated.size() + 1));
-            break;
-        case 1: { // flip a random bit
-            if (!mutated.empty()) {
-                const std::size_t i = static_cast<std::size_t>(
-                    rng.below(mutated.size()));
-                mutated[i] = static_cast<char>(
-                    mutated[i] ^ (1u << rng.below(8)));
-            }
-            break;
-        }
-        default: { // splice random garbage into a random offset
-            const std::size_t i = static_cast<std::size_t>(
-                rng.below(mutated.size() + 1));
-            std::string junk;
-            for (unsigned k = 0; k < 1 + rng.below(12); ++k)
-                junk.push_back(
-                    static_cast<char>(32 + rng.below(95)));
-            mutated.insert(i, junk);
-            break;
-        }
-        }
-        {
-            std::ofstream out(seg,
-                              std::ios::binary | std::ios::trunc);
-            out << mutated;
-        }
-
-        // Contract: construction never throws for entry damage, and
-        // every key either misses or returns pristine bytes.
-        core::ResultCache cache(opts);
-        for (unsigned i = 0; i < kKeys; ++i) {
-            core::CheckpointEntry out;
-            if (cache.lookup(1000 + i, out)) {
-                EXPECT_EQ(core::serializeEntry(out),
-                          core::serializeEntry(
-                              cache_fuzz::cacheEntry(i)))
-                    << "fuzz seed " << seed << " round " << round
-                    << " key " << i;
-            }
-        }
-
-        // Scrub the directory for the next round (the mutated file
-        // may have been renamed aside by quarantine counting; the
-        // cache never deletes corrupt bytes itself).
-        std::remove(seg.c_str());
-        for (unsigned id = 1; id < 8; ++id) {
-            std::remove((opts.dir + "/" +
-                         core::ResultCache::segmentFileName(id))
-                            .c_str());
-        }
-        std::remove((opts.dir + "/cache.manifest.json").c_str());
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CacheFuzz,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 } // namespace

@@ -2,8 +2,10 @@
 # Repo check driver — the full correctness matrix:
 #
 #   1. tier-1:   configure + build (warnings-as-errors) + full ctest
-#   2. asan:     ASan+UBSan build; fuzz, audit, fault and
-#                parallel-sweep tests, plus the kernel, BitVec, channel,
+#   2. asan:     ASan+UBSan build; fuzz, audit, fault,
+#                parallel-sweep and checkpoint-journal tests (the
+#                journal's raw-fd write, fsync and resume truncation),
+#                plus the kernel, BitVec, channel,
 #                FIFO and golden-corpus tests (packet reference counts,
 #                BitVec union storage), at the paranoid check level,
 #                plus a fault-injection orion_sweep smoke run
@@ -37,17 +39,8 @@
 #                SIGSEGVing point (--debug-segv-rate) must record a
 #                structured worker-crash failure while every other
 #                point completes
-#   7. serve:    resident-service drill — an orion_served daemon with
-#                a persistent result cache computes a reference job,
-#                is SIGKILLed mid-job on a second cache, restarted,
-#                and re-asked: the answer must come partly from cache
-#                (stats prove hits) and be byte-identical to the
-#                uninterrupted reference; then admission control is
-#                exercised (a tiny queue bound must reject with the
-#                structured queue_full code) and a malformed
-#                submission must be rejected as invalid_config
-#   8. lint:     tools/orion_lint.py, plus clang-tidy when installed
-#   9. analysis: tools/orion_analyze.py (determinism/concurrency
+#   7. lint:     tools/orion_lint.py, plus clang-tidy when installed
+#   8. analysis: tools/orion_analyze.py (determinism/concurrency
 #                rules + thread-safety annotation coverage) and its
 #                fixture tests; when a clang++ is installed, a Clang
 #                build with -Wthread-safety promoted to errors
@@ -56,7 +49,7 @@
 #
 # Usage: tools/check.sh [--tier1-only|--asan-only|--tsan-only|
 #                        --overhead-only|--kernel-only|--survive-only|
-#                        --serve-only|--lint-only|--analysis-only]
+#                        --lint-only|--analysis-only]
 set -eu
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -86,8 +79,8 @@ if run_leg asan; then
     cmake -B "$root/build-asan" -S "$root" \
         -DORION_ASAN=ON -DORION_UBSAN=ON -DORION_WERROR=ON
     asan_tests="fuzz_test audit_test fault_test parallel_sweep_test \
-        sweep_test reroute_test deadlock_test kernel_test activity_test \
-        link_channel_test fifo_test golden_test"
+        sweep_test checkpoint_test reroute_test deadlock_test kernel_test \
+        activity_test link_channel_test fifo_test golden_test"
     cmake --build "$root/build-asan" -j "$jobs" \
         --target $asan_tests orion_sweep
     for t in $asan_tests; do
@@ -312,176 +305,6 @@ EOF
         exit 1
     }
     echo "worker crash recorded; sibling points unaffected"
-fi
-
-if run_leg serve; then
-    echo "== serve: daemon SIGKILL/restart, cache byte-identity =="
-    cmake -B "$root/build" -S "$root"
-    cmake --build "$root/build" -j "$jobs" \
-        --target orion_served orion_submit
-    vdir="$root/build/serve"
-    rm -rf "$vdir"
-    mkdir -p "$vdir"
-    served="$root/build/tools/orion_served"
-    submit="$root/build/tools/orion_submit"
-    simargs="--sample 20000 --max-cycles 2000000"
-    rates="0.02:0.30:6"
-
-    # Poll until the daemon on $sock answers the stats verb: the
-    # socket file alone is not enough (a SIGKILLed daemon leaves a
-    # stale one behind).
-    wait_ready() {
-        tries=0
-        while [ "$tries" -lt 100 ]; do
-            if "$submit" --socket "$sock" stats \
-                > /dev/null 2> /dev/null; then
-                return 0
-            fi
-            tries=$((tries + 1))
-            sleep 0.1
-        done
-        echo "FAIL: daemon on $sock never became ready"
-        return 1
-    }
-
-    # Reference: an uninterrupted daemon computes the grid once, then
-    # drains on SIGTERM and leaves a shutdown manifest.
-    sock="$vdir/ref.sock"
-    "$served" --socket "$sock" --cache-dir "$vdir/cache-ref" \
-        --workers 2 2> "$vdir/ref.log" &
-    daemon=$!
-    wait_ready
-    "$submit" --socket "$sock" submit --rates "$rates" --wait \
-        --out "$vdir/ref.txt" -- $simargs > /dev/null
-    kill -TERM "$daemon"
-    wait "$daemon"
-    [ -s "$vdir/ref.txt" ] || {
-        echo "FAIL: reference job produced no result bytes"
-        exit 1
-    }
-    python3 - "$sock.manifest.json" <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["schema"] == "orion-served-shutdown-v1", m
-assert m["signal"] == 15, m
-assert m["server"]["completed"] == 1, m
-assert m["server"]["points_computed"] == 6, m
-print("drain: shutdown manifest accounts for the reference job")
-EOF
-
-    # Victim: same grid on a fresh cache, SIGKILLed once at least one
-    # point has landed, then restarted on the same cache directory.
-    # The re-asked job must be served partly from cache and the bytes
-    # must match the uninterrupted reference exactly.
-    sock="$vdir/kill.sock"
-    "$served" --socket "$sock" --cache-dir "$vdir/cache-kill" \
-        --workers 2 2> "$vdir/kill1.log" &
-    daemon=$!
-    wait_ready
-    "$submit" --socket "$sock" submit --rates "$rates" \
-        -- $simargs > /dev/null
-    tries=0
-    st=""
-    while [ "$tries" -lt 300 ]; do
-        st=$("$submit" --socket "$sock" status 1)
-        case "$st" in
-            *'"done":0,'*) ;;
-            *) break ;;
-        esac
-        tries=$((tries + 1))
-        sleep 0.1
-    done
-    case "$st" in
-        *'"done":0,'*)
-            echo "FAIL: no point completed before the kill"
-            exit 1 ;;
-    esac
-    kill -KILL "$daemon" 2> /dev/null || true
-    wait "$daemon" 2> /dev/null || true
-    rm -f "$sock" # the SIGKILLed daemon could not unlink it
-    "$served" --socket "$sock" --cache-dir "$vdir/cache-kill" \
-        --workers 2 2> "$vdir/kill2.log" &
-    daemon=$!
-    wait_ready
-    "$submit" --socket "$sock" submit --rates "$rates" --wait \
-        --out "$vdir/recovered.txt" -- $simargs > /dev/null
-    cmp "$vdir/ref.txt" "$vdir/recovered.txt"
-    echo "recovered result byte-identical to the reference"
-    stats=$("$submit" --socket "$sock" stats)
-    kill -TERM "$daemon"
-    wait "$daemon"
-    python3 - "$stats" <<'EOF'
-import json, sys
-s = json.loads(sys.argv[1])
-assert s["ok"], s
-hits = s["server"]["points_from_cache"]
-assert hits > 0, f"restart served nothing from cache: {s['server']}"
-assert hits + s["server"]["points_computed"] == 6, s["server"]
-cache = s["cache"]
-assert cache["schema"] == "orion-cache-manifest-v1", cache
-assert cache["entries"] >= hits, cache
-print(f"cache survived SIGKILL: {hits}/6 points served from cache "
-      f"({cache['entries']} entries recovered from disk)")
-EOF
-
-    echo "== serve: admission control + config validation =="
-    sock="$vdir/queue.sock"
-    "$served" --socket "$sock" --workers 1 --queue-max 1 \
-        2> "$vdir/queue.log" &
-    daemon=$!
-    wait_ready
-    # Job 1 is big enough to pin the single worker while jobs 2 and 3
-    # arrive; job 2 fills the queue; job 3 must bounce.
-    "$submit" --socket "$sock" submit \
-        -- --rate 0.25 --sample 400000 --max-cycles 20000000 \
-        > /dev/null
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        st=$("$submit" --socket "$sock" status 1)
-        case "$st" in
-            *'"state":"running"'*) break ;;
-        esac
-        tries=$((tries + 1))
-        sleep 0.1
-    done
-    "$submit" --socket "$sock" submit \
-        -- --rate 0.25 --sample 400000 --max-cycles 20000000 \
-        > /dev/null
-    rc=0
-    reply=$("$submit" --socket "$sock" submit \
-        -- --rate 0.25 --sample 400000 2> /dev/null) || rc=$?
-    [ "$rc" -eq 2 ] || {
-        echo "FAIL: expected structured-rejection exit 2, got $rc"
-        exit 1
-    }
-    case "$reply" in
-        *'"error":"queue_full"'*) ;;
-        *)
-            echo "FAIL: expected queue_full rejection, got: $reply"
-            exit 1 ;;
-    esac
-    echo "queue bound enforced: third job rejected with queue_full"
-    # A malformed configuration is rejected before admission, with
-    # its own structured code.
-    rc=0
-    reply=$("$submit" --socket "$sock" submit \
-        -- --rate 1.7 2> /dev/null) || rc=$?
-    [ "$rc" -eq 2 ] || {
-        echo "FAIL: expected invalid-config exit 2, got $rc"
-        exit 1
-    }
-    case "$reply" in
-        *'"error":"invalid_config"'*) ;;
-        *)
-            echo "FAIL: expected invalid_config rejection: $reply"
-            exit 1 ;;
-    esac
-    echo "malformed submission rejected with invalid_config"
-    # Cooperative cancel lets the drain finish promptly.
-    "$submit" --socket "$sock" cancel 1 > /dev/null
-    "$submit" --socket "$sock" cancel 2 > /dev/null
-    kill -TERM "$daemon"
-    wait "$daemon"
 fi
 
 if run_leg lint; then

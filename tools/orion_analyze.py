@@ -55,15 +55,6 @@ Rules:
                        locks — is a finding: a handler interrupting
                        the simulation mid-cycle must not corrupt
                        state it shares with it.
-  socket-under-lock    in src/core/server* (the orion_served job
-                       engine), no blocking socket/descriptor I/O
-                       syscall (::read, ::write, ::send, ::recv,
-                       ::accept, ::connect, ::poll, ::select, ...)
-                       may run while a core::LockGuard is live: a
-                       slow peer would stall every worker touching
-                       the server mutex. I/O belongs outside the
-                       critical section; the lock protects queue and
-                       job-table state only.
   unused-suppression   an `// analyze-allow:` comment that no longer
                        suppresses anything, names an unknown rule, or
                        lacks a `-- justification` is itself a finding,
@@ -96,7 +87,6 @@ RULES = (
     "raw-subscribe",
     "unguarded",
     "signal-safety",
-    "socket-under-lock",
     "unused-suppression",
 )
 
@@ -123,11 +113,6 @@ SIGATOMIC_DECL_RE = re.compile(
     r"\bvolatile\s+(?:std\s*::\s*)?sig_atomic_t\s+([A-Za-z_]\w*)")
 ATOMIC_DECL_RE = re.compile(
     r"\b(?:std\s*::\s*)?atomic\s*<[^;>]*>\s+([A-Za-z_]\w*)")
-LOCKGUARD_RE = re.compile(
-    r"\b(?:core\s*::\s*)?LockGuard\s+[A-Za-z_]\w*\s*[({]")
-SOCKET_CALL_RE = re.compile(
-    r"(?<![\w:])::\s*(read|write|send|recv|sendto|recvfrom|sendmsg"
-    r"|recvmsg|accept|accept4|connect|poll|select|pselect)\s*\(")
 CLASS_RE = re.compile(r"\b(class|struct)\b")
 ACCESS_RE = re.compile(r"\b(?:public|protected|private)\s*:(?!:)")
 ANNOTATION_RE = re.compile(r"\bORION_[A-Z_]+\b")
@@ -252,7 +237,6 @@ class Analyzer:
             "fp-accum-drift": self.check_fp_accum,
             "raw-subscribe": self.check_raw_subscribe,
             "unguarded": self.check_unguarded,
-            "socket-under-lock": self.check_socket_under_lock,
         }
         for rule in self.rules:
             if rule in dispatch:
@@ -614,49 +598,6 @@ class Analyzer:
                     f"class '{cls}' lacks ORION_GUARDED_BY; annotate "
                     "it or add '// analyze-allow: unguarded -- "
                     "<reason>'", span=span)
-
-    # -- socket-under-lock ---------------------------------------------
-
-    def check_socket_under_lock(self, f):
-        """Flag blocking socket/descriptor syscalls made while a
-        core::LockGuard is live in the orion_served job engine.
-
-        Scope is intentionally narrow — src/core/server* — because
-        that is where one mutex serializes every worker: a peer that
-        stops reading would wedge the whole daemon. The guard's
-        critical section is approximated as "from the LockGuard
-        declaration to the end of its enclosing brace block", which is
-        exact for the RAII style the codebase uses (no early
-        unlock())."""
-        if not f.rel.startswith("src/core/server"):
-            return
-        for m in LOCKGUARD_RE.finditer(f.text):
-            # End of the declaration (skip the constructor args).
-            open_p = m.end() - 1
-            close_p = match_delim(f.text, open_p)
-            if close_p == -1:
-                continue
-            # Walk to the end of the enclosing block: the guard dies
-            # when depth drops below the level it was declared at.
-            depth = 0
-            scope_end = len(f.text)
-            for i in range(close_p + 1, len(f.text)):
-                c = f.text[i]
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth -= 1
-                    if depth < 0:
-                        scope_end = i
-                        break
-            for call in SOCKET_CALL_RE.finditer(
-                    f.text, close_p + 1, scope_end):
-                self.report(
-                    f, f.line_of(call.start()), "socket-under-lock",
-                    f"blocking I/O syscall '::{call.group(1)}' while "
-                    "a core::LockGuard is live: a slow peer stalls "
-                    "every worker sharing the server mutex; do the "
-                    "I/O outside the critical section")
 
     # -- signal-safety -------------------------------------------------
 

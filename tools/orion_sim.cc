@@ -35,9 +35,9 @@
 #include "core/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
-#include "core/forensics.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
+#include "core/sweep.hh"
 
 namespace {
 
@@ -53,16 +53,6 @@ configureLogger(const orion::cli::Options& opts)
         log::parseLevel(opts.logLevel, level);
         log::configure(opts.logOut, level);
     }
-}
-
-/** 16-hex-char rendering of a sweep fingerprint. */
-std::string
-fingerprintHex(std::uint64_t fp)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
 }
 
 /** An output-stream failure (exit 4): the run itself was healthy, the
@@ -94,48 +84,6 @@ writeFile(const std::string& path, const std::string& content)
     }
 }
 
-/**
- * The machine-mergeable report line for --report-out: the checkpoint
- * entry wire format, with the failure triage mirroring what the
- * in-process sweep records — so `orion_sweep --isolate` merges a
- * worker's result bit-identically with an in-process run.
- * Coordinates are written as (0, 0); the parent rewrites them.
- */
-orion::core::CheckpointEntry
-reportEntry(orion::Simulation& simulation, const orion::Report& report)
-{
-    using orion::StopReason;
-    orion::core::CheckpointEntry e;
-    e.report = report;
-    switch (report.stopReason) {
-    case StopReason::CheckFailure:
-        e.failed = true;
-        e.failureReason = StopReason::CheckFailure;
-        e.failureMessage = report.checkFailureDiagnostic;
-        e.failureForensics = orion::forensicSnapshot(
-            simulation, report.checkFailureDiagnostic);
-        break;
-    case StopReason::Deadline:
-        e.failed = true;
-        e.failureReason = StopReason::Deadline;
-        e.failureMessage = "point exceeded its deadline after " +
-                           std::to_string(report.totalCycles) +
-                           " cycles";
-        e.failureForensics =
-            orion::forensicSnapshot(simulation,
-                                    "point deadline expired");
-        break;
-    case StopReason::Interrupted:
-        e.failed = true;
-        e.failureReason = StopReason::Interrupted;
-        e.failureMessage = "interrupted mid-run (SIGINT/SIGTERM)";
-        break;
-    default:
-        break;
-    }
-    return e;
-}
-
 } // namespace
 
 int
@@ -154,7 +102,7 @@ main(int argc, char** argv)
 
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sim");
-        manifest.fingerprintHex = fingerprintHex(core::sweepFingerprint(
+        manifest.fingerprintHex = core::hex16(core::sweepFingerprint(
             opts.network, opts.traffic, opts.sim,
             {opts.traffic.injectionRate}, 1));
         manifest.seed = opts.sim.seed;
@@ -199,12 +147,8 @@ main(int argc, char** argv)
             writeFile(opts.metricsOut, simulation.metricsCsv());
         if (!opts.traceOut.empty())
             writeFile(opts.traceOut, simulation.traceJson("orion_sim"));
-        if (!opts.reportOut.empty()) {
-            writeFile(opts.reportOut,
-                      core::serializeEntry(
-                          reportEntry(simulation, report)) +
-                          "\n");
-        }
+        if (!opts.reportOut.empty())
+            writeFile(opts.reportOut, workerReportLine(simulation, report));
 
         const std::string out = opts.csv
                                     ? cli::formatCsvReport(opts, report)

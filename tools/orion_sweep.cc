@@ -41,10 +41,8 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -52,44 +50,22 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
-#include "core/executor.hh"
-#include "core/isolate.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
 #include "core/progress.hh"
 #include "core/report.hh"
 #include "core/sweep.hh"
-#include "sim/rng.hh"
 
 using namespace orion;
 
 namespace {
 
 namespace log = core::log;
-
-/** Monotonic seconds for per-point resource accounting. */
-double
-monotonicSeconds()
-{
-    const auto t = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t.time_since_epoch()).count();
-}
-
-/** 16-hex-char rendering of a sweep fingerprint. */
-std::string
-fingerprintHex(std::uint64_t fp)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
-}
 
 /** CSV cell for an optional resource value ("" when unmeasured). */
 std::string
@@ -124,307 +100,6 @@ writeFile(const std::string& path, const std::string& content)
         throw std::runtime_error("orion_sweep: cannot open '" + path +
                                  "' for writing");
     out << content;
-}
-
-SweepPoint
-pointFromEntry(const core::CheckpointEntry& e, double rate,
-               bool from_checkpoint)
-{
-    SweepPoint p;
-    p.injectionRate = rate;
-    p.report = e.report;
-    p.attempts = e.attempts;
-    p.ran = true;
-    p.fromCheckpoint = from_checkpoint;
-    if (e.failed) {
-        p.failure = PointFailure{e.failureReason, e.failureMessage,
-                                 e.failureForensics};
-    }
-    return p;
-}
-
-/** Everything the isolated-worker orchestration needs per cell. */
-struct IsolateConfig
-{
-    std::string exe;
-    /** The orion_sim argv tail shared by every cell (the sweep's own
-     * options already stripped). */
-    std::vector<std::string> rest;
-    std::uint64_t baseSeed = 0;
-    unsigned maxAttempts = 2;
-    unsigned backoffMs = 0;
-    double pointTimeoutSeconds = 0.0;
-    std::uint64_t memMb = 0;
-    std::uint64_t cpuSeconds = 0;
-    std::string tmpDir;
-    core::CheckpointJournal* journal = nullptr;
-    /** Live progress tracker (not owned, may be null). */
-    core::ProgressTracker* progress = nullptr;
-};
-
-/** Read and parse the single entry line a worker wrote with
- * --report-out. Returns false when the file is missing, empty, or
- * corrupt (a crashed worker). */
-bool
-readWorkerEntry(const std::string& path, core::CheckpointEntry& out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string line;
-    if (!std::getline(in, line) || line.empty())
-        return false;
-    try {
-        out = core::parseEntry(line);
-    } catch (const core::CheckpointError&) {
-        return false;
-    }
-    return true;
-}
-
-/**
- * One sweep cell, executed in a fork/exec'd orion_sim. Mirrors the
- * in-process retry contract exactly: attempt k runs on
- * sim::deriveSeed(seed, i, k * kRetrySeedOffset), check failures get
- * retried, deadline/interrupt outcomes do not. The worker passes its
- * report back through --report-out in the checkpoint entry format
- * (exact hexfloat doubles), so the merged CSV is bit-identical to an
- * in-process sweep; a crash or OOM becomes a structured
- * StopReason::WorkerCrash failure with the exit status and stderr
- * tail attached.
- */
-SweepPoint
-runIsolatedPointInner(std::size_t i, double rate,
-                      const IsolateConfig& cfg,
-                      core::ProgressScope& scope)
-{
-    SweepPoint p;
-    p.injectionRate = rate;
-    std::string crash_message;
-    std::string worker_exit;
-    for (unsigned attempt = 0; attempt < cfg.maxAttempts; ++attempt) {
-        if (core::interruptToken().cancelled()) {
-            p.ran = true;
-            p.report.stopReason = StopReason::Interrupted;
-            p.failure = PointFailure{
-                StopReason::Interrupted,
-                "sweep interrupted before the cell could run",
-                std::string{}};
-            return p;
-        }
-        if (attempt > 0 && cfg.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(cfg.backoffMs));
-        }
-        p.ran = true;
-        p.attempts = attempt + 1;
-        scope.setAttempt(p.attempts);
-
-        const std::uint64_t seed = sim::deriveSeed(
-            cfg.baseSeed, i, attempt * kRetrySeedOffset);
-        const std::string report_path =
-            cfg.tmpDir + "/point_" + std::to_string(i) + "_" +
-            std::to_string(attempt) + ".entry";
-
-        core::IsolateOptions io;
-        io.argv.push_back(cfg.exe);
-        io.argv.insert(io.argv.end(), cfg.rest.begin(),
-                       cfg.rest.end());
-        // Appended flags win over anything in rest: the worker runs
-        // exactly this cell's rate and fully derived seed. The rate
-        // rides as a hexfloat so the worker reconstructs the
-        // identical double.
-        const char* extra[] = {"--rate", "--seed", "--report-out"};
-        const std::string vals[] = {core::exactDouble(rate),
-                                    std::to_string(seed),
-                                    report_path};
-        for (std::size_t f = 0; f < 3; ++f) {
-            io.argv.push_back(extra[f]);
-            io.argv.push_back(vals[f]);
-        }
-        // The worker's own --point-timeout (still in rest) handles
-        // the cooperative deadline with forensics; the parent
-        // watchdog is only the backstop for a wedged worker.
-        io.timeoutSeconds = cfg.pointTimeoutSeconds > 0.0
-                                ? cfg.pointTimeoutSeconds * 2.0 + 5.0
-                                : 0.0;
-        io.maxAddressSpaceBytes = cfg.memMb * 1024 * 1024;
-        io.maxCpuSeconds = cfg.cpuSeconds;
-        io.quietStdout = true;
-        io.cancel = &core::interruptToken();
-
-        const core::IsolateResult res = core::runIsolated(io);
-        if (res.haveRusage) {
-            // Child rusage from wait4: per-point CPU/RSS accounting
-            // across all attempts.
-            p.resources.valid = true;
-            p.resources.cpuSeconds += res.cpuSeconds;
-            p.resources.maxRssKb =
-                std::max(p.resources.maxRssKb, res.maxRssKb);
-        }
-        if (log::enabled(log::Level::Debug)) {
-            log::event(
-                log::Level::Debug, "sweep.worker_exit",
-                {log::u64("rate_index", i),
-                 log::u64("attempt", p.attempts),
-                 log::str("exit", res.describe()),
-                 log::num("cpu_s", res.cpuSeconds),
-                 log::u64("maxrss_kb", static_cast<std::uint64_t>(
-                                           std::max(0L, res.maxRssKb)))});
-        }
-        core::CheckpointEntry entry;
-        const bool have_entry = readWorkerEntry(report_path, entry);
-        std::remove(report_path.c_str());
-
-        if (res.interrupted || (res.exited && res.exitCode == 5)) {
-            p.report.stopReason = StopReason::Interrupted;
-            p.failure = PointFailure{
-                StopReason::Interrupted,
-                "interrupted mid-run (SIGINT/SIGTERM)",
-                std::string{}};
-            return p;
-        }
-        if (res.timedOut) {
-            // The worker blew past even the backstop (a wedge the
-            // cooperative deadline could not reach); not retried,
-            // not journaled.
-            p.report.stopReason = StopReason::Deadline;
-            p.failure = PointFailure{
-                StopReason::Deadline,
-                "worker exceeded the watchdog deadline and was "
-                "killed (" +
-                    res.describe() + ")",
-                std::string{}};
-            return p;
-        }
-        if (res.exited && res.exitCode == 6) {
-            // Cooperative --point-timeout inside the worker: the
-            // report entry carries the deadline forensics.
-            p.report.stopReason = StopReason::Deadline;
-            if (have_entry) {
-                p.report = entry.report;
-                p.failure =
-                    PointFailure{StopReason::Deadline,
-                                 entry.failureMessage,
-                                 entry.failureForensics};
-            } else {
-                p.failure = PointFailure{
-                    StopReason::Deadline,
-                    "worker hit --point-timeout (exit 6)",
-                    std::string{}};
-            }
-            return p;
-        }
-        if (res.healthyExit() && have_entry) {
-            p.report = entry.report;
-            if (entry.failed) {
-                p.failure = PointFailure{entry.failureReason,
-                                         entry.failureMessage,
-                                         entry.failureForensics};
-                if (entry.failureReason ==
-                        StopReason::CheckFailure &&
-                    attempt + 1 < cfg.maxAttempts) {
-                    continue; // the in-process retry contract
-                }
-            } else {
-                p.failure.reset();
-            }
-            if (cfg.journal != nullptr) {
-                entry.rateIndex = i;
-                entry.seedIndex = 0;
-                entry.attempts = p.attempts;
-                entry.workerExit = res.describe();
-                cfg.journal->append(entry);
-            }
-            return p;
-        }
-
-        // Crash, OOM kill, exec failure, or a healthy-looking exit
-        // that produced no parseable report: retry, then record a
-        // structured worker-crash failure.
-        worker_exit = res.describe();
-        crash_message = "worker crashed (" + worker_exit + ")";
-        if (res.healthyExit())
-            crash_message =
-                "worker " + worker_exit +
-                " but wrote no parseable report";
-        if (!res.stderrTail.empty())
-            crash_message += ": " + res.stderrTail;
-    }
-
-    p.report = Report{};
-    p.report.stopReason = StopReason::WorkerCrash;
-    p.failure = PointFailure{StopReason::WorkerCrash, crash_message,
-                             std::string{}};
-    if (cfg.journal != nullptr) {
-        core::CheckpointEntry entry;
-        entry.rateIndex = i;
-        entry.seedIndex = 0;
-        entry.attempts = p.attempts;
-        entry.report = p.report;
-        entry.failed = true;
-        entry.failureReason = StopReason::WorkerCrash;
-        entry.failureMessage = crash_message;
-        entry.workerExit = worker_exit;
-        cfg.journal->append(entry);
-    }
-    return p;
-}
-
-/** runIsolatedPointInner wrapped in a ProgressScope + wall clock, so
- * heartbeat and resource accounting see isolated cells the same way
- * they see in-process ones. */
-SweepPoint
-runIsolatedPoint(std::size_t i, double rate, const IsolateConfig& cfg)
-{
-    core::ProgressScope scope(cfg.progress, i, 0);
-    const double wall0 = monotonicSeconds();
-    SweepPoint p = runIsolatedPointInner(i, rate, cfg, scope);
-    if (p.resources.valid)
-        p.resources.wallSeconds = monotonicSeconds() - wall0;
-    // End after the inner function's journal append, so a heartbeat's
-    // done count never exceeds the journal's entry count.
-    scope.end(p.failure.has_value());
-    return p;
-}
-
-/** The isolated-mode sweep driver: same fan-out, merge order, and
- * resume semantics as Sweep::overRates, with each cell in its own
- * process. */
-std::vector<SweepPoint>
-isolatedSweep(const std::vector<double>& rates, unsigned jobs,
-              const IsolateConfig& cfg,
-              const std::vector<core::CheckpointEntry>* resume)
-{
-    std::unordered_map<std::uint64_t, const core::CheckpointEntry*>
-        cached;
-    if (resume != nullptr) {
-        for (const core::CheckpointEntry& e : *resume) {
-            if (e.rateIndex < rates.size() && e.seedIndex == 0)
-                cached[e.rateIndex] = &e; // duplicates: last wins
-        }
-    }
-
-    core::WorkerSlots<SweepPoint> points(rates.size());
-    core::parallelFor(
-        jobs, rates.size(),
-        [&](std::size_t i) {
-            core::RoleGuard guard(points.role());
-            const auto hit = cached.find(i);
-            if (hit != cached.end()) {
-                points.slot(i) = pointFromEntry(
-                    *hit->second, rates[i], /*from_checkpoint=*/true);
-                if (cfg.progress != nullptr)
-                    cfg.progress->noteCached();
-                return;
-            }
-            points.slot(i) = runIsolatedPoint(i, rates[i], cfg);
-        },
-        &core::interruptToken());
-    std::vector<SweepPoint> out = std::move(points).take();
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i].injectionRate = rates[i];
-    return out;
 }
 
 } // namespace
@@ -680,7 +355,7 @@ main(int argc, char** argv)
             manifest_path = journal_path + ".manifest.json";
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sweep");
-        manifest.fingerprintHex = fingerprintHex(fingerprint);
+        manifest.fingerprintHex = core::hex16(fingerprint);
         manifest.seed = sim_cfg.seed;
         manifest.seeds = seeds;
         manifest.ratePoints = rates.size();
@@ -735,6 +410,30 @@ main(int argc, char** argv)
         sweep_opts.resume =
             resume_path.empty() ? nullptr : &resume_entries;
         sweep_opts.progress = tracker.get();
+        if (isolate) {
+            // Default worker: the orion_sim built next to this binary.
+            sweep_opts.workerCommand.push_back(
+                !isolate_exe.empty()
+                    ? isolate_exe
+                    : (std::filesystem::path(argv[0]).parent_path() /
+                       "orion_sim")
+                          .string());
+            // Observability flags stay in the parent: workers would
+            // otherwise race to overwrite one manifest file and pay
+            // for per-cell phase profiles nobody collects.
+            for (std::size_t f = 0; f < rest.size(); ++f) {
+                const std::string& a = rest[f];
+                if (a == "--log-out" || a == "--log-level" ||
+                    a == "--manifest-out") {
+                    ++f; // skip the flag's value too
+                    continue;
+                }
+                if (a != "--profile-phases")
+                    sweep_opts.workerCommand.push_back(a);
+            }
+            sweep_opts.workerMemBytes = isolate_mem_mb * 1024 * 1024;
+            sweep_opts.workerCpuSeconds = isolate_cpu_s;
+        }
 
         // After any sweep: an interrupt means no CSV (a partial
         // table masquerading as a full sweep is worse than none) —
@@ -865,57 +564,8 @@ main(int argc, char** argv)
             return 0;
         }
 
-        std::vector<SweepPoint> points;
-        if (isolate) {
-            IsolateConfig cfg;
-            cfg.exe = isolate_exe;
-            if (cfg.exe.empty()) {
-                // Default: the orion_sim built next to this binary.
-                const std::filesystem::path self(argv[0]);
-                cfg.exe = (self.parent_path() / "orion_sim").string();
-            }
-            cfg.rest = rest;
-            cfg.baseSeed = sim_cfg.seed;
-            cfg.maxAttempts = std::max(1u, opts.pointRetries);
-            cfg.backoffMs = opts.pointBackoffMs;
-            cfg.pointTimeoutSeconds = opts.pointTimeoutSeconds;
-            cfg.memMb = isolate_mem_mb;
-            cfg.cpuSeconds = isolate_cpu_s;
-            cfg.journal = journal.get();
-            cfg.progress = tracker.get();
-            // Observability flags stay in the parent: workers would
-            // otherwise race to overwrite one manifest file and pay
-            // for per-cell phase profiles nobody collects.
-            std::vector<std::string> worker_rest;
-            for (std::size_t f = 0; f < cfg.rest.size(); ++f) {
-                const std::string& a = cfg.rest[f];
-                if (a == "--log-out" || a == "--log-level" ||
-                    a == "--manifest-out") {
-                    ++f; // skip the flag's value too
-                    continue;
-                }
-                if (a == "--profile-phases")
-                    continue;
-                worker_rest.push_back(a);
-            }
-            cfg.rest = std::move(worker_rest);
-            char tmpl[] = "/tmp/orion_sweep.XXXXXX";
-            if (::mkdtemp(tmpl) == nullptr) {
-                log::diag(log::Level::Error, "sweep.error",
-                          "orion_sweep: mkdtemp failed for worker "
-                          "report files\n");
-                return 1;
-            }
-            cfg.tmpDir = tmpl;
-            points = isolatedSweep(
-                rates, opts.jobs, cfg,
-                resume_path.empty() ? nullptr : &resume_entries);
-            std::error_code ec;
-            std::filesystem::remove_all(cfg.tmpDir, ec);
-        } else {
-            points = Sweep::overRates(opts.network, opts.traffic,
-                                      sim_cfg, rates, sweep_opts);
-        }
+        const std::vector<SweepPoint> points = Sweep::overRates(
+            opts.network, opts.traffic, sim_cfg, rates, sweep_opts);
         if (tracker)
             tracker->finalize();
         manifest.pointsFromCheckpoint =
