@@ -105,8 +105,11 @@ std::uint64_t fnv1a64(std::string_view s,
  * configuration and seed (routing, arbitration, power models, RNG
  * streams...). Journals written under a different epoch refuse to
  * resume instead of silently mixing incompatible results.
+ *
+ * Epoch 2: energy is evaluated from exact integer activity counts
+ * (powers move in the last ulps; counts and latencies are unchanged).
  */
-constexpr unsigned kDeterminismEpoch = 1;
+constexpr unsigned kDeterminismEpoch = 2;
 
 /**
  * Fingerprint binding a journal to one sweep: hashes every

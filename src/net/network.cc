@@ -97,6 +97,7 @@ Network::wire(sim::Simulator& simulator)
 
     // Inter-router links: one data link + one credit-return link per
     // (node, network port) pair with a neighbor.
+    linksFrom_.assign(n, 0);
     for (unsigned i = 0; i < n; ++i) {
         for (unsigned p = 0; p < local; ++p) {
             const int j = topo_.neighbor(static_cast<int>(i), p);
@@ -130,6 +131,7 @@ Network::wire(sim::Simulator& simulator)
             flitLinks_.push_back(std::move(data));
             creditLinks_.push_back(std::move(credit));
             ++interRouterLinks_;
+            ++linksFrom_[i];
         }
     }
 
@@ -164,16 +166,6 @@ Network::wire(sim::Simulator& simulator)
         flitLinks_.push_back(std::move(ej));
         creditLinks_.push_back(std::move(inj_credit));
     }
-}
-
-unsigned
-Network::linksFrom(int node) const
-{
-    unsigned count = 0;
-    for (unsigned p = 0; p < topo_.localPort(); ++p)
-        if (topo_.neighbor(node, p) >= 0)
-            ++count;
-    return count;
 }
 
 std::uint64_t

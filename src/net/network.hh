@@ -128,7 +128,12 @@ class Network
     /** Inter-router unidirectional links in the network. */
     unsigned interRouterLinks() const { return interRouterLinks_; }
     /** Inter-router links whose sender is @p node. */
-    unsigned linksFrom(int node) const;
+    unsigned linksFrom(int node) const { return linksFrom_[node]; }
+    /** linksFrom() of every node, indexed by node. */
+    const std::vector<unsigned>& linksPerNode() const
+    {
+        return linksFrom_;
+    }
 
     /** Every wired channel pair, for network-wide audits. */
     const std::vector<LinkRecord>& linkRecords() const
@@ -171,6 +176,8 @@ class Network
     std::vector<std::unique_ptr<router::CreditLink>> creditLinks_;
     std::vector<LinkRecord> linkRecords_;
     unsigned interRouterLinks_ = 0;
+    /** Outgoing inter-router links per node, counted while wiring. */
+    std::vector<unsigned> linksFrom_;
 };
 
 } // namespace orion::net

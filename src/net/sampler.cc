@@ -166,6 +166,42 @@ registerNetworkMetrics(telemetry::MetricsRegistry& reg, Network& net,
         }
     }
 
+    // Measured switching activity, from the monitor's exact tallies:
+    // for each power event type whose model takes a delta A, the
+    // events, the (clamped) toggles summed over them, and the activity
+    // factor toggles / (events x width), where the width is the
+    // clamp limit (flit, crossbar or link wires, arbiter request
+    // lines). Buffer writes also report the memory cells they flip.
+    const sim::ActivityTally& tally = monitor.activity();
+    const auto add_activity = [&reg, &tally](const std::string& name,
+                                             sim::EventType type,
+                                             bool b_side) {
+        const sim::DeltaLimits& lim = tally.limits(type);
+        const double width = b_side ? lim.b : lim.a;
+        const auto toggles = [&tally, type, b_side] {
+            const sim::ActivityCount c = tally.total(type);
+            return double(b_side ? c.sumB : c.sumA);
+        };
+        reg.addCounter(name + "toggles", toggles);
+        reg.addGauge(name + "alpha", [&tally, type, toggles, width] {
+            const double events = double(tally.total(type).events);
+            return events > 0.0 ? toggles() / (events * width) : 0.0;
+        });
+    };
+    for (unsigned t = 0; t < sim::kNumPowerEventTypes; ++t) {
+        const auto type = static_cast<sim::EventType>(t);
+        if (tally.limits(type).a == 0)
+            continue;
+        const std::string p =
+            std::string("activity.") + sim::eventTypeName(type) + ".";
+        reg.addCounter(p + "events", [&tally, type] {
+            return double(tally.total(type).events);
+        });
+        add_activity(p, type, false);
+        if (type == sim::EventType::BufferWrite)
+            add_activity(p + "cell_", type, true);
+    }
+
     // Event-bus totals by type.
     for (unsigned t = 0; t < sim::kNumEventTypes; ++t) {
         const auto type = static_cast<sim::EventType>(t);

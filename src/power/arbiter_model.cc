@@ -116,6 +116,17 @@ ArbiterModel::arbitrationEnergy(unsigned delta_req,
     return e;
 }
 
+EnergyForm
+ArbiterModel::arbitrationForm() const
+{
+    if (params_.kind == ArbiterKind::Queuing) {
+        const unsigned id_bits = queueFifo_->params().flitBits;
+        return {eGnt_ + queueFifo_->readEnergy(), 0.0, 0.0,
+                queueFifo_->writeEnergy(id_bits / 2, id_bits / 2)};
+    }
+    return {eGnt_, eReq_ + eInt_, ePri_, 0.0};
+}
+
 double
 ArbiterModel::avgArbitrationEnergy() const
 {

@@ -98,6 +98,14 @@ class ArbiterModel
     double arbitrationEnergy(unsigned delta_req, unsigned delta_pri) const;
 
     /**
+     * arbitrationEnergy as an affine form in (delta_req, delta_pri).
+     * Matrix and round-robin: {E_gnt, E_req + E_int, E_pri, 0}.
+     * Queuing: {E_gnt + E_fifo_read, 0, 0, E_fifo_write}, the write
+     * paid only when some request line changed.
+     */
+    EnergyForm arbitrationForm() const;
+
+    /**
      * Average-activity arbitration energy for static estimates:
      * assumes half the request lines toggle and a typical priority
      * update for the arbiter kind.

@@ -22,6 +22,7 @@
 #ifndef ORION_POWER_BUFFER_MODEL_HH
 #define ORION_POWER_BUFFER_MODEL_HH
 
+#include "power/energy_form.hh"
 #include "tech/capacitance.hh"
 #include "tech/tech_node.hh"
 #include "tech/transistor.hh"
@@ -98,6 +99,13 @@ class BufferModel
      * @param delta_bc  number of flipped memory cells
      */
     double writeEnergy(unsigned delta_bw, unsigned delta_bc) const;
+
+    /** writeEnergy as an affine form in (delta_bw, delta_bc):
+     * {E_wl, E_bw, E_cell, 0}. */
+    EnergyForm writeForm() const { return {eWl_, eBw_, eCell_, 0.0}; }
+
+    /** readEnergy as an affine form: the constant E_read. */
+    EnergyForm readForm() const { return {eRead_, 0.0, 0.0, 0.0}; }
 
     /**
      * Average-activity write energy, for static (non-simulated)

@@ -70,6 +70,24 @@ CentralBufferModel::readEnergy(unsigned delta_bits) const
     return e_bank + e_pipe + e_xbar;
 }
 
+EnergyForm
+CentralBufferModel::writeForm() const
+{
+    const EnergyForm bank = bank_.writeForm();
+    const double e_pipe = params_.pipelineStages * ff_.flipEnergy();
+    return {bank.base,
+            writeXbar_.traversalForm().perA + e_pipe + bank.perA,
+            bank.perB, 0.0};
+}
+
+EnergyForm
+CentralBufferModel::readForm() const
+{
+    const double e_pipe = params_.pipelineStages * ff_.flipEnergy();
+    return {bank_.readEnergy(), e_pipe + readXbar_.traversalForm().perA,
+            0.0, 0.0};
+}
+
 double
 CentralBufferModel::avgWriteEnergy() const
 {

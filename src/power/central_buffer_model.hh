@@ -81,6 +81,16 @@ class CentralBufferModel
      */
     double readEnergy(unsigned delta_bits) const;
 
+    /**
+     * writeEnergy(dA, dA, dB) as an affine form in (dA, dB): the
+     * flit's toggling wires drive the write crossbar, the pipeline
+     * registers and the bank's write bitlines alike, and dB cells flip.
+     */
+    EnergyForm writeForm() const;
+
+    /** readEnergy as an affine form in delta_bits. */
+    EnergyForm readForm() const;
+
     /** Average-activity variants for static estimates. */
     double avgWriteEnergy() const;
     double avgReadEnergy() const;

@@ -24,6 +24,7 @@
 #ifndef ORION_POWER_CROSSBAR_MODEL_HH
 #define ORION_POWER_CROSSBAR_MODEL_HH
 
+#include "power/energy_form.hh"
 #include "tech/tech_node.hh"
 
 namespace orion::power {
@@ -94,6 +95,10 @@ class CrossbarModel
      *                    the previous value carried on this path
      */
     double traversalEnergy(unsigned delta_bits) const;
+
+    /** traversalEnergy as an affine form in delta_bits:
+     * {0, E_in + E_out, 0, 0}. */
+    EnergyForm traversalForm() const { return {0.0, eWire_, 0.0, 0.0}; }
 
     /** Average-activity traversal (half the wires toggle). */
     double avgTraversalEnergy() const;

@@ -18,6 +18,7 @@
 #ifndef ORION_POWER_LINK_MODEL_HH
 #define ORION_POWER_LINK_MODEL_HH
 
+#include "power/energy_form.hh"
 #include "tech/tech_node.hh"
 
 namespace orion::power {
@@ -48,6 +49,10 @@ class OnChipLinkModel
      * @param delta_bits  wires that toggle vs. the previous flit
      */
     double traversalEnergy(unsigned delta_bits) const;
+
+    /** traversalEnergy as an affine form in delta_bits:
+     * {0, E_wire, 0, 0}. */
+    EnergyForm traversalForm() const { return {0.0, eWire_, 0.0, 0.0}; }
 
     /** Average-activity traversal (half the wires toggle). */
     double avgTraversalEnergy() const;

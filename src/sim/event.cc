@@ -1,5 +1,7 @@
 #include "sim/event.hh"
 
+#include "core/check.hh"
+
 namespace orion::sim {
 
 namespace {
@@ -30,6 +32,43 @@ EventBus::subscribeRaw(EventType type, RawHandler fn, void* ctx)
 {
     const core::RoleGuard guard(serial_);
     handlers_[static_cast<unsigned>(type)].push_back({fn, ctx});
+}
+
+ActivityCount
+ActivityTally::total(EventType type) const
+{
+    ActivityCount t;
+    for (unsigned n = 0; n < nodes_; ++n) {
+        const ActivityCount& c = at(static_cast<int>(n), type);
+        t.events += c.events;
+        t.sumA += c.sumA;
+        t.sumB += c.sumB;
+        t.activeA += c.activeA;
+    }
+    return t;
+}
+
+void
+ActivityTally::reset()
+{
+    std::fill(counts_.begin(), counts_.end(), ActivityCount{});
+}
+
+void
+EventBus::attachTally(ActivityTally* tally)
+{
+    const core::RoleGuard guard(serial_);
+    ORION_CHECK(tally_ == nullptr,
+                "event bus already has an activity tally attached");
+    tally_ = tally;
+}
+
+void
+EventBus::detachTally(const ActivityTally* tally)
+{
+    const core::RoleGuard guard(serial_);
+    if (tally_ == tally)
+        tally_ = nullptr;
 }
 
 const char*

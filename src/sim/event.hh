@@ -9,16 +9,21 @@
  * triggers the specific power model, which calculates and accumulates
  * the energy consumed."
  *
- * Modules emit typed Event records on a shared EventBus; listeners
- * (notably net::PowerMonitor) subscribe per event type. Events carry
- * the switching-activity deltas the energy equations need, already
- * computed by the emitting module from real payload bits.
+ * Modules emit typed Event records on a shared EventBus. The bus counts
+ * every power event into an attached ActivityTally (net::PowerMonitor
+ * turns those counts into energy when it is read); other listeners
+ * subscribe per event type. Events carry the switching-activity deltas
+ * the energy equations need, already computed by the emitting module
+ * from real payload bits.
  */
 
 #ifndef ORION_SIM_EVENT_HH
 #define ORION_SIM_EVENT_HH
 
+#include <algorithm>
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -62,6 +67,10 @@ enum class EventType : unsigned
 constexpr unsigned kNumEventTypes =
     static_cast<unsigned>(EventType::PacketEjected) + 1;
 
+/** Number of power event types: every type before PacketInjected. */
+constexpr unsigned kNumPowerEventTypes =
+    static_cast<unsigned>(EventType::PacketInjected);
+
 /**
  * One dynamic event. The two delta fields carry switching-activity
  * counts whose meaning depends on the event type:
@@ -90,27 +99,115 @@ struct Event
     Cycle cycle;
 };
 
+/** Exact activity counts of one (node, power event type). */
+struct ActivityCount
+{
+    /** Events emitted. */
+    std::uint64_t events = 0;
+    /** Sum of their deltaA, each clamped to the type's limit. */
+    std::uint64_t sumA = 0;
+    /** Sum of their deltaB, each clamped to the type's limit. */
+    std::uint64_t sumB = 0;
+    /** Events whose clamped deltaA is nonzero. */
+    std::uint64_t activeA = 0;
+};
+
+/** Clamp limits of one power event type's deltas: the widths its
+ * power model accepts (0 where the model ignores the delta). */
+struct DeltaLimits
+{
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+};
+
 /**
- * Synchronous publish/subscribe bus. emit() dispatches to all
- * listeners of the event's type immediately, in subscription order.
+ * One ActivityCount per (node, power event type), stored node-major so
+ * each node's counts form one row. EventBus::emit bumps the attached
+ * tally inline: integer adds, no call and no floating point. The counts
+ * are exact, so any quantity derived from them depends on the multiset
+ * of events and not on their order.
+ */
+class ActivityTally
+{
+  public:
+    using Limits = std::array<DeltaLimits, kNumPowerEventTypes>;
+
+    ActivityTally(unsigned nodes, const Limits& limits)
+        : nodes_(nodes), limits_(limits),
+          counts_(std::size_t{nodes} * kNumPowerEventTypes)
+    {
+    }
+
+    unsigned nodes() const { return nodes_; }
+
+    const DeltaLimits&
+    limits(EventType type) const
+    {
+        return limits_[static_cast<unsigned>(type)];
+    }
+
+    /** Count @p ev, a power event of a node below nodes(). */
+    void
+    add(const Event& ev)
+    {
+        const auto type = static_cast<unsigned>(ev.type);
+        assert(type < kNumPowerEventTypes);
+        assert(ev.node >= 0 && static_cast<unsigned>(ev.node) < nodes_);
+        const DeltaLimits& lim = limits_[type];
+        ActivityCount& c =
+            counts_[static_cast<std::size_t>(ev.node) *
+                        kNumPowerEventTypes + type];
+        const std::uint32_t a = std::min(ev.deltaA, lim.a);
+        ++c.events;
+        c.sumA += a;
+        c.sumB += std::min(ev.deltaB, lim.b);
+        c.activeA += a != 0 ? 1u : 0u;
+    }
+
+    const ActivityCount&
+    at(int node, EventType type) const
+    {
+        assert(node >= 0 && static_cast<unsigned>(node) < nodes_);
+        return counts_[static_cast<std::size_t>(node) *
+                           kNumPowerEventTypes +
+                       static_cast<unsigned>(type)];
+    }
+
+    /** Counts of @p type summed over every node. */
+    ActivityCount total(EventType type) const;
+
+    /** Zero every count (the limits stay). */
+    void reset();
+
+  private:
+    unsigned nodes_;
+    Limits limits_;
+    /** counts_[node * kNumPowerEventTypes + type]. */
+    std::vector<ActivityCount> counts_;
+};
+
+/**
+ * Synchronous publish/subscribe bus. emit() counts a power event into
+ * the attached ActivityTally, if any, then dispatches it to all
+ * listeners of its type immediately, in subscription order.
  *
  * Dispatch is a flat loop over preresolved {function pointer, context}
  * pairs — no std::function indirection on the hot path. Hot listeners
- * (the power monitor, telemetry) subscribe through subscribeRaw();
- * std::function listeners are boxed once at subscription time and
- * dispatched through a trampoline, so both kinds share one handler
- * array and fire in subscription order. A type with no subscribers
- * costs one counter increment and an empty-loop test per emit.
+ * (telemetry) subscribe through subscribeRaw(); std::function
+ * listeners are boxed once at subscription time and dispatched through
+ * a trampoline, so both kinds share one handler array and fire in
+ * subscription order. A type with no subscribers costs one counter
+ * increment, its tally bump and an empty-loop test per emit.
  *
  * Phase discipline: a bus has a registration phase (Network wiring +
  * Simulation setup, handler arrays mutate) followed by a dispatch
  * phase (the run, handler arrays are read-only and only the emit
- * counters move). Both phases touch the same state from exactly one
- * thread — today the whole Simulation is single-threaded, and under
- * intra-sim parallelism registration stays on the coordinating
- * thread. The `serial_` Role capability makes that discipline
- * machine-checked at zero runtime cost: every handler-array or
- * counter access must hold the role, so when partitioned routers
+ * counters and the attached tally move). Both phases touch the same
+ * state from exactly one thread — today the whole Simulation is
+ * single-threaded, and under intra-sim parallelism registration stays
+ * on the coordinating thread. The `serial_` Role capability makes that
+ * discipline machine-checked at zero runtime cost: every handler-array
+ * or counter access must hold the role, so when partitioned routers
  * start emitting, the access points that must become concurrency-safe
  * (or stay coordinator-only) are already enumerated.
  */
@@ -134,13 +231,26 @@ class EventBus
      */
     void subscribeRaw(EventType type, RawHandler fn, void* ctx);
 
-    /** Publish @p ev to all subscribers of its type. */
+    /**
+     * Count every power event emitted from now on into @p tally (not
+     * owned; it must outlive the attachment). The bus has one slot,
+     * which must be free.
+     */
+    void attachTally(ActivityTally* tally);
+
+    /** Free the tally slot if @p tally holds it. */
+    void detachTally(const ActivityTally* tally);
+
+    /** Count @p ev into the attached tally if it is a power event,
+     * then publish it to all subscribers of its type. */
     void
     emit(const Event& ev)
     {
         const core::RoleGuard guard(serial_);
         const unsigned idx = static_cast<unsigned>(ev.type);
         ++counts_[idx];
+        if (tally_ != nullptr && idx < kNumPowerEventTypes)
+            tally_->add(ev);
         for (const Handler& h : handlers_[idx])
             h.fn(h.ctx, ev);
     }
@@ -169,6 +279,8 @@ class EventBus
         ORION_GUARDED_BY(serial_);
     std::array<std::uint64_t, kNumEventTypes> counts_
         ORION_GUARDED_BY(serial_){};
+    /** The one tally slot (see attachTally). */
+    ActivityTally* tally_ ORION_GUARDED_BY(serial_) = nullptr;
 };
 
 /** Human-readable name of an event type (for reports/tests). */

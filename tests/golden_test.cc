@@ -17,7 +17,15 @@
  *     ORION_GOLDEN_OUT=tests/golden/reports.txt ./build/tests/golden_test
  *
  * writes the fresh corpus (under the current epoch) to that path; the
- * comparison below still runs against the committed file.
+ * comparison below still runs against the committed file. When the
+ * change is meant to move results only in the last bits, capture the
+ * old build's corpus the same way and compare the two with
+ *
+ *     python3 tools/golden_diff.py OLD NEW --rel 1e-12
+ *
+ * which fails unless the case names and every integer field are
+ * identical and every double is within the tolerance, and prints the
+ * worst field.
  */
 
 #include <gtest/gtest.h>

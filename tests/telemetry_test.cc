@@ -285,6 +285,51 @@ TEST(SimulationTelemetry, EnergyCountersReconcileWithReport)
     EXPECT_GE(ejected, double(r.sampleEjected));
 }
 
+TEST(SimulationTelemetry, MeasuredActivityFactorsAreExact)
+{
+    // Random payloads toggle each crossbar and link wire with
+    // probability 1/2: the measured activity factor is the alpha the
+    // average-case models assume.
+    SimConfig s = smallRun();
+    s.telemetry.sampleInterval = 200;
+    Simulation sim(NetworkConfig::vc16(), uniform(0.05), s);
+    const Report r = sim.run();
+    ASSERT_TRUE(r.completed);
+    const auto* reg = sim.metrics();
+    ASSERT_NE(reg, nullptr);
+
+    const auto read = [reg](const std::string& name) {
+        const std::size_t i = reg->find(name);
+        EXPECT_NE(i, telemetry::MetricsRegistry::npos) << name;
+        return i == telemetry::MetricsRegistry::npos ? -1.0
+                                                     : reg->read(i);
+    };
+    EXPECT_NEAR(read("activity.crossbar_traversal.alpha"), 0.5, 0.01);
+    EXPECT_NEAR(read("activity.link_traversal.alpha"), 0.5, 0.01);
+    for (const char* a : {"buffer_write.alpha", "buffer_write.cell_alpha",
+                          "arbitration.alpha", "vc_allocation.alpha"}) {
+        const double alpha = read(std::string("activity.") + a);
+        EXPECT_GT(alpha, 0.0) << a;
+        EXPECT_LE(alpha, 1.0) << a;
+    }
+
+    // The counters are exact integers: their window deltas add up to
+    // the report's event counts, and alpha is toggles over
+    // events x wires.
+    const std::size_t ev = reg->find("activity.crossbar_traversal.events");
+    ASSERT_NE(ev, telemetry::MetricsRegistry::npos);
+    double events = 0.0;
+    for (const auto& w : sim.sampler()->windows())
+        events += w.values[ev];
+    const auto xbar = static_cast<unsigned>(
+        sim::EventType::CrossbarTraversal);
+    EXPECT_EQ(events, double(r.eventCounts[xbar]));
+    const double width = NetworkConfig::vc16().net.flitBits;
+    EXPECT_EQ(read("activity.crossbar_traversal.alpha"),
+              read("activity.crossbar_traversal.toggles") /
+                  (double(r.eventCounts[xbar]) * width));
+}
+
 TEST(SimulationTelemetry, ThreePacketTraceIsValidChromeJson)
 {
     SimConfig s;

@@ -6,8 +6,9 @@
 #                parallel-sweep and checkpoint-journal tests (the
 #                journal's raw-fd write, fsync and resume truncation),
 #                plus the kernel, BitVec, channel,
-#                FIFO and golden-corpus tests (packet reference counts,
-#                BitVec union storage), at the paranoid check level,
+#                FIFO, golden-corpus and power-accounting tests (packet
+#                reference counts, BitVec union storage, the activity
+#                tally's indexing), at the paranoid check level,
 #                plus a fault-injection orion_sweep smoke run
 #   3. tsan:     ThreadSanitizer build of the parallel sweep engine
 #   4. overhead: bench/sweep_speed at check levels off/cheap/paranoid,
@@ -80,7 +81,8 @@ if run_leg asan; then
         -DORION_ASAN=ON -DORION_UBSAN=ON -DORION_WERROR=ON
     asan_tests="fuzz_test audit_test fault_test parallel_sweep_test \
         sweep_test checkpoint_test reroute_test deadlock_test kernel_test \
-        activity_test link_channel_test fifo_test golden_test"
+        activity_test link_channel_test fifo_test golden_test \
+        power_accounting_test"
     cmake --build "$root/build-asan" -j "$jobs" \
         --target $asan_tests orion_sweep
     for t in $asan_tests; do
