@@ -15,24 +15,38 @@
 #ifndef ORION_BENCH_BENCH_UTIL_HH
 #define ORION_BENCH_BENCH_UTIL_HH
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "core/build_info.hh"
 #include "core/config.hh"
-#include "core/log.hh"
 #include "core/report.hh"
 #include "core/simulation.hh"
 #include "core/sweep.hh"
 
 namespace orion::bench {
 
+/** The environment variable @p name as an unsigned integer, or
+ * @p fallback when it is unset. Anything but a plain decimal number
+ * ("abc", "2e2", "-1", "") ends the harness with exit status 2. */
 inline std::uint64_t
 envU64(const char* name, std::uint64_t fallback)
 {
     const char* v = std::getenv(name);
-    return v ? std::strtoull(v, nullptr, 10) : fallback;
+    if (v == nullptr)
+        return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const std::uint64_t n = std::strtoull(v, &end, 10);
+    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE) {
+        std::fprintf(stderr,
+                     "%s must be a non-negative integer, got '%s'\n",
+                     name, v);
+        std::exit(2);
+    }
+    return n;
 }
 
 inline SimConfig
@@ -76,34 +90,6 @@ inline std::string
 powerCell(const Report& r)
 {
     return report::fmt(r.networkPowerWatts, 2);
-}
-
-/**
- * The "build" provenance object for bench JSON outputs, as one
- * indented member line (no trailing comma). Informational only: the
- * regression gates in tools/check.sh read specific config keys and
- * never look at this object, so provenance can evolve without
- * re-baselining.
- */
-inline std::string
-buildJsonObject(const char* indent = "  ")
-{
-    namespace log = core::log;
-    const core::BuildInfo& b = core::buildInfo();
-    std::string j;
-    j += indent;
-    j += "\"build\": {\"compiler\": \"";
-    j += log::jsonEscape(b.compiler);
-    j += "\", \"flags\": \"";
-    j += log::jsonEscape(b.flags);
-    j += "\", \"git_sha\": \"";
-    j += log::jsonEscape(b.gitSha);
-    j += "\", \"build_type\": \"";
-    j += log::jsonEscape(b.buildType);
-    j += "\", \"host\": \"";
-    j += log::jsonEscape(core::hostName());
-    j += "\"}";
-    return j;
 }
 
 } // namespace orion::bench

@@ -41,6 +41,7 @@ Simulation::Simulation(const NetworkConfig& network,
 {
     netCfg_.validate();
     validateTraffic(netCfg_, trafficCfg_);
+    simCfg_.validate();
     // Rerouting and deadlock recovery ride on the fault machinery
     // (resolved outage schedules, NACK/retransmit), so either feature
     // instantiates the injector even with no faults configured.

@@ -137,6 +137,10 @@ struct Report
 class Simulation
 {
   public:
+    /** Validates the network, traffic and measurement protocol (and
+     * the fault schedule when faults, rerouting or deadlock detection
+     * are on). @throw std::invalid_argument on a malformed
+     * configuration. */
     Simulation(const NetworkConfig& network, const TrafficConfig& traffic,
                const SimConfig& sim);
     ~Simulation();

@@ -69,8 +69,8 @@ class Simulator
      * check) every core::kCancelPollCycles cycles, returning early
      * once the token fires. Without a token the loops are exactly the
      * pre-cancellation code — the hot path pays nothing
-     * (BENCH_kernel's ORION_KERNEL_CANCEL leg guards the with-token
-     * cost too).
+     * (bench/overhead's cancel_armed mode measures the with-token
+     * cost; tools/check.sh --overhead-only gates it).
      */
     void setCancel(core::CancelToken* token) { cancel_ = token; }
     core::CancelToken* cancel() const { return cancel_; }

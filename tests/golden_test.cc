@@ -1,8 +1,10 @@
 /**
  * @file
  * Golden report corpus: exact digests of small runs across every
- * preset, traffic pattern and fault scenario, compared bit for bit
- * against tests/golden/reports.txt.
+ * preset, traffic pattern and fault scenario, plus the two serial
+ * kernel reference configurations (vc16 and a 16-ary 2-cube at the
+ * paper's 10k-packet protocol, also perfbench's kernel workloads),
+ * compared bit for bit against tests/golden/reports.txt.
  *
  * A digest line holds the run's integer counts (cycles, flits and
  * packets ejected, flits forwarded, sample counts, event counts, fault
@@ -229,6 +231,25 @@ goldenCases()
     GoldenCase wide_ber = uniform("vc16-512b/uniform/ber", wide_flits, 0.08);
     applyScenario(Scenario::LinkBer, wide_ber.sim);
     cases.push_back(std::move(wide_ber));
+
+    // The two serial-kernel reference configurations at the paper's
+    // full measurement protocol (10k-packet sample), also perfbench's
+    // kernel workloads: the 4x4 torus and a 16-ary 2-cube of the same
+    // router.
+    const auto kernel = [](std::string name, NetworkConfig net,
+                           double rate) {
+        GoldenCase c{std::move(name), std::move(net), {}, {}};
+        c.traffic.injectionRate = rate;
+        c.sim.warmupCycles = 1000;
+        c.sim.samplePackets = 10000;
+        c.sim.maxCycles = 400000;
+        c.sim.seed = 1;
+        return c;
+    };
+    cases.push_back(kernel("vc16/uniform/kernel", NetworkConfig::vc16(), 0.06));
+    NetworkConfig k16n2 = NetworkConfig::vc16();
+    k16n2.net.dims = {16, 16};
+    cases.push_back(kernel("k16n2/uniform/kernel", k16n2, 0.02));
     return cases;
 }
 

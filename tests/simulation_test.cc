@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include "core/config.hh"
 #include "core/simulation.hh"
 
@@ -180,6 +184,22 @@ TEST(Simulation, EventCountsConsistent)
                 static_cast<double>(
                     at(sim::EventType::CreditTransfer)),
                 64.0);
+}
+
+TEST(Simulation, ConstructorRejectsAMalformedProtocol)
+{
+    // The rejections the CLI applies, for library callers that build
+    // a SimConfig by hand.
+    std::vector<SimConfig> bad(5);
+    bad[0].samplePackets = 0;
+    bad[1].maxCycles = 0;
+    bad[2].watchdogCycles = 0;
+    bad[3].debugPoisonRate = std::numeric_limits<double>::quiet_NaN();
+    bad[4].debugSegvRate = std::numeric_limits<double>::quiet_NaN();
+    for (const SimConfig& s : bad) {
+        EXPECT_THROW(Simulation(NetworkConfig::vc16(), uniform(0.05), s),
+                     std::invalid_argument);
+    }
 }
 
 TEST(Simulation, StepAdvancesWithoutProtocol)
