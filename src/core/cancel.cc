@@ -8,7 +8,7 @@ namespace {
 
 /** Process-wide interrupt state. Written by the signal handler, so it
  * is restricted to a volatile sig_atomic_t plus the lock-free atomic
- * inside g_interruptToken (tools/orion_analyze.py signal-safety). */
+ * inside g_interruptToken (tools/orion_lint.py signal-safety). */
 volatile std::sig_atomic_t g_signal = 0;
 
 CancelToken g_interruptToken;

@@ -106,9 +106,9 @@ class CancelToken
         // Wall-clock by design: a deadline bounds real time, not
         // simulated cycles, and never feeds back into results (a
         // Deadline stop is excluded from checkpoint journals).
-        deadline_ = std::chrono::steady_clock::now() + // lint-allow: nondeterminism
+        deadline_ = std::chrono::steady_clock::now() + // lint-allow: nondeterminism -- real-time deadline
                     std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>( // lint-allow: nondeterminism
+                        std::chrono::steady_clock::duration>( // lint-allow: nondeterminism -- real-time deadline
                         std::chrono::duration<double>(seconds));
         hasDeadline_ = true;
     }
@@ -120,7 +120,7 @@ class CancelToken
     poll() noexcept
     {
         if (hasDeadline_ &&
-            std::chrono::steady_clock::now() >= deadline_) { // lint-allow: nondeterminism
+            std::chrono::steady_clock::now() >= deadline_) { // lint-allow: nondeterminism -- real-time deadline
             cancel(CancelCause::Deadline);
         }
     }
@@ -131,7 +131,7 @@ class CancelToken
     /** Deadline state; written by armDeadline before the simulation
      * starts, read only by the owning thread's poll(). */
     bool hasDeadline_ = false;
-    std::chrono::steady_clock::time_point deadline_{}; // lint-allow: nondeterminism
+    std::chrono::steady_clock::time_point deadline_{}; // lint-allow: nondeterminism -- real-time deadline
 };
 
 /**
@@ -147,7 +147,7 @@ CancelToken& interruptToken() noexcept;
  * Install SIGINT/SIGTERM handlers that cancel interruptToken() and
  * record the signal number. The handlers touch only a volatile
  * sig_atomic_t and the token's lock-free atomic (enforced by
- * tools/orion_analyze.py's signal-safety rule). Idempotent.
+ * tools/orion_lint.py's signal-safety rule). Idempotent.
  */
 void installInterruptHandlers() noexcept;
 

@@ -67,7 +67,7 @@ class ThreadPool
 
     /** Worker handles: written only by the constructor, joined only
      * by the destructor after every worker has exited its loop. */
-    std::vector<std::thread> threads_; // analyze-allow: unguarded -- ctor-write, dtor-join only
+    std::vector<std::thread> threads_; // lint-allow: unguarded -- ctor-write, dtor-join only
 
     core::Mutex mutex_;
     std::queue<std::function<void()>> queue_ ORION_GUARDED_BY(mutex_);

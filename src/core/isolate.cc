@@ -115,7 +115,7 @@ runIsolated(const IsolateOptions& opts)
     IsolateResult res;
     // Wall-clock by design: the kill-on-timeout watchdog bounds real
     // time and never feeds back into simulation results.
-    const auto start = std::chrono::steady_clock::now(); // lint-allow: nondeterminism
+    const auto start = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- watchdog
     bool sent_term = false;
     bool sent_kill = false;
     auto term_at = start;
@@ -161,7 +161,7 @@ runIsolated(const IsolateOptions& opts)
 
         drainStderr();
 
-        const auto now = std::chrono::steady_clock::now(); // lint-allow: nondeterminism
+        const auto now = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- watchdog
         if (opts.cancel != nullptr && !sent_term &&
             opts.cancel->cancelled()) {
             res.interrupted = true;

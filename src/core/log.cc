@@ -16,8 +16,8 @@ namespace {
 double
 nowUnixSeconds()
 {
-    const auto now = // observability only
-        std::chrono::system_clock::now() // lint-allow: nondeterminism
+    const auto now =
+        std::chrono::system_clock::now() // lint-allow: nondeterminism -- log timestamp only
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }

@@ -129,7 +129,7 @@ class Logger
     std::FILE* sink_ ORION_GUARDED_BY(mutex_) = nullptr;
     // Lock-free fast path for sinkEnabled(); writers hold mutex_.
     std::atomic<int> level_{
-        static_cast<int>(Level::Off)}; // analyze-allow: unguarded -- atomic fast path; writers hold mutex_
+        static_cast<int>(Level::Off)}; // lint-allow: unguarded -- atomic fast path; writers hold mutex_
 };
 
 /// JSON-escape `s` (quotes, backslashes, control characters).

@@ -9,8 +9,8 @@ namespace {
 double
 monotonicSeconds()
 {
-    const auto now = // observability only
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism
+    const auto now =
+        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- profiling only
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }

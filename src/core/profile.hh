@@ -17,7 +17,7 @@
  *    simulation protocol's stages, recorded once by Simulation.
  *
  * Profiling is opt-in (--profile-phases). Disabled, the simulator pays
- * one null-pointer test per cycle; the results are bit-identical
+ * one null-pointer test per cycle stage; the results are bit-identical
  * either way because the profiler only reads clocks. This attribution
  * is the groundwork for ROADMAP item 1(b): partitioning routers across
  * threads needs to know how much of a cycle is router advance versus

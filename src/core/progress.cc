@@ -20,8 +20,8 @@ constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
 double
 monotonicSeconds()
 {
-    const auto now = // observability only
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism
+    const auto now =
+        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- progress display only
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }
@@ -29,8 +29,8 @@ monotonicSeconds()
 double
 wallUnixSeconds()
 {
-    const auto now = // observability only
-        std::chrono::system_clock::now() // lint-allow: nondeterminism
+    const auto now =
+        std::chrono::system_clock::now() // lint-allow: nondeterminism -- heartbeat timestamp only
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }

@@ -135,11 +135,11 @@ class ProgressTracker
     const double startUnixSeconds_; ///< wall clock at construction
     // Fixed-size slot array; elements are atomics mutated lock-free by
     // their owning worker and read by the heartbeat thread.
-    std::vector<Slot> slots_; // analyze-allow: unguarded -- fixed-size array of lock-free atomics
+    std::vector<Slot> slots_; // lint-allow: unguarded -- fixed-size array of lock-free atomics
     // Joined exactly once by finalize(); never touched concurrently.
-    std::thread thread_; // analyze-allow: unguarded -- ctor/finalize only
+    std::thread thread_; // lint-allow: unguarded -- ctor/finalize only
     // Monotonic base for secondsSinceStart(); set once in the ctor.
-    double steadyBase_ = 0.0; // analyze-allow: unguarded -- written once before the thread starts
+    double steadyBase_ = 0.0; // lint-allow: unguarded -- written once before the thread starts
 
     /** Serializes heartbeat file replacement: concurrent writers
      * (worker endCell vs. the background thread) would otherwise race

@@ -28,7 +28,7 @@ double
 profileSeconds()
 {
     const auto now =
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism
+        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- profiling only
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }
@@ -118,8 +118,7 @@ Simulation::Simulation(const NetworkConfig& network,
     }
 
     // Cooperative cancellation: with no token configured (the
-    // default) the simulator keeps its token-free cycle loops and the
-    // hot path is untouched.
+    // default) each cycle pays only the loop's null-token test.
     sim_.setCancel(simCfg_.cancel);
 
     // Run-level observability hooks (off by default; both only
@@ -233,7 +232,7 @@ Simulation::runProtocol(Report& r)
 {
     // Run-phase wall-time marks (opt-in; one clock read per protocol
     // phase, nothing per cycle — the cycle-level attribution happens
-    // inside Simulator::stepProfiled on its sampling stride).
+    // inside Simulator::step on the profiler's sampling stride).
     const bool prof = profiler_ != nullptr;
     double mark = prof ? profileSeconds() : 0.0;
     const auto run_phase_done = [&](core::PhaseProfiler::Phase phase) {

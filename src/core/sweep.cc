@@ -41,7 +41,7 @@ constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
 double
 monotonicSeconds()
 {
-    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism
+    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- accounting only
     return std::chrono::duration<double>(t.time_since_epoch()).count();
 }
 
@@ -338,8 +338,8 @@ class CellRunner
     /**
      * One attempt on the calling thread. A per-cell deadline and the
      * sweep-wide cancel token ride in via a chained CancelToken,
-     * installed only when either is active so plain sweeps keep the
-     * token-free cycle loop. A throwing constructor is a check
+     * installed only when either is active so plain sweeps skip the
+     * per-cycle token load. A throwing constructor is a check
      * failure without forensics.
      */
     CellResult

@@ -14,7 +14,7 @@ namespace {
 std::uint64_t*
 allocWords(std::size_t n)
 {
-    return new std::uint64_t[n](); // lint-allow: naked-new
+    return new std::uint64_t[n](); // lint-allow: naked-new -- BitVec's union store, freed by freeWide
 }
 
 } // namespace
@@ -69,7 +69,7 @@ BitVec::assignWide(const BitVec& o)
 void
 BitVec::freeWide() noexcept
 {
-    delete[] store_.heap; // lint-allow: naked-new
+    delete[] store_.heap; // lint-allow: naked-new -- pairs with allocWords
 }
 
 bool

@@ -226,7 +226,7 @@ class EventBus
      * Subscribe a raw handler to @p type. @p fn must outlive the bus
      * (it is a static trampoline — a captureless lambda or a
      * file-static function — into @p ctx's member function; the
-     * orion_analyze `raw-subscribe` rule enforces this); no ownership
+     * orion_lint `raw-subscribe` rule enforces this); no ownership
      * is taken of @p ctx.
      */
     void subscribeRaw(EventType type, RawHandler fn, void* ctx);

@@ -46,12 +46,18 @@ Simulator::addPeriodic(std::string name, Cycle interval,
 void
 Simulator::step()
 {
-    if (profiler_ != nullptr) {
-        stepProfiled();
-        return;
-    }
+    // With a profiler attached, wall-time marks separate the stages on
+    // its sampled cycles (core::PhaseProfiler::kStride). The profiler
+    // never touches simulation state, so the event sequence, and
+    // therefore every result, is the same with or without one.
+    using Phase = core::PhaseProfiler::Phase;
+    core::PhaseProfiler* const prof = profiler_;
+    if (prof != nullptr)
+        prof->beginCycle();
     for (auto* m : modules_)
         m->cycle(now_);
+    if (prof != nullptr)
+        prof->phaseDone(Phase::RouterAdvance);
     // Advance order equals write order (deterministic: modules run in
     // registration order), and each advance touches only its own
     // channel, so scheduling preserves the all-channels semantics
@@ -62,6 +68,8 @@ Simulator::step()
     for (auto* c : pendingAdvance_)
         c->advanceChannel();
     pendingAdvance_.clear();
+    if (prof != nullptr)
+        prof->phaseDone(Phase::ChannelAdvance);
     ++now_;
     // Audits observe the post-advance state: every channel's staged
     // slot is empty, so in-flight messages are exactly the current
@@ -70,85 +78,46 @@ Simulator::step()
         now_ % auditInterval_ == 0) {
         runAudits();
     }
+    if (prof != nullptr)
+        prof->phaseDone(Phase::Audit);
     for (const auto& p : periodics_) {
         if (now_ % p.interval == 0)
             p.fn(now_);
     }
+    if (prof != nullptr)
+        prof->phaseDone(Phase::Periodic);
 }
 
-void
-Simulator::stepProfiled()
+bool
+Simulator::loop(Cycle max_cycles, const std::function<bool()>* done)
 {
-    // Same cycle semantics as step(), with wall-time marks between
-    // stages on sampled cycles (core::PhaseProfiler::kStride). The
-    // profiler never touches simulation state, so the event sequence —
-    // and therefore every result — is identical to the unprofiled
-    // path.
-    using Phase = core::PhaseProfiler::Phase;
-    profiler_->beginCycle();
-    for (auto* m : modules_)
-        m->cycle(now_);
-    profiler_->phaseDone(Phase::RouterAdvance);
-    for (auto* c : alwaysAdvance_)
-        c->advanceChannel();
-    for (auto* c : pendingAdvance_)
-        c->advanceChannel();
-    pendingAdvance_.clear();
-    profiler_->phaseDone(Phase::ChannelAdvance);
-    ++now_;
-    if (auditInterval_ != 0 && !audits_.empty() &&
-        now_ % auditInterval_ == 0) {
-        runAudits();
+    for (Cycle i = 0; i < max_cycles; ++i) {
+        // One relaxed load per cycle, plus a wall-clock deadline poll
+        // every kCancelPollCycles (clock reads are far too slow for
+        // the per-cycle path).
+        if (cancel_ != nullptr) {
+            if (i % core::kCancelPollCycles == 0)
+                cancel_->poll();
+            if (cancel_->cancelled())
+                return false;
+        }
+        step();
+        if (done != nullptr && (*done)())
+            return true;
     }
-    profiler_->phaseDone(Phase::Audit);
-    for (const auto& p : periodics_) {
-        if (now_ % p.interval == 0)
-            p.fn(now_);
-    }
-    profiler_->phaseDone(Phase::Periodic);
+    return false;
 }
 
 void
 Simulator::run(Cycle cycles)
 {
-    if (cancel_ == nullptr) {
-        for (Cycle i = 0; i < cycles; ++i)
-            step();
-        return;
-    }
-    // Cancellation-aware loop: one relaxed load per cycle, plus a
-    // wall-clock deadline poll every kCancelPollCycles (clock reads
-    // are far too slow for the per-cycle path).
-    for (Cycle i = 0; i < cycles; ++i) {
-        if (i % core::kCancelPollCycles == 0)
-            cancel_->poll();
-        if (cancel_->cancelled())
-            return;
-        step();
-    }
+    loop(cycles, nullptr);
 }
 
 bool
 Simulator::runUntil(const std::function<bool()>& done, Cycle max_cycles)
 {
-    if (cancel_ == nullptr) {
-        for (Cycle i = 0; i < max_cycles; ++i) {
-            step();
-            if (done())
-                return true;
-        }
-        return done();
-    }
-    for (Cycle i = 0; i < max_cycles; ++i) {
-        if (i % core::kCancelPollCycles == 0)
-            cancel_->poll();
-        if (cancel_->cancelled())
-            return done();
-        step();
-        if (done())
-            return true;
-    }
-    return done();
+    return loop(max_cycles, &done) || done();
 }
 
 } // namespace orion::sim

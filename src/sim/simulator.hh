@@ -64,13 +64,13 @@ class Simulator
     /// @{
     /**
      * Install @p token (nullptr to clear). With a token installed,
-     * run()/runUntil() check token->cancelled() every cycle (one
-     * relaxed atomic load) and token->poll() (the wall-clock deadline
-     * check) every core::kCancelPollCycles cycles, returning early
-     * once the token fires. Without a token the loops are exactly the
-     * pre-cancellation code — the hot path pays nothing
-     * (bench/overhead's cancel_armed mode measures the with-token
-     * cost; tools/check.sh --overhead-only gates it).
+     * run()/runUntil() check token->cancelled() before every cycle
+     * (one relaxed atomic load) and token->poll() (the wall-clock
+     * deadline check) every core::kCancelPollCycles cycles, returning
+     * early once the token fires; a token that fired before the call
+     * runs no cycle. Without a token each cycle pays one null-pointer
+     * test (bench/overhead's cancel_armed mode measures the
+     * with-token cost; tools/check.sh --overhead-only gates it).
      */
     void setCancel(core::CancelToken* token) { cancel_ = token; }
     core::CancelToken* cancel() const { return cancel_; }
@@ -129,7 +129,7 @@ class Simulator
      * Attach a phase profiler (nullptr to detach). With one attached,
      * step() times its stages on the profiler's sampling stride; the
      * profiler only reads clocks, so results stay bit-identical.
-     * Detached, step() pays a single null-pointer test per cycle.
+     * Detached, step() pays one null-pointer test per stage.
      */
     void setProfiler(core::PhaseProfiler* p) { profiler_ = p; }
     core::PhaseProfiler* profiler() const { return profiler_; }
@@ -150,7 +150,11 @@ class Simulator
     };
 
     void step();
-    void stepProfiled();
+    /** The one cycle loop behind run() and runUntil(): at most
+     * @p max_cycles steps, stopping early when the cancel token fires
+     * or, if @p done is given, once it returns true after a step.
+     * @return true only if @p done stopped the loop */
+    bool loop(Cycle max_cycles, const std::function<bool()>* done);
 
     EventBus bus_;
     std::vector<Module*> modules_;

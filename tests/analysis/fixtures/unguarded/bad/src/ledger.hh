@@ -1,5 +1,8 @@
-// Fixture: a class holding a core::Mutex capability with one mutable
-// member left unannotated.
+// Fixture: a class holding a core::Mutex capability with two mutable
+// members left unannotated, one of them a callback whose type spells a
+// function signature.
+#include <functional>
+
 #define ORION_GUARDED_BY(x)
 
 namespace core {
@@ -24,6 +27,7 @@ class Ledger
     core::Mutex mutex_;
     double total_ ORION_GUARDED_BY(mutex_);
     unsigned samples_;
+    std::function<void()> onFlush_;
 };
 
 } // namespace demo

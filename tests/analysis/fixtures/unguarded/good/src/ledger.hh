@@ -1,5 +1,8 @@
 // Fixture: every mutable member of the capability-holding class is
-// either annotated or carries a justified suppression.
+// either annotated or carries a justified suppression; a method that
+// returns a std::function is not a member.
+#include <functional>
+
 #define ORION_GUARDED_BY(x)
 
 namespace core {
@@ -19,12 +22,14 @@ class Ledger
 {
   public:
     void add(double joules);
+    std::function<void()> flushHook() const;
 
   private:
     core::Mutex mutex_;
     double total_ ORION_GUARDED_BY(mutex_);
     unsigned samples_ ORION_GUARDED_BY(mutex_);
-    unsigned scratch_; // analyze-allow: unguarded -- ctor-only scratch, never shared
+    std::function<void()> onFlush_ ORION_GUARDED_BY(mutex_);
+    unsigned scratch_; // lint-allow: unguarded -- ctor-only scratch, never shared
 };
 
 } // namespace demo

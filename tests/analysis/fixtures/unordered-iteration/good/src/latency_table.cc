@@ -13,6 +13,13 @@ class LatencyTable
         return samples_.count(node) != 0 ? samples_.at(node) : 0.0;
     }
 
+    double
+    sampleOr(int node, double fallback) const
+    {
+        const auto it = samples_.find(node);
+        return it != samples_.end() ? it->second : fallback;
+    }
+
     void
     record(int node, double value)
     {

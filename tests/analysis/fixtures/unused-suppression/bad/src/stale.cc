@@ -5,19 +5,19 @@ namespace demo {
 int
 lookup(int key)
 {
-    return key * 2; // analyze-allow: unordered-iteration -- was a map walk once
+    return key * 2; // lint-allow: unordered-iteration -- was a map walk once
 }
 
 int
 twice(int v)
 {
-    return v + v; // analyze-allow: not-a-rule -- no such rule exists
+    return v + v; // lint-allow: not-a-rule -- no such rule exists
 }
 
 int
 thrice(int v)
 {
-    return v * 3; // analyze-allow: rng-sharing
+    return v * 3; // lint-allow: rng-sharing
 }
 
 } // namespace demo

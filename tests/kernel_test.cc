@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "core/cancel.hh"
 #include "core/check.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
@@ -217,6 +218,66 @@ TEST(Simulator, RunUntilRespectsCap)
     const bool hit = sim.runUntil([] { return false; }, 7);
     EXPECT_FALSE(hit);
     EXPECT_EQ(sim.now(), 7u);
+}
+
+using orion::core::CancelCause;
+using orion::core::CancelToken;
+
+/** A module that fires a cancel token during cycle @p at. */
+class Canceller : public Module
+{
+  public:
+    Canceller(CancelToken* token, Cycle at)
+        : Module("canceller", 2), token_(token), at_(at)
+    {
+    }
+
+    void
+    cycle(Cycle now) override
+    {
+        if (now == at_)
+            token_->cancel(CancelCause::Interrupt);
+    }
+
+  private:
+    CancelToken* token_;
+    Cycle at_;
+};
+
+TEST(Simulator, TokenFiredBeforeTheCallRunsNoCycle)
+{
+    CancelToken token;
+    token.cancel(CancelCause::Interrupt);
+    Simulator sim;
+    Counter c(nullptr);
+    sim.add(&c);
+    sim.setCancel(&token);
+
+    sim.run(10);
+    EXPECT_EQ(sim.now(), 0u);
+    // runUntil reports done() as it stands when it stops.
+    EXPECT_TRUE(sim.runUntil([] { return true; }, 10));
+    EXPECT_FALSE(sim.runUntil([] { return false; }, 10));
+    EXPECT_EQ(sim.now(), 0u);
+    EXPECT_EQ(c.cycles(), 0);
+}
+
+TEST(Simulator, TokenFiredDuringACycleStopsBothLoopsAfterIt)
+{
+    constexpr Cycle k = 5;
+    for (const bool until : {false, true}) {
+        CancelToken token;
+        Simulator sim;
+        Canceller stopper(&token, k);
+        sim.add(&stopper);
+        sim.setCancel(&token);
+        if (until)
+            EXPECT_FALSE(sim.runUntil([] { return false; }, 100));
+        else
+            sim.run(100);
+        EXPECT_EQ(sim.now(), k + 1) << (until ? "runUntil" : "run");
+        EXPECT_TRUE(sim.cancelled());
+    }
 }
 
 // --- packet pool -----------------------------------------------------

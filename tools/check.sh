@@ -31,29 +31,29 @@
 #                SIGSEGVing point (--debug-segv-rate) must record a
 #                structured worker-crash failure while every other
 #                point completes
-#   6. lint:     tools/orion_lint.py, plus clang-tidy when installed
-#   7. analysis: tools/orion_analyze.py (determinism/concurrency
-#                rules + thread-safety annotation coverage) and its
-#                fixture tests; when a clang++ is installed, a Clang
-#                build with -Wthread-safety promoted to errors
-#                verifies the ORION_GUARDED_BY/ORION_REQUIRES
+#   6. lint:     tools/orion_lint.py over the tree (determinism,
+#                ownership, concurrency and thread-safety annotation
+#                coverage rules) and its fixture tests; clang-tidy
+#                when installed; and, when a clang++ is installed, a
+#                Clang build with -Wthread-safety promoted to errors,
+#                which verifies the ORION_GUARDED_BY/ORION_REQUIRES
 #                annotations for real (they are no-ops under GCC)
 #
 # Usage: tools/check.sh [--tier1-only|--asan-only|--tsan-only|
 #                        --overhead-only|--survive-only|--lint-only|
-#                        --analysis-only|--help]
+#                        --help]
 # No argument runs every leg. Any other argument, or more than one,
 # prints the usage line and exits 2.
 set -eu
 
 usage="usage: tools/check.sh [--tier1-only|--asan-only|--tsan-only|\
---overhead-only|--survive-only|--lint-only|--analysis-only|--help]"
+--overhead-only|--survive-only|--lint-only|--help]"
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 mode=${1:-all}
 case "$#:$mode" in
     0:all|1:--tier1-only|1:--asan-only|1:--tsan-only|1:--overhead-only|\
-    1:--survive-only|1:--lint-only|1:--analysis-only)
+    1:--survive-only|1:--lint-only)
         ;;
     1:--help)
         echo "$usage"
@@ -239,24 +239,20 @@ EOF
 fi
 
 if run_leg lint; then
-    echo "== lint: orion_lint + clang-tidy =="
+    echo "== lint: orion_lint + fixtures =="
     python3 "$root/tools/orion_lint.py" --root "$root"
+    python3 "$root/tests/analysis/run_analyzer_tests.py" \
+        --analyzer "$root/tools/orion_lint.py" \
+        --fixtures "$root/tests/analysis/fixtures"
     if command -v clang-tidy > /dev/null 2>&1; then
+        echo "== lint: clang-tidy =="
         cmake -B "$root/build" -S "$root" > /dev/null
         cmake --build "$root/build" --target lint
     else
         echo "clang-tidy not installed; skipping (CI runs it)"
     fi
-fi
-
-if run_leg analysis; then
-    echo "== analysis: orion_analyze + fixtures =="
-    python3 "$root/tools/orion_analyze.py" --root "$root"
-    python3 "$root/tests/analysis/run_analyzer_tests.py" \
-        --analyzer "$root/tools/orion_analyze.py" \
-        --fixtures "$root/tests/analysis/fixtures"
     if command -v clang++ > /dev/null 2>&1; then
-        echo "== analysis: Clang thread-safety annotations as errors =="
+        echo "== lint: Clang thread-safety annotations as errors =="
         cmake -B "$root/build-clang" -S "$root" \
             -DCMAKE_CXX_COMPILER=clang++ \
             -DCMAKE_CXX_FLAGS="-Werror=thread-safety -Werror=thread-safety-beta"
