@@ -5,7 +5,7 @@
  *
  * Orion's determinism contract — every report byte-identical at any
  * `--jobs` — rests on a handful of informally shared structures: the
- * executor work queue, sweep result slots, the packet recycling pool,
+ * checkpoint journal, sweep result slots, the packet recycling pool,
  * EventBus handler arrays, metric registries, audit ledgers. ROADMAP
  * item 1(b) (partitioning routers across threads) will put all of
  * them under real concurrency, so their access discipline is made

@@ -1,11 +1,13 @@
 #include "core/checkpoint.hh"
 
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <ranges>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -86,17 +88,18 @@ hex16(std::uint64_t v)
 namespace {
 
 std::uint64_t
-parseU64Field(const std::string& key, std::string_view v)
+parseU64Field(std::string_view key, std::string_view v)
 {
+    const std::string k(key);
     if (v.empty())
-        throw CheckpointError("checkpoint: empty field '" + key + "'");
+        throw CheckpointError("checkpoint: empty field '" + k + "'");
     const std::string s(v);
     char* end = nullptr;
     errno = 0;
     const unsigned long long n = std::strtoull(s.c_str(), &end, 10);
     if (errno != 0 || end != s.c_str() + s.size() || s.front() == '-')
         throw CheckpointError("checkpoint: bad integer in field '" +
-                              key + "': '" + s + "'");
+                              k + "': '" + s + "'");
     return n;
 }
 
@@ -299,72 +302,179 @@ checkpointHeader(std::uint64_t fingerprint)
     return kHeaderPrefix + hex16(fingerprint);
 }
 
+namespace {
+
+/**
+ * The entry wire format's one field table: every (key, member) pair,
+ * in line order. serializeEntry writes the fields flagged present;
+ * parseEntry looks each key of a line up here. @p E is
+ * CheckpointEntry or const CheckpointEntry.
+ */
+template <typename E, typename Field>
+void
+forEachField(E& e, Field&& field)
+{
+    auto& r = e.report;
+    field("ri", e.rateIndex);
+    field("si", e.seedIndex);
+    field("att", e.attempts);
+    field("al", r.avgLatencyCycles);
+    field("q50", r.p50LatencyCycles);
+    field("q95", r.p95LatencyCycles);
+    field("q99", r.p99LatencyCycles);
+    field("ml", r.maxLatencyCycles);
+    field("sj", r.sampleInjected);
+    field("se", r.sampleEjected);
+    field("ol", r.offeredLoad);
+    field("tp", r.acceptedFlitsPerNodePerCycle);
+    field("tc", r.totalCycles);
+    field("mc", r.measuredCycles);
+    field("sr", r.stopReason);
+    field("cd", r.checkFailureDiagnostic);
+    field("co", r.completed);
+    field("dl", r.deadlockSuspected);
+    field("mo", r.moduleCount);
+    field("fc", r.flitsCorrupted);
+    field("fo", r.flitsOutageDropped);
+    field("fd", r.flitsDiscarded);
+    field("pr", r.packetsRetransmitted);
+    field("pl", r.packetsLost);
+    field("fh", r.faultLogHash);
+    field("pu", r.packetsUnreachable);
+    field("rr", r.reroutes);
+    field("dd", r.deadlocksDetected);
+    field("dr", r.deadlocksRecovered);
+    field("pw", r.networkPowerWatts);
+    field("de", r.dynamicEnergyJoules);
+    field("ef", r.energyPerFlitJoules);
+    field("b0", r.breakdownWatts.buffer);
+    field("b1", r.breakdownWatts.crossbar);
+    field("b2", r.breakdownWatts.arbiter);
+    field("b3", r.breakdownWatts.link);
+    field("b4", r.breakdownWatts.centralBuffer);
+    field("np", r.nodePowerWatts);
+    field("ec", r.eventCounts);
+    field("f", e.failed, e.failed);
+    field("flr", e.failureReason, e.failed);
+    field("fms", e.failureMessage, e.failed);
+    field("fjn", e.failureForensics, e.failed);
+    field("wx", e.workerExit, !e.workerExit.empty());
+}
+
+/// @name Field encodings, by member type
+/// Integers, flags and enums in decimal, doubles as hexfloats,
+/// strings %-escaped, lists comma-separated.
+/// @{
+template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+void
+put(std::string& out, T v)
+{
+    out += std::to_string(static_cast<std::uint64_t>(v));
+}
+
+void
+put(std::string& out, double v)
+{
+    out += exactDouble(v);
+}
+
+void
+put(std::string& out, const std::string& v)
+{
+    out += escapeField(v);
+}
+
+template <std::ranges::range List>
+    requires(!std::is_same_v<List, std::string>)
+void
+put(std::string& out, const List& list)
+{
+    const char* sep = "";
+    for (const auto& v : list) {
+        out += sep;
+        put(out, v);
+        sep = ",";
+    }
+}
+
+/** Call @p item on every comma-separated element of @p list. */
+template <typename Item>
+void
+forEachItem(std::string_view list, Item&& item)
+{
+    while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        item(list.substr(0, comma));
+        list = comma == std::string_view::npos ? std::string_view{}
+                                               : list.substr(comma + 1);
+    }
+}
+
+template <typename T>
+    requires std::is_integral_v<T> || std::is_enum_v<T>
+void
+get(std::string_view key, std::string_view v, T& out)
+{
+    out = static_cast<T>(parseU64Field(key, v));
+}
+
+void
+get(std::string_view, std::string_view v, double& out)
+{
+    out = parseExactDouble(std::string(v));
+}
+
+void
+get(std::string_view, std::string_view v, std::string& out)
+{
+    out = unescapeField(v);
+}
+
+template <std::size_t N>
+void
+get(std::string_view key, std::string_view v,
+    std::array<std::uint64_t, N>& out)
+{
+    std::size_t n = 0;
+    forEachItem(v, [&](std::string_view item) {
+        if (n == N)
+            throw CheckpointError("checkpoint: too many values in '" +
+                                  std::string(key) + "'");
+        out[n++] = parseU64Field(key, item);
+    });
+    if (n != N)
+        throw CheckpointError("checkpoint: wrong value count in '" +
+                              std::string(key) + "'");
+}
+
+void
+get(std::string_view, std::string_view v, std::vector<double>& out)
+{
+    out.clear();
+    forEachItem(v, [&out](std::string_view item) {
+        out.push_back(parseExactDouble(std::string(item)));
+    });
+}
+/// @}
+
+} // namespace
+
 std::string
 serializeEntry(const CheckpointEntry& e)
 {
-    std::ostringstream out;
-    const Report& r = e.report;
-    out << "P|ri=" << e.rateIndex << "|si=" << e.seedIndex
-        << "|att=" << e.attempts;
-
-    out << "|al=" << exactDouble(r.avgLatencyCycles)
-        << "|q50=" << exactDouble(r.p50LatencyCycles)
-        << "|q95=" << exactDouble(r.p95LatencyCycles)
-        << "|q99=" << exactDouble(r.p99LatencyCycles)
-        << "|ml=" << exactDouble(r.maxLatencyCycles)
-        << "|sj=" << r.sampleInjected << "|se=" << r.sampleEjected
-        << "|ol=" << exactDouble(r.offeredLoad)
-        << "|tp=" << exactDouble(r.acceptedFlitsPerNodePerCycle)
-        << "|tc=" << r.totalCycles << "|mc=" << r.measuredCycles
-        << "|sr=" << static_cast<int>(r.stopReason)
-        << "|cd=" << escapeField(r.checkFailureDiagnostic)
-        << "|co=" << (r.completed ? 1 : 0)
-        << "|dl=" << (r.deadlockSuspected ? 1 : 0)
-        << "|mo=" << r.moduleCount;
-
-    out << "|fc=" << r.flitsCorrupted << "|fo=" << r.flitsOutageDropped
-        << "|fd=" << r.flitsDiscarded
-        << "|pr=" << r.packetsRetransmitted << "|pl=" << r.packetsLost
-        << "|fh=" << r.faultLogHash << "|pu=" << r.packetsUnreachable
-        << "|rr=" << r.reroutes << "|dd=" << r.deadlocksDetected
-        << "|dr=" << r.deadlocksRecovered;
-
-    out << "|pw=" << exactDouble(r.networkPowerWatts)
-        << "|de=" << exactDouble(r.dynamicEnergyJoules)
-        << "|ef=" << exactDouble(r.energyPerFlitJoules)
-        << "|b0=" << exactDouble(r.breakdownWatts.buffer)
-        << "|b1=" << exactDouble(r.breakdownWatts.crossbar)
-        << "|b2=" << exactDouble(r.breakdownWatts.arbiter)
-        << "|b3=" << exactDouble(r.breakdownWatts.link)
-        << "|b4=" << exactDouble(r.breakdownWatts.centralBuffer);
-
-    out << "|np=";
-    for (std::size_t i = 0; i < r.nodePowerWatts.size(); ++i) {
-        if (i)
-            out << ',';
-        out << exactDouble(r.nodePowerWatts[i]);
-    }
-    out << "|ec=";
-    for (std::size_t i = 0; i < r.eventCounts.size(); ++i) {
-        if (i)
-            out << ',';
-        out << r.eventCounts[i];
-    }
-
-    if (e.failed) {
-        out << "|f=1|flr=" << static_cast<int>(e.failureReason)
-            << "|fms=" << escapeField(e.failureMessage)
-            << "|fjn=" << escapeField(e.failureForensics);
-    }
-    if (!e.workerExit.empty())
-        out << "|wx=" << escapeField(e.workerExit);
-
-    std::string payload = out.str();
-    payload += "|c=";
-    payload += hex16(
-        fnv1a64(std::string_view(payload.data(),
-                                 payload.size() - 3 /* "|c=" */)));
-    return payload;
+    std::string line = "P";
+    forEachField(e, [&line](const char* key, const auto& value,
+                            bool present = true) {
+        if (!present)
+            return;
+        line += '|';
+        line += key;
+        line += '=';
+        put(line, value);
+    });
+    line += "|c=" + hex16(fnv1a64(line));
+    return line;
 }
 
 CheckpointEntry
@@ -384,151 +494,34 @@ parseEntry(std::string_view line)
         throw CheckpointError("checkpoint: entry checksum mismatch");
 
     CheckpointEntry e;
-    Report& r = e.report;
     bool saw_ri = false;
     bool saw_si = false;
     bool saw_ec = false;
-
     std::string_view rest = line.substr(2, cpos - 2);
     while (!rest.empty()) {
         const std::size_t bar = rest.find('|');
         const std::string_view field = rest.substr(0, bar);
-        rest = bar == std::string_view::npos
-                   ? std::string_view{}
-                   : rest.substr(bar + 1);
+        rest = bar == std::string_view::npos ? std::string_view{}
+                                             : rest.substr(bar + 1);
 
         const std::size_t eq = field.find('=');
         if (eq == std::string_view::npos)
             throw CheckpointError(
                 "checkpoint: field without '=' in entry");
-        const std::string key(field.substr(0, eq));
-        const std::string_view v = field.substr(eq + 1);
-        const std::string vs(v);
-
-        const auto u = [&] { return parseU64Field(key, v); };
-        const auto d = [&] { return parseExactDouble(vs); };
-
-        if (key == "ri") {
-            e.rateIndex = u();
-            saw_ri = true;
-        } else if (key == "si") {
-            e.seedIndex = u();
-            saw_si = true;
-        } else if (key == "att") {
-            e.attempts = static_cast<unsigned>(u());
-        } else if (key == "al") {
-            r.avgLatencyCycles = d();
-        } else if (key == "q50") {
-            r.p50LatencyCycles = d();
-        } else if (key == "q95") {
-            r.p95LatencyCycles = d();
-        } else if (key == "q99") {
-            r.p99LatencyCycles = d();
-        } else if (key == "ml") {
-            r.maxLatencyCycles = d();
-        } else if (key == "sj") {
-            r.sampleInjected = u();
-        } else if (key == "se") {
-            r.sampleEjected = u();
-        } else if (key == "ol") {
-            r.offeredLoad = d();
-        } else if (key == "tp") {
-            r.acceptedFlitsPerNodePerCycle = d();
-        } else if (key == "tc") {
-            r.totalCycles = u();
-        } else if (key == "mc") {
-            r.measuredCycles = u();
-        } else if (key == "sr") {
-            r.stopReason = static_cast<StopReason>(u());
-        } else if (key == "cd") {
-            r.checkFailureDiagnostic = unescapeField(v);
-        } else if (key == "co") {
-            r.completed = u() != 0;
-        } else if (key == "dl") {
-            r.deadlockSuspected = u() != 0;
-        } else if (key == "mo") {
-            r.moduleCount = static_cast<std::size_t>(u());
-        } else if (key == "fc") {
-            r.flitsCorrupted = u();
-        } else if (key == "fo") {
-            r.flitsOutageDropped = u();
-        } else if (key == "fd") {
-            r.flitsDiscarded = u();
-        } else if (key == "pr") {
-            r.packetsRetransmitted = u();
-        } else if (key == "pl") {
-            r.packetsLost = u();
-        } else if (key == "fh") {
-            r.faultLogHash = u();
-        } else if (key == "pu") {
-            r.packetsUnreachable = u();
-        } else if (key == "rr") {
-            r.reroutes = u();
-        } else if (key == "dd") {
-            r.deadlocksDetected = u();
-        } else if (key == "dr") {
-            r.deadlocksRecovered = u();
-        } else if (key == "pw") {
-            r.networkPowerWatts = d();
-        } else if (key == "de") {
-            r.dynamicEnergyJoules = d();
-        } else if (key == "ef") {
-            r.energyPerFlitJoules = d();
-        } else if (key == "b0") {
-            r.breakdownWatts.buffer = d();
-        } else if (key == "b1") {
-            r.breakdownWatts.crossbar = d();
-        } else if (key == "b2") {
-            r.breakdownWatts.arbiter = d();
-        } else if (key == "b3") {
-            r.breakdownWatts.link = d();
-        } else if (key == "b4") {
-            r.breakdownWatts.centralBuffer = d();
-        } else if (key == "np") {
-            r.nodePowerWatts.clear();
-            std::string_view list = v;
-            while (!list.empty()) {
-                const std::size_t comma = list.find(',');
-                r.nodePowerWatts.push_back(parseExactDouble(
-                    std::string(list.substr(0, comma))));
-                list = comma == std::string_view::npos
-                           ? std::string_view{}
-                           : list.substr(comma + 1);
+        const std::string_view key = field.substr(0, eq);
+        bool known = false;
+        forEachField(e, [&](const char* name, auto& member, bool = true) {
+            if (!known && key == name) {
+                get(key, field.substr(eq + 1), member);
+                known = true;
             }
-        } else if (key == "ec") {
-            std::string_view list = v;
-            std::size_t idx = 0;
-            while (!list.empty()) {
-                const std::size_t comma = list.find(',');
-                if (idx >= r.eventCounts.size())
-                    throw CheckpointError(
-                        "checkpoint: too many event counts");
-                r.eventCounts[idx++] =
-                    parseU64Field("ec", list.substr(0, comma));
-                list = comma == std::string_view::npos
-                           ? std::string_view{}
-                           : list.substr(comma + 1);
-            }
-            if (idx != r.eventCounts.size())
-                throw CheckpointError(
-                    "checkpoint: wrong event-count arity");
-            saw_ec = true;
-        } else if (key == "f") {
-            e.failed = u() != 0;
-        } else if (key == "flr") {
-            e.failureReason = static_cast<StopReason>(u());
-        } else if (key == "fms") {
-            e.failureMessage = unescapeField(v);
-        } else if (key == "fjn") {
-            e.failureForensics = unescapeField(v);
-        } else if (key == "wx") {
-            e.workerExit = unescapeField(v);
-        } else if (key == "c") {
-            // Checksum already verified above; nothing to consume.
-        } else {
-            throw CheckpointError(
-                "checkpoint: unknown entry field '" + key + "'");
-        }
+        });
+        if (!known)
+            throw CheckpointError("checkpoint: unknown entry field '" +
+                                  std::string(key) + "'");
+        saw_ri = saw_ri || key == "ri";
+        saw_si = saw_si || key == "si";
+        saw_ec = saw_ec || key == "ec";
     }
 
     if (!saw_ri || !saw_si || !saw_ec)

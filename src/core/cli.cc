@@ -1,10 +1,10 @@
 #include "core/cli.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
-
-#include <cstdio>
 
 #include "core/report.hh"
 #include "core/sweep.hh"
@@ -17,44 +17,54 @@ namespace {
 [[noreturn]] void
 fail(const std::string& what)
 {
-    throw std::invalid_argument("orion_sim: " + what +
-                                " (--help for usage)");
+    throw std::invalid_argument(what);
 }
 
+} // namespace
+
 unsigned long long
-parseU64(const std::string& opt, const std::string& v)
+parseU64(const std::string& opt, const std::string& v,
+         unsigned long long max)
 {
     // stoull silently wraps negative inputs; reject them explicitly.
-    if (!v.empty() && v.front() == '-')
+    if (v.find('-') != std::string::npos)
         fail(opt + ": must be non-negative: '" + v + "'");
+    std::size_t used = 0;
+    unsigned long long n = 0;
     try {
-        std::size_t used = 0;
-        const unsigned long long n = std::stoull(v, &used);
-        if (used != v.size())
-            fail(opt + ": not a number: '" + v + "'");
-        return n;
-    } catch (const std::invalid_argument&) {
-        fail(opt + ": not a number: '" + v + "'");
+        n = std::stoull(v, &used);
     } catch (const std::out_of_range&) {
         fail(opt + ": out of range: '" + v + "'");
+    } catch (const std::invalid_argument&) {
+        fail(opt + ": not a number: '" + v + "'");
     }
+    if (used != v.size())
+        fail(opt + ": not a number: '" + v + "'");
+    if (n > max)
+        fail(opt + ": out of range: '" + v + "'");
+    return n;
 }
 
 double
 parseDouble(const std::string& opt, const std::string& v)
 {
+    std::size_t used = 0;
+    double d = 0.0;
     try {
-        std::size_t used = 0;
-        const double d = std::stod(v, &used);
-        if (used != v.size())
-            fail(opt + ": not a number: '" + v + "'");
-        return d;
-    } catch (const std::invalid_argument&) {
-        fail(opt + ": not a number: '" + v + "'");
+        d = std::stod(v, &used);
     } catch (const std::out_of_range&) {
         fail(opt + ": out of range: '" + v + "'");
+    } catch (const std::invalid_argument&) {
+        fail(opt + ": not a number: '" + v + "'");
     }
+    if (used != v.size())
+        fail(opt + ": not a number: '" + v + "'");
+    if (!std::isfinite(d))
+        fail(opt + ": not a finite number: '" + v + "'");
+    return d;
 }
+
+namespace {
 
 std::vector<unsigned>
 parseDims(const std::string& v)
@@ -66,7 +76,7 @@ parseDims(const std::string& v)
         if (part.empty())
             fail("--dims: malformed '" + v + "'");
         dims.push_back(
-            static_cast<unsigned>(parseU64("--dims", part)));
+            static_cast<unsigned>(parseU64("--dims", part, UINT_MAX)));
     }
     if (dims.empty())
         fail("--dims: malformed '" + v + "'");
@@ -155,10 +165,8 @@ parseOutageSpec(const std::string& spec)
     return w;
 }
 
-} // namespace
-
 Options
-parse(const std::vector<std::string>& args)
+parseOptions(const std::vector<std::string>& args)
 {
     Options o;
     o.traffic.injectionRate = 0.05;
@@ -183,16 +191,16 @@ parse(const std::vector<std::string>& args)
             o.network.net.deadlock = router::DeadlockMode::None;
         } else if (a == "--vcs") {
             o.network.net.vcs =
-                static_cast<unsigned>(parseU64(a, value()));
+                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
         } else if (a == "--buffer") {
             o.network.net.bufferDepth =
-                static_cast<unsigned>(parseU64(a, value()));
+                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
         } else if (a == "--flit-bits") {
             o.network.net.flitBits =
-                static_cast<unsigned>(parseU64(a, value()));
+                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
         } else if (a == "--packet-length") {
             o.network.net.packetLength =
-                static_cast<unsigned>(parseU64(a, value()));
+                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
         } else if (a == "--deadlock") {
             o.network.net.deadlock = deadlockByName(value());
         } else if (a == "--speculative") {
@@ -233,10 +241,10 @@ parse(const std::vector<std::string>& args)
             o.traffic.injectionRate = parseDouble(a, value());
         } else if (a == "--broadcast-source") {
             o.traffic.broadcastSource =
-                static_cast<int>(parseU64(a, value()));
+                static_cast<int>(parseU64(a, value(), INT_MAX));
         } else if (a == "--hotspot") {
             o.traffic.hotspotNode =
-                static_cast<int>(parseU64(a, value()));
+                static_cast<int>(parseU64(a, value(), INT_MAX));
         } else if (a == "--hotspot-frac") {
             o.traffic.hotspotFraction = parseDouble(a, value());
         } else if (a == "--trace") {
@@ -298,7 +306,7 @@ parse(const std::vector<std::string>& args)
             o.pointRetries = static_cast<unsigned>(n);
         } else if (a == "--point-backoff-ms") {
             o.pointBackoffMs =
-                static_cast<unsigned>(parseU64(a, value()));
+                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
         } else if (a == "--report-out") {
             o.reportOut = value();
         } else if (a == "--log-out") {
@@ -316,7 +324,7 @@ parse(const std::vector<std::string>& args)
         } else if (a == "--profile-phases") {
             o.sim.profilePhases = true;
         } else if (a == "--jobs") {
-            const unsigned long long n = parseU64(a, value());
+            const unsigned long long n = parseU64(a, value(), UINT_MAX);
             if (n < 1)
                 fail("--jobs: must be >= 1");
             o.jobs = static_cast<unsigned>(n);
@@ -354,12 +362,21 @@ parse(const std::vector<std::string>& args)
 
     // Cross-field checks happen in the library validators; run them
     // here so errors surface before the (possibly long) run starts.
-    try {
-        validateConfig(o.network, o.traffic, o.sim);
-    } catch (const std::invalid_argument& e) {
-        fail(e.what());
-    }
+    validateConfig(o.network, o.traffic, o.sim);
     return o;
+}
+
+} // namespace
+
+Options
+parse(const std::vector<std::string>& args, const std::string& tool)
+{
+    try {
+        return parseOptions(args);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(tool + ": " + e.what() +
+                                    " (--help for usage)");
+    }
 }
 
 std::vector<double>
@@ -371,9 +388,10 @@ parseRateSpec(const std::string& spec)
     char tail = 0;
     if (std::sscanf(spec.c_str(), "%lf:%lf:%u%c", &first, &last,
                     &count, &tail) != 3 ||
-        first <= 0.0 || last < first || count < 2) {
+        !(first > 0.0 && last >= first && std::isfinite(last)) ||
+        count < 2) {
         throw std::invalid_argument(
-            "rate spec wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
+            "--rates: wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
             "and COUNT >= 2: '" +
             spec + "'");
     }

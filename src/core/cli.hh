@@ -3,29 +3,13 @@
  * Command-line front end: turns argv-style options into a validated
  * (NetworkConfig, TrafficConfig, SimConfig) triple and renders run
  * reports. Lives in the library (rather than the tool's main) so the
- * parsing logic is unit-testable.
- *
- * Supported options (see usage() for the full text):
- *   --preset wh64|vc16|vc64|vc128|xb|cb
- *   --dims KxK[xK]          --mesh
- *   --vcs N --buffer N --flit-bits N --packet-length N
- *   --deadlock none|bubble|dateline
- *   --pattern uniform|broadcast|transpose|bitcomp|tornado|neighbor|
- *             hotspot|trace
- *   --rate R --broadcast-source N --hotspot N --hotspot-frac F
- *   --trace FILE
- *   --sample N --warmup N --max-cycles N --seed N
- *   --link-ber F --link-outage START:END[:LINK] --fault-seed N
- *   --retry-limit N --retry-backoff N
- *   --jobs N
- *   --csv
- *   --metrics-out FILE --sample-interval N
- *   --trace-out FILE --trace-capacity N
+ * parsing logic is unit-testable. usage() lists every option.
  */
 
 #ifndef ORION_CORE_CLI_HH
 #define ORION_CORE_CLI_HH
 
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -91,9 +75,24 @@ struct Options
 
 /**
  * Parse @p args (without argv[0]). Throws std::invalid_argument with
- * a user-facing message on unknown options or malformed values.
+ * a user-facing message, prefixed "@p tool: ", on unknown options or
+ * malformed values.
  */
-Options parse(const std::vector<std::string>& args);
+Options parse(const std::vector<std::string>& args,
+              const std::string& tool = "orion_sim");
+
+/// @name Checked option values
+/// The parsers behind parse(), for tools' own options. Each throws
+/// std::invalid_argument ("OPT: not a number: 'V'", ...) on a value
+/// that is not wholly a number in range.
+/// @{
+/** A non-negative integer no greater than @p max. */
+unsigned long long parseU64(const std::string& opt, const std::string& v,
+                            unsigned long long max = ULLONG_MAX);
+
+/** A finite double (no nan or inf). */
+double parseDouble(const std::string& opt, const std::string& v);
+/// @}
 
 /** The usage/help text. */
 std::string usage();

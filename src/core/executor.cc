@@ -2,86 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
+#include <exception>
+#include <thread>
 
 namespace orion::core {
-
-ThreadPool::ThreadPool(unsigned workers)
-{
-    assert(workers >= 1);
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        LockGuard lock(mutex_);
-        while (pending_ != 0)
-            allDone_.wait(mutex_);
-        stopping_ = true;
-    }
-    workAvailable_.notifyAll();
-    for (auto& t : threads_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        LockGuard lock(mutex_);
-        assert(!stopping_);
-        queue_.push(std::move(task));
-        ++pending_;
-    }
-    workAvailable_.notifyOne();
-}
-
-void
-ThreadPool::wait()
-{
-    std::exception_ptr error;
-    {
-        LockGuard lock(mutex_);
-        while (pending_ != 0)
-            allDone_.wait(mutex_);
-        error = std::exchange(firstError_, nullptr);
-    }
-    if (error)
-        std::rethrow_exception(error);
-}
-
-void
-ThreadPool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            LockGuard lock(mutex_);
-            while (!stopping_ && queue_.empty())
-                workAvailable_.wait(mutex_);
-            if (queue_.empty())
-                return; // stopping_ with a drained queue
-            task = std::move(queue_.front());
-            queue_.pop();
-        }
-        std::exception_ptr error;
-        try {
-            task();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        {
-            LockGuard lock(mutex_);
-            if (error && !firstError_)
-                firstError_ = error;
-            --pending_;
-        }
-        allDone_.notifyAll();
-    }
-}
 
 unsigned
 resolveJobs(unsigned jobs)
@@ -111,23 +35,36 @@ parallelFor(unsigned jobs, std::size_t count,
     // whose runtimes vary wildly (post-saturation points run to the
     // cycle cap, zero-load points finish quickly).
     std::atomic<std::size_t> cursor{0};
-    const auto drain = [&] {
-        for (;;) {
-            if (cancel != nullptr && cancel->cancelled())
-                return;
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            body(i);
+    std::vector<std::exception_ptr> errors(
+        std::min<std::size_t>(jobs, count));
+    const auto drain = [&](std::exception_ptr& error) {
+        try {
+            for (;;) {
+                if (cancel != nullptr && cancel->cancelled())
+                    return;
+                const std::size_t i =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (i >= count)
+                    return;
+                body(i);
+            }
+        } catch (...) {
+            error = std::current_exception();
         }
     };
 
-    ThreadPool pool(
-        static_cast<unsigned>(std::min<std::size_t>(jobs, count)));
-    for (unsigned w = 0; w < pool.workers(); ++w)
-        pool.submit(drain);
-    pool.wait();
+    {
+        // jthreads join when destroyed, so the threads already running
+        // are joined even when starting a later one throws.
+        std::vector<std::jthread> threads;
+        threads.reserve(errors.size());
+        for (std::exception_ptr& error : errors)
+            threads.emplace_back(drain, std::ref(error));
+    }
+    for (const std::exception_ptr& error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 } // namespace orion::core

@@ -1,6 +1,6 @@
 /**
  * @file
- * Reusable thread-pool executor behind the parallel sweep drivers.
+ * The fan-out behind the parallel sweep drivers.
  *
  * Sweep points are embarrassingly parallel — each (rate, seed) point
  * owns its Network, Simulator, and RNG stream — so the executor only
@@ -8,22 +8,13 @@
  * callers' contract: workers write results into preallocated,
  * index-addressed slots (see WorkerSlots), so the merged output is
  * the same no matter which worker finishes first.
- *
- * All cross-thread state is annotated for Clang's thread-safety
- * analysis (core/annotations.hh): the work queue and its bookkeeping
- * are ORION_GUARDED_BY(mutex_), and `-Wthread-safety` (an error in
- * the analysis CI leg) rejects any new access path that forgets the
- * lock.
  */
 
 #ifndef ORION_CORE_EXECUTOR_HH
 #define ORION_CORE_EXECUTOR_HH
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <queue>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,53 +22,6 @@
 #include "core/sync.hh"
 
 namespace orion::core {
-
-/**
- * A fixed-size pool of worker threads consuming a task queue.
- * Reusable across submit()/wait() rounds; destruction joins the
- * workers after draining the queue.
- */
-class ThreadPool
-{
-  public:
-    /** Spawn @p workers threads (at least 1). */
-    explicit ThreadPool(unsigned workers);
-
-    /** Drains outstanding tasks, then joins. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool&) = delete;
-    ThreadPool& operator=(const ThreadPool&) = delete;
-
-    /** Enqueue @p task for execution on some worker. */
-    void submit(std::function<void()> task) ORION_EXCLUDES(mutex_);
-
-    /**
-     * Block until every submitted task has finished. If any task
-     * threw, rethrows the first captured exception (by submission
-     * processing order, not a deterministic pick among concurrent
-     * failures).
-     */
-    void wait() ORION_EXCLUDES(mutex_);
-
-    unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-  private:
-    void workerLoop() ORION_EXCLUDES(mutex_);
-
-    /** Worker handles: written only by the constructor, joined only
-     * by the destructor after every worker has exited its loop. */
-    std::vector<std::thread> threads_; // lint-allow: unguarded -- ctor-write, dtor-join only
-
-    core::Mutex mutex_;
-    std::queue<std::function<void()>> queue_ ORION_GUARDED_BY(mutex_);
-    CondVar workAvailable_;
-    CondVar allDone_;
-    /** Queued + currently running tasks. */
-    std::size_t pending_ ORION_GUARDED_BY(mutex_) = 0;
-    bool stopping_ ORION_GUARDED_BY(mutex_) = false;
-    std::exception_ptr firstError_ ORION_GUARDED_BY(mutex_);
-};
 
 /**
  * Index-addressed result capture for parallelFor regions. Each worker
@@ -130,12 +74,15 @@ class WorkerSlots
 unsigned resolveJobs(unsigned jobs);
 
 /**
- * Run body(0) ... body(count - 1), fanned across @p jobs threads.
- * With jobs == 1 (or count < 2) the calls run inline on the calling
- * thread in index order — byte-for-byte today's serial behavior.
- * Index assignment across workers is dynamic (an atomic cursor), so
- * bodies must not depend on which thread runs which index; exceptions
- * from any body are rethrown on the calling thread after the join.
+ * Run body(0) ... body(count - 1), fanned across min(@p jobs, count)
+ * threads started for this call and joined before it returns (the
+ * join orders every body's writes before the caller's reads). With
+ * jobs == 1 (or count < 2) the calls run inline on the calling
+ * thread in index order. Index assignment across threads is dynamic
+ * (an atomic cursor), so bodies must not depend on which thread runs
+ * which index. A throwing body ends its thread (the others drain the
+ * remaining indices); after the join, the exception of the
+ * lowest-numbered failed thread is rethrown on the calling thread.
  *
  * With @p cancel non-null, a fired token stops the cursor from
  * dispensing further indices — indices already handed out finish

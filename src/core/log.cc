@@ -7,6 +7,8 @@
 
 #include <chrono>
 
+#include "core/report.hh"
+
 namespace orion::core::log {
 
 namespace {
@@ -54,33 +56,6 @@ parseLevel(const std::string& text, Level& out)
     if (text == "error") { out = Level::Error; return true; }
     if (text == "off") { out = Level::Off; return true; }
     return false;
-}
-
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 Field
@@ -211,17 +186,17 @@ Logger::writeLine(Level level, const char* name,
     line += ",\"level\":\"";
     line += levelName(level);
     line += "\",\"event\":\"";
-    line += jsonEscape(name);
+    line += report::jsonEscape(name);
     line += '"';
     for (const Field& f : fields) {
         line += ",\"";
-        line += jsonEscape(f.key);
+        line += report::jsonEscape(f.key);
         line += "\":";
         if (f.raw) {
             line += f.value;
         } else {
             line += '"';
-            line += jsonEscape(f.value);
+            line += report::jsonEscape(f.value);
             line += '"';
         }
     }
@@ -230,7 +205,7 @@ Logger::writeLine(Level level, const char* name,
         while (!m.empty() && m.back() == '\n')
             m.pop_back();
         line += ",\"msg\":\"";
-        line += jsonEscape(m);
+        line += report::jsonEscape(m);
         line += '"';
     }
     line += "}\n";

@@ -132,9 +132,6 @@ class Logger
         static_cast<int>(Level::Off)}; // lint-allow: unguarded -- atomic fast path; writers hold mutex_
 };
 
-/// JSON-escape `s` (quotes, backslashes, control characters).
-std::string jsonEscape(const std::string& s);
-
 /** Write bytes to stderr unmodified and flush (progress-line
  * rendering). Every stderr write in the library funnels through
  * core/log.cc so the naked-stderr lint rule stays meaningful. */

@@ -11,6 +11,7 @@
 
 #include "core/build_info.hh"
 #include "core/log.hh"
+#include "core/report.hh"
 
 namespace orion::core {
 
@@ -43,7 +44,7 @@ appendKv(std::string& out, const char* key, const std::string& value,
         out += value;
     } else {
         out += '"';
-        out += log::jsonEscape(value);
+        out += report::jsonEscape(value);
         out += '"';
     }
 }

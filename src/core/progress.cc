@@ -10,6 +10,7 @@
 
 #include "core/log.hh"
 #include "core/manifest.hh"
+#include "core/report.hh"
 
 namespace orion::core {
 
@@ -242,7 +243,7 @@ ProgressTracker::composeJson(bool finished) const
     const double eta = etaSecondsLocked();
     const double median = medianPointSecondsLocked();
     j += "{\"schema\":\"orion-heartbeat-v1\",\"label\":\"";
-    j += log::jsonEscape(opts_.label);
+    j += report::jsonEscape(opts_.label);
     j += "\",\"pid\":";
     j += std::to_string(::getpid());
     j += ",\"total\":";

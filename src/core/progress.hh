@@ -4,7 +4,7 @@
  * rewriting terminal progress line (docs/OBSERVABILITY.md, "Run-level
  * observability").
  *
- * A ProgressTracker rides alongside Sweep::overRates{,Averaged} and
+ * A ProgressTracker rides alongside Sweep::overRates and
  * the isolated worker loop. Workers open a ProgressScope per cell;
  * the scope claims one of `jobs` slots whose fields are plain atomics,
  * so the per-cycle cost of liveness is one relaxed store every few

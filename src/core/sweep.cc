@@ -220,7 +220,7 @@ class WorkerDir
  * up to RetryPolicy::maxAttempts attempts, each on its own seed band,
  * either in-process or in a fork/exec'd worker
  * (SweepOptions::workerCommand); failures are captured per cell
- * instead of propagating into the worker pool, where an exception
+ * instead of propagating into parallelFor, where an exception
  * would abort the whole sweep and discard every completed point.
  * run() is called concurrently from parallelFor workers; it only
  * reads the runner's state.
@@ -502,77 +502,51 @@ workerReportLine(Simulation& run, const Report& report)
 std::vector<SweepPoint>
 Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
                  const SimConfig& sim, const std::vector<double>& rates,
-                 const SweepOptions& opts)
+                 const SweepOptions& opts, unsigned seeds)
 {
-    // Index-addressed capture: worker i writes only slot i, so the
-    // merged vector is independent of completion order. WorkerSlots
-    // makes that contract a checked capability instead of a comment.
-    const CellRunner runner(network, traffic, sim, rates, 1, opts);
-    core::WorkerSlots<SweepPoint> points(rates.size());
+    assert(seeds >= 1);
+
+    // Fan out over the flattened (rate, seed) grid, so a few rates
+    // with many seeds still keep every worker busy. Index-addressed
+    // capture: worker c writes only slot c, so the merged vector is
+    // independent of completion order. WorkerSlots makes that
+    // contract a checked capability instead of a comment.
+    const CellRunner runner(network, traffic, sim, rates, seeds, opts);
+    core::WorkerSlots<SweepPoint> cells(rates.size() * seeds);
     core::parallelFor(
-        opts.jobs, rates.size(),
-        [&](std::size_t i) {
-            core::RoleGuard guard(points.role());
-            points.slot(i) = runner.run(i, 0);
+        opts.jobs, rates.size() * seeds,
+        [&](std::size_t c) {
+            core::RoleGuard guard(cells.role());
+            cells.slot(c) =
+                runner.run(c / seeds, static_cast<unsigned>(c % seeds));
         },
         opts.cancel);
-    std::vector<SweepPoint> out = std::move(points).take();
+    std::vector<SweepPoint> out = std::move(cells).take();
     // Cells the cancelled cursor never dispensed still carry their
     // rate (slots default-construct with ran == false).
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i].injectionRate = rates[i];
+    for (std::size_t c = 0; c < out.size(); ++c)
+        out[c].injectionRate = rates[c / seeds];
     return out;
 }
 
 std::vector<AveragedPoint>
-Sweep::overRatesAveraged(const NetworkConfig& network,
-                         const TrafficConfig& traffic,
-                         const SimConfig& sim,
-                         const std::vector<double>& rates,
-                         unsigned num_seeds, const SweepOptions& opts)
+Sweep::average(const std::vector<SweepPoint>& cells, unsigned seeds)
 {
-    assert(num_seeds >= 1);
+    assert(seeds >= 1 && cells.size() % seeds == 0);
 
-    // Fan out over the flattened (rate, seed) grid — finer-grained
-    // than per-rate fan-out, so a few rates with many seeds still
-    // saturate the pool.
-    const CellRunner runner(network, traffic, sim, rates, num_seeds,
-                            opts);
-    core::WorkerSlots<SweepPoint> cells(rates.size() * num_seeds);
-    core::parallelFor(
-        opts.jobs, rates.size() * num_seeds,
-        [&](std::size_t cell) {
-            core::RoleGuard guard(cells.role());
-            cells.slot(cell) = runner.run(
-                cell / num_seeds, static_cast<unsigned>(cell % num_seeds));
-        },
-        opts.cancel);
-    std::vector<SweepPoint> grid = std::move(cells).take();
-
-    // Deterministic merge: aggregate each rate's seeds in seed order,
-    // on the calling thread, so the floating-point accumulation order
-    // (hence the bits of every mean) is independent of opts.jobs.
     // Failed seeds are excluded from the aggregates; dividing by the
     // success count leaves the fault-free path bit-identical (success
-    // count == num_seeds) while keeping partially failed points usable.
+    // count == seeds) while keeping partially failed points usable.
     std::vector<AveragedPoint> points;
-    points.reserve(rates.size());
-    for (std::size_t i = 0; i < rates.size(); ++i) {
+    points.reserve(cells.size() / seeds);
+    for (std::size_t first = 0; first < cells.size(); first += seeds) {
         AveragedPoint avg;
-        avg.injectionRate = rates[i];
-        avg.seeds = num_seeds;
+        avg.injectionRate = cells[first].injectionRate;
+        avg.seeds = seeds;
         avg.allCompleted = true;
         unsigned ok = 0;
-        for (unsigned k = 0; k < num_seeds; ++k) {
-            SweepPoint& cell = grid[i * num_seeds + k];
-            // Telemetry merges for every seed (empty for failed
-            // seeds), keeping seed indexes aligned for per-seed
-            // export directories.
-            avg.metricsCsvBySeed.push_back(
-                std::move(cell.metricsCsv));
-            avg.traceJsonBySeed.push_back(std::move(cell.traceJson));
-            avg.attemptsBySeed.push_back(cell.ran ? cell.attempts
-                                                  : 0);
+        for (std::size_t c = first; c < first + seeds; ++c) {
+            const SweepPoint& cell = cells[c];
             if (cell.resources.valid) {
                 avg.resources.valid = true;
                 avg.resources.wallSeconds +=
@@ -588,6 +562,7 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
                 continue;
             }
             ++avg.ranSeeds;
+            avg.attempts += cell.attempts;
             if (cell.failure) {
                 ++avg.failedSeeds;
                 if (avg.firstFailure.empty())
@@ -616,7 +591,7 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
             avg.meanPowerWatts /= ok;
             avg.meanThroughput /= ok;
         }
-        points.push_back(avg);
+        points.push_back(std::move(avg));
     }
     return points;
 }

@@ -83,7 +83,7 @@ struct RetryPolicy
     unsigned backoffMs = 0;
 };
 
-/** One point of an injection-rate sweep. */
+/** One cell of an injection-rate sweep: one run at one (rate, seed). */
 struct SweepPoint
 {
     double injectionRate = 0.0;
@@ -101,9 +101,7 @@ struct SweepPoint
      * instead of a fresh run (bit-identical either way). */
     bool fromCheckpoint = false;
     /** The point's sampled metric time series (long-format CSV),
-     * captured only when SimConfig::telemetry enables the sampler
-     * (the averaged driver captures per seed instead — see
-     * AveragedPoint::metricsCsvBySeed). */
+     * captured only when SimConfig::telemetry enables the sampler. */
     std::string metricsCsv;
     /** The point's Chrome trace JSON, captured only when
      * SimConfig::telemetry enables tracing. */
@@ -199,7 +197,7 @@ struct SweepOptions
     }
 };
 
-/** One sweep point aggregated over several seeds. */
+/** One rate of a sweep aggregated over its seeds (Sweep::average). */
 struct AveragedPoint
 {
     double injectionRate = 0.0;
@@ -218,14 +216,9 @@ struct AveragedPoint
     unsigned ranSeeds = 0;
     /** Diagnostic of the first failed seed, if any. */
     std::string firstFailure;
-    /** Simulation attempts spent per seed (aligned with seed index;
-     * 0 for seeds that never ran). > 1 marks a retried seed. */
-    std::vector<unsigned> attemptsBySeed;
-    /** Per-seed telemetry exports, indexed by seed (captured only
-     * when SimConfig::telemetry enables the sampler/tracer; failed
-     * seeds hold empty strings so indexes stay aligned). */
-    std::vector<std::string> metricsCsvBySeed;
-    std::vector<std::string> traceJsonBySeed;
+    /** Simulation attempts spent over all seeds (seeds that never ran
+     * count 0); more than ranSeeds marks a retried seed. */
+    unsigned attempts = 0;
     /**
      * Aggregate execution cost over the seeds that ran fresh this
      * invocation: wall/CPU seconds are summed, maxRssKb is the peak
@@ -249,41 +242,38 @@ class Sweep
 {
   public:
     /**
-     * Run @p network under @p traffic at each rate in @p rates,
-     * returning one report per rate. The traffic config's
-     * injectionRate field is overridden per point; each point's RNG
-     * stream is sim::deriveSeed(sim.seed, rate index, 0). With
-     * opts.jobs != 1, points run concurrently with bit-identical
-     * results to the serial order.
+     * Run @p network under @p traffic at each rate in @p rates, @p seeds
+     * times per rate, returning one cell per (rate, seed): cell
+     * i * seeds + k is rate i on RNG stream sim::deriveSeed(sim.seed,
+     * i, k). With the default single seed that is one report per
+     * rate. The traffic config's injectionRate field is overridden per
+     * cell. With opts.jobs != 1, the whole (rate, seed) grid fans out
+     * across workers with results bit-identical to the serial order.
      *
-     * Failure isolation: a point whose run hits a check failure (or
-     * whose construction throws) never aborts the sweep. The point is
+     * Failure isolation: a cell whose run hits a check failure (or
+     * whose construction throws) never aborts the sweep. The cell is
      * retried on rederived seed streams per opts.retry (transient
      * failures recover; the default is the historical single retry);
      * if every attempt fails, SweepPoint::failure records the stop
      * reason, diagnostic, and a JSON forensic snapshot, and every
-     * other point still reports normally. Deadlines, cancellation,
+     * other cell still reports normally. Deadlines, cancellation,
      * checkpoint/resume and crash isolation ride in via opts — see
      * SweepOptions.
      */
     static std::vector<SweepPoint> overRates(
         const NetworkConfig& network, const TrafficConfig& traffic,
         const SimConfig& sim, const std::vector<double>& rates,
-        const SweepOptions& opts = {});
+        const SweepOptions& opts = {}, unsigned seeds = 1);
 
     /**
-     * Like overRates, but each point runs @p num_seeds times — seed
-     * index k uses RNG stream sim::deriveSeed(sim.seed, rate index, k)
-     * — and reports the mean and spread: the error-bar data behind a
-     * publication-quality curve. The (rate, seed) grid is flattened so
-     * opts.jobs workers can chew independent cells; per-point
-     * aggregation happens afterwards in deterministic seed order, so
-     * the floating-point sums are identical at any job count.
+     * The mean and spread of each rate over its @p seeds cells of an
+     * overRates grid: the error-bar data behind a publication-quality
+     * curve. Seeds are accumulated in seed order on the calling
+     * thread, so every mean has the same bits at any job count.
+     * Failed seeds are excluded from the aggregates.
      */
-    static std::vector<AveragedPoint> overRatesAveraged(
-        const NetworkConfig& network, const TrafficConfig& traffic,
-        const SimConfig& sim, const std::vector<double>& rates,
-        unsigned num_seeds, const SweepOptions& opts = {});
+    static std::vector<AveragedPoint> average(
+        const std::vector<SweepPoint>& cells, unsigned seeds);
 
     /**
      * Zero-load latency: mean latency at a near-zero injection rate

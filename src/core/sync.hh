@@ -6,9 +6,10 @@
  * Two kinds of capability back the ORION_GUARDED_BY annotations:
  *
  *  - `Mutex` / `LockGuard` / `CondVar` — a real std::mutex wrapper for
- *    state that is genuinely contended today (the executor work
- *    queue). Same runtime behavior as the std primitives; the wrapper
- *    exists so Clang's thread-safety analysis can track acquisition.
+ *    state that is genuinely contended today (the checkpoint journal,
+ *    the logger, the progress tracker). Same runtime behavior as the
+ *    std primitives; the wrapper exists so Clang's thread-safety
+ *    analysis can track acquisition.
  *
  *  - `Role` / `RoleGuard` — a zero-size, zero-cost capability for
  *    state that is serialized *structurally* today: one Simulation

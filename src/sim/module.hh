@@ -220,18 +220,9 @@ class ChannelBase
     virtual ~ChannelBase() = default;
     virtual void advanceChannel() = 0;
 
-    /**
-     * Opt into write-scheduled advancing: enqueue on @p queue at each
-     * write and be advanced only then. Returns false when the channel
-     * kind does not support scheduling (the simulator then advances it
-     * unconditionally every cycle).
-     */
-    virtual bool
-    scheduleWith(std::vector<ChannelBase*>* queue)
-    {
-        (void)queue;
-        return false;
-    }
+    /** Enqueue on @p queue at each write and be advanced only then
+     * (write-scheduled advancing). */
+    virtual void scheduleWith(std::vector<ChannelBase*>* queue) = 0;
 };
 
 /** Adapter registering a Channel<T> with the simulator. */
@@ -241,11 +232,10 @@ class RegisteredChannel : public ChannelBase, public Channel<T>
   public:
     void advanceChannel() override { this->advance(); }
 
-    bool
+    void
     scheduleWith(std::vector<ChannelBase*>* queue) override
     {
         this->setAdvanceQueue(queue, this);
-        return true;
     }
 };
 

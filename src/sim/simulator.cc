@@ -13,13 +13,11 @@ Simulator::add(Module* m)
 void
 Simulator::addChannel(ChannelBase* c)
 {
-    // Write-scheduled channels enqueue themselves on pendingAdvance_
-    // when written; anything else keeps the advance-every-cycle
-    // contract. pendingAdvance_'s address must stay stable for the
-    // simulator's lifetime (channels capture it), which holds because
-    // Simulator is neither copyable nor movable.
-    if (!c->scheduleWith(&pendingAdvance_))
-        alwaysAdvance_.push_back(c);
+    // Channels enqueue themselves on pendingAdvance_ when written.
+    // Its address must stay stable for the simulator's lifetime
+    // (channels capture it), which holds because Simulator is neither
+    // copyable nor movable.
+    c->scheduleWith(&pendingAdvance_);
 }
 
 void
@@ -63,8 +61,6 @@ Simulator::step()
     // channel, so scheduling preserves the all-channels semantics
     // exactly while the boundary cost scales with messages in flight
     // rather than wires in the network.
-    for (auto* c : alwaysAdvance_)
-        c->advanceChannel();
     for (auto* c : pendingAdvance_)
         c->advanceChannel();
     pendingAdvance_.clear();

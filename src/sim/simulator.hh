@@ -161,9 +161,6 @@ class Simulator
     /** Channels written this cycle, awaiting their boundary advance
      * (write-scheduled; see Channel::setAdvanceQueue). */
     std::vector<ChannelBase*> pendingAdvance_;
-    /** Channels that opted out of write scheduling: advanced every
-     * cycle, the pre-scheduling behaviour. */
-    std::vector<ChannelBase*> alwaysAdvance_;
     std::vector<Audit> audits_;
     std::vector<Periodic> periodics_;
     Cycle auditInterval_ = 0;

@@ -144,8 +144,15 @@ expectReportsEqual(const Report& a, const Report& b)
     EXPECT_EQ(a.deadlockSuspected, b.deadlockSuspected);
     EXPECT_EQ(a.moduleCount, b.moduleCount);
     EXPECT_EQ(a.flitsCorrupted, b.flitsCorrupted);
+    EXPECT_EQ(a.flitsOutageDropped, b.flitsOutageDropped);
+    EXPECT_EQ(a.flitsDiscarded, b.flitsDiscarded);
     EXPECT_EQ(a.packetsRetransmitted, b.packetsRetransmitted);
+    EXPECT_EQ(a.packetsLost, b.packetsLost);
     EXPECT_EQ(a.faultLogHash, b.faultLogHash);
+    EXPECT_EQ(a.packetsUnreachable, b.packetsUnreachable);
+    EXPECT_EQ(a.reroutes, b.reroutes);
+    EXPECT_EQ(a.deadlocksDetected, b.deadlocksDetected);
+    EXPECT_EQ(a.deadlocksRecovered, b.deadlocksRecovered);
     EXPECT_EQ(a.networkPowerWatts, b.networkPowerWatts);
     EXPECT_EQ(a.dynamicEnergyJoules, b.dynamicEnergyJoules);
     EXPECT_EQ(a.energyPerFlitJoules, b.energyPerFlitJoules);
@@ -194,6 +201,90 @@ TEST(CheckpointEntry, RoundTripsFailureWithHostileStrings)
     EXPECT_EQ(back.workerExit, e.workerExit);
 }
 
+/** A failed entry in which every field holds a value no other field
+ * holds, so a swapped, renamed or dropped key changes the line. */
+core::CheckpointEntry
+knownAnswerEntry()
+{
+    core::CheckpointEntry e;
+    e.rateIndex = 4;
+    e.seedIndex = 9;
+    e.attempts = 3;
+    Report& r = e.report;
+    r.avgLatencyCycles = 21.75;
+    r.p50LatencyCycles = 19.0;
+    r.p95LatencyCycles = 33.0;
+    r.p99LatencyCycles = 47.5;
+    r.maxLatencyCycles = 96.0;
+    r.sampleInjected = 500;
+    r.sampleEjected = 498;
+    r.offeredLoad = 0.125;
+    r.acceptedFlitsPerNodePerCycle = 1.0 / 3.0;
+    r.totalCycles = 71234;
+    r.measuredCycles = 65432;
+    r.stopReason = StopReason::CheckFailure;
+    r.checkFailureDiagnostic = "credit | underflow = 100% \n at r3";
+    r.completed = false;
+    r.deadlockSuspected = true;
+    r.moduleCount = 59;
+    r.flitsCorrupted = 13;
+    r.flitsOutageDropped = 14;
+    r.flitsDiscarded = 15;
+    r.packetsRetransmitted = 16;
+    r.packetsLost = 17;
+    r.faultLogHash = 0x0123456789abcdefULL;
+    r.packetsUnreachable = 18;
+    r.reroutes = 19;
+    r.deadlocksDetected = 20;
+    r.deadlocksRecovered = 21;
+    r.networkPowerWatts = 2.5;
+    r.dynamicEnergyJoules = 3.0e-6;
+    r.energyPerFlitJoules = 4.25e-12;
+    r.breakdownWatts = {0.5, 0.75, 0.0625, 1.125, 0.03125};
+    r.nodePowerWatts = {0.1, -0.0, 1.5};
+    for (std::size_t i = 0; i < r.eventCounts.size(); ++i)
+        r.eventCounts[i] = 1000 + i;
+    e.failed = true;
+    e.failureReason = StopReason::CheckFailure;
+    e.failureMessage = "pipe | eq = pct % nl \n cr \r end";
+    e.failureForensics = "{\"reason\":\"x|y=z\",\n\"cycle\":9}";
+    e.workerExit = "exit 3";
+    return e;
+}
+
+TEST(CheckpointEntry, KnownAnswerLine)
+{
+    // The journal's `v1` wire format, spelled out: journals that older
+    // builds wrote must keep resuming, so a change to any key, its
+    // order or its encoding has to fail here.
+    const std::string line =
+        "P|ri=4|si=9|att=3|al=0x1.5cp+4|q50=0x1.3p+4|q95=0x1.08p+5"
+        "|q99=0x1.7cp+5|ml=0x1.8p+6|sj=500|se=498|ol=0x1p-3"
+        "|tp=0x1.5555555555555p-2|tc=71234|mc=65432|sr=3"
+        "|cd=credit %7C underflow = 100%25 %0A at r3|co=0|dl=1|mo=59"
+        "|fc=13|fo=14|fd=15|pr=16|pl=17|fh=81985529216486895|pu=18"
+        "|rr=19|dd=20|dr=21|pw=0x1.4p+1|de=0x1.92a737110e454p-19"
+        "|ef=0x1.2b1131940c8b2p-38|b0=0x1p-1|b1=0x1.8p-1|b2=0x1p-4"
+        "|b3=0x1.2p+0|b4=0x1p-5|np=0x1.999999999999ap-4,-0x0p+0,0x1.8p+0"
+        "|ec=1000,1001,1002,1003,1004,1005,1006,1007,1008,1009,1010"
+        "|f=1|flr=3|fms=pipe %7C eq = pct %25 nl %0A cr %0D end"
+        "|fjn={\"reason\":\"x%7Cy=z\",%0A\"cycle\":9}|wx=exit 3"
+        "|c=dc670e10bf42f040";
+    const core::CheckpointEntry e = knownAnswerEntry();
+    EXPECT_EQ(core::serializeEntry(e), line);
+
+    const core::CheckpointEntry back = core::parseEntry(line);
+    EXPECT_EQ(back.rateIndex, e.rateIndex);
+    EXPECT_EQ(back.seedIndex, e.seedIndex);
+    EXPECT_EQ(back.attempts, e.attempts);
+    expectReportsEqual(back.report, e.report);
+    EXPECT_TRUE(back.failed);
+    EXPECT_EQ(back.failureReason, e.failureReason);
+    EXPECT_EQ(back.failureMessage, e.failureMessage);
+    EXPECT_EQ(back.failureForensics, e.failureForensics);
+    EXPECT_EQ(back.workerExit, e.workerExit);
+}
+
 TEST(CheckpointEntry, ChecksumCatchesEveryOneByteCorruption)
 {
     const std::string line = core::serializeEntry(sampleEntry());
@@ -215,6 +306,31 @@ TEST(CheckpointEntry, RejectsTruncationsAndUnknownKeys)
     EXPECT_THROW(core::parseEntry(""), core::CheckpointError);
     EXPECT_THROW(core::parseEntry("P|zz=1|c=0000000000000000"),
                  core::CheckpointError);
+
+    // Correctly checksummed lines: the minimal entry (the three
+    // required keys) parses; each required key missing, an unknown
+    // key, a wrong event-count arity, a field without '=' and a
+    // negative index do not, and neither does a bad checksum.
+    const auto sealed = [](const std::string& payload) {
+        return payload + "|c=" + core::hex16(core::fnv1a64(payload));
+    };
+    const std::string ec = "ec=1,2,3,4,5,6,7,8,9,10,11";
+    const core::CheckpointEntry min =
+        core::parseEntry(sealed("P|ri=1|si=2|" + ec));
+    EXPECT_EQ(min.rateIndex, 1u);
+    EXPECT_EQ(min.seedIndex, 2u);
+    EXPECT_EQ(min.report.eventCounts[10], 11u);
+    for (const std::string& bad :
+         {sealed("P|si=2|" + ec), sealed("P|ri=1|" + ec),
+          sealed("P|ri=1|si=2"), sealed("P|ri=1|si=2|" + ec + "|zz=1"),
+          sealed("P|ri=1|si=2|ec=1,2,3,4,5,6,7,8,9,10"),
+          sealed("P|ri=1|si=2|" + ec + ",12"),
+          sealed("P|ri=1|si=2|" + ec + "|al"),
+          sealed("P|ri=-1|si=2|" + ec),
+          "P|ri=1|si=2|" + ec + "|c=0123456789abcdef"}) {
+        EXPECT_THROW(core::parseEntry(bad), core::CheckpointError)
+            << bad;
+    }
 }
 
 // --- fingerprint binding ----------------------------------------------
@@ -488,8 +604,10 @@ TEST_F(ResumeFixture, PrefixResumeMergesBitIdenticallyAtAnyJobs)
 TEST_F(ResumeFixture, AveragedResumeMergesBitIdentically)
 {
     const unsigned seeds = 2;
-    const auto fresh = Sweep::overRatesAveraged(
-        net, traffic, sim, rates, seeds, SweepOptions::withJobs(1));
+    const auto fresh = Sweep::average(
+        Sweep::overRates(net, traffic, sim, rates,
+                         SweepOptions::withJobs(1), seeds),
+        seeds);
 
     const std::string path = tmpPath("resume_avg.journal");
     const std::uint64_t fp =
@@ -498,7 +616,7 @@ TEST_F(ResumeFixture, AveragedResumeMergesBitIdentically)
         core::CheckpointJournal j(path, fp, false);
         SweepOptions o = SweepOptions::withJobs(3);
         o.journal = &j;
-        Sweep::overRatesAveraged(net, traffic, sim, rates, seeds, o);
+        Sweep::overRates(net, traffic, sim, rates, o, seeds);
     }
     const core::CheckpointLoad full = core::loadCheckpoint(path, fp);
     ASSERT_EQ(full.entries.size(), rates.size() * seeds);
@@ -512,8 +630,8 @@ TEST_F(ResumeFixture, AveragedResumeMergesBitIdentically)
             static_cast<long>(full.entries.size() / 2));
     SweepOptions o = SweepOptions::withJobs(2);
     o.resume = &half;
-    const auto resumed = Sweep::overRatesAveraged(net, traffic, sim,
-                                                  rates, seeds, o);
+    const auto resumed = Sweep::average(
+        Sweep::overRates(net, traffic, sim, rates, o, seeds), seeds);
     ASSERT_EQ(resumed.size(), fresh.size());
     for (std::size_t i = 0; i < fresh.size(); ++i) {
         SCOPED_TRACE("rate " + std::to_string(i));
@@ -670,16 +788,18 @@ TEST_F(ResumeFixture, AveragedSweepRecordsAttemptsPerSeed)
 {
     sim.debugPoisonRate = 0.04;
     sim.debugPoisonTransient = true;
-    const auto pts = Sweep::overRatesAveraged(
-        net, traffic, sim, {0.02, 0.04}, 2,
-        SweepOptions::withJobs(2));
-    ASSERT_EQ(pts.size(), 2u);
-    ASSERT_EQ(pts[0].attemptsBySeed.size(), 2u);
-    EXPECT_EQ(pts[0].attemptsBySeed[0], 1u);
-    EXPECT_EQ(pts[0].attemptsBySeed[1], 1u);
+    const auto cells = Sweep::overRates(
+        net, traffic, sim, {0.02, 0.04}, SweepOptions::withJobs(2), 2);
+    ASSERT_EQ(cells.size(), 4u);
+    EXPECT_EQ(cells[0].attempts, 1u);
+    EXPECT_EQ(cells[1].attempts, 1u);
     // Every seed of the poisoned rate spent its retry and recovered.
-    EXPECT_EQ(pts[1].attemptsBySeed[0], 2u);
-    EXPECT_EQ(pts[1].attemptsBySeed[1], 2u);
+    EXPECT_EQ(cells[2].attempts, 2u);
+    EXPECT_EQ(cells[3].attempts, 2u);
+    const auto pts = Sweep::average(cells, 2);
+    ASSERT_EQ(pts.size(), 2u);
+    EXPECT_EQ(pts[0].attempts, 2u);
+    EXPECT_EQ(pts[1].attempts, 4u);
     EXPECT_EQ(pts[1].failedSeeds, 0u);
     EXPECT_TRUE(pts[1].allCompleted);
     EXPECT_EQ(pts[1].ranSeeds, 2u);

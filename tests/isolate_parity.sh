@@ -3,7 +3,8 @@
 # process per point) must print the same CSV, byte for byte, and exit
 # with the same code as the in-process sweep. A journal written by an
 # --isolate run and cut to two entries must resume in-process to that
-# same CSV.
+# same CSV. The in-process --seeds 2 path (averaged rows) must resume
+# the same way from a journal cut to two of its cells.
 #
 # The sweep poisons one point (a structured check failure, so exit 3)
 # and injects link bit errors, so the retry band, the failure row and
@@ -47,5 +48,17 @@ rc=$(run resumed.csv --resume "$tmp/cut")
 [ "$rc" -eq 3 ] || fail "in-process --resume exited $rc, expected 3"
 cmp "$tmp/inproc.csv" "$tmp/resumed.csv" ||
     fail "in-process resume of an --isolate journal differs"
+
+rc=$(run seeds.csv --seeds 2)
+[ "$rc" -eq 3 ] || fail "--seeds 2 sweep exited $rc, expected 3"
+rc=$(run seeds_checkpoint.csv --seeds 2 --checkpoint "$tmp/seeds_journal")
+[ "$rc" -eq 3 ] || fail "--seeds 2 --checkpoint exited $rc, expected 3"
+cmp "$tmp/seeds.csv" "$tmp/seeds_checkpoint.csv" ||
+    fail "--seeds 2 --checkpoint CSV differs from the plain --seeds 2 CSV"
+head -n 3 "$tmp/seeds_journal" >"$tmp/seeds_cut"
+rc=$(run seeds_resumed.csv --seeds 2 --resume "$tmp/seeds_cut")
+[ "$rc" -eq 3 ] || fail "--seeds 2 --resume exited $rc, expected 3"
+cmp "$tmp/seeds.csv" "$tmp/seeds_resumed.csv" ||
+    fail "--seeds 2 resume differs from the uninterrupted CSV"
 
 echo "isolate_parity: ok"

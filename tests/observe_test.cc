@@ -23,6 +23,7 @@
 #include "core/manifest.hh"
 #include "core/profile.hh"
 #include "core/progress.hh"
+#include "core/report.hh"
 #include "core/simulation.hh"
 #include "core/sweep.hh"
 #include "json_validator.hh"
@@ -126,11 +127,11 @@ TEST(Log, SinkEmitsValidJsonLines)
 
 TEST(Log, JsonEscapeControlsAndQuotes)
 {
-    EXPECT_EQ(log::jsonEscape("plain"), "plain");
-    EXPECT_EQ(log::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(log::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(log::jsonEscape("a\nb"), "a\\nb");
-    const std::string esc = log::jsonEscape(std::string(1, '\x01'));
+    EXPECT_EQ(report::jsonEscape("plain"), "plain");
+    EXPECT_EQ(report::jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(report::jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(report::jsonEscape("a\nb"), "a\\nb");
+    const std::string esc = report::jsonEscape(std::string(1, '\x01'));
     EXPECT_EQ(esc, "\\u0001");
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the parallel sweep engine: the thread-pool executor, the
+ * Tests for the parallel sweep engine: the parallelFor executor, the
  * per-point seed derivation, and — the headline guarantee — that
  * fanning sweep points across workers produces bit-identical results
  * to the serial path at any job count.
@@ -61,18 +61,6 @@ TEST(ParallelFor, ZeroJobsMeansHardwareConcurrency)
     EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ThreadPool, ReusableAcrossWaitRounds)
-{
-    core::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int round = 0; round < 3; ++round) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (round + 1) * 10);
-    }
-}
-
 // --- seed derivation --------------------------------------------------
 
 TEST(DeriveSeed, DistinctAcrossGridAndDeterministic)
@@ -123,12 +111,15 @@ TEST(ParallelSweep, AveragedBitIdenticalAcrossJobCounts)
     const unsigned seeds = 3;
     const NetworkConfig net = NetworkConfig::vc16();
 
-    const auto serial = Sweep::overRatesAveraged(net, t, s, rates,
-                                                 seeds, SweepOptions::withJobs(1));
-    const auto two = Sweep::overRatesAveraged(net, t, s, rates, seeds,
-                                              SweepOptions::withJobs(2));
-    const auto hardware = Sweep::overRatesAveraged(
-        net, t, s, rates, seeds, SweepOptions::withJobs(0));
+    const auto averaged = [&](unsigned jobs) {
+        return Sweep::average(
+            Sweep::overRates(net, t, s, rates,
+                             SweepOptions::withJobs(jobs), seeds),
+            seeds);
+    };
+    const auto serial = averaged(1);
+    const auto two = averaged(2);
+    const auto hardware = averaged(0);
 
     ASSERT_EQ(serial.size(), rates.size());
     expectIdentical(serial, two);
@@ -225,8 +216,10 @@ TEST(ParallelSweep, AveragedSweepExcludesFailedSeeds)
     s.maxCycles = 60000;
     s.debugPoisonRate = 0.04;
     TrafficConfig t;
-    const auto pts = Sweep::overRatesAveraged(
-        NetworkConfig::vc16(), t, s, {0.02, 0.04}, 2, SweepOptions::withJobs(2));
+    const auto pts = Sweep::average(
+        Sweep::overRates(NetworkConfig::vc16(), t, s, {0.02, 0.04},
+                         SweepOptions::withJobs(2), 2),
+        2);
     ASSERT_EQ(pts.size(), 2u);
     EXPECT_TRUE(pts[0].allCompleted);
     EXPECT_EQ(pts[0].failedSeeds, 0u);

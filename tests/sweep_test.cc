@@ -81,8 +81,10 @@ TEST(Sweep, AveragedSweepAggregatesSeeds)
     s.maxCycles = 60000;
     s.seed = 10;
     TrafficConfig t;
-    const auto pts = Sweep::overRatesAveraged(NetworkConfig::vc16(), t,
-                                              s, {0.05}, 3);
+    const auto cells =
+        Sweep::overRates(NetworkConfig::vc16(), t, s, {0.05}, {}, 3);
+    ASSERT_EQ(cells.size(), 3u);
+    const auto pts = Sweep::average(cells, 3);
     ASSERT_EQ(pts.size(), 1u);
     const auto& p = pts[0];
     EXPECT_EQ(p.seeds, 3u);
@@ -105,10 +107,9 @@ TEST(Sweep, AveragedSingleSeedMatchesPlainRun)
     s.maxCycles = 60000;
     s.seed = 5;
     TrafficConfig t;
-    const auto avg = Sweep::overRatesAveraged(NetworkConfig::vc16(), t,
-                                              s, {0.06}, 1);
     const auto plain =
         Sweep::overRates(NetworkConfig::vc16(), t, s, {0.06});
+    const auto avg = Sweep::average(plain, 1);
     ASSERT_EQ(avg.size(), 1u);
     EXPECT_DOUBLE_EQ(avg[0].meanLatency,
                      plain[0].report.avgLatencyCycles);

@@ -1,0 +1,49 @@
+#!/bin/sh
+# Malformed option values: orion_sweep must refuse each one with exit
+# 1 and a diagnostic that starts with its own name, before it runs
+# anything. Every case carries a tiny grid, so a build that accepts
+# the value anyway finishes quickly and fails here on its exit code.
+#
+# Usage: tests/sweep_usage.sh PATH/TO/orion_sweep
+set -u
+
+sweep=$1
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+status=0
+
+expect_usage() {
+    "$sweep" --rates 0.02:0.04:2 --sample 50 --jobs 1 "$@" \
+        >/dev/null 2>"$tmp/err"
+    rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "sweep_usage: '$*' exited $rc, expected 1" >&2
+        status=1
+    elif ! grep -q '^orion_sweep: ' "$tmp/err"; then
+        echo "sweep_usage: '$*' printed no orion_sweep diagnostic:" >&2
+        cat "$tmp/err" >&2
+        status=1
+    fi
+}
+
+expect_usage --seeds 2x
+expect_usage --seeds -1
+expect_usage --seeds 0
+expect_usage --seeds 4294967296
+expect_usage --seeds
+expect_usage --heartbeat-interval nan
+expect_usage --heartbeat-interval inf
+expect_usage --heartbeat-interval 0
+expect_usage --heartbeat-interval 1s
+expect_usage --isolate --isolate-mem -1
+# 2^44 MiB is 2^64 bytes: one past what the byte limit can hold.
+expect_usage --isolate --isolate-mem 17592186044416
+expect_usage --isolate --isolate-cpu -5
+expect_usage --isolate --isolate-cpu 1x
+expect_usage --rates nan:0.1:4
+expect_usage --rates 0.01:inf:4
+# A flag of the shared parser still names the tool that ran.
+expect_usage --jobs 1x
+
+[ "$status" -eq 0 ] && echo "sweep_usage: ok"
+exit "$status"

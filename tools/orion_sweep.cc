@@ -5,31 +5,10 @@
  * Runs the same configuration across a range of injection rates and
  * emits one CSV row per point (the series behind latency/power vs.
  * load figures), plus the measured zero-load latency and the paper's
- * 2x-zero-load saturation point. Accepts all orion_sim options, plus:
- *
- *   --rates FIRST:LAST:COUNT   evenly spaced rates (default
- *                              0.01:0.20:10)
- *   --seeds N                  average each point over N seeds and
- *                              report the latency spread
- *   --metrics-dir DIR          write each point's sampled time series
- *                              to DIR/point_NNN.csv (with --seeds N>1:
- *                              DIR/seed_K/point_NNN.csv per seed)
- *   --trace-dir DIR            write each point's Chrome trace JSON
- *                              to DIR/point_NNN.json (per-seed
- *                              subdirectories with --seeds N>1)
- *   --checkpoint FILE          journal each finished cell to FILE
- *   --resume FILE              skip cells already journaled in FILE
- *                              (and keep appending to it); the merged
- *                              CSV is byte-identical to an
- *                              uninterrupted run at any --jobs
- *   --isolate                  run each point in a fork/exec'd
- *                              orion_sim subprocess: a crash, OOM, or
- *                              wedge is one structured failed row,
- *                              never a dead sweep
- *   --isolate-exe PATH         the orion_sim binary (default: next to
- *                              this binary)
- *   --isolate-mem MB           worker RLIMIT_AS cap in MiB
- *   --isolate-cpu SEC          worker RLIMIT_CPU cap in seconds
+ * 2x-zero-load saturation point. Accepts all orion_sim options plus
+ * the sweep options `orion_sweep --help` lists: the rate grid and
+ * seed count, per-point telemetry directories, checkpoint/resume,
+ * crash isolation, heartbeat and resource columns.
  *
  * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
  * more points failed (rows for healthy points still printed); 5
@@ -40,8 +19,9 @@
  *   orion_sweep --preset vc64 --rates 0.02:0.18:9 --seeds 3 > vc64.csv
  */
 
-#include <algorithm>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -49,12 +29,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
+#include "core/executor.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
 #include "core/progress.hh"
@@ -67,11 +47,14 @@ namespace {
 
 namespace log = core::log;
 
-/** CSV cell for an optional resource value ("" when unmeasured). */
-std::string
-resourceCell(bool valid, double seconds)
+/** Append the --resources cells (wall_s, cpu_s, maxrss_kb; empty
+ * when unmeasured) to @p row. */
+void
+appendResources(std::vector<std::string>& row, const PointResources& rs)
 {
-    return valid ? report::fmt(seconds, 3) : std::string{};
+    row.push_back(rs.valid ? report::fmt(rs.wallSeconds, 3) : "");
+    row.push_back(rs.valid ? report::fmt(rs.cpuSeconds, 3) : "");
+    row.push_back(rs.valid ? std::to_string(rs.maxRssKb) : "");
 }
 
 /** DIR/point_NNN.EXT for sweep point @p i. */
@@ -83,10 +66,13 @@ pointPath(const std::string& dir, std::size_t i, const char* ext)
     return (std::filesystem::path(dir) / name).string();
 }
 
-/** DIR/seed_K for seed @p k of a multi-seed sweep. */
+/** The directory seed @p k of @p seeds exports into: DIR itself for
+ * a single-seed sweep, DIR/seed_K otherwise. */
 std::string
-seedDir(const std::string& dir, unsigned k)
+seedDir(const std::string& dir, unsigned k, unsigned seeds)
 {
+    if (seeds == 1)
+        return dir;
     char name[24];
     std::snprintf(name, sizeof name, "seed_%u", k);
     return (std::filesystem::path(dir) / name).string();
@@ -100,6 +86,117 @@ writeFile(const std::string& path, const std::string& content)
         throw std::runtime_error("orion_sweep: cannot open '" + path +
                                  "' for writing");
     out << content;
+}
+
+/**
+ * The single-seed output: one row per rate with the full report, the
+ * saturation line, and each failed point's diagnosis with its
+ * forensics on stderr.
+ */
+void
+printPoints(const std::vector<SweepPoint>& points, bool resources,
+            double zero_load)
+{
+    report::Table t;
+    t.headers = {"rate",    "completed", "latency", "p95",
+                 "throughput", "power_w", "buffer_w", "crossbar_w",
+                 "arbiter_w",  "link_w",  "status",   "attempts"};
+    if (resources)
+        t.headers.insert(t.headers.end(), {"wall_s", "cpu_s", "maxrss_kb"});
+    for (const SweepPoint& p : points) {
+        const Report& r = p.report;
+        std::vector<std::string> row{
+            report::fmt(p.injectionRate, 4),
+            r.completed ? "1" : "0",
+            report::fmt(r.avgLatencyCycles, 3),
+            report::fmt(r.p95LatencyCycles, 0),
+            report::fmt(r.acceptedFlitsPerNodePerCycle, 4),
+            report::fmt(r.networkPowerWatts, 4),
+            report::fmt(r.breakdownWatts.buffer, 4),
+            report::fmt(r.breakdownWatts.crossbar, 4),
+            report::fmt(r.breakdownWatts.arbiter, 5),
+            report::fmt(r.breakdownWatts.link, 4),
+            stopReasonName(r.stopReason),
+            std::to_string(p.attempts),
+        };
+        if (resources)
+            appendResources(row, p.resources);
+        t.addRow(std::move(row));
+    }
+    std::fputs(report::formatCsv(t).c_str(), stdout);
+
+    const double sat = Sweep::saturationRate(points, zero_load);
+    log::diag(log::Level::Info, "sweep.done",
+              log::strf("# zero-load latency: %.2f cycles; "
+                        "saturation (2x zero-load): %s\n",
+                        zero_load,
+                        sat < 0 ? "beyond swept range"
+                                : report::fmt(sat, 3).c_str()),
+              {log::num("zero_load_cycles", zero_load),
+               log::num("saturation_rate", sat)});
+    for (const SweepPoint& p : points) {
+        if (!p.failure)
+            continue;
+        log::diag(log::Level::Error, "sweep.point_failed",
+                  log::strf("orion_sweep: rate %.4f failed (%s): %s\n",
+                            p.injectionRate,
+                            stopReasonName(p.failure->reason),
+                            p.failure->message.c_str()),
+                  {log::num("rate", p.injectionRate),
+                   log::str("reason", stopReasonName(p.failure->reason))});
+        if (!p.failure->forensicsJson.empty())
+            log::rawStderr(p.failure->forensicsJson);
+    }
+}
+
+/**
+ * The multi-seed output: one row per rate with the seed mean and
+ * latency spread, then one line per rate with failed seeds.
+ */
+void
+printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
+              bool resources, double zero_load,
+              std::uint64_t failed_seeds)
+{
+    report::Table t;
+    t.headers = {"rate",        "completed",   "latency_mean",
+                 "latency_min", "latency_max", "throughput",
+                 "power_w",     "failed_seeds", "attempts"};
+    if (resources)
+        t.headers.insert(t.headers.end(), {"wall_s", "cpu_s", "maxrss_kb"});
+    const std::vector<AveragedPoint> points = Sweep::average(cells, seeds);
+    for (const AveragedPoint& p : points) {
+        std::vector<std::string> row{
+            report::fmt(p.injectionRate, 4),
+            p.allCompleted ? "1" : "0",
+            report::fmt(p.meanLatency, 3),
+            report::fmt(p.minLatency, 3),
+            report::fmt(p.maxLatency, 3),
+            report::fmt(p.meanThroughput, 4),
+            report::fmt(p.meanPowerWatts, 4),
+            std::to_string(p.failedSeeds),
+            std::to_string(p.attempts),
+        };
+        if (resources)
+            appendResources(row, p.resources);
+        t.addRow(std::move(row));
+    }
+    std::fputs(report::formatCsv(t).c_str(), stdout);
+
+    log::diag(log::Level::Info, "sweep.done",
+              log::strf("# zero-load latency: %.2f cycles; "
+                        "%u seeds per point\n",
+                        zero_load, seeds),
+              {log::u64("failed_seeds", failed_seeds)});
+    for (const AveragedPoint& p : points) {
+        if (p.failedSeeds == 0)
+            continue;
+        log::diag(log::Level::Error, "sweep.point_failed",
+                  log::strf("orion_sweep: rate %.4f: %u of %u seeds "
+                            "failed: %s\n",
+                            p.injectionRate, p.failedSeeds, p.seeds,
+                            p.firstFailure.c_str()));
+    }
 }
 
 } // namespace
@@ -126,66 +223,50 @@ main(int argc, char** argv)
     // Extract the sweep-only options, pass the rest to the shared
     // parser (and, in --isolate mode, to the worker processes).
     std::vector<std::string> rest;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--isolate") {
-            isolate = true;
-            continue;
+    try {
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string& a = args[i];
+            const auto value = [&]() -> const std::string& {
+                if (i + 1 >= args.size())
+                    throw std::invalid_argument(a + ": missing value");
+                return args[++i];
+            };
+            if (a == "--isolate")
+                isolate = true;
+            else if (a == "--progress")
+                progress_line = true;
+            else if (a == "--resources")
+                resources_cols = true;
+            else if (a == "--rates")
+                rates = cli::parseRateSpec(value());
+            else if (a == "--seeds")
+                seeds = static_cast<unsigned>(
+                    cli::parseU64(a, value(), UINT_MAX));
+            else if (a == "--metrics-dir")
+                metrics_dir = value();
+            else if (a == "--trace-dir")
+                trace_dir = value();
+            else if (a == "--checkpoint")
+                checkpoint_path = value();
+            else if (a == "--resume")
+                resume_path = value();
+            else if (a == "--isolate-exe")
+                isolate_exe = value();
+            else if (a == "--isolate-mem") // MiB, converted to bytes
+                isolate_mem_mb = cli::parseU64(a, value(), UINT64_MAX >> 20);
+            else if (a == "--isolate-cpu")
+                isolate_cpu_s = cli::parseU64(a, value());
+            else if (a == "--heartbeat")
+                heartbeat_path = value();
+            else if (a == "--heartbeat-interval")
+                heartbeat_interval = cli::parseDouble(a, value());
+            else
+                rest.push_back(a);
         }
-        if (args[i] == "--progress") {
-            progress_line = true;
-            continue;
-        }
-        if (args[i] == "--resources") {
-            resources_cols = true;
-            continue;
-        }
-        if (args[i] == "--rates" || args[i] == "--seeds" ||
-            args[i] == "--metrics-dir" || args[i] == "--trace-dir" ||
-            args[i] == "--checkpoint" || args[i] == "--resume" ||
-            args[i] == "--isolate-exe" ||
-            args[i] == "--isolate-mem" || args[i] == "--isolate-cpu" ||
-            args[i] == "--heartbeat" ||
-            args[i] == "--heartbeat-interval") {
-            const std::string opt = args[i];
-            if (i + 1 >= args.size()) {
-                log::diag(log::Level::Error, "sweep.usage",
-                          log::strf("orion_sweep: %s: missing value\n",
-                                    opt.c_str()));
-                return 1;
-            }
-            try {
-                if (opt == "--rates")
-                    rates = cli::parseRateSpec(args[++i]);
-                else if (opt == "--seeds")
-                    seeds = static_cast<unsigned>(
-                        std::stoul(args[++i]));
-                else if (opt == "--metrics-dir")
-                    metrics_dir = args[++i];
-                else if (opt == "--trace-dir")
-                    trace_dir = args[++i];
-                else if (opt == "--checkpoint")
-                    checkpoint_path = args[++i];
-                else if (opt == "--resume")
-                    resume_path = args[++i];
-                else if (opt == "--isolate-exe")
-                    isolate_exe = args[++i];
-                else if (opt == "--isolate-mem")
-                    isolate_mem_mb = std::stoull(args[++i]);
-                else if (opt == "--heartbeat")
-                    heartbeat_path = args[++i];
-                else if (opt == "--heartbeat-interval")
-                    heartbeat_interval = std::stod(args[++i]);
-                else
-                    isolate_cpu_s = std::stoull(args[++i]);
-            } catch (const std::exception& e) {
-                log::diag(log::Level::Error, "sweep.usage",
-                          log::strf("orion_sweep: bad %s: %s\n",
-                                    opt.c_str(), e.what()));
-                return 1;
-            }
-        } else {
-            rest.push_back(args[i]);
-        }
+    } catch (const std::exception& e) {
+        log::diag(log::Level::Error, "sweep.usage",
+                  log::strf("orion_sweep: %s\n", e.what()));
+        return 1;
     }
     if (seeds < 1) {
         log::diag(log::Level::Error, "sweep.usage",
@@ -235,7 +316,7 @@ main(int argc, char** argv)
     }
 
     try {
-        const cli::Options opts = cli::parse(rest);
+        const cli::Options opts = cli::parse(rest, "orion_sweep");
         if (opts.helpRequested) {
             std::fputs(cli::usage().c_str(), stdout);
             std::fputs("\nsweep:\n  --rates FIRST:LAST:COUNT   "
@@ -383,13 +464,8 @@ main(int argc, char** argv)
             po.heartbeatPath = heartbeat_path;
             po.heartbeatIntervalSeconds = heartbeat_interval;
             po.progressLine = progress_line;
-            po.totalCells =
-                static_cast<std::uint64_t>(rates.size()) * seeds;
-            po.jobs = opts.jobs != 0
-                          ? opts.jobs
-                          : std::max(
-                                1u,
-                                std::thread::hardware_concurrency());
+            po.totalCells = manifest.pointsTotal;
+            po.jobs = core::resolveJobs(opts.jobs);
             tracker = std::make_unique<core::ProgressTracker>(po);
         }
         log::event(log::Level::Info, "sweep.start",
@@ -435,10 +511,25 @@ main(int argc, char** argv)
             sweep_opts.workerCpuSeconds = isolate_cpu_s;
         }
 
-        // After any sweep: an interrupt means no CSV (a partial
-        // table masquerading as a full sweep is worse than none) —
-        // print the resume recipe instead and exit 5.
-        const auto interruptedEpilogue = [&]() -> int {
+        const std::vector<SweepPoint> cells =
+            Sweep::overRates(opts.network, opts.traffic, sim_cfg, rates,
+                             sweep_opts, seeds);
+        if (tracker)
+            tracker->finalize();
+        manifest.pointsFromCheckpoint =
+            tracker ? tracker->fromCheckpoint() : resume_entries.size();
+        for (const SweepPoint& c : cells) {
+            if (!c.ran)
+                continue;
+            if (c.failure)
+                ++manifest.pointsFailed;
+            else
+                ++manifest.pointsCompleted;
+        }
+        // An interrupt means no CSV (a partial table masquerading as
+        // a full sweep is worse than none): print the resume recipe
+        // instead and exit 5.
+        if (core::interruptToken().cancelled()) {
             writeManifest("interrupted");
             log::diag(log::Level::Warn, "sweep.interrupted",
                       log::strf("orion_sweep: interrupted (signal %d) "
@@ -458,206 +549,41 @@ main(int argc, char** argv)
                           "so finished cells were discarded\n");
             }
             return 5;
-        };
+        }
 
-        if (seeds > 1) {
-            const auto points = Sweep::overRatesAveraged(
-                opts.network, opts.traffic, sim_cfg, rates, seeds,
-                sweep_opts);
-            if (tracker)
-                tracker->finalize();
-            manifest.pointsFromCheckpoint =
-                tracker ? tracker->fromCheckpoint()
-                        : resume_entries.size();
-            for (const auto& p : points) {
-                manifest.pointsCompleted += p.ranSeeds - p.failedSeeds;
-                manifest.pointsFailed += p.failedSeeds;
-            }
-            if (core::interruptToken().cancelled())
-                return interruptedEpilogue();
-
-            // Multi-seed telemetry lands in per-seed subdirectories:
-            // DIR/seed_K/point_NNN.{csv,json} (failed seeds captured
-            // nothing and are skipped).
-            for (unsigned k = 0; k < seeds; ++k) {
-                if (!metrics_dir.empty())
+        // Telemetry: DIR/point_NNN.{csv,json}, in per-seed
+        // subdirectories DIR/seed_K/ with --seeds N>1, where seeds
+        // that captured nothing (failed) write no file.
+        for (unsigned k = 0; k < seeds; ++k) {
+            for (const std::string& dir : {metrics_dir, trace_dir}) {
+                if (!dir.empty())
                     std::filesystem::create_directories(
-                        seedDir(metrics_dir, k));
-                if (!trace_dir.empty())
-                    std::filesystem::create_directories(
-                        seedDir(trace_dir, k));
+                        seedDir(dir, k, seeds));
             }
-            for (std::size_t i = 0; i < points.size(); ++i) {
-                const auto& p = points[i];
-                for (unsigned k = 0; k < seeds; ++k) {
-                    if (!metrics_dir.empty() &&
-                        !p.metricsCsvBySeed[k].empty()) {
-                        writeFile(pointPath(seedDir(metrics_dir, k),
-                                            i, "csv"),
-                                  p.metricsCsvBySeed[k]);
-                    }
-                    if (!trace_dir.empty() &&
-                        !p.traceJsonBySeed[k].empty()) {
-                        writeFile(pointPath(seedDir(trace_dir, k), i,
-                                            "json"),
-                                  p.traceJsonBySeed[k]);
-                    }
-                }
-            }
-            report::Table t;
-            t.headers = {"rate",        "completed",   "latency_mean",
-                         "latency_min", "latency_max", "throughput",
-                         "power_w",     "failed_seeds", "attempts"};
-            if (resources_cols) {
-                t.headers.insert(t.headers.end(),
-                                 {"wall_s", "cpu_s", "maxrss_kb"});
-            }
-            unsigned failed = 0;
-            for (const auto& p : points) {
-                failed += p.failedSeeds;
-                unsigned attempts = 0;
-                for (unsigned a : p.attemptsBySeed)
-                    attempts += a;
-                std::vector<std::string> row{
-                    report::fmt(p.injectionRate, 4),
-                    p.allCompleted ? "1" : "0",
-                    report::fmt(p.meanLatency, 3),
-                    report::fmt(p.minLatency, 3),
-                    report::fmt(p.maxLatency, 3),
-                    report::fmt(p.meanThroughput, 4),
-                    report::fmt(p.meanPowerWatts, 4),
-                    std::to_string(p.failedSeeds),
-                    std::to_string(attempts),
-                };
-                if (resources_cols) {
-                    const PointResources& rs = p.resources;
-                    row.push_back(
-                        resourceCell(rs.valid, rs.wallSeconds));
-                    row.push_back(
-                        resourceCell(rs.valid, rs.cpuSeconds));
-                    row.push_back(rs.valid
-                                      ? std::to_string(rs.maxRssKb)
-                                      : std::string{});
-                }
-                t.addRow(std::move(row));
-            }
-            writeManifest(failed > 0 ? "failed-points" : "ok");
-            std::fputs(report::formatCsv(t).c_str(), stdout);
-            log::diag(log::Level::Info, "sweep.done",
-                      log::strf("# zero-load latency: %.2f cycles; "
-                                "%u seeds per point\n",
-                                zero_load, seeds),
-                      {log::u64("failed_seeds", failed)});
-            if (failed > 0) {
-                for (const auto& p : points) {
-                    if (p.failedSeeds == 0)
-                        continue;
-                    log::diag(
-                        log::Level::Error, "sweep.point_failed",
-                        log::strf("orion_sweep: rate %.4f: %u of %u "
-                                  "seeds failed: %s\n",
-                                  p.injectionRate, p.failedSeeds,
-                                  p.seeds, p.firstFailure.c_str()));
-                }
-                return 3;
-            }
-            return 0;
         }
-
-        const std::vector<SweepPoint> points = Sweep::overRates(
-            opts.network, opts.traffic, sim_cfg, rates, sweep_opts);
-        if (tracker)
-            tracker->finalize();
-        manifest.pointsFromCheckpoint =
-            tracker ? tracker->fromCheckpoint() : resume_entries.size();
-        for (const auto& p : points) {
-            if (!p.ran)
-                continue;
-            if (p.failure)
-                ++manifest.pointsFailed;
-            else
-                ++manifest.pointsCompleted;
-        }
-        if (core::interruptToken().cancelled())
-            return interruptedEpilogue();
-
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!metrics_dir.empty())
-                writeFile(pointPath(metrics_dir, i, "csv"),
-                          points[i].metricsCsv);
-            if (!trace_dir.empty())
-                writeFile(pointPath(trace_dir, i, "json"),
-                          points[i].traceJson);
-        }
-
-        report::Table t;
-        t.headers = {"rate",    "completed", "latency", "p95",
-                     "throughput", "power_w", "buffer_w", "crossbar_w",
-                     "arbiter_w",  "link_w",  "status",   "attempts"};
-        if (resources_cols) {
-            t.headers.insert(t.headers.end(),
-                             {"wall_s", "cpu_s", "maxrss_kb"});
-        }
-        for (const auto& p : points) {
-            const Report& r = p.report;
-            std::vector<std::string> row{
-                report::fmt(p.injectionRate, 4),
-                r.completed ? "1" : "0",
-                report::fmt(r.avgLatencyCycles, 3),
-                report::fmt(r.p95LatencyCycles, 0),
-                report::fmt(r.acceptedFlitsPerNodePerCycle, 4),
-                report::fmt(r.networkPowerWatts, 4),
-                report::fmt(r.breakdownWatts.buffer, 4),
-                report::fmt(r.breakdownWatts.crossbar, 4),
-                report::fmt(r.breakdownWatts.arbiter, 5),
-                report::fmt(r.breakdownWatts.link, 4),
-                stopReasonName(r.stopReason),
-                std::to_string(p.attempts),
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            const auto exportTo = [&](const std::string& dir,
+                                      const std::string& content,
+                                      const char* ext) {
+                if (dir.empty() || (seeds > 1 && content.empty()))
+                    return;
+                const auto k = static_cast<unsigned>(c % seeds);
+                writeFile(pointPath(seedDir(dir, k, seeds), c / seeds, ext),
+                          content);
             };
-            if (resources_cols) {
-                const PointResources& rs = p.resources;
-                row.push_back(resourceCell(rs.valid, rs.wallSeconds));
-                row.push_back(resourceCell(rs.valid, rs.cpuSeconds));
-                row.push_back(rs.valid ? std::to_string(rs.maxRssKb)
-                                       : std::string{});
-            }
-            t.addRow(std::move(row));
+            exportTo(metrics_dir, cells[c].metricsCsv, "csv");
+            exportTo(trace_dir, cells[c].traceJson, "json");
         }
-        bool any_failed = false;
-        for (const auto& p : points)
-            any_failed = any_failed || p.failure.has_value();
-        writeManifest(any_failed ? "failed-points" : "ok");
-        std::fputs(report::formatCsv(t).c_str(), stdout);
 
-        const double sat = Sweep::saturationRate(points, zero_load);
-        log::diag(log::Level::Info, "sweep.done",
-                  log::strf("# zero-load latency: %.2f cycles; "
-                            "saturation (2x zero-load): %s\n",
-                            zero_load,
-                            sat < 0 ? "beyond swept range"
-                                    : report::fmt(sat, 3).c_str()),
-                  {log::num("zero_load_cycles", zero_load),
-                   log::num("saturation_rate", sat)});
-
+        writeManifest(manifest.pointsFailed > 0 ? "failed-points" : "ok");
+        if (seeds == 1)
+            printPoints(cells, resources_cols, zero_load);
+        else
+            printAveraged(cells, seeds, resources_cols, zero_load,
+                          manifest.pointsFailed);
         // Failure isolation: every healthy point above still printed;
-        // failed points carry their diagnosis (and forensics on
-        // stderr) and flip the exit code.
-        for (const auto& p : points) {
-            if (!p.failure)
-                continue;
-            log::diag(log::Level::Error, "sweep.point_failed",
-                      log::strf("orion_sweep: rate %.4f failed (%s): "
-                                "%s\n",
-                                p.injectionRate,
-                                stopReasonName(p.failure->reason),
-                                p.failure->message.c_str()),
-                      {log::num("rate", p.injectionRate),
-                       log::str("reason",
-                                stopReasonName(p.failure->reason))});
-            if (!p.failure->forensicsJson.empty())
-                log::rawStderr(p.failure->forensicsJson);
-        }
-        return any_failed ? 3 : 0;
+        // failed points carry their diagnosis and flip the exit code.
+        return manifest.pointsFailed > 0 ? 3 : 0;
     } catch (const std::exception& e) {
         log::diag(log::Level::Error, "sweep.error",
                   log::strf("%s\n", e.what()));
