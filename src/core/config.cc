@@ -32,6 +32,8 @@ NetworkConfig::validate() const
     }
     if (net.vcs < 1)
         fail("vcs must be >= 1");
+    if (net.vcs > 64)
+        fail("at most 64 vcs (a port's VCs fit one 64-bit mask)");
     if (net.routerKind != net::RouterKind::VirtualChannel &&
         net.vcs != 1) {
         fail("wormhole and central-buffer routers have exactly 1 VC");

@@ -71,6 +71,8 @@ NetworkAuditor::registerWith(sim::Simulator& simulator)
     if (monitor_ != nullptr)
         simulator.addAudit("energy-accounting",
                            [this] { auditEnergyAccounting(); });
+    if (core::checkLevel() == core::CheckLevel::Paranoid)
+        simulator.addAudit("vc-masks", [this] { auditVcMasks(); });
 }
 
 void
@@ -80,6 +82,8 @@ NetworkAuditor::auditAll()
     auditCreditAccounting();
     if (monitor_ != nullptr)
         auditEnergyAccounting();
+    if (core::checkLevel() == core::CheckLevel::Paranoid)
+        auditVcMasks();
 }
 
 std::size_t
@@ -98,10 +102,12 @@ NetworkAuditor::buildCache() const
 {
     const unsigned nodes = net_.topology().numNodes();
     cbRouter_.assign(nodes, nullptr);
+    xbRouter_.assign(nodes, nullptr);
     for (unsigned n = 0; n < nodes; ++n) {
+        const router::Router* r = &net_.router(static_cast<int>(n));
         cbRouter_[n] =
-            dynamic_cast<const router::CentralBufferRouter*>(
-                &net_.router(static_cast<int>(n)));
+            dynamic_cast<const router::CentralBufferRouter*>(r);
+        xbRouter_[n] = dynamic_cast<const router::CrossbarRouter*>(r);
     }
     const auto& records = net_.linkRecords();
     recordCache_.resize(records.size());
@@ -256,6 +262,18 @@ NetworkAuditor::auditCreditAccounting() const
                     << " + pending returns " << pending
                     << " != depth " << counter->depth(vc));
         }
+    }
+}
+
+void
+NetworkAuditor::auditVcMasks() const
+{
+    const core::RoleGuard guard(auditRole_);
+    if (!cacheBuilt_)
+        buildCache();
+    for (const router::CrossbarRouter* xb : xbRouter_) {
+        if (xb != nullptr)
+            xb->auditVcMasks();
     }
 }
 

@@ -21,6 +21,11 @@
  *     monotone non-decreasing between audits, and per-node power sums
  *     to the reported network power.
  *
+ * At CheckLevel::Paranoid a fourth audit checks every crossbar
+ * router's per-port VC masks (non-empty FIFO, Active VC, held output
+ * VC) against the state they summarize, since the allocation stages
+ * visit only the VCs those masks name.
+ *
  * Violations throw core::CheckFailure with a diagnostic naming the
  * node/port/VC. Audits are registered with the Simulator (run every N
  * cycles and at drain) by orion::Simulation when the runtime check
@@ -57,7 +62,8 @@ class NetworkAuditor
     explicit NetworkAuditor(const Network& network,
                             const PowerMonitor* monitor = nullptr);
 
-    /** Register all three audits with @p simulator. */
+    /** Register the three ledger audits with @p simulator, plus the
+     * VC-mask audit at CheckLevel::Paranoid. */
     void registerWith(sim::Simulator& simulator);
 
     /** Run every audit once, in the registration order. */
@@ -68,6 +74,9 @@ class NetworkAuditor
     void auditFlitConservation() const ORION_EXCLUDES(auditRole_);
     void auditCreditAccounting() const ORION_EXCLUDES(auditRole_);
     void auditEnergyAccounting() ORION_EXCLUDES(auditRole_);
+    /** CrossbarRouter::auditVcMasks() on every crossbar router
+     * (ORION_AUDIT: fires only at CheckLevel::Paranoid). */
+    void auditVcMasks() const ORION_EXCLUDES(auditRole_);
     /// @}
 
     /**
@@ -121,6 +130,9 @@ class NetworkAuditor
         ORION_GUARDED_BY(auditRole_);
     /** Per-node CB-router downcast (null for other router kinds). */
     mutable std::vector<const router::CentralBufferRouter*> cbRouter_
+        ORION_GUARDED_BY(auditRole_);
+    /** Per-node crossbar-router downcast (null for other kinds). */
+    mutable std::vector<const router::CrossbarRouter*> xbRouter_
         ORION_GUARDED_BY(auditRole_);
     mutable bool cacheBuilt_ ORION_GUARDED_BY(auditRole_) = false;
 };

@@ -30,6 +30,28 @@ TrafficGenerator::TrafficGenerator(const Topology& topo,
                          });
         for (const auto& r : sorted)
             pendingTrace_[static_cast<unsigned>(r.src)].push_back(r);
+        return;
+    }
+
+    // A synthetic pattern fixes each node's rate, and a permutation
+    // pattern each node's destination, for the whole run: derive them
+    // once here, not per node per cycle (Transpose's injects() and the
+    // coordinate patterns' destinations build a coordinate vector).
+    const unsigned nodes = topo.numNodes();
+    rate_.resize(nodes);
+    for (unsigned n = 0; n < nodes; ++n)
+        rate_[n] = injects(static_cast<int>(n)) ? params_.injectionRate
+                                                 : 0.0;
+    const TrafficPattern p = params_.pattern;
+    if (p == TrafficPattern::Transpose ||
+        p == TrafficPattern::BitComplement ||
+        p == TrafficPattern::Tornado ||
+        p == TrafficPattern::NearestNeighbor) {
+        fixedDest_.assign(nodes, -1);
+        for (unsigned n = 0; n < nodes; ++n) {
+            if (injects(static_cast<int>(n)))
+                fixedDest_[n] = permutationDestination(static_cast<int>(n));
+        }
     }
 }
 
@@ -71,31 +93,27 @@ TrafficGenerator::nodeRate(int node) const
 {
     if (params_.pattern == TrafficPattern::Trace)
         return injects(node) ? -1.0 : 0.0; // rate is trace-defined
-    return injects(node) ? params_.injectionRate : 0.0;
+    return rate_[static_cast<unsigned>(node)];
 }
 
 std::optional<int>
-TrafficGenerator::maybeInject(int node, sim::Cycle now, sim::Rng& rng)
+TrafficGenerator::nextTraceRecord(int node, sim::Cycle now)
 {
-    if (params_.pattern == TrafficPattern::Trace) {
-        auto& pending = pendingTrace_[static_cast<unsigned>(node)];
-        if (pending.empty() || pending.front().cycle > now)
-            return std::nullopt;
-        const int dst = pending.front().dst;
-        pending.pop_front();
-        return dst;
-    }
-    const double rate = nodeRate(node);
-    if (rate <= 0.0 || !rng.chance(rate))
+    auto& pending = pendingTrace_[static_cast<unsigned>(node)];
+    if (pending.empty() || pending.front().cycle > now)
         return std::nullopt;
-    return pickDestination(node, rng);
+    const int dst = pending.front().dst;
+    pending.pop_front();
+    return dst;
 }
 
 int
 TrafficGenerator::pickDestination(int node, sim::Rng& rng)
 {
     const auto n = static_cast<int>(topo_.numNodes());
-    assert(n > 1 && injects(node));
+    assert(n > 1 && (fixedDest_.empty()
+                         ? injects(node)
+                         : fixedDest_[static_cast<unsigned>(node)] >= 0));
 
     switch (params_.pattern) {
       case TrafficPattern::UniformRandom: {
@@ -116,26 +134,11 @@ TrafficGenerator::pickDestination(int node, sim::Rng& rng)
             ++d;
         return d;
       }
-      case TrafficPattern::Transpose: {
-        Coord c = topo_.coordsOf(node);
-        std::swap(c[0], c[1]);
-        return topo_.nodeAt(c);
-      }
+      case TrafficPattern::Transpose:
       case TrafficPattern::BitComplement:
-        return n - 1 - node;
-      case TrafficPattern::Tornado: {
-        Coord c = topo_.coordsOf(node);
-        for (unsigned d = 0; d < topo_.dimensions(); ++d) {
-            const unsigned k = topo_.radix(d);
-            c[d] = (c[d] + (k - 1) / 2) % k;
-        }
-        return topo_.nodeAt(c);
-      }
-      case TrafficPattern::NearestNeighbor: {
-        Coord c = topo_.coordsOf(node);
-        c[0] = (c[0] + 1) % topo_.radix(0);
-        return topo_.nodeAt(c);
-      }
+      case TrafficPattern::Tornado:
+      case TrafficPattern::NearestNeighbor:
+        return fixedDest_[static_cast<unsigned>(node)];
       case TrafficPattern::Hotspot: {
         if (node != params_.hotspotNode &&
             rng.chance(params_.hotspotFraction)) {
@@ -154,6 +157,40 @@ TrafficGenerator::pickDestination(int node, sim::Rng& rng)
       }
     }
     return (node + 1) % n;
+}
+
+int
+TrafficGenerator::permutationDestination(int node) const
+{
+    switch (params_.pattern) {
+      case TrafficPattern::Transpose: {
+        Coord c = topo_.coordsOf(node);
+        std::swap(c[0], c[1]);
+        return topo_.nodeAt(c);
+      }
+      case TrafficPattern::BitComplement:
+        return static_cast<int>(topo_.numNodes()) - 1 - node;
+      case TrafficPattern::Tornado: {
+        Coord c = topo_.coordsOf(node);
+        for (unsigned d = 0; d < topo_.dimensions(); ++d) {
+            const unsigned k = topo_.radix(d);
+            c[d] = (c[d] + (k - 1) / 2) % k;
+        }
+        return topo_.nodeAt(c);
+      }
+      case TrafficPattern::NearestNeighbor: {
+        Coord c = topo_.coordsOf(node);
+        c[0] = (c[0] + 1) % topo_.radix(0);
+        return topo_.nodeAt(c);
+      }
+      case TrafficPattern::UniformRandom:
+      case TrafficPattern::Broadcast:
+      case TrafficPattern::Hotspot:
+      case TrafficPattern::Trace:
+        break;
+    }
+    assert(false && "not a permutation pattern");
+    return -1;
 }
 
 } // namespace orion::net

@@ -89,10 +89,19 @@ class TrafficGenerator
      * Ask whether @p node creates a packet at cycle @p now: for
      * synthetic patterns a Bernoulli trial at the node's rate; for
      * traces, the next due record. Returns the destination, or
-     * nullopt.
+     * nullopt. Every node asks every cycle, so the synthetic trial is
+     * inline and reads the rate fixed at construction.
      */
-    std::optional<int> maybeInject(int node, sim::Cycle now,
-                                   sim::Rng& rng);
+    std::optional<int>
+    maybeInject(int node, sim::Cycle now, sim::Rng& rng)
+    {
+        if (params_.pattern == TrafficPattern::Trace)
+            return nextTraceRecord(node, now);
+        const double rate = rate_[static_cast<unsigned>(node)];
+        if (rate <= 0.0 || !rng.chance(rate))
+            return std::nullopt;
+        return pickDestination(node, rng);
+    }
 
     /** Destination @p node sends to under this pattern (never @p node
      * itself); randomized patterns consume @p rng. */
@@ -102,8 +111,22 @@ class TrafficGenerator
     bool injects(int node) const;
 
   private:
+    /** Trace replay: pop @p node's next record if it is due at
+     * @p now and return its destination. */
+    std::optional<int> nextTraceRecord(int node, sim::Cycle now);
+
+    /** The one destination of @p node under a permutation pattern
+     * (Transpose, BitComplement, Tornado, NearestNeighbor). */
+    int permutationDestination(int node) const;
+
     const Topology& topo_;
     TrafficParams params_;
+    /** Injection rate per node, fixed at construction (synthetic
+     * patterns; empty for Trace, whose rate is the records'). */
+    std::vector<double> rate_;
+    /** Destination per node under a permutation pattern, -1 for a
+     * silent node; empty for the other patterns. */
+    std::vector<int> fixedDest_;
     /** Broadcast round-robin pointer per node. */
     std::vector<unsigned> nextDest_;
     /** Per-node pending trace records, sorted by cycle. */

@@ -25,7 +25,7 @@
 namespace orion::router {
 
 /** A unidirectional flit channel with link-power event emission. */
-class FlitLink : public sim::RegisteredChannel<Flit>
+class FlitLink : public sim::Channel<Flit>
 {
   public:
     /**
@@ -69,7 +69,7 @@ class FlitLink : public sim::RegisteredChannel<Flit>
 };
 
 /** A unidirectional credit channel. */
-class CreditLink : public sim::RegisteredChannel<Credit>
+class CreditLink : public sim::Channel<Credit>
 {
   public:
     CreditLink(int node, int component);

@@ -58,13 +58,6 @@ Router::connectOutput(unsigned port, FlitLink* out,
         downstream_vcs, unlimited ? 1 : downstream_depth, unlimited);
 }
 
-unsigned
-Router::outputCredits(unsigned port, unsigned vc) const
-{
-    assert(port < params_.ports && outputCredits_[port]);
-    return outputCredits_[port]->available(vc);
-}
-
 const CreditCounter*
 Router::outputCreditCounter(unsigned port) const
 {

@@ -12,6 +12,7 @@
 #ifndef ORION_ROUTER_ROUTER_HH
 #define ORION_ROUTER_ROUTER_HH
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -112,7 +113,12 @@ class Router : public sim::Module
                        unsigned downstream_depth, bool unlimited);
 
     /** Credits available toward output @p port, VC @p vc. */
-    unsigned outputCredits(unsigned port, unsigned vc) const;
+    unsigned
+    outputCredits(unsigned port, unsigned vc) const
+    {
+        assert(port < params_.ports && outputCredits_[port]);
+        return outputCredits_[port]->available(vc);
+    }
 
     /// @name Audit / test hooks (net::NetworkAuditor, tests)
     /// @{

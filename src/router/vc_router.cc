@@ -1,12 +1,53 @@
 #include "router/vc_router.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <span>
 #include <utility>
 
+#include "core/check.hh"
+
 namespace orion::router {
+
+namespace {
+
+std::uint64_t
+bitOf(unsigned i)
+{
+    return std::uint64_t{1} << i;
+}
+
+/** Bits [0, n) set (n <= 64). */
+std::uint64_t
+lowBits(unsigned n)
+{
+    return n == 64 ? ~std::uint64_t{0} : bitOf(n) - 1;
+}
+
+/**
+ * The first set bit of @p mask at or after bit @p start, wrapping to
+ * bit 0, for which @p ok holds; -1 if there is none. Rotating right by
+ * @p start lines the bits up in exactly that order (bit start first,
+ * the bits below it last), so one countr_zero walk replaces a
+ * (start + k) % n scan over every index.
+ */
+template <typename Pred>
+int
+firstSetFrom(std::uint64_t mask, unsigned start, Pred&& ok)
+{
+    for (std::uint64_t m = std::rotr(mask, static_cast<int>(start));
+         m != 0; m &= m - 1) {
+        const unsigned i =
+            (static_cast<unsigned>(std::countr_zero(m)) + start) & 63u;
+        if (ok(i))
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+} // namespace
 
 CrossbarRouter::CrossbarRouter(std::string name, int node,
                                const RouterParams& params,
@@ -17,7 +58,6 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
       rrNextVc_(params.ports, 0),
       vaScan_(params.ports, 0),
       stLatch_(params.ports),
-      portFlits_(params.ports, 0),
       saCand_(params.ports),
       saReqs_(params.ports, 0),
       vaWords_(Arbiter::wordsFor((params.ports - 1) * params.vcs)),
@@ -25,6 +65,7 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
       vaNewRing_(params.ports * vaWords_, 0)
 {
     assert(va_enabled || params.vcs == 1);
+    assert(params.vcs <= 64 && "a port's VCs fit one 64-bit mask");
 
     const unsigned n_vcs = params.ports * params.vcs;
     fifos_.reserve(n_vcs);
@@ -33,7 +74,7 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
                             params.bufferDepth, params.flitBits);
     }
     vcState_.resize(n_vcs);
-    outVcBusy_.assign(n_vcs, 0);
+    masks_.resize(params.ports);
 
     saArb_.reserve(params.ports);
     for (unsigned o = 0; o < params.ports; ++o)
@@ -59,7 +100,7 @@ bool
 CrossbarRouter::outVcBusy(unsigned port, unsigned vc) const
 {
     assert(port < params_.ports && vc < params_.vcs);
-    return outVcBusy_[vcIndex(port, vc)] != 0;
+    return (masks_[port].held & bitOf(vc)) != 0;
 }
 
 std::size_t
@@ -101,8 +142,50 @@ CrossbarRouter::debugDropFlit(unsigned port, unsigned vc)
     // Keep the fast-path occupancy counters consistent so only the
     // conservation ledger — not internal bookkeeping — goes wrong.
     (void)fifo.read(/*now=*/0);
-    --portFlits_[port];
+    if (fifo.empty())
+        masks_[port].nonEmpty &= ~bitOf(vc);
     --totalFlits_;
+}
+
+void
+CrossbarRouter::auditVcMasks() const
+{
+    // Recompute each word from the state it summarizes; a word that
+    // disagrees is reported at its lowest differing bit.
+    const auto expect = [&](std::uint64_t mask, std::uint64_t state,
+                            unsigned port, const char* what) {
+        const std::uint64_t diff = mask ^ state;
+        ORION_AUDIT(diff == 0, "router " << name() << " port " << port
+                                         << " vc " << std::countr_zero(diff)
+                                         << ": " << what
+                                         << " mask bit disagrees with "
+                                            "the VC state");
+    };
+    // Ports <= 64 (Router asserts it); an array, so the audit
+    // allocates nothing on the steady-state path it checks.
+    std::array<std::uint64_t, 64> held{};
+    for (unsigned p = 0; p < params_.ports; ++p) {
+        std::uint64_t non_empty = 0;
+        std::uint64_t active = 0;
+        for (unsigned v = 0; v < params_.vcs; ++v) {
+            if (!fifos_[vcIndex(p, v)].empty())
+                non_empty |= bitOf(v);
+            const VcState& st = vcState_[vcIndex(p, v)];
+            if (st.phase != VcState::Phase::Active)
+                continue;
+            active |= bitOf(v);
+            ORION_AUDIT((held[st.outPort] & bitOf(st.outVc)) == 0,
+                        "router " << name() << " port " << p << " vc "
+                                  << v << ": output " << +st.outPort
+                                  << " vc " << +st.outVc
+                                  << " is held by two VCs");
+            held[st.outPort] |= bitOf(st.outVc);
+        }
+        expect(masks_[p].nonEmpty, non_empty, p, "non-empty");
+        expect(masks_[p].active, active, p, "active");
+    }
+    for (unsigned o = 0; o < params_.ports; ++o)
+        expect(masks_[o].held, held[o], o, "held output VC");
 }
 
 bool
@@ -157,7 +240,8 @@ CrossbarRouter::poisonBlockedWorm(unsigned port, unsigned vc,
     const auto pkt = fifo.front().packet;
     const unsigned attempt = pkt->attempt;
     if (st.phase == VcState::Phase::Active)
-        outVcBusy_[vcIndex(st.outPort, st.outVc)] = false;
+        masks_[st.outPort].held &= ~bitOf(st.outVc);
+    masks_[port].active &= ~bitOf(vc);
     st.reset();
     faultHooks_->onPacketKilled(pkt, now);
     // Discard the contiguous buffered run of this attempt, returning
@@ -173,7 +257,6 @@ CrossbarRouter::poisonBlockedWorm(unsigned port, unsigned vc,
         }
         const Flit flit = fifo.read(now);
         saw_tail = flit.tail;
-        --portFlits_[port];
         --totalFlits_;
         ++flitsDiscarded_;
         sendCreditUpstream(port, vc, now);
@@ -181,6 +264,8 @@ CrossbarRouter::poisonBlockedWorm(unsigned port, unsigned vc,
         if (saw_tail)
             break;
     }
+    if (fifo.empty())
+        masks_[port].nonEmpty &= ~bitOf(vc);
     if (!saw_tail)
         armDropUntilTail(port, vc, pkt->id, attempt);
     return true;
@@ -246,51 +331,74 @@ CrossbarRouter::classVcRange(unsigned cls) const
     return {0u, params_.vcs};
 }
 
+int
+CrossbarRouter::freeOutputVc(unsigned o, unsigned cls) const
+{
+    const auto [first, last] = classVcRange(cls);
+    const unsigned span = last - first;
+    assert(span > 0);
+    // The scan starts vaScan_[o] VCs into the class, modulo its span
+    // (vaScan_[o] < vcs <= 2 * span + 1: at most two subtractions).
+    unsigned start = vaScan_[o];
+    while (start >= span)
+        start -= span;
+    const std::uint64_t free = ~masks_[o].held & lowBits(last) &
+                               ~lowBits(first);
+    // Bubble mode only allocates a completely empty downstream VC.
+    const bool need_empty =
+        params_.deadlock == DeadlockMode::Bubble && !isLocalPort(o);
+    return firstSetFrom(free, first + start, [&](unsigned ov) {
+        return !need_empty || outputCredits_[o]->empty(ov);
+    });
+}
+
 bool
 CrossbarRouter::pickCandidate(unsigned p, Candidate& c)
 {
-    if (portFlits_[p] == 0)
-        return false;
-    for (unsigned k = 0; k < params_.vcs; ++k) {
-        const unsigned v = (rrNextVc_[p] + k) % params_.vcs;
-        FlitFifo& fifo = fifoAt(p, v);
-        if (fifo.empty())
-            continue;
-        VcState& st = vcStateAt(p, v);
-        const Flit& front = fifo.front();
+    const PortMasks& m = masks_[p];
+    if (vaEnabled_) {
+        // VC routers put forward only Active VCs (Idle and WaitingVc
+        // ones are VA's) and do their bubble-rule space reservation at
+        // VA (an empty VC was reserved for the whole packet), so SA
+        // needs one credit and never looks at the flit.
+        const auto has_credit = [&](unsigned v) {
+            const VcState& st = vcStateAt(p, v);
+            if (outputCredits(st.outPort, st.outVc) == 0)
+                return false;
+            c = {v, st.outPort, st.outVc, false};
+            return true;
+        };
+        return firstSetFrom(m.nonEmpty & m.active, rrNextVc_[p],
+                            has_credit) >= 0;
+    }
+    // Wormhole: an Active VC enforces the flit-granular bubble rule
+    // here, and an Idle head claims its output at SA.
+    return firstSetFrom(m.nonEmpty, rrNextVc_[p], [&](unsigned v) {
+        const VcState& st = vcStateAt(p, v);
+        const Flit& front = fifoAt(p, v).front();
 
         if (st.phase == VcState::Phase::Active) {
-            // VC routers do their bubble-rule space reservation at VA
-            // (an empty VC was reserved for the whole packet), so SA
-            // only needs one credit; wormhole routers enforce the
-            // flit-granular bubble rule here.
-            const unsigned need =
-                vaEnabled_
-                    ? 1
-                    : requiredSpace(front.head, st.newRing, st.outPort);
-            if (outputCredits(st.outPort, st.outVc) < need)
-                continue;
+            if (outputCredits(st.outPort, st.outVc) <
+                requiredSpace(front.head, st.newRing, st.outPort)) {
+                return false;
+            }
             c = {v, st.outPort, st.outVc, false};
             return true;
         }
 
-        // Wormhole mode: route setup and output claim happen at SA.
-        if (!vaEnabled_ && st.phase == VcState::Phase::Idle &&
-            front.head) {
-            const RouteHop& hop = front.routeHop();
-            const unsigned o = hop.port;
-            assert(o != p && "u-turn in route");
-            if (outVcBusy_[vcIndex(o, 0)])
-                continue;
-            const unsigned need =
-                requiredSpace(true, hop.newRing, o);
-            if (outputCredits(o, 0) >= need) {
-                c = {v, o, 0, true};
-                return true;
-            }
+        // Route setup and output claim happen at SA.
+        if (st.phase != VcState::Phase::Idle || !front.head)
+            return false;
+        const RouteHop& hop = front.routeHop();
+        const unsigned o = hop.port;
+        assert(o != p && "u-turn in route");
+        if ((masks_[o].held & bitOf(0)) != 0 ||
+            outputCredits(o, 0) < requiredSpace(true, hop.newRing, o)) {
+            return false;
         }
-    }
-    return false;
+        c = {v, o, 0, true};
+        return true;
+    }) >= 0;
 }
 
 void
@@ -339,20 +447,23 @@ CrossbarRouter::saStage(sim::Cycle now)
 
         if (c.claimOnGrant) {
             // Wormhole: the head claims the output for the packet.
-            assert(!outVcBusy_[vcIndex(o, c.outVc)]);
+            assert((masks_[o].held & bitOf(c.outVc)) == 0);
             const RouteHop& hop = fifoAt(p, c.vc).front().routeHop();
             st.phase = VcState::Phase::Active;
             st.outPort = hop.port;
             st.outVc = static_cast<std::uint8_t>(c.outVc);
             st.newRing = hop.newRing;
-            outVcBusy_[vcIndex(o, c.outVc)] = true;
+            masks_[p].active |= bitOf(c.vc);
+            masks_[o].held |= bitOf(c.outVc);
         }
 
         StEntry& slot = stLatch_[o];
-        fifoAt(p, c.vc).readInto(slot.flit, now);
+        FlitFifo& fifo = fifoAt(p, c.vc);
+        fifo.readInto(slot.flit, now);
+        if (fifo.empty())
+            masks_[p].nonEmpty &= ~bitOf(c.vc);
         slot.inPort = p;
         latched_ |= std::uint64_t{1} << o;
-        --portFlits_[p];
         --totalFlits_;
         outputCredits_[o]->consume(c.outVc);
         sendCreditUpstream(p, c.vc, now);
@@ -363,10 +474,11 @@ CrossbarRouter::saStage(sim::Cycle now)
             ++flit.hop;
 
         if (flit.tail) {
-            outVcBusy_[vcIndex(o, st.outVc)] = false;
+            masks_[o].held &= ~bitOf(st.outVc);
+            masks_[p].active &= ~bitOf(c.vc);
             st.reset();
         }
-        rrNextVc_[p] = (c.vc + 1) % params_.vcs;
+        rrNextVc_[p] = c.vc + 1 == params_.vcs ? 0 : c.vc + 1;
         ++granted;
     }
     saStalls_ += requesters - granted;
@@ -397,13 +509,14 @@ CrossbarRouter::vaStage(sim::Cycle now)
     const bool bubble = params_.deadlock == DeadlockMode::Bubble;
     std::uint64_t out_pending = 0;
     for (unsigned p = 0; p < ports; ++p) {
-        if (portFlits_[p] == 0)
-            continue;
-        for (unsigned v = 0; v < vcs; ++v) {
+        // Only buffered VCs not yet Active: Idle ones with a head at
+        // the front, and the WaitingVc ones.
+        for (std::uint64_t m = masks_[p].nonEmpty & ~masks_[p].active;
+             m != 0; m &= m - 1) {
+            const auto v = static_cast<unsigned>(std::countr_zero(m));
             VcState& st = vcStateAt(p, v);
             const FlitFifo& fifo = fifoAt(p, v);
-            if (st.phase == VcState::Phase::Idle && !fifo.empty() &&
-                fifo.front().head) {
+            if (st.phase == VcState::Phase::Idle && fifo.front().head) {
                 const RouteHop& hop = fifo.front().routeHop();
                 assert(hop.port != p && "u-turn in route");
                 st.phase = VcState::Phase::WaitingVc;
@@ -413,37 +526,29 @@ CrossbarRouter::vaStage(sim::Cycle now)
             }
             if (st.phase != VcState::Phase::WaitingVc)
                 continue;
-            const auto [first, last] = classVcRange(st.vcClass);
-            const unsigned span = last - first;
-            assert(span > 0);
             const unsigned o = st.outPort;
-            for (unsigned k = 0; k < span; ++k) {
-                const unsigned ov = first + (vaScan_[o] + k) % span;
-                if (outVcBusy_[vcIndex(o, ov)])
-                    continue;
-                if (bubble && !isLocalPort(o) &&
-                    !outputCredits_[o]->empty(ov)) {
-                    continue;
-                }
-                const unsigned r = vaRequester(p, v, o);
-                const std::uint64_t bit = std::uint64_t{1} << (r % 64);
-                vaReqs_[vcIndex(o, ov) * words + r / 64] |= bit;
-                if (st.newRing)
-                    vaNewRing_[o * words + r / 64] |= bit;
-                out_pending |= std::uint64_t{1} << o;
-                break;
-            }
+            const int ov = freeOutputVc(o, st.vcClass);
+            if (ov < 0)
+                continue;
+            const unsigned r = vaRequester(p, v, o);
+            const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+            vaReqs_[vcIndex(o, static_cast<unsigned>(ov)) * words +
+                    r / 64] |= bit;
+            if (st.newRing)
+                vaNewRing_[o * words + r / 64] |= bit;
+            out_pending |= std::uint64_t{1} << o;
         }
     }
 
     // Downstream packet-slots still free at output @p o: completely
-    // empty VCs not already reserved by an earlier grant (busy flags
-    // are updated live as this cycle's grants land).
+    // empty VCs not already reserved by an earlier grant (held bits
+    // are set live as this cycle's grants land).
     const auto free_slots = [&](unsigned o) {
         unsigned n = 0;
-        for (unsigned ov = 0; ov < vcs; ++ov) {
-            if (!outVcBusy_[vcIndex(o, ov)] &&
-                outputCredits_[o]->empty(ov)) {
+        for (std::uint64_t m = ~masks_[o].held & lowBits(vcs); m != 0;
+             m &= m - 1) {
+            if (outputCredits_[o]->empty(
+                    static_cast<unsigned>(std::countr_zero(m)))) {
                 ++n;
             }
         }
@@ -495,12 +600,13 @@ CrossbarRouter::vaStage(sim::Cycle now)
             assert(st.phase == VcState::Phase::WaitingVc);
             st.phase = VcState::Phase::Active;
             st.outVc = static_cast<std::uint8_t>(ov);
-            outVcBusy_[vcIndex(o, ov)] = true;
+            masks_[p].active |= bitOf(v);
+            masks_[o].held |= bitOf(ov);
             granted_any = true;
         }
         std::ranges::fill(new_ring, 0);
         if (granted_any)
-            vaScan_[o] = (vaScan_[o] + 1) % vcs;
+            vaScan_[o] = vaScan_[o] + 1 == vcs ? 0 : vaScan_[o] + 1;
     }
 }
 
@@ -517,11 +623,12 @@ CrossbarRouter::bwStage(sim::Cycle now)
             screenArrival(p, flit, now) == ArrivalAction::Discard) {
             continue;
         }
-        assert(flit.vc < params_.vcs);
-        assert(!fifoAt(p, flit.vc).full() &&
+        const unsigned v = flit.vc;
+        assert(v < params_.vcs);
+        assert(!fifoAt(p, v).full() &&
                "credit discipline violated: buffer overflow");
-        fifoAt(p, flit.vc).write(std::move(flit), now);
-        ++portFlits_[p];
+        fifoAt(p, v).write(std::move(flit), now);
+        masks_[p].nonEmpty |= bitOf(v);
         ++totalFlits_;
         ++flitsArrived_;
     }

@@ -73,6 +73,15 @@ class CrossbarRouter : public Router
      * lost flits. The FIFO must not be empty.
      */
     void debugDropFlit(unsigned port, unsigned vc);
+
+    /**
+     * Recompute the per-port VC masks from the FIFOs, the VcState
+     * phases and the output VCs the Active states hold, and check
+     * every bit with ORION_AUDIT (a paranoid-level audit; a mismatch
+     * names the router, port and VC). net::NetworkAuditor runs it
+     * over every crossbar router.
+     */
+    void auditVcMasks() const;
     /// @}
 
     /// @name Deadlock-detector hooks
@@ -112,6 +121,10 @@ class CrossbarRouter : public Router
     /** VC index range [first, last) for dateline class @p cls. */
     std::pair<unsigned, unsigned> classVcRange(unsigned cls) const;
 
+    /** Free output VC of class @p cls at output @p o for a head
+     * bidding at VA, scanning from vaScan_[o]; -1 if none. */
+    int freeOutputVc(unsigned o, unsigned cls) const;
+
     /** SA requester index of input @p p at output @p o (u-turn-free). */
     static unsigned
     saRequester(unsigned p, unsigned o)
@@ -128,9 +141,8 @@ class CrossbarRouter : public Router
 
     /// @name Struct-of-arrays per-VC state
     /// All [port][vc] state lives in flat arrays indexed
-    /// port * vcs + vc, so the allocation stages' scans (every VC of
-    /// every port, each cycle) walk contiguous memory instead of
-    /// chasing an outer vector of inner vectors.
+    /// port * vcs + vc; the allocation stages find the VCs to visit
+    /// in the per-port masks_ words instead of testing every VC.
     /// @{
     unsigned
     vcIndex(unsigned p, unsigned v) const
@@ -155,8 +167,27 @@ class CrossbarRouter : public Router
     std::vector<FlitFifo> fifos_;
     /** Input VC control state, flattened [port * vcs + vc]. */
     std::vector<VcState> vcState_;
-    /** Output VC occupancy, flattened [port * vcs + vc] (0/1). */
-    std::vector<std::uint8_t> outVcBusy_;
+
+    /**
+     * Summaries of one port's VC state, bit v = VC v (hence vcs <= 64).
+     * SA walks nonEmpty & active, VA walks nonEmpty & ~active and
+     * takes output VCs from ~held, so neither stage tests a VC that
+     * cannot act. Every stage that changes a FIFO's emptiness,
+     * whether a VC is Active, or an output VC's holder updates its
+     * bit in the same statement block (auditVcMasks() checks the
+     * three against the state they summarize).
+     */
+    struct PortMasks
+    {
+        /** Input FIFO (p, v) holds at least one flit. */
+        std::uint64_t nonEmpty = 0;
+        /** Input VC (p, v) is Active (holds an output VC). */
+        std::uint64_t active = 0;
+        /** Output VC (p, v) is held by a packet. */
+        std::uint64_t held = 0;
+    };
+    /** One PortMasks per port. */
+    std::vector<PortMasks> masks_;
     /** Per-output switch arbiter (R = ports-1, u-turn excluded). */
     std::vector<std::unique_ptr<Arbiter>> saArb_;
     /** Per-output-VC allocation arbiter, flattened [port * vcs + vc]. */
@@ -170,8 +201,6 @@ class CrossbarRouter : public Router
     /** Occupied latch slots, one bit per output port. */
     std::uint64_t latched_ = 0;
 
-    /** Flits buffered per input port (fast idle-port skip). */
-    std::vector<unsigned> portFlits_;
     /** Total buffered flits (fast idle-router skip). */
     unsigned totalFlits_ = 0;
 

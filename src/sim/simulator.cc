@@ -17,7 +17,7 @@ Simulator::addChannel(ChannelBase* c)
     // Its address must stay stable for the simulator's lifetime
     // (channels capture it), which holds because Simulator is neither
     // copyable nor movable.
-    c->scheduleWith(&pendingAdvance_);
+    c->setAdvanceQueue(&pendingAdvance_);
 }
 
 void
@@ -60,9 +60,10 @@ Simulator::step()
     // registration order), and each advance touches only its own
     // channel, so scheduling preserves the all-channels semantics
     // exactly while the boundary cost scales with messages in flight
-    // rather than wires in the network.
-    for (auto* c : pendingAdvance_)
-        c->advanceChannel();
+    // rather than wires in the network. The advance is the same for
+    // every message type, so it is one inline call on ChannelBase.
+    for (ChannelBase* c : pendingAdvance_)
+        c->advance();
     pendingAdvance_.clear();
     if (prof != nullptr)
         prof->phaseDone(Phase::ChannelAdvance);

@@ -3,9 +3,11 @@
  * The cycle-driven simulation loop.
  *
  * Each cycle: every module's cycle() hook runs in registration order,
- * then all channels advance. Registered channels hide each module's
- * writes from the others until the next cycle, so state carried on
- * channels does not depend on that order. State shared outside
+ * then the channels written during the cycle advance (a type-free,
+ * non-virtual flip of each one's slot index; see sim::ChannelBase).
+ * Registered channels hide each module's writes from the others until
+ * the next cycle, so state carried on channels does not depend on that
+ * order. State shared outside
  * channels does: today the net::SharedState packet-id and sample
  * counters in net/node.cc (ROADMAP item 1). The simulator owns the
  * event bus modules publish power events on.
@@ -37,7 +39,8 @@ class Simulator
     /** Register a module. The caller retains ownership. */
     void add(Module* m);
 
-    /** Register a channel to be advanced at each cycle boundary. */
+    /** Register a channel: from now on each write() schedules its
+     * advance at the next cycle boundary. */
     void addChannel(ChannelBase* c);
 
     /** The event bus modules emit on. */
@@ -159,7 +162,7 @@ class Simulator
     EventBus bus_;
     std::vector<Module*> modules_;
     /** Channels written this cycle, awaiting their boundary advance
-     * (write-scheduled; see Channel::setAdvanceQueue). */
+     * (write-scheduled; see ChannelBase::setAdvanceQueue). */
     std::vector<ChannelBase*> pendingAdvance_;
     std::vector<Audit> audits_;
     std::vector<Periodic> periodics_;

@@ -104,7 +104,8 @@ void
 expectCleanRun(const NetworkConfig& cfg)
 {
     Simulation s(cfg, uniformTraffic(0.05), shortRun());
-    EXPECT_EQ(s.simulator().auditCount(), 3u);
+    // Three ledger audits plus the paranoid-only VC-mask audit.
+    EXPECT_EQ(s.simulator().auditCount(), 4u);
     const Report r = s.run();
     EXPECT_TRUE(r.completed);
     EXPECT_NO_THROW(s.auditor().auditAll());

@@ -100,6 +100,16 @@ TEST(Validation, RejectsBadTopology)
     EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(Validation, BoundsVcsToOneMask)
+{
+    // A port's VCs must fit the router's 64-bit per-port VC masks.
+    NetworkConfig c = NetworkConfig::vc64();
+    c.net.vcs = 64;
+    EXPECT_NO_THROW(c.validate());
+    c.net.vcs = 65;
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
 TEST(Validation, RejectsVcsOnNonVcRouters)
 {
     NetworkConfig c = NetworkConfig::wh64();

@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/check.hh"
+#include "check_level_guard.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
 #include "core/progress.hh"
@@ -110,13 +110,7 @@ TEST_P(ConfigFuzz, InvariantsHoldOnRandomConfig)
     // sanity at frequent intervals during its run (net/audit.hh). A
     // run that breaks an invariant throws core::CheckFailure and fails
     // the test with a diagnostic naming the node/port.
-    const core::CheckLevel saved = core::checkLevel();
-    core::setCheckLevel(core::CheckLevel::Paranoid);
-    struct LevelGuard
-    {
-        core::CheckLevel level;
-        ~LevelGuard() { core::setCheckLevel(level); }
-    } guard{saved};
+    const test::CheckLevelGuard paranoid(core::CheckLevel::Paranoid);
 
     const std::uint64_t seed = GetParam();
     const NetworkConfig cfg = randomConfig(seed);
@@ -133,7 +127,8 @@ TEST_P(ConfigFuzz, InvariantsHoldOnRandomConfig)
     Simulation s(cfg, traffic, sim);
     const Report r = s.run();
 
-    EXPECT_TRUE(r.completed) << "fuzz seed " << seed;
+    EXPECT_TRUE(r.completed) << "fuzz seed " << seed << ": "
+                             << r.checkFailureDiagnostic;
     EXPECT_FALSE(r.deadlockSuspected) << "fuzz seed " << seed;
     EXPECT_EQ(r.sampleEjected, 400u) << "fuzz seed " << seed;
 

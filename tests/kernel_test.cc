@@ -185,7 +185,7 @@ TEST(Simulator, RunsModulesEveryCycle)
 TEST(Simulator, ChannelAddsExactlyOneCycleLatency)
 {
     Simulator sim;
-    RegisteredChannel<int> ch;
+    Channel<int> ch;
     Counter producer(&ch);
     Sink consumer(&ch);
     sim.add(&producer);

@@ -2,14 +2,16 @@
  * @file
  * Tests for the virtual-channel router pipeline: 3-stage VA/SA/ST
  * timing, VC allocation semantics, per-packet output-VC holding,
- * wormhole non-interleaving, dateline class restriction, and the
- * bubble rule's space requirements.
+ * wormhole non-interleaving, dateline class restriction, the bubble
+ * rule's space requirements, and the per-port VC masks the allocation
+ * stages scan (audited against the router state after every cycle).
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "check_level_guard.hh"
 #include "router_test_util.hh"
 
 namespace {
@@ -360,6 +362,154 @@ TEST(VcRouter, HeadOfLineBlockingWithSingleVc)
         step();
         EXPECT_FALSE(h.readOutput(0).has_value())
             << "B escaped past a blocked head with only 1 VC";
+    }
+}
+
+/** Fault hooks that corrupt nothing and count what the router kills. */
+class CountingHooks : public FaultHooks
+{
+  public:
+    void onLinkTraversal(unsigned, Flit&, sim::Cycle) override {}
+    bool portStalled(int, unsigned, sim::Cycle) override { return false; }
+    void
+    onPacketKilled(const PacketRef&, sim::Cycle) override
+    {
+        ++killed;
+    }
+    void
+    onFlitDiscarded(const Flit&, sim::Cycle) override
+    {
+        ++discarded;
+    }
+
+    unsigned killed = 0;
+    unsigned discarded = 0;
+};
+
+TEST(VcRouter, VcMasksMatchStateEveryCycle)
+{
+    const CheckLevelGuard paranoid(core::CheckLevel::Paranoid);
+    // One cycle, then the masks against the FIFOs, phases and held
+    // output VCs they summarize; upstream credits are drained.
+    const auto step = [](SingleRouterHarness& h, CrossbarRouter& r) {
+        h.sim.run(1);
+        r.auditVcMasks();
+        for (unsigned port = 0; port < r.params().ports; ++port)
+            h.readCreditReturn(port);
+    };
+
+    {
+        SCOPED_TRACE("one worm, head to tail, on VC 63 of 64");
+        const RouterParams p = vcParams(64, 8, DeadlockMode::Dateline);
+        SingleRouterHarness h = makeVcHarness(p);
+        auto& r = dynamic_cast<CrossbarRouter&>(h.router());
+        sim::Rng rng(11);
+        auto flits = makePacket(1, 0, 1, 5, p.flitBits,
+                                {RouteHop{kOut, 1, false},
+                                 RouteHop{4, 0, false}},
+                                rng);
+        unsigned out = 0;
+        bool held = false;
+        for (unsigned c = 0; c < 30; ++c) {
+            if (c < flits.size()) {
+                flits[c].vc = 63;
+                h.inject(kIn, flits[c]);
+            }
+            ASSERT_NO_THROW(step(h, r)) << "cycle " << c;
+            if (auto f = h.readOutput(kOut)) {
+                EXPECT_GE(f->vc, 32); // class 1: the upper half
+                ++out;
+            }
+            for (unsigned v = 32; v < 64; ++v)
+                held = held || r.outVcBusy(kOut, v);
+        }
+        EXPECT_EQ(out, 5u);
+        EXPECT_TRUE(held);
+        for (unsigned v = 0; v < 64; ++v)
+            EXPECT_FALSE(r.outVcBusy(kOut, v)) << "vc " << v;
+    }
+
+    {
+        SCOPED_TRACE("VA conflict: two heads, one output VC");
+        const RouterParams p = vcParams(1, 8, DeadlockMode::None);
+        SingleRouterHarness h = makeVcHarness(p);
+        auto& r = dynamic_cast<CrossbarRouter&>(h.router());
+        sim::Rng rng(12);
+        auto a = makePacket(1, 0, 1, 5, p.flitBits, oneHopRoute(), rng);
+        auto b = makePacket(2, 0, 1, 5, p.flitBits, oneHopRoute(), rng);
+        unsigned out = 0;
+        bool saw_waiting = false;
+        for (unsigned c = 0; c < 40; ++c) {
+            if (c < a.size()) {
+                h.inject(1, a[c]);
+                h.inject(3, b[c]);
+            }
+            ASSERT_NO_THROW(step(h, r)) << "cycle " << c;
+            if (h.readOutput(kOut)) {
+                ++out;
+                h.returnCredit(kOut, Credit{0});
+            }
+            for (const unsigned in : {1u, 3u}) {
+                Router::VcWaitState ws;
+                r.vcWaitState(in, 0, ws);
+                saw_waiting = saw_waiting || ws.phase == 1;
+            }
+        }
+        EXPECT_EQ(out, 10u);
+        EXPECT_TRUE(saw_waiting); // the loser waited for the VC
+        EXPECT_FALSE(r.outVcBusy(kOut, 0));
+    }
+
+    {
+        SCOPED_TRACE("poisonBlockedWorm on an Active, credit-starved head");
+        // Downstream depth 4 = one 4-flit packet: A takes every
+        // credit, so B holds the output VC with its head stuck.
+        const RouterParams p = vcParams(1, 8, DeadlockMode::None, 4);
+        SingleRouterHarness h(
+            [&](sim::Simulator& s) {
+                return std::make_unique<CrossbarRouter>(
+                    "vc", 0, p, s.bus(), /*va_enabled=*/true);
+            },
+            1, 4);
+        auto& r = dynamic_cast<CrossbarRouter&>(h.router());
+        CountingHooks hooks;
+        r.setFaultHooks(&hooks);
+        sim::Rng rng(13);
+        auto a = makePacket(1, 0, 1, 4, p.flitBits, oneHopRoute(), rng);
+        auto b = makePacket(2, 0, 1, 4, p.flitBits, oneHopRoute(), rng);
+        for (auto* pkt : {&a, &b}) {
+            for (Flit& f : *pkt)
+                f.linkCrc = payloadChecksum(f.payload);
+        }
+        unsigned out = 0;
+        for (unsigned c = 0; c < 20; ++c) {
+            if (c < a.size())
+                h.inject(1, a[c]);
+            if (c >= 10 && c < 12)
+                h.inject(3, b[c - 10]); // half of B's worm
+            ASSERT_NO_THROW(step(h, r)) << "cycle " << c;
+            if (h.readOutput(kOut))
+                ++out;
+        }
+        EXPECT_EQ(out, 4u);
+        Router::VcWaitState ws;
+        r.vcWaitState(3, 0, ws);
+        ASSERT_EQ(ws.phase, 2); // Active: B holds the output VC
+        ASSERT_TRUE(ws.frontHead);
+        ASSERT_TRUE(r.poisonBlockedWorm(3, 0, h.sim.now()));
+        ASSERT_NO_THROW(r.auditVcMasks());
+        EXPECT_FALSE(r.outVcBusy(kOut, 0));
+        // The rest of B arrives and is dropped up to its tail.
+        for (unsigned c = 0; c < 8; ++c) {
+            if (c < 2)
+                h.inject(3, b[c + 2]);
+            ASSERT_NO_THROW(step(h, r)) << "cycle " << c;
+            EXPECT_FALSE(h.readOutput(kOut).has_value());
+        }
+        EXPECT_EQ(hooks.killed, 1u);
+        EXPECT_EQ(hooks.discarded, 4u);
+        EXPECT_TRUE(r.inputFifo(3, 0).empty());
+        EXPECT_FALSE(r.outVcBusy(kOut, 0));
     }
 }
 

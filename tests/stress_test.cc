@@ -3,7 +3,10 @@
  * Deadlock-freedom and robustness stress tests: every preset router
  * configuration driven well past saturation, across seeds, with the
  * progress watchdog armed — the network must keep moving (the bubble/
- * dateline disciplines hold) and conserve packets.
+ * dateline disciplines hold) and conserve packets. The saturated runs
+ * go at the paranoid check level, so the network audits (net/audit.hh,
+ * including every VC router's mask audit) run every 64 cycles while
+ * the buffers are full.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +14,14 @@
 #include <string>
 #include <tuple>
 
+#include "check_level_guard.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 
 namespace {
 
 using namespace orion;
+using test::CheckLevelGuard;
 
 NetworkConfig
 presetByName(const std::string& name)
@@ -42,6 +47,7 @@ class OversaturationStress
 
 TEST_P(OversaturationStress, NoDeadlockPastSaturation)
 {
+    const CheckLevelGuard paranoid(core::CheckLevel::Paranoid);
     const auto& [name, seed] = GetParam();
     NetworkConfig cfg = presetByName(name);
 
@@ -58,9 +64,12 @@ TEST_P(OversaturationStress, NoDeadlockPastSaturation)
     Simulation s(cfg, traffic, sim);
     const Report r = s.run();
 
-    // Saturated runs need not complete, but they must never stall.
+    // Saturated runs need not complete, but they must never stall,
+    // and every paranoid audit must hold with the buffers full.
     EXPECT_FALSE(r.deadlockSuspected)
         << name << " deadlocked at seed " << seed;
+    EXPECT_NE(r.stopReason, StopReason::CheckFailure)
+        << name << " at seed " << seed << ": " << r.checkFailureDiagnostic;
     // The network keeps delivering at a meaningful rate.
     EXPECT_GT(r.acceptedFlitsPerNodePerCycle, 0.2);
     // Conservation: nothing delivered that wasn't injected.
@@ -84,6 +93,7 @@ class AdversarialPattern
 
 TEST_P(AdversarialPattern, Vc64SurvivesHighLoad)
 {
+    const CheckLevelGuard paranoid(core::CheckLevel::Paranoid);
     NetworkConfig cfg = NetworkConfig::vc64();
     TrafficConfig traffic;
     traffic.pattern = GetParam();
@@ -99,6 +109,8 @@ TEST_P(AdversarialPattern, Vc64SurvivesHighLoad)
     Simulation s(cfg, traffic, sim);
     const Report r = s.run();
     EXPECT_FALSE(r.deadlockSuspected);
+    EXPECT_NE(r.stopReason, StopReason::CheckFailure)
+        << r.checkFailureDiagnostic;
     EXPECT_GT(s.network().totalEjected(), 100u);
 }
 

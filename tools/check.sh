@@ -8,7 +8,8 @@
 #                plus the kernel, BitVec, channel,
 #                FIFO, golden-corpus and power-accounting tests (packet
 #                reference counts, BitVec union storage, the activity
-#                tally's indexing), at the paranoid check level,
+#                tally's indexing) and the steady-state allocation
+#                count, at the paranoid check level,
 #                plus a fault-injection orion_sweep smoke run
 #   3. tsan:     ThreadSanitizer build of the parallel sweep engine
 #   4. overhead: bench/overhead times one serial vc16 sweep in six
@@ -91,7 +92,7 @@ if run_leg asan; then
     asan_tests="fuzz_test audit_test fault_test parallel_sweep_test \
         sweep_test checkpoint_test reroute_test deadlock_test kernel_test \
         activity_test link_channel_test fifo_test golden_test \
-        power_accounting_test"
+        power_accounting_test alloc_test"
     cmake --build "$root/build-asan" -j "$jobs" \
         --target $asan_tests orion_sweep
     for t in $asan_tests; do
