@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "base/check.hh"
 #include "bench_util.hh"
-#include "core/check.hh"
 #include "core/checkpoint.hh"
 
 namespace {

@@ -1,0 +1,34 @@
+#include "base/json.hh"
+
+#include <cstdio>
+
+namespace orion::report {
+
+std::string
+jsonEscape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char ch : s) {
+        switch (ch) {
+          case '"':  out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(ch) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(
+                                  static_cast<unsigned char>(ch)));
+                out += buf;
+            } else {
+                out += ch;
+            }
+        }
+    }
+    return out;
+}
+
+} // namespace orion::report

@@ -12,7 +12,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::core {
 

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "core/telemetry.hh"
 #include "net/deadlock.hh"
 #include "net/fault.hh"
 #include "net/network.hh"
@@ -19,6 +18,7 @@
 #include "net/traffic.hh"
 #include "power/arbiter_model.hh"
 #include "power/crossbar_model.hh"
+#include "sim/telemetry.hh"
 #include "tech/tech_node.hh"
 
 namespace orion::core {
@@ -194,7 +194,7 @@ struct SimConfig
      * a report with StopReason::Deadline or StopReason::Interrupted
      * instead of running to the cycle cap. Arm a deadline on the
      * token itself (CancelToken::armDeadline) for --point-timeout
-     * semantics. See core/cancel.hh and docs/ROBUSTNESS.md.
+     * semantics. See base/cancel.hh and docs/ROBUSTNESS.md.
      */
     core::CancelToken* cancel = nullptr;
     /**
@@ -210,7 +210,7 @@ struct SimConfig
     /**
      * Attribute kernel wall time to simulator stages via a
      * core::PhaseProfiler owned by the Simulation (--profile-phases;
-     * see core/profile.hh). Observability only: excluded from
+     * see base/profile.hh). Observability only: excluded from
      * sweepFingerprint; results are bit-identical either way.
      */
     bool profilePhases = false;

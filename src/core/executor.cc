@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <thread>
+#include <vector>
 
 namespace orion::core {
 

@@ -6,8 +6,8 @@
  * owns its Network, Simulator, and RNG stream — so the executor only
  * has to hand out independent indices and join. Determinism is the
  * callers' contract: workers write results into preallocated,
- * index-addressed slots (see WorkerSlots), so the merged output is
- * the same no matter which worker finishes first.
+ * index-addressed slots, so the merged output is the same no matter
+ * which worker finishes first.
  */
 
 #ifndef ORION_CORE_EXECUTOR_HH
@@ -15,57 +15,10 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
-#include <vector>
 
-#include "core/cancel.hh"
-#include "core/sync.hh"
+#include "base/cancel.hh"
 
 namespace orion::core {
-
-/**
- * Index-addressed result capture for parallelFor regions. Each worker
- * writes only the slots for the indices it was handed, so slots need
- * no lock — but that contract used to be invisible to tooling. The
- * slots are guarded by a zero-cost Role: every access site (worker
- * writes, post-join merge) must name the capability, so when
- * intra-sim parallelism restructures the fan-out, the capture paths
- * are already enumerated and machine-checked.
- */
-template <typename T>
-class WorkerSlots
-{
-  public:
-    explicit WorkerSlots(std::size_t count) : slots_(count) {}
-
-    WorkerSlots(const WorkerSlots&) = delete;
-    WorkerSlots& operator=(const WorkerSlots&) = delete;
-
-    /** The capability guarding the slots (acquire via RoleGuard). */
-    const Role& role() const ORION_RETURN_CAPABILITY(role_)
-    {
-        return role_;
-    }
-
-    /** Slot @p i; workers touch only indices they were assigned. */
-    T&
-    slot(std::size_t i) ORION_REQUIRES(role_)
-    {
-        return slots_[i];
-    }
-
-    /** Surrender the filled slots after the parallel region joined. */
-    std::vector<T>
-    take() &&
-    {
-        RoleGuard guard(role_);
-        return std::move(slots_);
-    }
-
-  private:
-    core::Role role_;
-    std::vector<T> slots_ ORION_GUARDED_BY(role_);
-};
 
 /**
  * Resolve a user-facing --jobs value: 0 means "hardware concurrency",

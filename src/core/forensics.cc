@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "base/json.hh"
+
 namespace orion {
 
 namespace {

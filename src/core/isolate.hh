@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cancel.hh"
+#include "base/cancel.hh"
 
 namespace orion::core {
 

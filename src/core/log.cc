@@ -7,7 +7,7 @@
 
 #include <chrono>
 
-#include "core/report.hh"
+#include "base/json.hh"
 
 namespace orion::core::log {
 

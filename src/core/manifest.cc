@@ -9,9 +9,9 @@
 
 #include <chrono>
 
+#include "base/json.hh"
 #include "core/build_info.hh"
 #include "core/log.hh"
-#include "core/report.hh"
 
 namespace orion::core {
 
@@ -58,6 +58,35 @@ fmtDouble(double v)
 }
 
 } // namespace
+
+std::vector<PhaseShare>
+phaseShares(const PhaseProfiler& profiler)
+{
+    using Phase = PhaseProfiler::Phase;
+    constexpr unsigned kFirstRunPhase = static_cast<unsigned>(Phase::Warmup);
+    double cycle_total = 0.0;
+    double run_total = 0.0;
+    for (unsigned i = 0; i < PhaseProfiler::kNumPhases; ++i) {
+        const double s = profiler.seconds(static_cast<Phase>(i));
+        if (i < kFirstRunPhase)
+            cycle_total += s;
+        else
+            run_total += s;
+    }
+    std::vector<PhaseShare> out;
+    out.reserve(PhaseProfiler::kNumPhases);
+    for (unsigned i = 0; i < PhaseProfiler::kNumPhases; ++i) {
+        const auto phase = static_cast<Phase>(i);
+        PhaseShare s;
+        s.name = PhaseProfiler::phaseName(phase);
+        s.seconds = profiler.seconds(phase);
+        const double total =
+            i < kFirstRunPhase ? cycle_total : run_total;
+        s.share = total > 0.0 ? s.seconds / total : 0.0;
+        out.push_back(std::move(s));
+    }
+    return out;
+}
 
 RunManifest
 RunManifest::begin(std::string toolName)

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "base/profile.hh"
+
 namespace orion::core {
 
 /// One simulator stage's share of sampled kernel wall time.
@@ -32,6 +34,12 @@ struct PhaseShare
     double seconds = 0.0;
     double share = 0.0; ///< fraction of the sampled total, [0,1]
 };
+
+/**
+ * Summarize @p profiler for the manifest: cycle phases share the
+ * sampled total, run phases share the summed run-phase total.
+ */
+std::vector<PhaseShare> phaseShares(const PhaseProfiler& profiler);
 
 /** Provenance and cost record for one CLI run. Fill via begin() /
  * finish(), serialize with toJson(). */

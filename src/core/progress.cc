@@ -8,9 +8,9 @@
 
 #include <chrono>
 
+#include "base/json.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
-#include "core/report.hh"
 
 namespace orion::core {
 

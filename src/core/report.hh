@@ -32,7 +32,7 @@ enum class StopReason
      * exhausted). Forensics carry the wait-for graph. */
     DeadlockUnrecovered,
     /** The per-point wall-clock deadline (--point-timeout) expired
-     * and the run was cancelled cooperatively (core/cancel.hh). */
+     * and the run was cancelled cooperatively (base/cancel.hh). */
     Deadline,
     /** The process was interrupted (SIGINT/SIGTERM) and the run was
      * cancelled cooperatively mid-protocol. */
@@ -52,9 +52,6 @@ const char* stopReasonName(StopReason reason);
 } // namespace orion
 
 namespace orion::report {
-
-/** Escape @p s for embedding inside a JSON string literal. */
-std::string jsonEscape(const std::string& s);
 
 /** A table: a header row plus data rows of equal arity. */
 struct Table

@@ -6,8 +6,8 @@
 #include <csignal>
 #include <sstream>
 
-#include "core/cancel.hh"
-#include "core/check.hh"
+#include "base/cancel.hh"
+#include "base/check.hh"
 #include "sim/rng.hh"
 
 namespace orion {

@@ -22,10 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "base/profile.hh"
 #include "core/config.hh"
-#include "core/profile.hh"
 #include "core/report.hh"
-#include "core/telemetry.hh"
 #include "net/audit.hh"
 #include "net/deadlock.hh"
 #include "net/fault.hh"
@@ -34,6 +33,7 @@
 #include "net/power_monitor.hh"
 #include "net/sampler.hh"
 #include "sim/simulator.hh"
+#include "sim/telemetry.hh"
 
 namespace orion {
 

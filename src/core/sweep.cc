@@ -507,21 +507,17 @@ Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
     assert(seeds >= 1);
 
     // Fan out over the flattened (rate, seed) grid, so a few rates
-    // with many seeds still keep every worker busy. Index-addressed
-    // capture: worker c writes only slot c, so the merged vector is
-    // independent of completion order. WorkerSlots makes that
-    // contract a checked capability instead of a comment.
+    // with many seeds still keep every worker busy.
     const CellRunner runner(network, traffic, sim, rates, seeds, opts);
-    core::WorkerSlots<SweepPoint> cells(rates.size() * seeds);
+    std::vector<SweepPoint> out(rates.size() * seeds);
+    // Worker c writes only out[c], and parallelFor joins before any read.
     core::parallelFor(
-        opts.jobs, rates.size() * seeds,
+        opts.jobs, out.size(),
         [&](std::size_t c) {
-            core::RoleGuard guard(cells.role());
-            cells.slot(c) =
+            out[c] =
                 runner.run(c / seeds, static_cast<unsigned>(c % seeds));
         },
         opts.cancel);
-    std::vector<SweepPoint> out = std::move(cells).take();
     // Cells the cancelled cursor never dispensed still carry their
     // rate (slots default-construct with ran == false).
     for (std::size_t c = 0; c < out.size(); ++c)

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cancel.hh"
+#include "base/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"

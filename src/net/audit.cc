@@ -3,7 +3,7 @@
 #include <cmath>
 #include <cstddef>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "router/central_buffer_router.hh"
 #include "router/vc_router.hh"
 
@@ -56,7 +56,6 @@ NetworkAuditor::NetworkAuditor(const Network& network,
                                const PowerMonitor* monitor)
     : net_(network), monitor_(monitor)
 {
-    const core::RoleGuard guard(auditRole_);
     if (monitor_ != nullptr)
         lastEnergy_ = monitor_->energyLedger();
 }
@@ -131,7 +130,6 @@ NetworkAuditor::buildCache() const
 void
 NetworkAuditor::auditFlitConservation() const
 {
-    const core::RoleGuard guard(auditRole_);
     if (!cacheBuilt_)
         buildCache();
     const unsigned nodes = net_.topology().numNodes();
@@ -197,7 +195,6 @@ NetworkAuditor::auditFlitConservation() const
 void
 NetworkAuditor::auditCreditAccounting() const
 {
-    const core::RoleGuard guard(auditRole_);
     if (!cacheBuilt_)
         buildCache();
     const auto& records = net_.linkRecords();
@@ -268,7 +265,6 @@ NetworkAuditor::auditCreditAccounting() const
 void
 NetworkAuditor::auditVcMasks() const
 {
-    const core::RoleGuard guard(auditRole_);
     if (!cacheBuilt_)
         buildCache();
     for (const router::CrossbarRouter* xb : xbRouter_) {
@@ -282,7 +278,6 @@ NetworkAuditor::auditEnergyAccounting()
 {
     ORION_CHECK(monitor_ != nullptr,
                 "energy audit invoked without a power monitor");
-    const core::RoleGuard guard(auditRole_);
     const auto& ledger = monitor_->energyLedger();
     const bool have_baseline = lastEnergy_.size() == ledger.size();
 
@@ -326,7 +321,6 @@ NetworkAuditor::auditEnergyAccounting()
 void
 NetworkAuditor::resetEnergyBaseline()
 {
-    const core::RoleGuard guard(auditRole_);
     if (monitor_ != nullptr)
         lastEnergy_ = monitor_->energyLedger();
     else

@@ -38,7 +38,6 @@
 #include <array>
 #include <vector>
 
-#include "core/sync.hh"
 #include "net/network.hh"
 #include "net/power_monitor.hh"
 #include "sim/simulator.hh"
@@ -62,6 +61,9 @@ class NetworkAuditor
     explicit NetworkAuditor(const Network& network,
                             const PowerMonitor* monitor = nullptr);
 
+    NetworkAuditor(const NetworkAuditor&) = delete;
+    NetworkAuditor& operator=(const NetworkAuditor&) = delete;
+
     /** Register the three ledger audits with @p simulator, plus the
      * VC-mask audit at CheckLevel::Paranoid. */
     void registerWith(sim::Simulator& simulator);
@@ -71,12 +73,12 @@ class NetworkAuditor
 
     /// @name Individual audits (throw core::CheckFailure on violation)
     /// @{
-    void auditFlitConservation() const ORION_EXCLUDES(auditRole_);
-    void auditCreditAccounting() const ORION_EXCLUDES(auditRole_);
-    void auditEnergyAccounting() ORION_EXCLUDES(auditRole_);
+    void auditFlitConservation() const;
+    void auditCreditAccounting() const;
+    void auditEnergyAccounting();
     /** CrossbarRouter::auditVcMasks() on every crossbar router
      * (ORION_AUDIT: fires only at CheckLevel::Paranoid). */
-    void auditVcMasks() const ORION_EXCLUDES(auditRole_);
+    void auditVcMasks() const;
     /// @}
 
     /**
@@ -84,7 +86,7 @@ class NetworkAuditor
      * PowerMonitor::reset() (measurement-window start), which
      * legitimately rewinds the counters.
      */
-    void resetEnergyBaseline() ORION_EXCLUDES(auditRole_);
+    void resetEnergyBaseline();
 
   private:
     /** Flits held in a link's channel registers (current + staged). */
@@ -108,33 +110,22 @@ class NetworkAuditor
     };
 
     /** Build recordCache_/cbRouter_ on first use. */
-    void buildCache() const ORION_REQUIRES(auditRole_);
+    void buildCache() const;
 
     const Network& net_;
     const PowerMonitor* monitor_;
-    /**
-     * The ledgers below mutate under `const` (lazy cache fill, energy
-     * baseline rollover) — exactly the state a reader would wrongly
-     * assume is safe to share across audit threads. The Role makes the
-     * hidden writes explicit: every audit entry point acquires it, so
-     * concurrent audits of one auditor are structurally excluded and
-     * clang's analysis proves it (see docs/QUALITY.md, "Static
-     * analysis").
-     */
-    mutable core::Role auditRole_;
     /** Energy ledger snapshot from the previous audit. */
-    std::vector<std::array<double, kNumComponentClasses>> lastEnergy_
-        ORION_GUARDED_BY(auditRole_);
+    std::vector<std::array<double, kNumComponentClasses>> lastEnergy_;
+
+    // The `const` audits write the members below: buildCache() fills
+    // them on first use.
     /** One entry per Network::linkRecords() element. */
-    mutable std::vector<RecordCache> recordCache_
-        ORION_GUARDED_BY(auditRole_);
+    mutable std::vector<RecordCache> recordCache_;
     /** Per-node CB-router downcast (null for other router kinds). */
-    mutable std::vector<const router::CentralBufferRouter*> cbRouter_
-        ORION_GUARDED_BY(auditRole_);
+    mutable std::vector<const router::CentralBufferRouter*> cbRouter_;
     /** Per-node crossbar-router downcast (null for other kinds). */
-    mutable std::vector<const router::CrossbarRouter*> xbRouter_
-        ORION_GUARDED_BY(auditRole_);
-    mutable bool cacheBuilt_ ORION_GUARDED_BY(auditRole_) = false;
+    mutable std::vector<const router::CrossbarRouter*> xbRouter_;
+    mutable bool cacheBuilt_ = false;
 };
 
 } // namespace orion::net

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/telemetry.hh"
+#include "sim/telemetry.hh"
 
 namespace orion::net {
 

@@ -60,8 +60,8 @@ Network::buildRouters(sim::Simulator& simulator, std::uint64_t seed)
         const std::string rname = "router" + std::to_string(i);
         switch (params_.routerKind) {
           case RouterKind::Wormhole:
-            routers_.push_back(std::make_unique<router::WormholeRouter>(
-                rname, id, rp, simulator.bus()));
+            routers_.push_back(std::make_unique<router::CrossbarRouter>(
+                rname, id, rp, simulator.bus(), /*va_enabled=*/false));
             break;
           case RouterKind::VirtualChannel:
             routers_.push_back(std::make_unique<router::CrossbarRouter>(

@@ -20,7 +20,6 @@
 #include "router/central_buffer_router.hh"
 #include "router/router.hh"
 #include "router/vc_router.hh"
-#include "router/wormhole_router.hh"
 #include "sim/simulator.hh"
 
 namespace orion::net {

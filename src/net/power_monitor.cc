@@ -5,7 +5,7 @@
 #include <numeric>
 #include <sstream>
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::net {
 

@@ -22,7 +22,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "core/telemetry.hh"
+#include "sim/telemetry.hh"
 #include "sim/simulator.hh"
 
 namespace orion::net {

@@ -20,7 +20,7 @@
 #include <limits>
 #include <vector>
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::router {
 

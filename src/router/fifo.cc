@@ -4,7 +4,7 @@
 #include <bit>
 #include <utility>
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::router {
 

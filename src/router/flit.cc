@@ -2,8 +2,6 @@
 
 #include <memory>
 
-#include "core/sync.hh"
-
 namespace orion::router {
 
 /**
@@ -11,28 +9,23 @@ namespace orion::router {
  * PacketPool so that packets released after the pool is gone still
  * find it: the pool closes it on destruction, and whichever of the
  * pool and its last live packet goes second frees it, and with it
- * every packet the pool ever allocated.
- *
- * One pool serves one Simulation's thread. If partitions of one run
- * ever share a pool, this Role becomes a Mutex; every touch point
- * below is already capability-checked.
+ * every packet the pool ever allocated. One pool serves one
+ * Simulation's thread.
  */
 struct PacketPoolState
 {
-    core::Role serial;
     /** Every packet this pool allocated, live or parked. */
-    std::vector<std::unique_ptr<detail::PacketBlock>> blocks
-        ORION_GUARDED_BY(serial);
+    std::vector<std::unique_ptr<detail::PacketBlock>> blocks;
     /** Parked packets, most recently released first. */
-    detail::PacketBlock* free ORION_GUARDED_BY(serial) = nullptr;
-    std::size_t parked ORION_GUARDED_BY(serial) = 0;
-    std::uint64_t recycled ORION_GUARDED_BY(serial) = 0;
-    std::uint64_t returned ORION_GUARDED_BY(serial) = 0;
+    detail::PacketBlock* free = nullptr;
+    std::size_t parked = 0;
+    std::uint64_t recycled = 0;
+    std::uint64_t returned = 0;
     /** False once the PacketPool is destroyed. */
-    bool open ORION_GUARDED_BY(serial) = true;
+    bool open = true;
 
     std::uint64_t
-    live() const ORION_REQUIRES(serial)
+    live() const
     {
         return blocks.size() + recycled - returned;
     }
@@ -52,15 +45,12 @@ void
 PacketRef::destroy(detail::PacketBlock* p) noexcept
 {
     PacketPoolState* st = p->pool;
-    {
-        const core::RoleGuard guard(st->serial);
-        ++st->returned;
-        p->nextFree = st->free;
-        st->free = p;
-        ++st->parked;
-        if (st->open || st->live() != 0)
-            return;
-    }
+    ++st->returned;
+    p->nextFree = st->free;
+    st->free = p;
+    ++st->parked;
+    if (st->open || st->live() != 0)
+        return;
     // The pool is gone and this was its last live packet.
     const std::unique_ptr<PacketPoolState> owner(st);
 }
@@ -69,14 +59,9 @@ PacketPool::PacketPool() : state_(std::make_unique<PacketPoolState>()) {}
 
 PacketPool::~PacketPool()
 {
-    bool live = false;
-    {
-        const core::RoleGuard guard(state_->serial);
-        state_->open = false;
-        live = state_->live() != 0;
-    }
+    state_->open = false;
     // Live packets keep the state; the last of them frees it.
-    if (live)
+    if (state_->live() != 0)
         (void)state_.release();
 }
 
@@ -84,7 +69,6 @@ PacketRef
 PacketPool::acquire()
 {
     PacketPoolState& st = *state_;
-    const core::RoleGuard guard(st.serial);
     detail::PacketBlock* p = st.free;
     if (p) {
         st.free = p->nextFree;
@@ -102,28 +86,24 @@ PacketPool::acquire()
 std::uint64_t
 PacketPool::allocatedCount() const
 {
-    const core::RoleGuard guard(state_->serial);
     return state_->blocks.size();
 }
 
 std::uint64_t
 PacketPool::recycledCount() const
 {
-    const core::RoleGuard guard(state_->serial);
     return state_->recycled;
 }
 
 std::size_t
 PacketPool::freeCount() const
 {
-    const core::RoleGuard guard(state_->serial);
     return state_->parked;
 }
 
 std::uint64_t
 PacketPool::liveCount() const
 {
-    const core::RoleGuard guard(state_->serial);
     return state_->live();
 }
 

@@ -7,7 +7,7 @@
 #include <span>
 #include <utility>
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::router {
 
@@ -64,7 +64,8 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
       vaReqs_(params.ports * params.vcs * vaWords_, 0),
       vaNewRing_(params.ports * vaWords_, 0)
 {
-    assert(va_enabled || params.vcs == 1);
+    assert((va_enabled || params.vcs == 1) &&
+           "wormhole routers have a single VC");
     assert(params.vcs <= 64 && "a port's VCs fit one 64-bit mask");
 
     const unsigned n_vcs = params.ports * params.vcs;

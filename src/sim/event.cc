@@ -1,36 +1,12 @@
 #include "sim/event.hh"
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::sim {
-
-namespace {
-
-/** Trampoline dispatching a boxed std::function listener. */
-void
-invokeListener(void* ctx, const Event& ev)
-{
-    (*static_cast<EventBus::Listener*>(ctx))(ev);
-}
-
-} // namespace
-
-void
-EventBus::subscribe(EventType type, Listener fn)
-{
-    Listener* boxed = nullptr;
-    {
-        const core::RoleGuard guard(serial_);
-        owned_.push_back(std::make_unique<Listener>(std::move(fn)));
-        boxed = owned_.back().get();
-    }
-    subscribeRaw(type, &invokeListener, boxed);
-}
 
 void
 EventBus::subscribeRaw(EventType type, RawHandler fn, void* ctx)
 {
-    const core::RoleGuard guard(serial_);
     handlers_[static_cast<unsigned>(type)].push_back({fn, ctx});
 }
 
@@ -57,7 +33,6 @@ ActivityTally::reset()
 void
 EventBus::attachTally(ActivityTally* tally)
 {
-    const core::RoleGuard guard(serial_);
     ORION_CHECK(tally_ == nullptr,
                 "event bus already has an activity tally attached");
     tally_ = tally;
@@ -66,7 +41,6 @@ EventBus::attachTally(ActivityTally* tally)
 void
 EventBus::detachTally(const ActivityTally* tally)
 {
-    const core::RoleGuard guard(serial_);
     if (tally_ == tally)
         tally_ = nullptr;
 }

@@ -25,11 +25,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
-
-#include "core/sync.hh"
 
 namespace orion::sim {
 
@@ -192,35 +188,23 @@ class ActivityTally
  * listeners of its type immediately, in subscription order.
  *
  * Dispatch is a flat loop over preresolved {function pointer, context}
- * pairs — no std::function indirection on the hot path. Hot listeners
- * (telemetry) subscribe through subscribeRaw(); std::function
- * listeners are boxed once at subscription time and dispatched through
- * a trampoline, so both kinds share one handler array and fire in
- * subscription order. A type with no subscribers costs one counter
- * increment, its tally bump and an empty-loop test per emit.
+ * pairs, with no std::function indirection on the hot path. A type
+ * with no subscribers costs one counter increment, its tally bump and
+ * an empty-loop test per emit.
  *
- * Phase discipline: a bus has a registration phase (Network wiring +
- * Simulation setup, handler arrays mutate) followed by a dispatch
- * phase (the run, handler arrays are read-only and only the emit
- * counters and the attached tally move). Both phases touch the same
- * state from exactly one thread — today the whole Simulation is
- * single-threaded, and under intra-sim parallelism registration stays
- * on the coordinating thread. The `serial_` Role capability makes that
- * discipline machine-checked at zero runtime cost: every handler-array
- * or counter access must hold the role, so when partitioned routers
- * start emitting, the access points that must become concurrency-safe
- * (or stay coordinator-only) are already enumerated.
+ * A bus belongs to one Simulation and is touched by its thread only:
+ * subscriptions happen while the network is wired and the simulation
+ * is set up, and the run then only emits.
  */
 class EventBus
 {
   public:
-    using Listener = std::function<void(const Event&)>;
-
     /** Preresolved handler: @p ctx is the subscriber instance. */
     using RawHandler = void (*)(void* ctx, const Event& ev);
 
-    /** Subscribe @p fn to all events of type @p type. */
-    void subscribe(EventType type, Listener fn);
+    EventBus() = default;
+    EventBus(const EventBus&) = delete;
+    EventBus& operator=(const EventBus&) = delete;
 
     /**
      * Subscribe a raw handler to @p type. @p fn must outlive the bus
@@ -246,7 +230,6 @@ class EventBus
     void
     emit(const Event& ev)
     {
-        const core::RoleGuard guard(serial_);
         const unsigned idx = static_cast<unsigned>(ev.type);
         ++counts_[idx];
         if (tally_ != nullptr && idx < kNumPowerEventTypes)
@@ -259,7 +242,6 @@ class EventBus
     std::uint64_t
     emittedCount(EventType type) const
     {
-        const core::RoleGuard guard(serial_);
         return counts_[static_cast<unsigned>(type)];
     }
 
@@ -270,17 +252,10 @@ class EventBus
         void* ctx;
     };
 
-    /** Registration-then-dispatch serialization domain (see above). */
-    core::Role serial_;
-    std::array<std::vector<Handler>, kNumEventTypes> handlers_
-        ORION_GUARDED_BY(serial_);
-    /** Boxed std::function listeners (stable addresses for ctx). */
-    std::vector<std::unique_ptr<Listener>> owned_
-        ORION_GUARDED_BY(serial_);
-    std::array<std::uint64_t, kNumEventTypes> counts_
-        ORION_GUARDED_BY(serial_){};
+    std::array<std::vector<Handler>, kNumEventTypes> handlers_;
+    std::array<std::uint64_t, kNumEventTypes> counts_{};
     /** The one tally slot (see attachTally). */
-    ActivityTally* tally_ ORION_GUARDED_BY(serial_) = nullptr;
+    ActivityTally* tally_ = nullptr;
 };
 
 /** Human-readable name of an event type (for reports/tests). */

@@ -20,8 +20,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cancel.hh"
-#include "core/profile.hh"
+#include "base/cancel.hh"
+#include "base/profile.hh"
 #include "sim/event.hh"
 #include "sim/module.hh"
 
@@ -63,7 +63,7 @@ class Simulator
      */
     bool runUntil(const std::function<bool()>& done, Cycle max_cycles);
 
-    /// @name Cooperative cancellation (see core/cancel.hh)
+    /// @name Cooperative cancellation (see base/cancel.hh)
     /// @{
     /**
      * Install @p token (nullptr to clear). With a token installed,
@@ -126,7 +126,7 @@ class Simulator
     std::size_t periodicCount() const { return periodics_.size(); }
     /// @}
 
-    /// @name Phase profiling (see core/profile.hh)
+    /// @name Phase profiling (see base/profile.hh)
     /// @{
     /**
      * Attach a phase profiler (nullptr to detach). With one attached,

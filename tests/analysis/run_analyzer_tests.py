@@ -25,7 +25,9 @@ CASES = [
     ("stdout-in-library", "stdout-in-library", {"stdout-in-library": 3}),
     ("naked-stderr", "naked-stderr", {"naked-stderr": 3}),
     ("stat-printing", "stat-printing", {"stat-printing": 2}),
-    ("fault-hooks", "fault-hooks", {"fault-hooks": 2}),
+    # A router including net/fault.hh, a sim header including core/
+    # and a net file including core/telemetry.hh.
+    ("layering", "layering", {"layering": 3}),
     ("unordered-iteration", "unordered-iteration",
      {"unordered-iteration": 4}),
     ("rng-sharing", "rng-sharing", {"rng-sharing": 2}),

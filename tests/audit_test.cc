@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the invariant-check subsystem (core/check.hh) and the
+ * Tests for the invariant-check subsystem (base/check.hh) and the
  * network-wide audits (net/audit.hh).
  *
  * The positive tests prove the audits hold on healthy networks of all
@@ -16,7 +16,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 #include "net/audit.hh"

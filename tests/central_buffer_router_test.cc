@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "event_recorder.hh"
 #include "router_test_util.hh"
 
 namespace {
@@ -82,13 +83,11 @@ TEST(CbRouter, EmitsCentralBufferEvents)
         makeCbHarness(p, CentralBufferRouterParams{64, 2, 2, 2});
 
     std::vector<Event> events;
-    for (const auto t :
-         {EventType::BufferWrite, EventType::BufferRead,
-          EventType::CentralBufferWrite, EventType::CentralBufferRead,
-          EventType::Arbitration}) {
-        h.sim.bus().subscribe(
-            t, [&](const Event& e) { events.push_back(e); });
-    }
+    recordEvents(h.sim.bus(),
+                 {EventType::BufferWrite, EventType::BufferRead,
+                  EventType::CentralBufferWrite,
+                  EventType::CentralBufferRead, EventType::Arbitration},
+                 events);
 
     sim::Rng rng(2);
     auto flits = makePacket(1, 0, 1, 2, p.flitBits, oneHopRoute(2), rng);

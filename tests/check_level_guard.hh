@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared test helper: set the runtime check level (core/check.hh) for
+ * Shared test helper: set the runtime check level (base/check.hh) for
  * one scope and restore the previous level when the scope ends, also
  * when an assertion returns early or a check throws.
  */
@@ -8,7 +8,7 @@
 #ifndef ORION_TESTS_CHECK_LEVEL_GUARD_HH
 #define ORION_TESTS_CHECK_LEVEL_GUARD_HH
 
-#include "core/check.hh"
+#include "base/check.hh"
 
 namespace orion::test {
 

@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cancel.hh"
+#include "base/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
 #include "core/sweep.hh"

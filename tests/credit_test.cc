@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "router/credit.hh"
 
 namespace {

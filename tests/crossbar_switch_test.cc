@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "event_recorder.hh"
 #include "router/crossbar_switch.hh"
 
 namespace {
@@ -31,8 +32,7 @@ TEST(CrossbarSwitch, EmitsTraversalWithOutputComponent)
 {
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::CrossbarTraversal,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::CrossbarTraversal}, events);
 
     CrossbarSwitch xbar(bus, 4, 5, 5, 32);
     xbar.traverse(1, 3, makeFlit(32, 0xff), 9);
@@ -48,8 +48,7 @@ TEST(CrossbarSwitch, DeltaTracksPerOutputHistory)
 {
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::CrossbarTraversal,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::CrossbarTraversal}, events);
 
     CrossbarSwitch xbar(bus, 0, 5, 5, 32);
     xbar.traverse(0, 2, makeFlit(32, 0xff), 0);   // 8 toggles
@@ -71,8 +70,7 @@ TEST(CrossbarSwitch, DifferentInputsSameOutputShareWires)
     // which input drove them.
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::CrossbarTraversal,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::CrossbarTraversal}, events);
 
     CrossbarSwitch xbar(bus, 0, 2, 2, 16);
     xbar.traverse(0, 1, makeFlit(16, 0x00ff), 0);

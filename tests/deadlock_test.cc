@@ -16,7 +16,7 @@
 #include <memory>
 #include <string>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "core/config.hh"
 #include "core/forensics.hh"
 #include "core/simulation.hh"

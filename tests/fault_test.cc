@@ -11,7 +11,7 @@
 
 #include <stdexcept>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 #include "core/sweep.hh"

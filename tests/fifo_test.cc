@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "event_recorder.hh"
 #include "router/fifo.hh"
 #include "sim/event.hh"
 
@@ -61,10 +62,8 @@ TEST(FlitFifo, EmitsWriteAndReadEvents)
 {
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::BufferWrite,
-                  [&](const Event& e) { events.push_back(e); });
-    bus.subscribe(EventType::BufferRead,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::BufferWrite, EventType::BufferRead},
+                       events);
 
     FlitFifo fifo(bus, 3, 7, 4, 32);
     fifo.write(makeFlit(32, 0xff), 10);
@@ -85,8 +84,7 @@ TEST(FlitFifo, WriteDeltasTrackBitlineDriverHistory)
     // all-zero driver state; second write of the same datum: zero.
     EventBus bus;
     std::vector<Event> writes;
-    bus.subscribe(EventType::BufferWrite,
-                  [&](const Event& e) { writes.push_back(e); });
+    test::recordEvents(bus, {EventType::BufferWrite}, writes);
 
     FlitFifo fifo(bus, 0, 0, 4, 32);
     fifo.write(makeFlit(32, 0xff), 0);      // 8 bits vs zeroed driver
@@ -103,8 +101,7 @@ TEST(FlitFifo, CellDeltasTrackStaleRowContents)
 {
     EventBus bus;
     std::vector<Event> writes;
-    bus.subscribe(EventType::BufferWrite,
-                  [&](const Event& e) { writes.push_back(e); });
+    test::recordEvents(bus, {EventType::BufferWrite}, writes);
 
     // Capacity-1 FIFO: every write lands in the same row.
     FlitFifo fifo(bus, 0, 0, 1, 32);
@@ -124,8 +121,7 @@ TEST(FlitFifo, RowsReusedInRingOrder)
 {
     EventBus bus;
     std::vector<Event> writes;
-    bus.subscribe(EventType::BufferWrite,
-                  [&](const Event& e) { writes.push_back(e); });
+    test::recordEvents(bus, {EventType::BufferWrite}, writes);
 
     FlitFifo fifo(bus, 0, 0, 2, 32);
     fifo.write(makeFlit(32, 0xf), 0); // row 0: 4 flips

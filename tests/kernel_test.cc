@@ -13,10 +13,11 @@
 #include <set>
 #include <vector>
 
-#include "core/cancel.hh"
-#include "core/check.hh"
+#include "base/cancel.hh"
+#include "base/check.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
+#include "event_recorder.hh"
 #include "net/fault.hh"
 #include "net/network.hh"
 #include "net/trace.hh"
@@ -29,15 +30,20 @@ namespace {
 
 using namespace orion::sim;
 
+/** Counts the events it is subscribed to into the int at @p ctx. */
+void
+countEvent(void* ctx, const Event&)
+{
+    ++*static_cast<int*>(ctx);
+}
+
 TEST(EventBus, DispatchesToSubscribersOfType)
 {
     EventBus bus;
     int buffer_events = 0;
     int arb_events = 0;
-    bus.subscribe(EventType::BufferWrite,
-                  [&](const Event&) { ++buffer_events; });
-    bus.subscribe(EventType::Arbitration,
-                  [&](const Event&) { ++arb_events; });
+    bus.subscribeRaw(EventType::BufferWrite, &countEvent, &buffer_events);
+    bus.subscribeRaw(EventType::Arbitration, &countEvent, &arb_events);
 
     bus.emit({EventType::BufferWrite, 0, 0, 0, 0, 0});
     bus.emit({EventType::BufferWrite, 1, 0, 3, 4, 1});
@@ -50,10 +56,11 @@ TEST(EventBus, DispatchesToSubscribersOfType)
 TEST(EventBus, PassesPayloadThrough)
 {
     EventBus bus;
-    Event seen{};
-    bus.subscribe(EventType::LinkTraversal,
-                  [&](const Event& e) { seen = e; });
+    std::vector<Event> events;
+    orion::test::recordEvents(bus, {EventType::LinkTraversal}, events);
     bus.emit({EventType::LinkTraversal, 7, 3, 128, 9, 42});
+    ASSERT_EQ(events.size(), 1u);
+    const Event& seen = events[0];
     EXPECT_EQ(seen.node, 7);
     EXPECT_EQ(seen.component, 3);
     EXPECT_EQ(seen.deltaA, 128u);
@@ -75,8 +82,8 @@ TEST(EventBus, MultipleListenersAllFire)
     EventBus bus;
     int a = 0;
     int b = 0;
-    bus.subscribe(EventType::BufferRead, [&](const Event&) { ++a; });
-    bus.subscribe(EventType::BufferRead, [&](const Event&) { ++b; });
+    bus.subscribeRaw(EventType::BufferRead, &countEvent, &a);
+    bus.subscribeRaw(EventType::BufferRead, &countEvent, &b);
     bus.emit({EventType::BufferRead, 0, 0, 0, 0, 0});
     EXPECT_EQ(a, 1);
     EXPECT_EQ(b, 1);

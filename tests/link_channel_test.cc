@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "event_recorder.hh"
 #include "router/link.hh"
 #include "sim/module.hh"
 
@@ -34,8 +35,7 @@ TEST(FlitLink, EmitsTraversalWithActivityDelta)
 {
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::LinkTraversal,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::LinkTraversal}, events);
 
     FlitLink link(3, 2, 32, /*emits_traversal=*/true);
     link.send(makeFlit(32, 0xff), bus, 5);
@@ -57,13 +57,12 @@ TEST(FlitLink, EmitsTraversalWithActivityDelta)
 TEST(FlitLink, LocalWiringEmitsNothing)
 {
     EventBus bus;
-    int traversals = 0;
-    bus.subscribe(EventType::LinkTraversal,
-                  [&](const Event&) { ++traversals; });
+    std::vector<Event> traversals;
+    test::recordEvents(bus, {EventType::LinkTraversal}, traversals);
 
     FlitLink link(0, 4, 32, /*emits_traversal=*/false);
     link.send(makeFlit(32, 0xff), bus, 0);
-    EXPECT_EQ(traversals, 0);
+    EXPECT_EQ(traversals.size(), 0u);
     EXPECT_FALSE(link.emitsTraversal());
     link.advance();
     EXPECT_TRUE(link.valid()); // the flit still travels
@@ -73,8 +72,7 @@ TEST(CreditLink, EmitsCreditTransfer)
 {
     EventBus bus;
     std::vector<Event> events;
-    bus.subscribe(EventType::CreditTransfer,
-                  [&](const Event& e) { events.push_back(e); });
+    test::recordEvents(bus, {EventType::CreditTransfer}, events);
 
     CreditLink link(7, 1);
     link.send(Credit{3}, bus, 9);

@@ -17,11 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "base/json.hh"
+#include "base/profile.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
-#include "core/profile.hh"
 #include "core/progress.hh"
 #include "core/report.hh"
 #include "core/simulation.hh"
@@ -402,7 +403,7 @@ TEST(Profile, SharesSumToOneAndReportsUnchanged)
     ASSERT_NE(pp, nullptr);
     EXPECT_GT(pp->cycles(), 0u);
     EXPECT_GT(pp->sampledCycles(), 0u);
-    const std::vector<core::PhaseShare> shares = pp->shares();
+    const std::vector<core::PhaseShare> shares = core::phaseShares(*pp);
     ASSERT_FALSE(shares.empty());
     // Two share families, each a partition: the per-cycle kernel
     // stages (router/channel/audit/periodic) of the sampled cycle

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/check.hh"
+#include "base/check.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 #include "core/sweep.hh"

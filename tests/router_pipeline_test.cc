@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "check_level_guard.hh"
+#include "event_recorder.hh"
 #include "router_test_util.hh"
 
 namespace {
@@ -63,12 +64,10 @@ TEST(VcRouter, ThreeStagePipelineTiming)
     SingleRouterHarness h = makeVcHarness(p);
 
     std::vector<Event> events;
-    for (const auto t :
-         {EventType::BufferWrite, EventType::VcAllocation,
-          EventType::Arbitration, EventType::CrossbarTraversal}) {
-        h.sim.bus().subscribe(
-            t, [&](const Event& e) { events.push_back(e); });
-    }
+    recordEvents(h.sim.bus(),
+                 {EventType::BufferWrite, EventType::VcAllocation,
+                  EventType::Arbitration, EventType::CrossbarTraversal},
+                 events);
 
     sim::Rng rng(1);
     auto flits = makePacket(1, 0, 1, 1, p.flitBits, oneHopRoute(), rng);
@@ -187,13 +186,14 @@ TEST(VcRouter, TwoPacketsShareOutputPortViaDifferentVcs)
     }
 }
 
-TEST(WormholeRouter, PacketsNeverInterleaveOnOutput)
+TEST(Wormhole, PacketsNeverInterleaveOnOutput)
 {
     // Wormhole (1 VC): a packet holds the output port head-to-tail.
     RouterParams p = vcParams(1, 8, DeadlockMode::None);
     SingleRouterHarness h(
         [&](sim::Simulator& s) {
-            return std::make_unique<WormholeRouter>("wh", 0, p, s.bus());
+            return std::make_unique<CrossbarRouter>("wh", 0, p, s.bus(),
+                                                    /*va_enabled=*/false);
         },
         1, 8);
 
@@ -252,7 +252,7 @@ TEST(VcRouter, DatelineRestrictsVcClass)
     EXPECT_GE(got->vc, 2); // upper half = class 1
 }
 
-TEST(WormholeRouter, BubbleRuleHoldsHeadWithoutSpace)
+TEST(Wormhole, BubbleRuleHoldsHeadWithoutSpace)
 {
     // Bubble mode, packet length 2, downstream depth 8: entering a new
     // ring requires 2 x 2 = 4 free slots. Pre-consume 5 downstream
@@ -261,7 +261,8 @@ TEST(WormholeRouter, BubbleRuleHoldsHeadWithoutSpace)
     RouterParams p = vcParams(1, 8, DeadlockMode::Bubble, 2);
     SingleRouterHarness h(
         [&](sim::Simulator& s) {
-            return std::make_unique<WormholeRouter>("wh", 0, p, s.bus());
+            return std::make_unique<CrossbarRouter>("wh", 0, p, s.bus(),
+                                                    /*va_enabled=*/false);
         },
         1, 8);
 

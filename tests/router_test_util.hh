@@ -17,7 +17,6 @@
 #include "router/link.hh"
 #include "router/router.hh"
 #include "router/vc_router.hh"
-#include "router/wormhole_router.hh"
 #include "sim/rng.hh"
 #include "sim/simulator.hh"
 

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "event_recorder.hh"
 #include "power/arbiter_model.hh"
 #include "power/buffer_model.hh"
 #include "power/crossbar_model.hh"
@@ -64,13 +65,11 @@ TEST(Walkthrough, HeadFlitEnergyIdentity)
     SingleRouterHarness h = makeHarness();
 
     std::vector<Event> events;
-    for (const auto t :
-         {EventType::BufferWrite, EventType::Arbitration,
-          EventType::BufferRead, EventType::CrossbarTraversal,
-          EventType::LinkTraversal}) {
-        h.sim.bus().subscribe(
-            t, [&](const Event& e) { events.push_back(e); });
-    }
+    recordEvents(h.sim.bus(),
+                 {EventType::BufferWrite, EventType::Arbitration,
+                  EventType::BufferRead, EventType::CrossbarTraversal,
+                  EventType::LinkTraversal},
+                 events);
 
     // A single head flit routed to the north output.
     sim::Rng rng(42);

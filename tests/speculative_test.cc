@@ -11,6 +11,7 @@
 
 #include "core/config.hh"
 #include "core/simulation.hh"
+#include "event_recorder.hh"
 #include "router_test_util.hh"
 
 namespace {
@@ -46,12 +47,10 @@ TEST(SpeculativeRouter, VaAndSaShareACycle)
         p.vcs, p.bufferDepth);
 
     std::vector<Event> events;
-    for (const auto t :
-         {EventType::BufferWrite, EventType::VcAllocation,
-          EventType::Arbitration, EventType::CrossbarTraversal}) {
-        h.sim.bus().subscribe(
-            t, [&](const Event& e) { events.push_back(e); });
-    }
+    recordEvents(h.sim.bus(),
+                 {EventType::BufferWrite, EventType::VcAllocation,
+                  EventType::Arbitration, EventType::CrossbarTraversal},
+                 events);
 
     sim::Rng rng(1);
     auto flits = makePacket(

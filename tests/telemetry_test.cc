@@ -12,14 +12,14 @@
 #include <sstream>
 #include <string>
 
-#include "core/config.hh"
 #include "core/cli.hh"
+#include "core/config.hh"
 #include "core/simulation.hh"
 #include "core/sweep.hh"
-#include "core/telemetry.hh"
 #include "json_validator.hh"
 #include "net/sampler.hh"
 #include "sim/simulator.hh"
+#include "sim/telemetry.hh"
 
 namespace {
 

@@ -33,11 +33,11 @@
 #                structured worker-crash failure while every other
 #                point completes
 #   6. lint:     tools/orion_lint.py over the tree (determinism,
-#                ownership, concurrency and thread-safety annotation
-#                coverage rules) and its fixture tests; clang-tidy
-#                when installed; and, when a clang++ is installed, a
-#                Clang build with -Wthread-safety promoted to errors,
-#                which verifies the ORION_GUARDED_BY/ORION_REQUIRES
+#                ownership, layering, concurrency and Mutex
+#                annotation coverage rules) and its fixture tests;
+#                clang-tidy when installed; and, when a clang++ is
+#                installed, a Clang build with -Wthread-safety
+#                promoted to errors, which verifies the core::Mutex
 #                annotations for real (they are no-ops under GCC)
 #
 # Usage: tools/check.sh [--tier1-only|--asan-only|--tsan-only|

@@ -37,11 +37,13 @@ Line rules (scan src/, tools/, bench/ and tests/):
                       MetricsRegistry (sampled by net::WindowedSampler)
                       or the end-of-run Report, so every statistic is
                       machine-readable and deterministic.
-  fault-hooks         src/router must not reference net::FaultInjector
-                      or include net/fault.hh: routers see faults only
-                      through the router/fault_hooks.hh interface, so
-                      the router layer stays independent of the net
-                      layer's fault machinery.
+  layering            a src/<layer>/ file includes only headers of its
+                      own layer and of the layers before it in
+                      docs/ARCHITECTURE.md's map: base, tech, power,
+                      sim, router, net, core. (So a router sees faults
+                      only through router/fault_hooks.hh, never
+                      net/fault.hh.) tools/, tests/, bench/ and the
+                      other entry points may include any layer.
 
 Structural rules (scan src/):
 
@@ -63,12 +65,11 @@ Structural rules (scan src/):
                       anonymous-namespace trampoline: hot-path
                       dispatch stays an indirect call with a void*
                       context, never a capturing closure.
-  unguarded           a class holding a core::Mutex or core::Role
-                      capability must annotate every mutable data
-                      member with ORION_GUARDED_BY (or carry a
-                      justified suppression), so removing one
-                      annotation fails even on GCC-only hosts where
-                      the attributes are no-ops.
+  unguarded           a class holding a core::Mutex must annotate
+                      every mutable data member with ORION_GUARDED_BY
+                      (or carry a justified suppression), so removing
+                      one annotation fails even on GCC-only hosts
+                      where the attributes are no-ops.
   signal-safety       functions reachable from an installed signal
                       handler may only write volatile std::sig_atomic_t
                       variables, call lock-free atomic operations, or
@@ -102,7 +103,7 @@ SKIP_PREFIXES = ("tests/analysis/fixtures/",)
 
 RULES = (
     "nondeterminism", "naked-new", "file-scope-state", "include-guard",
-    "stdout-in-library", "naked-stderr", "stat-printing", "fault-hooks",
+    "stdout-in-library", "naked-stderr", "stat-printing", "layering",
     "unordered-iteration", "rng-sharing", "raw-subscribe", "unguarded",
     "signal-safety", "unused-suppression",
 )
@@ -116,7 +117,8 @@ SUPPRESS_RE = re.compile(
 # ---------------------------------------------------------------- line rules
 
 # Directories whose modules must be re-entrant (parallel sweeps run
-# one Simulation per worker thread).
+# one Simulation per worker thread). src/base is left out on purpose:
+# the check level and the interrupt token are process-wide by design.
 REENTRANT_DIRS = ("src/sim", "src/router", "src/power", "src/net")
 
 # Directories where any direct printing is treated as stat-printing:
@@ -164,10 +166,12 @@ FILE_SCOPE_OK_RE = re.compile(
     r"^(static|thread_local)\s+(thread_local\s+)?(const\b|constexpr\b)"
 )
 
-# Router-layer isolation: routers must observe faults only through the
-# router/fault_hooks.hh interface, never the net-layer injector.
-FAULT_INJECTOR_RE = re.compile(r"\bFaultInjector\b")
-FAULT_INCLUDE_RE = re.compile(r'#\s*include\s*"net/fault\.hh"')
+# The layer map of docs/ARCHITECTURE.md, top layer first. A src/
+# file may include its own layer and the layers before it.
+LAYERS = ("base", "tech", "power", "sim", "router", "net", "core")
+LAYER_RANK = {name: rank for rank, name in enumerate(LAYERS)}
+SRC_LAYER_RE = re.compile(r"src/(\w+)/")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(\w+)/')
 
 # ---------------------------------------------------------- structural rules
 
@@ -199,10 +203,10 @@ ACCESS_RE = re.compile(r"\b(?:public|protected|private)\s*:(?!:)")
 ANNOTATION_RE = re.compile(r"\bORION_[A-Z_]+\b")
 IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
-# Capability members must spell the qualified type: the tech layer
-# has an unrelated `Role` enum, so bare names are not trusted.
-CAPABILITY_RE = re.compile(r"\bcore\s*::\s*(?:Mutex|Role)\s")
-SYNC_TYPES = {"Mutex", "Role", "CondVar", "LockGuard", "RoleGuard"}
+# Capability members must spell the qualified type, so an unrelated
+# class named Mutex elsewhere is not mistaken for one.
+CAPABILITY_RE = re.compile(r"\bcore\s*::\s*Mutex\s")
+SYNC_TYPES = {"Mutex", "CondVar", "LockGuard"}
 SKIP_LEAD = {"friend", "using", "typedef", "enum", "static",
              "template", "class", "struct", "union", "operator"}
 
@@ -433,6 +437,8 @@ class Checker:
         in_src = rel.startswith("src/")
         is_rng = rel.startswith("src/sim/rng")
         reentrant = rel.startswith(REENTRANT_DIRS)
+        m = SRC_LAYER_RE.match(rel)
+        layer = m.group(1) if m and m.group(1) in LAYER_RANK else None
         for idx, (line, code) in enumerate(
                 zip(f.raw_lines, f.code_lines), 1):
             if in_src and not is_rng:
@@ -490,19 +496,15 @@ class Checker:
                         "(log::diag mirrors stderr to the structured "
                         "sink)")
 
-            if rel.startswith("src/router/"):
-                # The include path is a string literal, so it is
-                # blanked in the cleaned line; match the raw line.
-                if FAULT_INJECTOR_RE.search(code):
-                    self.report(
-                        f, idx, "fault-hooks",
-                        "router code must not reference FaultInjector; "
-                        "go through router/fault_hooks.hh")
-                if FAULT_INCLUDE_RE.search(line):
-                    self.report(
-                        f, idx, "fault-hooks",
-                        "router code must not include net/fault.hh; "
-                        "go through router/fault_hooks.hh")
+            # The include path is a string literal, so it is blanked
+            # in the cleaned line; read it from the raw one.
+            m = INCLUDE_RE.match(line) if layer else None
+            if m and LAYER_RANK.get(m.group(1), -1) > LAYER_RANK[layer]:
+                self.report(
+                    f, idx, "layering",
+                    f"src/{layer} must not include {m.group(1)}/: a "
+                    "layer includes only itself and the layers before "
+                    "it (" + " -> ".join(LAYERS) + ")")
 
             if reentrant and FILE_SCOPE_RE.match(code):
                 if (not FILE_SCOPE_OK_RE.match(code)
@@ -779,8 +781,7 @@ class Checker:
                 stmt = ACCESS_RE.sub(" ", stmt).strip()
                 if not stmt:
                     continue
-                has_guard = ("ORION_GUARDED_BY" in stmt
-                             or "ORION_PT_GUARDED_BY" in stmt)
+                has_guard = "ORION_GUARDED_BY" in stmt
                 bare = strip_annotations(stmt)
                 bare = re.split(r"=", bare)[0].strip()
                 tokens = IDENT_RE.findall(bare)

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cancel.hh"
+#include "base/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
 #include "core/log.hh"
@@ -131,7 +131,7 @@ main(int argc, char** argv)
         manifest.pointsCompleted = run_failed ? 0 : 1;
         manifest.pointsFailed = run_failed ? 1 : 0;
         if (const core::PhaseProfiler* pp = simulation.phaseProfiler())
-            manifest.phases = pp->shares();
+            manifest.phases = core::phaseShares(*pp);
         manifest.finish(stopReasonName(report.stopReason));
         if (!opts.manifestOut.empty())
             core::writeFileAtomic(opts.manifestOut, manifest.toJson());

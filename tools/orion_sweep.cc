@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "core/cancel.hh"
+#include "base/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
 #include "core/executor.hh"
