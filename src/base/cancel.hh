@@ -24,7 +24,8 @@
 #define ORION_BASE_CANCEL_HH
 
 #include <atomic>
-#include <chrono>
+
+#include "base/clock.hh"
 
 namespace orion::core {
 
@@ -106,10 +107,7 @@ class CancelToken
         // Wall-clock by design: a deadline bounds real time, not
         // simulated cycles, and never feeds back into results (a
         // Deadline stop is excluded from checkpoint journals).
-        deadline_ = std::chrono::steady_clock::now() + // lint-allow: nondeterminism -- real-time deadline
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>( // lint-allow: nondeterminism -- real-time deadline
-                        std::chrono::duration<double>(seconds));
+        deadline_ = monotonicSeconds() + seconds;
         hasDeadline_ = true;
     }
 
@@ -119,10 +117,8 @@ class CancelToken
     void
     poll() noexcept
     {
-        if (hasDeadline_ &&
-            std::chrono::steady_clock::now() >= deadline_) { // lint-allow: nondeterminism -- real-time deadline
+        if (hasDeadline_ && monotonicSeconds() >= deadline_)
             cancel(CancelCause::Deadline);
-        }
     }
 
   private:
@@ -131,7 +127,8 @@ class CancelToken
     /** Deadline state; written by armDeadline before the simulation
      * starts, read only by the owning thread's poll(). */
     bool hasDeadline_ = false;
-    std::chrono::steady_clock::time_point deadline_{}; // lint-allow: nondeterminism -- real-time deadline
+    /** Expiry on the monotonicSeconds() clock. */
+    double deadline_ = 0.0;
 };
 
 /**

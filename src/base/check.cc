@@ -7,33 +7,23 @@ namespace orion::core {
 
 namespace {
 
-int
-clampToCompiled(int level)
-{
-    if (level < 0)
-        return 0;
-    if (level > ORION_CHECK_MAX_LEVEL)
-        return ORION_CHECK_MAX_LEVEL;
-    return level;
-}
-
 /** Parse the ORION_CHECK environment variable (default: cheap). */
 int
 levelFromEnvironment()
 {
     const char* env = std::getenv("ORION_CHECK");
     if (env == nullptr)
-        return clampToCompiled(static_cast<int>(CheckLevel::Cheap));
+        return static_cast<int>(CheckLevel::Cheap);
     const std::string_view v(env);
     if (v == "0" || v == "off" || v == "none")
         return 0;
     if (v == "1" || v == "cheap" || v == "on")
-        return clampToCompiled(1);
+        return 1;
     if (v == "2" || v == "paranoid" || v == "full")
-        return clampToCompiled(2);
+        return 2;
     // Unrecognized values fall back to the default rather than
     // silently disabling the checks.
-    return clampToCompiled(static_cast<int>(CheckLevel::Cheap));
+    return static_cast<int>(CheckLevel::Cheap);
 }
 
 } // namespace
@@ -64,14 +54,8 @@ checkLevel()
 void
 setCheckLevel(CheckLevel level)
 {
-    detail::g_checkLevel.store(clampToCompiled(static_cast<int>(level)),
+    detail::g_checkLevel.store(static_cast<int>(level),
                                std::memory_order_relaxed);
-}
-
-CheckLevel
-compiledCheckLevel()
-{
-    return static_cast<CheckLevel>(ORION_CHECK_MAX_LEVEL);
 }
 
 void

@@ -14,12 +14,9 @@
  *    (network-wide conservation walks). Active at CheckLevel::Paranoid
  *    only.
  *
- * Both levels are selected twice: at compile time via the CMake cache
- * variable ORION_CHECK_LEVEL (which defines ORION_CHECK_MAX_LEVEL and
- * compiles higher-level checks out entirely), and at run time via the
- * ORION_CHECK environment variable ("off"/"0", "cheap"/"1",
- * "paranoid"/"2") or setCheckLevel(). The runtime level can never
- * exceed the compiled-in maximum.
+ * The level is selected at run time via the ORION_CHECK environment
+ * variable ("off"/"0", "cheap"/"1", "paranoid"/"2") or
+ * setCheckLevel().
  *
  * A failed check throws CheckFailure with a diagnostic naming the
  * offending condition, source location, and the module/port context
@@ -61,18 +58,13 @@ class CheckFailure : public std::logic_error
 
 /**
  * The current runtime check level. Initialized once from the
- * ORION_CHECK environment variable (default Cheap), clamped to the
- * compiled-in maximum. Thread-safe: parallel sweep workers read it
- * concurrently.
+ * ORION_CHECK environment variable (default Cheap). Thread-safe:
+ * parallel sweep workers read it concurrently.
  */
 CheckLevel checkLevel();
 
-/** Override the runtime level (tests); clamped to the compiled max. */
+/** Override the runtime level (tests). */
 void setCheckLevel(CheckLevel level);
-
-/** The level compiled in via ORION_CHECK_LEVEL (macros above it are
- * no-ops regardless of the runtime setting). */
-CheckLevel compiledCheckLevel();
 
 /** Throw CheckFailure with a formatted diagnostic. */
 [[noreturn]] void checkFailed(const char* kind, const char* cond,
@@ -105,11 +97,6 @@ levelActive(CheckLevel needed)
 
 } // namespace orion::core
 
-/** Compiled-in ceiling: 0 = off, 1 = cheap, 2 = paranoid. */
-#ifndef ORION_CHECK_MAX_LEVEL
-#define ORION_CHECK_MAX_LEVEL 2
-#endif
-
 #define ORION_CHECK_IMPL_(kind, level, cond, msg)                         \
     do {                                                                  \
         if (::orion::core::detail::levelActive(level) && !(cond)) {       \
@@ -120,26 +107,14 @@ levelActive(CheckLevel needed)
         }                                                                 \
     } while (0)
 
-#if ORION_CHECK_MAX_LEVEL >= 1
 /** Cheap invariant check; @p msg is a stream expression. */
 #define ORION_CHECK(cond, msg)                                            \
     ORION_CHECK_IMPL_("check", ::orion::core::CheckLevel::Cheap, cond,    \
                       msg)
-#else
-#define ORION_CHECK(cond, msg)                                            \
-    do {                                                                  \
-    } while (0)
-#endif
 
-#if ORION_CHECK_MAX_LEVEL >= 2
 /** Expensive (paranoid-only) invariant check. */
 #define ORION_AUDIT(cond, msg)                                            \
     ORION_CHECK_IMPL_("audit", ::orion::core::CheckLevel::Paranoid,       \
                       cond, msg)
-#else
-#define ORION_AUDIT(cond, msg)                                            \
-    do {                                                                  \
-    } while (0)
-#endif
 
 #endif // ORION_BASE_CHECK_HH

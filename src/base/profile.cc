@@ -1,21 +1,8 @@
 #include "base/profile.hh"
 
-#include <chrono>
+#include "base/clock.hh"
 
 namespace orion::core {
-
-namespace {
-
-double
-monotonicSeconds()
-{
-    const auto now =
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- profiling only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
-
-} // namespace
 
 void
 PhaseProfiler::beginCycle()
@@ -39,10 +26,17 @@ PhaseProfiler::phaseDone(Phase phase)
 }
 
 void
-PhaseProfiler::addRunSeconds(Phase phase, double seconds)
+PhaseProfiler::startRun()
 {
-    if (seconds > 0.0)
-        seconds_[static_cast<unsigned>(phase)] += seconds;
+    runMark_ = monotonicSeconds();
+}
+
+void
+PhaseProfiler::runPhaseDone(Phase phase)
+{
+    const double now = monotonicSeconds();
+    seconds_[static_cast<unsigned>(phase)] += now - runMark_;
+    runMark_ = now;
 }
 
 double

@@ -14,7 +14,9 @@
  *    full run's distribution.
  *
  *  - Run phases (warmup, measure, drain): absolute wall times of the
- *    simulation protocol's stages, recorded once by Simulation.
+ *    simulation protocol's stages. Simulation opens the run with
+ *    startRun() and closes each stage with runPhaseDone(), one clock
+ *    read per stage.
  *
  * Profiling is opt-in (--profile-phases). Disabled, the simulator pays
  * one null-pointer test per cycle stage; the results are bit-identical
@@ -62,8 +64,14 @@ class PhaseProfiler
     void phaseDone(Phase phase);
     /// @}
 
-    /// Record an absolute run-phase duration (Simulation protocol).
-    void addRunSeconds(Phase phase, double seconds);
+    /// @name Run-phase API (called by Simulation's protocol)
+    /// @{
+    /// Mark the start of the run's first phase.
+    void startRun();
+    /** Close run phase @p phase: accumulate wall time since the last
+     * run mark into it and re-mark. */
+    void runPhaseDone(Phase phase);
+    /// @}
 
     std::uint64_t cycles() const { return cycles_; }
     std::uint64_t sampledCycles() const { return sampled_; }
@@ -76,6 +84,7 @@ class PhaseProfiler
     std::uint64_t cycles_ = 0;
     std::uint64_t sampled_ = 0;
     double mark_ = 0.0;
+    double runMark_ = 0.0;
     bool sampling_ = false;
 };
 

@@ -12,6 +12,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "base/clock.hh"
+
 namespace orion::core {
 
 namespace {
@@ -115,10 +117,10 @@ runIsolated(const IsolateOptions& opts)
     IsolateResult res;
     // Wall-clock by design: the kill-on-timeout watchdog bounds real
     // time and never feeds back into simulation results.
-    const auto start = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- watchdog
+    const double start = monotonicSeconds();
     bool sent_term = false;
     bool sent_kill = false;
-    auto term_at = start;
+    double term_at = start;
 
     const auto drainStderr = [&] {
         char buf[1024];
@@ -149,10 +151,7 @@ runIsolated(const IsolateOptions& opts)
             }
             res.haveRusage = true;
             res.cpuSeconds =
-                static_cast<double>(ru.ru_utime.tv_sec) +
-                static_cast<double>(ru.ru_utime.tv_usec) * 1e-6 +
-                static_cast<double>(ru.ru_stime.tv_sec) +
-                static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
+                timevalSeconds(ru.ru_utime) + timevalSeconds(ru.ru_stime);
             res.maxRssKb = ru.ru_maxrss;
             break;
         }
@@ -161,7 +160,7 @@ runIsolated(const IsolateOptions& opts)
 
         drainStderr();
 
-        const auto now = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- watchdog
+        const double now = monotonicSeconds();
         if (opts.cancel != nullptr && !sent_term &&
             opts.cancel->cancelled()) {
             res.interrupted = true;
@@ -170,8 +169,7 @@ runIsolated(const IsolateOptions& opts)
             term_at = now;
         }
         if (opts.timeoutSeconds > 0.0 && !sent_term &&
-            std::chrono::duration<double>(now - start).count() >=
-                opts.timeoutSeconds) {
+            now - start >= opts.timeoutSeconds) {
             res.timedOut = true;
             ::kill(pid, SIGTERM);
             sent_term = true;
@@ -179,9 +177,7 @@ runIsolated(const IsolateOptions& opts)
         }
         // SIGTERM grace period: one second for the child to flush,
         // then SIGKILL.
-        if (sent_term && !sent_kill &&
-            std::chrono::duration<double>(now - term_at).count() >=
-                1.0) {
+        if (sent_term && !sent_kill && now - term_at >= 1.0) {
             ::kill(pid, SIGKILL);
             sent_kill = true;
         }

@@ -2,27 +2,14 @@
 
 #include <cstdarg>
 #include <cstdlib>
-#include <ctime>
 #include <stdexcept>
 
-#include <chrono>
-
+#include "base/clock.hh"
 #include "base/json.hh"
 
 namespace orion::core::log {
 
 namespace {
-
-/// Wall-clock seconds since the Unix epoch (observability only; never
-/// feeds results).
-double
-nowUnixSeconds()
-{
-    const auto now =
-        std::chrono::system_clock::now() // lint-allow: nondeterminism -- log timestamp only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
 
 void
 appendNumber(std::string& out, double v)
@@ -182,7 +169,7 @@ Logger::writeLine(Level level, const char* name,
     std::string line;
     line.reserve(128);
     line += "{\"ts\":";
-    appendNumber(line, nowUnixSeconds());
+    appendNumber(line, unixSeconds());
     line += ",\"level\":\"";
     line += levelName(level);
     line += "\",\"event\":\"";

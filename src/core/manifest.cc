@@ -1,14 +1,16 @@
 #include "core/manifest.hh"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <stdexcept>
 
 #include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <chrono>
-
+#include "base/clock.hh"
 #include "base/json.hh"
 #include "core/build_info.hh"
 #include "core/log.hh"
@@ -16,22 +18,6 @@
 namespace orion::core {
 
 namespace {
-
-double
-nowUnixSeconds()
-{
-    const auto now =
-        std::chrono::system_clock::now() // lint-allow: nondeterminism -- manifest timestamp only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
-
-double
-tvSeconds(const timeval& tv)
-{
-    return static_cast<double>(tv.tv_sec) +
-           static_cast<double>(tv.tv_usec) * 1e-6;
-}
 
 void
 appendKv(std::string& out, const char* key, const std::string& value,
@@ -100,7 +86,7 @@ RunManifest::begin(std::string toolName)
     m.buildType = b.buildType;
     m.host = hostName();
     m.pid = static_cast<int>(::getpid());
-    m.startUnixSeconds = nowUnixSeconds();
+    m.startUnixSeconds = unixSeconds();
     return m;
 }
 
@@ -108,17 +94,17 @@ void
 RunManifest::finish(std::string reason)
 {
     stopReason = std::move(reason);
-    endUnixSeconds = nowUnixSeconds();
+    endUnixSeconds = unixSeconds();
     rusage self{};
     if (::getrusage(RUSAGE_SELF, &self) == 0) {
-        userCpuSeconds = tvSeconds(self.ru_utime);
-        sysCpuSeconds = tvSeconds(self.ru_stime);
+        userCpuSeconds = timevalSeconds(self.ru_utime);
+        sysCpuSeconds = timevalSeconds(self.ru_stime);
         maxRssKb = self.ru_maxrss; // kilobytes on Linux
     }
     rusage children{};
     if (::getrusage(RUSAGE_CHILDREN, &children) == 0) {
-        childUserCpuSeconds = tvSeconds(children.ru_utime);
-        childSysCpuSeconds = tvSeconds(children.ru_stime);
+        childUserCpuSeconds = timevalSeconds(children.ru_utime);
+        childSysCpuSeconds = timevalSeconds(children.ru_stime);
         childMaxRssKb = children.ru_maxrss;
     }
 }
@@ -242,6 +228,34 @@ writeFileAtomic(const std::string& path, const std::string& contents)
         ::fsync(dfd);
         ::close(dfd);
     }
+}
+
+void
+writeFile(const std::string& path, const std::string& contents)
+{
+    errno = 0;
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        throw IoError("cannot open '" + path + "' for writing: " +
+                      std::strerror(errno));
+    }
+    out << contents;
+    out.flush();
+    out.close();
+    // badbit/failbit after flush+close covers ENOSPC, EPIPE on a
+    // FIFO, quota errors... anything the kernel only reports on
+    // write-back.
+    if (!out) {
+        throw IoError("i/o error writing '" + path +
+                      "' (disk full or stream closed?)");
+    }
+}
+
+void
+flushStdout()
+{
+    if (std::fflush(stdout) != 0 || std::ferror(stdout))
+        throw IoError("i/o error writing the report to stdout");
 }
 
 } // namespace orion::core

@@ -20,6 +20,7 @@
 #define ORION_CORE_MANIFEST_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,21 @@ struct RunManifest
  * failure. */
 void writeFileAtomic(const std::string& path,
                      const std::string& contents);
+
+/** An output the run could not deliver (orion_sim and orion_sweep
+ * exit 4): the run itself was healthy. */
+class IoError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/** Write `contents` to `path`, checking the stream after flush and
+ * close. @throw IoError when the file cannot be opened or written. */
+void writeFile(const std::string& path, const std::string& contents);
+
+/** Flush stdout. @throw IoError if any write to it failed. */
+void flushStdout();
 
 } // namespace orion::core
 

@@ -6,8 +6,7 @@
 
 #include <unistd.h>
 
-#include <chrono>
-
+#include "base/clock.hh"
 #include "base/json.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
@@ -17,24 +16,6 @@ namespace orion::core {
 namespace {
 
 constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
-
-double
-monotonicSeconds()
-{
-    const auto now =
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- progress display only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
-
-double
-wallUnixSeconds()
-{
-    const auto now =
-        std::chrono::system_clock::now() // lint-allow: nondeterminism -- heartbeat timestamp only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
 
 std::string
 fmtEta(double eta)
@@ -53,7 +34,7 @@ fmtEta(double eta)
 ProgressTracker::ProgressTracker(Options opts)
     : opts_(std::move(opts)),
       tty_(::isatty(STDERR_FILENO) == 1),
-      startUnixSeconds_(wallUnixSeconds()),
+      startUnixSeconds_(unixSeconds()),
       slots_(std::max(1u, opts_.jobs))
 {
     steadyBase_ = monotonicSeconds();
@@ -269,7 +250,7 @@ ProgressTracker::composeJson(bool finished) const
     j += ",\"started_unix_s\":";
     j += log::strf("%.3f", startUnixSeconds_);
     j += ",\"updated_unix_s\":";
-    j += log::strf("%.3f", wallUnixSeconds());
+    j += log::strf("%.3f", unixSeconds());
     j += ",\"workers\":[";
     bool first = true;
     const double now_s = secondsSinceStart();
@@ -417,14 +398,14 @@ ProgressScope::ProgressScope(ProgressTracker* tracker,
     if (tracker_ == nullptr)
         return;
     slot_ = tracker_->beginCell(rateIndex, seedIndex);
-    startSeconds_ = monotonicSeconds();
 }
 
 ProgressScope::~ProgressScope()
 {
-    // An escape without end() means the cell died exceptionally.
+    // An escape without end() means the cell died exceptionally; its
+    // time is unknown, so it adds no point-time sample.
     if (!ended_)
-        end(true);
+        end(true, -1.0);
 }
 
 void
@@ -442,15 +423,14 @@ ProgressScope::cycles()
 }
 
 void
-ProgressScope::end(bool failed)
+ProgressScope::end(bool failed, double wallSeconds)
 {
     if (ended_)
         return;
     ended_ = true;
     if (tracker_ == nullptr)
         return;
-    tracker_->endCell(slot_, failed,
-                      monotonicSeconds() - startSeconds_);
+    tracker_->endCell(slot_, failed, wallSeconds);
 }
 
 } // namespace orion::core

@@ -164,9 +164,9 @@ class ProgressTracker
 /**
  * RAII view of one cell's lifetime against an optional tracker.
  * Null-tracker scopes cost nothing, so sweep code threads one through
- * unconditionally. Destruction without end() reports a failed cell
- * (exception escape); wall time is measured monotonically inside the
- * scope.
+ * unconditionally. The caller times the cell and hands the wall time
+ * to end(). Destruction without end() reports a failed cell
+ * (exception escape) with no wall-time sample.
  */
 class ProgressScope
 {
@@ -181,13 +181,14 @@ class ProgressScope
     void setAttempt(unsigned attempt);
     /// Null when no tracker is attached.
     std::atomic<std::uint64_t>* cycles();
-    void end(bool failed);
+    /** Release the slot: the cell took @p wallSeconds (negative:
+     * unknown, no sample). */
+    void end(bool failed, double wallSeconds);
 
   private:
     ProgressTracker* tracker_;
     unsigned slot_ = 0;
     bool ended_ = false;
-    double startSeconds_ = 0.0;
 };
 
 } // namespace orion::core

@@ -1,7 +1,6 @@
 #include "core/simulation.hh"
 
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <sstream>
@@ -21,17 +20,6 @@ constexpr std::uint64_t kFaultSeedSalt = 0xFA17'5EEDULL;
 /** Cycles between live-progress counter publications (one relaxed
  * atomic store each; see SimConfig::progressCycles). */
 constexpr sim::Cycle kProgressCycleInterval = 4096;
-
-/** Monotonic wall clock for the opt-in phase profiler (observability
- * only; never feeds results). */
-double
-profileSeconds()
-{
-    const auto now =
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism -- profiling only
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
 
 } // namespace
 
@@ -89,12 +77,12 @@ Simulation::Simulation(const NetworkConfig& network,
     auditor_ = std::make_unique<net::NetworkAuditor>(*network_,
                                                     monitor_.get());
     if (core::checkLevel() != core::CheckLevel::Off) {
-        auditor_->registerWith(sim_);
         sim::Cycle interval = simCfg_.auditCycles;
         if (core::checkLevel() == core::CheckLevel::Paranoid &&
             interval > 16)
             interval /= 16;
-        sim_.setAuditInterval(interval);
+        net::NetworkAuditor* const auditor = auditor_.get();
+        sim_.setAudit(interval, [auditor] { auditor->auditAll(); });
     }
 
     // Telemetry (off by default: nothing is constructed or registered,
@@ -230,22 +218,17 @@ Simulation::fillFaultStats(Report& r) const
 void
 Simulation::runProtocol(Report& r)
 {
-    // Run-phase wall-time marks (opt-in; one clock read per protocol
-    // phase, nothing per cycle — the cycle-level attribution happens
-    // inside Simulator::step on the profiler's sampling stride).
-    const bool prof = profiler_ != nullptr;
-    double mark = prof ? profileSeconds() : 0.0;
-    const auto run_phase_done = [&](core::PhaseProfiler::Phase phase) {
-        if (!prof)
-            return;
-        const double now = profileSeconds();
-        profiler_->addRunSeconds(phase, now - mark);
-        mark = now;
-    };
+    // The opt-in profiler times each protocol phase (one clock read
+    // per phase, nothing per cycle: the cycle-level attribution
+    // happens inside Simulator::step on the profiler's stride).
+    using Phase = core::PhaseProfiler::Phase;
+    if (profiler_)
+        profiler_->startRun();
 
     // Phase 1: warm-up (traffic flows, nothing is measured).
     sim_.run(simCfg_.warmupCycles);
-    run_phase_done(core::PhaseProfiler::Phase::Warmup);
+    if (profiler_)
+        profiler_->runPhaseDone(Phase::Warmup);
 
     // Phase 2: open the sample window and measure energy from here on.
     monitor_->reset();
@@ -340,14 +323,15 @@ Simulation::runProtocol(Report& r)
         last_reads = reads;
     }
 
-    run_phase_done(core::PhaseProfiler::Phase::Measure);
+    if (profiler_)
+        profiler_->runPhaseDone(Phase::Measure);
 
     // Final audit at drain: every invariant must hold at the very
     // cycle boundary the report is assembled from. Skipped when
     // cancelled — the report is an explicitly partial snapshot and
     // the contract is to get out quickly.
-    if (!cancelled && sim_.auditCount() > 0)
-        sim_.runAudits();
+    if (!cancelled && core::checkLevel() != core::CheckLevel::Off)
+        auditor_->auditAll();
 
     // Phase 4: assemble the report.
     const sim::Cycle measured = sim_.now() - measure_start;
@@ -418,7 +402,8 @@ Simulation::runProtocol(Report& r)
         sim_.bus().emittedCount(sim::EventType::PacketEjected);
 
     // Final audits + report assembly ("drain" in the phase profile).
-    run_phase_done(core::PhaseProfiler::Phase::Drain);
+    if (profiler_)
+        profiler_->runPhaseDone(Phase::Drain);
 
     // Opt-in Chrome-trace spans: with both the tracer and the profiler
     // enabled, summarize each phase as an instant event at the final
@@ -427,8 +412,7 @@ Simulation::runProtocol(Report& r)
     // encoding).
     if (tracer_ && profiler_) {
         for (unsigned i = 0; i < core::PhaseProfiler::kNumPhases; ++i) {
-            const auto phase =
-                static_cast<core::PhaseProfiler::Phase>(i);
+            const auto phase = static_cast<Phase>(i);
             const double secs = profiler_->seconds(phase);
             if (secs <= 0.0)
                 continue;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +14,7 @@
 
 #include <stdlib.h>
 
+#include "base/clock.hh"
 #include "core/executor.hh"
 #include "core/forensics.hh"
 #include "core/isolate.hh"
@@ -35,26 +35,6 @@ namespace log = core::log;
  * sibling cell's stream.
  */
 constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
-
-/** Monotonic seconds for per-cell resource accounting (observability
- * only; never journaled or compared). */
-double
-monotonicSeconds()
-{
-    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- accounting only
-    return std::chrono::duration<double>(t.time_since_epoch()).count();
-}
-
-/** CPU seconds consumed by the calling thread so far. */
-double
-threadCpuSeconds()
-{
-    timespec ts{};
-    if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
-        return 0.0;
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 /** What one attempt (or one whole cell) produced. */
 struct CellResult
@@ -260,23 +240,27 @@ class CellRunner
             return p;
         }
 
+        // One stopwatch per cell (observability only; never journaled
+        // or compared): it fills the resource columns and the
+        // tracker's point-time samples.
         core::ProgressScope scope(opts_.progress, i, k);
-        const double wall0 = monotonicSeconds();
-        const double cpu0 = threadCpuSeconds();
+        const double wall0 = core::monotonicSeconds();
+        const double cpu0 = core::threadCpuSeconds();
         CellResult cell = attempts(i, k, scope);
+        const double wall_s = core::monotonicSeconds() - wall0;
         PointResources& rs = cell.point.resources;
         if (opts_.workerCommand.empty()) {
             rs.valid = true;
-            rs.cpuSeconds = threadCpuSeconds() - cpu0;
+            rs.cpuSeconds = core::threadCpuSeconds() - cpu0;
         }
         if (rs.valid)
-            rs.wallSeconds = monotonicSeconds() - wall0;
+            rs.wallSeconds = wall_s;
         cell.point.injectionRate = rates_[i];
         if (opts_.journal != nullptr && journalable(cell.point))
             opts_.journal->append(makeEntry(i, k, cell));
         // End after the journal append so a heartbeat's done count
         // never exceeds the journal's entry count.
-        scope.end(cell.point.failure.has_value());
+        scope.end(cell.point.failure.has_value(), wall_s);
         return std::move(cell.point);
     }
 

@@ -61,20 +61,6 @@ NetworkAuditor::NetworkAuditor(const Network& network,
 }
 
 void
-NetworkAuditor::registerWith(sim::Simulator& simulator)
-{
-    simulator.addAudit("flit-conservation",
-                       [this] { auditFlitConservation(); });
-    simulator.addAudit("credit-accounting",
-                       [this] { auditCreditAccounting(); });
-    if (monitor_ != nullptr)
-        simulator.addAudit("energy-accounting",
-                           [this] { auditEnergyAccounting(); });
-    if (core::checkLevel() == core::CheckLevel::Paranoid)
-        simulator.addAudit("vc-masks", [this] { auditVcMasks(); });
-}
-
-void
 NetworkAuditor::auditAll()
 {
     auditFlitConservation();

@@ -27,9 +27,10 @@
  * visit only the VCs those masks name.
  *
  * Violations throw core::CheckFailure with a diagnostic naming the
- * node/port/VC. Audits are registered with the Simulator (run every N
- * cycles and at drain) by orion::Simulation when the runtime check
- * level is at least CheckLevel::Cheap.
+ * node/port/VC. When the runtime check level is at least
+ * CheckLevel::Cheap, orion::Simulation installs auditAll() as the
+ * Simulator's audit (run every N cycles) and runs it once more at
+ * drain.
  */
 
 #ifndef ORION_NET_AUDIT_HH
@@ -40,7 +41,6 @@
 
 #include "net/network.hh"
 #include "net/power_monitor.hh"
-#include "sim/simulator.hh"
 
 namespace orion::router {
 class CrossbarRouter;
@@ -64,11 +64,8 @@ class NetworkAuditor
     NetworkAuditor(const NetworkAuditor&) = delete;
     NetworkAuditor& operator=(const NetworkAuditor&) = delete;
 
-    /** Register the three ledger audits with @p simulator, plus the
-     * VC-mask audit at CheckLevel::Paranoid. */
-    void registerWith(sim::Simulator& simulator);
-
-    /** Run every audit once, in the registration order. */
+    /** Run the three ledger audits, plus the VC-mask audit when the
+     * check level is CheckLevel::Paranoid at the time of the call. */
     void auditAll();
 
     /// @name Individual audits (throw core::CheckFailure on violation)

@@ -88,21 +88,6 @@ DeadlockDetector::detect(sim::Cycle now)
         }
     }
 
-    // Dateline VC classes bid in half the VC range; everything else
-    // bids across all VCs (mirrors CrossbarRouter::classVcRange).
-    const bool dateline =
-        net_.params().deadlock == router::DeadlockMode::Dateline;
-    const auto class_range =
-        [&](unsigned cls) -> std::pair<unsigned, unsigned> {
-        if (dateline) {
-            const unsigned half = vcs / 2;
-            return cls == 0
-                       ? std::pair<unsigned, unsigned>{0u, half}
-                       : std::pair<unsigned, unsigned>{half, vcs};
-        }
-        return {0u, vcs};
-    };
-
     // Wait-for edges.
     //  - Active VC with zero credits toward a non-local output: waits
     //    for the downstream input VC its flits feed.
@@ -133,7 +118,8 @@ DeadlockDetector::detect(sim::Cycle now)
                 }
                 if (!st.hasFront || !st.frontHead)
                     continue;
-                const auto [first, last] = class_range(st.vcClass);
+                const auto [first, last] = router::classVcRange(
+                    net_.params().deadlock, vcs, st.vcClass);
                 std::vector<std::size_t> holders;
                 bool any_free = false;
                 for (unsigned ov = first; ov < last && !any_free;

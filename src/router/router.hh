@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "router/arbiter.hh"
@@ -51,6 +52,19 @@ enum class DeadlockMode
      */
     Dateline,
 };
+
+/** VC index range [first, last) that a head of dateline class @p cls
+ * bids in: the lower or upper half of @p vcs under
+ * DeadlockMode::Dateline, every VC otherwise. The VA stage and the
+ * deadlock detector's wait-for edges both call this. */
+inline std::pair<unsigned, unsigned>
+classVcRange(DeadlockMode mode, unsigned vcs, unsigned cls)
+{
+    if (mode != DeadlockMode::Dateline)
+        return {0u, vcs};
+    const unsigned half = vcs / 2;
+    return cls == 0 ? std::pair{0u, half} : std::pair{half, vcs};
+}
 
 /** Common architectural parameters of a router. */
 struct RouterParams

@@ -321,21 +321,11 @@ CrossbarRouter::stStage(sim::Cycle now)
     }
 }
 
-std::pair<unsigned, unsigned>
-CrossbarRouter::classVcRange(unsigned cls) const
-{
-    if (params_.deadlock == DeadlockMode::Dateline) {
-        const unsigned half = params_.vcs / 2;
-        return cls == 0 ? std::pair<unsigned, unsigned>{0u, half}
-                        : std::pair<unsigned, unsigned>{half, params_.vcs};
-    }
-    return {0u, params_.vcs};
-}
-
 int
 CrossbarRouter::freeOutputVc(unsigned o, unsigned cls) const
 {
-    const auto [first, last] = classVcRange(cls);
+    const auto [first, last] =
+        classVcRange(params_.deadlock, params_.vcs, cls);
     const unsigned span = last - first;
     assert(span > 0);
     // The scan starts vaScan_[o] VCs into the class, modulo its span

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "router/arbiter.hh"
@@ -117,9 +116,6 @@ class CrossbarRouter : public Router
     /** Pick this cycle's switch request for input port @p p into
      * @p c; false when the port has none. */
     bool pickCandidate(unsigned p, Candidate& c);
-
-    /** VC index range [first, last) for dateline class @p cls. */
-    std::pair<unsigned, unsigned> classVcRange(unsigned cls) const;
 
     /** Free output VC of class @p cls at output @p o for a head
      * bidding at VA, scanning from vaScan_[o]; -1 if none. */

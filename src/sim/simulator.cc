@@ -21,16 +21,11 @@ Simulator::addChannel(ChannelBase* c)
 }
 
 void
-Simulator::addAudit(std::string name, std::function<void()> fn)
+Simulator::setAudit(Cycle interval, std::function<void()> audit)
 {
-    audits_.push_back({std::move(name), std::move(fn)});
-}
-
-void
-Simulator::runAudits() const
-{
-    for (const auto& a : audits_)
-        a.fn();
+    assert((interval == 0 || audit) && "an audit interval needs an audit");
+    auditInterval_ = interval;
+    audit_ = std::move(audit);
 }
 
 void
@@ -71,10 +66,8 @@ Simulator::step()
     // Audits observe the post-advance state: every channel's staged
     // slot is empty, so in-flight messages are exactly the current
     // slots — the well-defined cycle boundary the invariants assume.
-    if (auditInterval_ != 0 && !audits_.empty() &&
-        now_ % auditInterval_ == 0) {
-        runAudits();
-    }
+    if (auditInterval_ != 0 && now_ % auditInterval_ == 0)
+        audit_();
     if (prof != nullptr)
         prof->phaseDone(Phase::Audit);
     for (const auto& p : periodics_) {

@@ -89,27 +89,17 @@ class Simulator
     /** Number of registered modules (paper quotes 59 for a 4x4 VC net). */
     std::size_t moduleCount() const { return modules_.size(); }
 
-    /// @name Network-wide audits (see docs/QUALITY.md)
+    /// @name Network-wide audit (see docs/QUALITY.md)
     /// @{
     /**
-     * Register a named audit. Audits run at every audit-interval
-     * boundary (see setAuditInterval) and whenever runAudits() is
-     * called explicitly (e.g. at drain). An audit signals violation by
-     * throwing (typically core::CheckFailure via ORION_CHECK).
+     * Run @p audit at every cycle boundary where now() % @p interval
+     * == 0, after the cycle's channels advance and before its
+     * periodic hooks (0 disables it). The audit signals a violation
+     * by throwing (typically core::CheckFailure via ORION_CHECK).
      */
-    void addAudit(std::string name, std::function<void()> fn);
-
-    /**
-     * Run every registered audit each @p cycles cycles (0 disables
-     * periodic auditing; explicit runAudits() calls still work).
-     */
-    void setAuditInterval(Cycle cycles) { auditInterval_ = cycles; }
+    void setAudit(Cycle interval, std::function<void()> audit);
+    /** Cycles between audits; 0 when none is installed. */
     Cycle auditInterval() const { return auditInterval_; }
-
-    /** Run all registered audits now, in registration order. */
-    void runAudits() const;
-
-    std::size_t auditCount() const { return audits_.size(); }
     /// @}
 
     /// @name Periodic hooks (telemetry samplers; see net::WindowedSampler)
@@ -139,12 +129,6 @@ class Simulator
     /// @}
 
   private:
-    struct Audit
-    {
-        std::string name;
-        std::function<void()> fn;
-    };
-
     struct Periodic
     {
         std::string name;
@@ -164,7 +148,7 @@ class Simulator
     /** Channels written this cycle, awaiting their boundary advance
      * (write-scheduled; see ChannelBase::setAdvanceQueue). */
     std::vector<ChannelBase*> pendingAdvance_;
-    std::vector<Audit> audits_;
+    std::function<void()> audit_;
     std::vector<Periodic> periodics_;
     Cycle auditInterval_ = 0;
     Cycle now_ = 0;

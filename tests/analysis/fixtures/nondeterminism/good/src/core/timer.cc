@@ -1,16 +1,15 @@
-// Fixture: a justified suppression for a wall-clock read that only
-// measures, and a literal that merely names rand().
-#include <chrono>
+// Fixture: the run layer times itself through the base/clock helpers,
+// and a literal that merely names rand() is not a call.
+#include "base/clock.hh"
 
 namespace demo {
 
 const char* const kHelp = "never call rand() here";
 
 double
-elapsed()
+elapsed(double start)
 {
-    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism -- timing only, never a result
-    return std::chrono::duration<double>(t.time_since_epoch()).count();
+    return orion::core::monotonicSeconds() - start;
 }
 
 } // namespace demo

@@ -63,13 +63,6 @@ shortRun()
     return s;
 }
 
-TEST_F(AuditTest, CheckLevelClampsToCompiledMax)
-{
-    core::setCheckLevel(CheckLevel::Paranoid);
-    EXPECT_LE(static_cast<int>(core::checkLevel()),
-              static_cast<int>(core::compiledCheckLevel()));
-}
-
 TEST_F(AuditTest, CheckMacroThrowsWithContext)
 {
     const int port = 3;
@@ -104,8 +97,8 @@ void
 expectCleanRun(const NetworkConfig& cfg)
 {
     Simulation s(cfg, uniformTraffic(0.05), shortRun());
-    // Three ledger audits plus the paranoid-only VC-mask audit.
-    EXPECT_EQ(s.simulator().auditCount(), 4u);
+    // Paranoid audits 16x as often as auditCycles (64).
+    EXPECT_EQ(s.simulator().auditInterval(), 4u);
     const Report r = s.run();
     EXPECT_TRUE(r.completed);
     EXPECT_NO_THROW(s.auditor().auditAll());
@@ -248,7 +241,7 @@ TEST_F(AuditTest, AuditsAreNotRegisteredWhenChecksOff)
 {
     core::setCheckLevel(CheckLevel::Off);
     Simulation s(NetworkConfig::vc16(), uniformTraffic(0.05), shortRun());
-    EXPECT_EQ(s.simulator().auditCount(), 0u);
+    EXPECT_EQ(s.simulator().auditInterval(), 0u);
 }
 
 } // namespace

@@ -320,7 +320,7 @@ TEST(HeartbeatFuzz, ConcurrentWritersNeverTearTheFile)
                 core::ProgressScope scope(&tracker, i, w);
                 if (std::atomic<std::uint64_t>* c = scope.cycles())
                     c->store(i, std::memory_order_relaxed);
-                scope.end((i % 7) == 0);
+                scope.end((i % 7) == 0, 0.001);
             }
         });
     }

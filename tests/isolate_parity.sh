@@ -4,7 +4,8 @@
 # with the same code as the in-process sweep. A journal written by an
 # --isolate run and cut to two entries must resume in-process to that
 # same CSV. The in-process --seeds 2 path (averaged rows) must resume
-# the same way from a journal cut to two of its cells.
+# the same way from a journal cut to two of its cells, and print that
+# CSV with --isolate too.
 #
 # The sweep poisons one point (a structured check failure, so exit 3)
 # and injects link bit errors, so the retry band, the failure row and
@@ -60,5 +61,9 @@ rc=$(run seeds_resumed.csv --seeds 2 --resume "$tmp/seeds_cut")
 [ "$rc" -eq 3 ] || fail "--seeds 2 --resume exited $rc, expected 3"
 cmp "$tmp/seeds.csv" "$tmp/seeds_resumed.csv" ||
     fail "--seeds 2 resume differs from the uninterrupted CSV"
+rc=$(run seeds_isolate.csv --seeds 2 --isolate)
+[ "$rc" -eq 3 ] || fail "--seeds 2 --isolate exited $rc, expected 3"
+cmp "$tmp/seeds.csv" "$tmp/seeds_isolate.csv" ||
+    fail "--seeds 2 --isolate CSV differs from the in-process CSV"
 
 echo "isolate_parity: ok"

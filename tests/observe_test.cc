@@ -257,9 +257,9 @@ TEST(Progress, HeartbeatFileFinishedAndValid)
         EXPECT_TRUE(early.valid()) << early_snapshot;
 
         core::ProgressScope s1(&tracker, 0, 0);
-        s1.end(false);
+        s1.end(false, 0.01);
         core::ProgressScope s2(&tracker, 1, 0);
-        s2.end(false);
+        s2.end(false, 0.01);
         tracker.finalize();
     }
     const std::string j = slurp(path);
@@ -290,7 +290,7 @@ TEST(Progress, NullTrackerScopeIsFree)
     core::ProgressScope scope(nullptr, 0, 0);
     scope.setAttempt(2);
     EXPECT_EQ(scope.cycles(), nullptr);
-    scope.end(false);
+    scope.end(false, 0.01);
 }
 
 // --- Observability does not change results --------------------------

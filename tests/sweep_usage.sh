@@ -4,10 +4,16 @@
 # anything. Every case carries a tiny grid, so a build that accepts
 # the value anyway finishes quickly and fails here on its exit code.
 #
+# Lost output: orion_sweep and orion_sim (found next to it) must exit
+# 4 with a diagnostic when stdout or an output file cannot be written.
+# /dev/full fails every write; the cases are skipped where it is not
+# writable.
+#
 # Usage: tests/sweep_usage.sh PATH/TO/orion_sweep
 set -u
 
 sweep=$1
+sim=$(dirname "$sweep")/orion_sim
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
@@ -44,6 +50,38 @@ expect_usage --rates nan:0.1:4
 expect_usage --rates 0.01:inf:4
 # A flag of the shared parser still names the tool that ran.
 expect_usage --jobs 1x
+
+# expect_io_error TOOL RC WHAT: a run of TOOL that lost its output
+# exited RC, which must be 4, and said so on stderr.
+expect_io_error() {
+    if [ "$2" -ne 4 ]; then
+        echo "sweep_usage: $3 exited $2, expected 4" >&2
+        status=1
+    elif ! grep -q "^$1: " "$tmp/err"; then
+        echo "sweep_usage: $3 printed no $1 diagnostic:" >&2
+        cat "$tmp/err" >&2
+        status=1
+    fi
+}
+
+if [ -w /dev/full ]; then
+    "$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \
+        >/dev/full 2>"$tmp/err"
+    expect_io_error orion_sweep $? "orion_sweep > /dev/full"
+    mkdir "$tmp/metrics"
+    ln -s /dev/full "$tmp/metrics/point_000.csv"
+    "$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \
+        --metrics-dir "$tmp/metrics" >/dev/null 2>"$tmp/err"
+    expect_io_error orion_sweep $? \
+        "orion_sweep --metrics-dir with point_000.csv on /dev/full"
+    "$sim" --preset vc16 --rate 0.02 --sample 200 >/dev/full 2>"$tmp/err"
+    expect_io_error orion_sim $? "orion_sim > /dev/full"
+    "$sim" --preset vc16 --rate 0.02 --sample 200 \
+        --metrics-out /dev/full >/dev/null 2>"$tmp/err"
+    expect_io_error orion_sim $? "orion_sim --metrics-out /dev/full"
+else
+    echo "sweep_usage: /dev/full is not writable; output cases skipped"
+fi
 
 [ "$status" -eq 0 ] && echo "sweep_usage: ok"
 exit "$status"

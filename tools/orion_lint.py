@@ -10,10 +10,14 @@ source, so it runs everywhere the repo builds.
 
 Line rules (scan src/, tools/, bench/ and tests/):
 
-  nondeterminism      rand()/srand()/time()/std::random_device and
-                      wall-clock std::chrono clocks are forbidden in
-                      src/ outside sim/rng.* (benchmarks may read the
-                      wall clock to *measure*, never to *seed*).
+  nondeterminism      rand()/srand()/time()/std::random_device are
+                      forbidden: every run replays from its seed. In
+                      src/ only base/clock.cc reads a host clock
+                      (std::chrono clocks, clock(), the clock_*
+                      calls, gettimeofday), and the simulation layers
+                      (tech, power, sim, router, net) may not call its
+                      helpers either. tools/, bench/ and tests/ may
+                      read the clock to *measure*, never to *seed*.
   naked-new           no naked new/delete in src/ — ownership goes
                       through std::unique_ptr/std::vector.
   file-scope-state    no mutable file-scope state in sim/router/power/
@@ -126,18 +130,26 @@ REENTRANT_DIRS = ("src/sim", "src/router", "src/power", "src/net")
 # MetricsRegistry or the Report, never ad-hoc prints.
 STAT_DIRS = ("src/net/", "src/router/")
 
-NONDET_PATTERNS = [
+UNSEEDABLE_PATTERNS = [
     (re.compile(r"\brand\s*\("), "rand()"),
     (re.compile(r"\bsrand\s*\("), "srand()"),
     (re.compile(r"\btime\s*\(\s*(NULL|nullptr|0)?\s*\)"), "time()"),
     (re.compile(r"\brandom_device\b"), "std::random_device"),
-    (
-        re.compile(
-            r"chrono::(system_clock|steady_clock|high_resolution_clock)"
-        ),
-        "wall-clock std::chrono",
-    ),
 ]
+CLOCK_PATTERNS = [
+    (re.compile(r"chrono::(system_clock|steady_clock|high_resolution_clock)"),
+     "a std::chrono clock"),
+    (re.compile(r"\b(?:clock|clock_\w+|gettimeofday|timespec_get)\s*\("),
+     "a C/POSIX clock"),
+]
+# The one src/ file that reads host clocks, and the helpers it
+# exports. The simulation layers stay clock-free: they reach host time
+# only through base/profile and base/cancel.
+CLOCK_FILE = "src/base/clock.cc"
+CLOCK_CALL_RE = re.compile(
+    r"\b(monotonicSeconds|unixSeconds|threadCpuSeconds)\s*\(")
+KERNEL_DIRS = ("src/tech/", "src/power/", "src/sim/", "src/router/",
+               "src/net/")
 
 # Stderr-targeted writes that bypass core/log (the structured sink
 # can't mirror them). std::cerr is always stderr; fprintf/fputs only
@@ -435,28 +447,36 @@ class Checker:
     def check_lines(self, f):
         rel = f.rel
         in_src = rel.startswith("src/")
-        is_rng = rel.startswith("src/sim/rng")
+        clock_banned = in_src and rel != CLOCK_FILE
+        in_kernel = rel.startswith(KERNEL_DIRS)
         reentrant = rel.startswith(REENTRANT_DIRS)
         m = SRC_LAYER_RE.match(rel)
         layer = m.group(1) if m and m.group(1) in LAYER_RANK else None
         for idx, (line, code) in enumerate(
                 zip(f.raw_lines, f.code_lines), 1):
-            if in_src and not is_rng:
-                for pat, what in NONDET_PATTERNS:
-                    if pat.search(code):
-                        self.report(
-                            f, idx, "nondeterminism",
-                            f"{what} breaks run determinism; draw from "
-                            "sim::Rng (seeded) instead")
-            elif not in_src:
-                # Outside src/ wall-clock timing is legitimate, but
-                # non-seeded randomness still poisons reproducibility.
-                for pat, what in NONDET_PATTERNS[:4]:
-                    if pat.search(code):
-                        self.report(
-                            f, idx, "nondeterminism",
-                            f"{what} is not seedable; use sim::Rng with "
-                            "an explicit seed")
+            for pat, what in UNSEEDABLE_PATTERNS:
+                if pat.search(code):
+                    self.report(
+                        f, idx, "nondeterminism",
+                        f"{what} is not seedable; draw from sim::Rng "
+                        "with an explicit seed")
+            # Outside src/ timing is legitimate; inside, host time
+            # has one owner.
+            for pat, what in CLOCK_PATTERNS:
+                if clock_banned and pat.search(code):
+                    self.report(
+                        f, idx, "nondeterminism",
+                        f"{what} read outside src/base/clock; call "
+                        "core::monotonicSeconds/unixSeconds/"
+                        "threadCpuSeconds, and never let the result "
+                        "reach simulation state")
+            m = CLOCK_CALL_RE.search(code) if in_kernel else None
+            if m:
+                self.report(
+                    f, idx, "nondeterminism",
+                    f"{m.group(1)}() from a simulation layer: the "
+                    "kernel reads no host time except through "
+                    "base/profile and base/cancel (src/base/clock)")
 
             if in_src:
                 if NEW_RE.search(code):

@@ -22,13 +22,9 @@
  *   6  --point-timeout deadline expired (stopped cooperatively)
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,35 +48,6 @@ configureLogger(const orion::cli::Options& opts)
         log::Level level = log::Level::Info;
         log::parseLevel(opts.logLevel, level);
         log::configure(opts.logOut, level);
-    }
-}
-
-/** An output-stream failure (exit 4): the run itself was healthy, the
- * results could not be delivered. */
-class IoError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-void
-writeFile(const std::string& path, const std::string& content)
-{
-    errno = 0;
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        throw IoError("orion_sim: cannot open '" + path +
-                      "' for writing: " + std::strerror(errno));
-    }
-    out << content;
-    out.flush();
-    out.close();
-    // badbit/failbit after flush+close covers ENOSPC, EPIPE on a
-    // FIFO, quota errors... anything the kernel only reports on
-    // write-back.
-    if (!out) {
-        throw IoError("orion_sim: i/o error writing '" + path +
-                      "' (disk full or stream closed?)");
     }
 }
 
@@ -144,22 +111,19 @@ main(int argc, char** argv)
                     log::num("power_w", report.networkPowerWatts)});
 
         if (!opts.metricsOut.empty())
-            writeFile(opts.metricsOut, simulation.metricsCsv());
+            core::writeFile(opts.metricsOut, simulation.metricsCsv());
         if (!opts.traceOut.empty())
-            writeFile(opts.traceOut, simulation.traceJson("orion_sim"));
+            core::writeFile(opts.traceOut,
+                            simulation.traceJson("orion_sim"));
         if (!opts.reportOut.empty())
-            writeFile(opts.reportOut, workerReportLine(simulation, report));
+            core::writeFile(opts.reportOut,
+                            workerReportLine(simulation, report));
 
         const std::string out = opts.csv
                                     ? cli::formatCsvReport(opts, report)
                                     : cli::formatReport(opts, report);
         std::fputs(out.c_str(), stdout);
-        if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
-            log::diag(log::Level::Error, "sim.io_error",
-                      "orion_sim: i/o error writing the report to "
-                      "stdout\n");
-            return 4;
-        }
+        core::flushStdout();
         switch (report.stopReason) {
         case StopReason::CheckFailure:
             log::diag(log::Level::Error, "sim.check_failure",
@@ -183,9 +147,9 @@ main(int argc, char** argv)
         default:
             return report.deadlockSuspected ? 2 : 0;
         }
-    } catch (const IoError& e) {
+    } catch (const core::IoError& e) {
         log::diag(log::Level::Error, "sim.io_error",
-                  log::strf("%s\n", e.what()));
+                  log::strf("orion_sim: %s\n", e.what()));
         return 4;
     } catch (const std::exception& e) {
         log::diag(log::Level::Error, "sim.error",

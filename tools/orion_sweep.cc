@@ -11,9 +11,10 @@
  * crash isolation, heartbeat and resource columns.
  *
  * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
- * more points failed (rows for healthy points still printed); 5
- * interrupted by SIGINT/SIGTERM (no CSV; a resume hint is printed
- * when journaling). See docs/ROBUSTNESS.md.
+ * more points failed (rows for healthy points still printed); 4 an
+ * output could not be written (stdout, a --metrics-dir/--trace-dir
+ * file; wins over 3); 5 interrupted by SIGINT/SIGTERM (no CSV; a
+ * resume hint is printed when journaling). See docs/ROBUSTNESS.md.
  *
  * Example:
  *   orion_sweep --preset vc64 --rates 0.02:0.18:9 --seeds 3 > vc64.csv
@@ -25,7 +26,6 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -76,16 +76,6 @@ seedDir(const std::string& dir, unsigned k, unsigned seeds)
     char name[24];
     std::snprintf(name, sizeof name, "seed_%u", k);
     return (std::filesystem::path(dir) / name).string();
-}
-
-void
-writeFile(const std::string& path, const std::string& content)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("orion_sweep: cannot open '" + path +
-                                 "' for writing");
-    out << content;
 }
 
 /**
@@ -293,12 +283,6 @@ main(int argc, char** argv)
                   "orion_sweep: --checkpoint/--resume cannot be "
                   "combined with --metrics-dir/--trace-dir "
                   "(telemetry exports are not journaled)\n");
-        return 1;
-    }
-    if (isolate && seeds > 1) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate supports --seeds 1 "
-                  "only\n");
         return 1;
     }
     if (isolate && (!metrics_dir.empty() || !trace_dir.empty())) {
@@ -568,8 +552,9 @@ main(int argc, char** argv)
                 if (dir.empty() || (seeds > 1 && content.empty()))
                     return;
                 const auto k = static_cast<unsigned>(c % seeds);
-                writeFile(pointPath(seedDir(dir, k, seeds), c / seeds, ext),
-                          content);
+                core::writeFile(
+                    pointPath(seedDir(dir, k, seeds), c / seeds, ext),
+                    content);
             };
             exportTo(metrics_dir, cells[c].metricsCsv, "csv");
             exportTo(trace_dir, cells[c].traceJson, "json");
@@ -581,9 +566,14 @@ main(int argc, char** argv)
         else
             printAveraged(cells, seeds, resources_cols, zero_load,
                           manifest.pointsFailed);
+        core::flushStdout();
         // Failure isolation: every healthy point above still printed;
         // failed points carry their diagnosis and flip the exit code.
         return manifest.pointsFailed > 0 ? 3 : 0;
+    } catch (const core::IoError& e) {
+        log::diag(log::Level::Error, "sweep.io_error",
+                  log::strf("orion_sweep: %s\n", e.what()));
+        return 4;
     } catch (const std::exception& e) {
         log::diag(log::Level::Error, "sweep.error",
                   log::strf("%s\n", e.what()));
