@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "base/check.hh"
+#include "base/json.hh"
 #include "bench_util.hh"
 #include "core/checkpoint.hh"
 
@@ -117,19 +118,13 @@ main()
         }
     }
 
-    std::string wall;
-    for (const Mode& m : modes) {
-        if (!wall.empty())
-            wall += ", ";
-        wall += "\"" + std::string(m.name) +
-                "\": " + report::fmt(m.bestSeconds, 4);
-    }
-    std::printf("{\"benchmark\": \"overhead\", \"network\": \"vc16\", "
-                "\"rates\": %zu, \"sample_packets\": %llu, "
-                "\"rounds\": %u, \"wall_s\": {%s}, "
-                "\"identical\": %s}\n",
-                rates.size(),
-                static_cast<unsigned long long>(sim.samplePackets),
-                kRounds, wall.c_str(), identical ? "true" : "false");
+    report::JsonWriter w;
+    w.beginObject().field("benchmark", "overhead").field("network", "vc16");
+    w.field("rates", rates.size()).field("sample_packets", sim.samplePackets);
+    w.field("rounds", kRounds).key("wall_s").beginObject();
+    for (const Mode& m : modes)
+        w.field(m.name, m.bestSeconds);
+    w.endObject().field("identical", identical).endObject();
+    std::fputs(w.takeLine().c_str(), stdout);
     return identical ? 0 : 1;
 }

@@ -20,8 +20,9 @@
  *
  * Profiling is opt-in (--profile-phases). Disabled, the simulator pays
  * one null-pointer test per cycle stage; the results are bit-identical
- * either way because the profiler only reads clocks. The run manifest
- * turns the totals into shares (core::phaseShares).
+ * either way because the profiler only reads clocks.
+ * telemetry::registerPhaseMetrics publishes the totals and their
+ * shares as gauges (sim.phase.*, core.run.*).
  */
 #ifndef ORION_BASE_PROFILE_HH
 #define ORION_BASE_PROFILE_HH

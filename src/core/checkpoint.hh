@@ -43,6 +43,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/hash.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 #include "core/sync.hh"
@@ -92,13 +93,6 @@ double parseExactDouble(const std::string& s);
 
 /** @p v as 16 lowercase hex digits (checksum/fingerprint fields). */
 std::string hex16(std::uint64_t v);
-
-/** FNV-1a 64-bit offset basis. */
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** Incremental FNV-1a-64 over @p s, continuing from @p h. */
-std::uint64_t fnv1a64(std::string_view s,
-                      std::uint64_t h = kFnvOffset);
 
 /**
  * Bump when a code change alters simulation results for a fixed

@@ -382,20 +382,23 @@ parse(const std::vector<std::string>& args, const std::string& tool)
 std::vector<double>
 parseRateSpec(const std::string& spec)
 {
-    double first = 0.0;
-    double last = 0.0;
-    unsigned count = 0;
-    char tail = 0;
-    if (std::sscanf(spec.c_str(), "%lf:%lf:%u%c", &first, &last,
-                    &count, &tail) != 3 ||
-        !(first > 0.0 && last >= first && std::isfinite(last)) ||
-        count < 2) {
-        throw std::invalid_argument(
-            "--rates: wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
-            "and COUNT >= 2: '" +
-            spec + "'");
-    }
-    return Sweep::linspace(first, last, count);
+    const auto bad = [&spec] {
+        fail("--rates: wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
+             "<= 1 and 2 <= COUNT <= " +
+             std::to_string(kMaxSweepCells) + ": '" + spec + "'");
+    };
+    const std::size_t a = spec.find(':');
+    const std::size_t b = a == std::string::npos ? a : spec.find(':', a + 1);
+    if (b == std::string::npos)
+        bad();
+    const double first = parseDouble("--rates FIRST", spec.substr(0, a));
+    const double last =
+        parseDouble("--rates LAST", spec.substr(a + 1, b - a - 1));
+    const auto count =
+        parseU64("--rates COUNT", spec.substr(b + 1), kMaxSweepCells);
+    if (!(first > 0.0 && first <= last && last <= 1.0) || count < 2)
+        bad();
+    return Sweep::linspace(first, last, static_cast<unsigned>(count));
 }
 
 std::string

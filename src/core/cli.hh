@@ -103,10 +103,14 @@ std::string formatReport(const Options& opts, const Report& report);
 /** Render @p report as one CSV header + one data row. */
 std::string formatCsvReport(const Options& opts, const Report& report);
 
+/** Most cells (rates x seeds) one orion_sweep grid may hold: a sweep
+ * keeps every cell's report in memory until it prints. */
+constexpr unsigned long long kMaxSweepCells = 100000;
+
 /**
  * Parse a "FIRST:LAST:COUNT" rate-sweep specification into evenly
- * spaced rates. Throws std::invalid_argument on malformed or
- * non-increasing specs.
+ * spaced rates, 0 < FIRST <= LAST <= 1 and 2 <= COUNT <=
+ * kMaxSweepCells. Throws std::invalid_argument otherwise.
  */
 std::vector<double> parseRateSpec(const std::string& spec);
 

@@ -1,7 +1,9 @@
 #include "core/config.hh"
 
 #include <cassert>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +17,20 @@ fail(const std::string& what)
     throw std::invalid_argument("orion config: " + what);
 }
 
+/** The radices' product, or 0 above INT_MAX (node ids are int); a
+ * partial product <= INT_MAX times a radix never wraps 64 bits. */
+std::uint64_t
+nodeCount(const std::vector<unsigned>& dims)
+{
+    std::uint64_t nodes = 1;
+    for (const unsigned k : dims) {
+        nodes *= k;
+        if (nodes > INT_MAX)
+            return 0;
+    }
+    return nodes;
+}
+
 } // namespace
 
 void
@@ -24,12 +40,12 @@ NetworkConfig::validate() const
         fail("topology needs at least one dimension");
     if (net.dims.size() > 31)
         fail("at most 31 dimensions (router ports fit one 64-bit mask)");
-    unsigned nodes = 1;
     for (const unsigned k : net.dims) {
         if (k < 2)
             fail("every dimension radix must be >= 2");
-        nodes *= k;
     }
+    if (nodeCount(net.dims) == 0)
+        fail("at most INT_MAX nodes (the radices' product; ids are int)");
     if (net.vcs < 1)
         fail("vcs must be >= 1");
     if (net.vcs > 64)
@@ -98,9 +114,7 @@ NetworkConfig::validate() const
 void
 validateTraffic(const NetworkConfig& network, const TrafficConfig& traffic)
 {
-    unsigned nodes = 1;
-    for (const unsigned k : network.net.dims)
-        nodes *= k;
+    const auto nodes = static_cast<unsigned>(nodeCount(network.net.dims));
     const auto in_range = [&](int n) {
         return n >= 0 && static_cast<unsigned>(n) < nodes;
     };

@@ -1,7 +1,5 @@
 #include "core/forensics.hh"
 
-#include <sstream>
-
 #include "base/json.hh"
 
 namespace orion {
@@ -18,119 +16,96 @@ faultKindName(net::FaultKind kind)
     return "unknown";
 }
 
+void
+writeWaitVc(report::JsonWriter& w, const net::DeadlockDetector::WaitVc& v)
+{
+    w.beginObject().field("router", v.node).field("port", v.port);
+    w.field("vc", v.vc).field("phase", v.phase);
+    w.field("out_port", v.outPort).field("out_vc", v.outVc);
+    w.field("packet", v.packetId).field("head_front", v.frontHead);
+    w.endObject();
+}
+
+std::string
+vcName(const net::DeadlockDetector::WaitVc& v)
+{
+    return "router" + std::to_string(v.node) + ":in" +
+           std::to_string(v.port) + ":vc" + std::to_string(v.vc);
+}
+
 } // namespace
 
 std::string
 forensicSnapshot(Simulation& sim, const std::string& reason)
 {
-    net::Network& net = sim.network();
-    const unsigned nodes = net.topology().numNodes();
+    const net::Network& net = sim.network();
+    const net::HealthMonitor* health = sim.healthMonitor();
+    const net::DeadlockDetector* detector = sim.deadlockDetector();
+    const net::FaultInjector* faults = net.faultInjector();
 
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"reason\": \"" << report::jsonEscape(reason) << "\",\n";
-    out << "  \"cycle\": " << sim.simulator().now() << ",\n";
-
-    const net::SharedState& shared = net.shared();
-    out << "  \"sample\": {\"injected\": " << shared.sampleInjected
-        << ", \"ejected\": " << shared.sampleEjected
-        << ", \"lost\": " << shared.sampleLost
-        << ", \"remaining\": " << shared.sampleRemaining << "},\n";
-    out << "  \"packets\": {\"injected\": " << net.totalInjected()
-        << ", \"ejected\": " << net.totalEjected()
-        << ", \"lost\": " << net.totalLost()
-        << ", \"unreachable\": " << net.totalUnreachable()
-        << ", \"in_flight\": " << net.inFlight() << "},\n";
-
-    // Per-router stall map: frozen_cycles is how long each router has
-    // held resident flits without forwarding any (watchdog grain;
-    // empty before the drain phase runs).
+    // Every scalar comes from the network's one metric list, plus the
+    // per-router stall map: frozen_cycles is how long each router has
+    // held resident flits without forwarding any (watchdog grain; 0
+    // before the drain phase runs).
+    telemetry::MetricsRegistry metrics;
+    net::registerNetworkMetrics(metrics, net, faults, health, detector);
     const std::vector<sim::Cycle>& frozen = sim.routerFrozenCycles();
-    out << "  \"routers\": [\n";
+    const unsigned nodes = net.topology().numNodes();
     for (unsigned n = 0; n < nodes; ++n) {
-        const router::Router& r = net.router(static_cast<int>(n));
-        std::size_t credits = 0;
-        for (unsigned p = 0; p < r.params().ports; ++p) {
-            const router::CreditCounter* c = r.outputCreditCounter(p);
-            if (c == nullptr || c->unlimited())
-                continue;
-            for (unsigned v = 0; v < c->vcs(); ++v)
-                credits += c->available(v);
+        metrics.addGauge("router." + std::to_string(n) + ".frozen_cycles",
+                         [&frozen, n] {
+                             return n < frozen.size() ? double(frozen[n])
+                                                      : 0.0;
+                         });
+    }
+
+    report::JsonWriter w;
+    w.beginObject().field("reason", reason);
+    w.field("cycle", sim.simulator().now()).key("metrics");
+    metrics.writeJson(w);
+
+    if (health != nullptr) {
+        w.key("down_links").beginArray();
+        for (const unsigned link : health->downLinks())
+            w.value(link);
+        w.endArray();
+    }
+
+    if (detector != nullptr && !detector->lastWaitCycle().empty()) {
+        w.key("wait_graph").beginObject();
+        w.field("detected_at", detector->lastDetectionAt());
+        w.key("wait_cycle").beginArray();
+        for (const auto& v : detector->lastWaitCycle())
+            writeWaitVc(w, v);
+        w.endArray().key("edges").beginArray();
+        for (const auto& e : detector->lastWaitEdges()) {
+            w.beginObject().field("from", vcName(e.from));
+            w.field("to", vcName(e.to));
+            w.field("kind", e.from.phase == 2 ? "credit" : "vc-alloc");
+            w.endObject();
         }
-        out << "    {\"node\": " << n << ", \"resident\": "
-            << r.residentFlits() << ", \"arrived\": "
-            << r.flitsArrived() << ", \"forwarded\": "
-            << r.flitsForwarded() << ", \"discarded\": "
-            << r.flitsDiscarded() << ", \"frozen_cycles\": "
-            << (n < frozen.size() ? frozen[n] : 0)
-            << ", \"output_credits\": "
-            << credits << "}" << (n + 1 < nodes ? "," : "") << "\n";
-    }
-    out << "  ],\n";
-
-    out << "  \"endpoints\": [\n";
-    for (unsigned n = 0; n < nodes; ++n) {
-        const net::Node& ep = net.endpoint(static_cast<int>(n));
-        out << "    {\"node\": " << n << ", \"source_queue\": "
-            << ep.sourceQueueLength() << ", \"injected\": "
-            << ep.packetsInjected() << ", \"ejected\": "
-            << ep.packetsEjected() << ", \"lost\": "
-            << ep.packetsLost() << ", \"unreachable\": "
-            << ep.packetsUnreachable() << "}"
-            << (n + 1 < nodes ? "," : "") << "\n";
-    }
-    out << "  ]";
-
-    if (const net::HealthMonitor* health = sim.healthMonitor()) {
-        out << ",\n  \"health\": {\"epoch\": " << health->epoch()
-            << ", \"reroutes\": " << health->reroutes()
-            << ", \"down_links\": [";
-        const auto down = health->downLinks();
-        for (std::size_t i = 0; i < down.size(); ++i)
-            out << (i ? ", " : "") << down[i];
-        out << "]}";
+        w.endArray().endObject();
     }
 
-    if (const net::DeadlockDetector* det = sim.deadlockDetector()) {
-        out << ",\n  \"deadlock\": {\"detections\": "
-            << det->detections() << ", \"recovered\": "
-            << det->recoveries() << ", \"unrecoverable\": "
-            << (det->unrecoverable() ? "true" : "false");
-        if (!det->waitGraphJson().empty())
-            out << ", \"wait_graph\": " << det->waitGraphJson();
-        out << "}";
-    }
-
-    if (const net::FaultInjector* inj = net.faultInjector()) {
-        out << ",\n  \"faults\": {\n";
-        out << "    \"flits_corrupted\": " << inj->flitsCorrupted()
-            << ",\n";
-        out << "    \"flits_outage_dropped\": "
-            << inj->flitsOutageDropped() << ",\n";
-        out << "    \"flits_discarded\": " << inj->flitsDiscarded()
-            << ",\n";
-        out << "    \"packets_retransmitted\": "
-            << inj->packetsRetransmitted() << ",\n";
-        out << "    \"packets_lost\": " << inj->packetsLost() << ",\n";
-        out << "    \"event_count\": " << inj->eventCount() << ",\n";
-        out << "    \"log_hash\": " << inj->faultLogHash() << ",\n";
-        const auto& log = inj->log();
+    if (faults != nullptr) {
+        // The exact 64-bit fingerprint (a double would round it) and
+        // the last kTail events.
         constexpr std::size_t kTail = 64;
+        const auto& log = faults->log();
         const std::size_t first =
             log.size() > kTail ? log.size() - kTail : 0;
-        out << "    \"log_tail\": [\n";
+        w.key("fault_log").beginObject();
+        w.field("hash", faults->faultLogHash()).key("tail").beginArray();
         for (std::size_t i = first; i < log.size(); ++i) {
             const net::FaultEvent& ev = log[i];
-            out << "      {\"cycle\": " << ev.cycle << ", \"kind\": \""
-                << faultKindName(ev.kind) << "\", \"link\": "
-                << ev.link << ", \"packet\": " << ev.packetId << "}"
-                << (i + 1 < log.size() ? "," : "") << "\n";
+            w.beginObject().field("cycle", ev.cycle);
+            w.field("kind", faultKindName(ev.kind)).field("link", ev.link);
+            w.field("packet", ev.packetId).endObject();
         }
-        out << "    ]\n  }";
+        w.endArray().endObject();
     }
 
-    out << "\n}\n";
-    return out.str();
+    return w.endObject().takeLine();
 }
 
 } // namespace orion

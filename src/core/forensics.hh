@@ -16,10 +16,13 @@
 namespace orion {
 
 /**
- * Serialize the current state of @p sim as a single JSON object:
- * stop reason, cycle, packet/sample counters, per-router occupancy
- * and ledgers, per-router output credits, per-endpoint queues, and
- * the tail of the fault log (when fault injection is active).
+ * Serialize the current state of @p sim as one compact JSON object
+ * and a newline: {"reason", "cycle", "metrics": {name: value, ...}}.
+ * The metrics are the network's state metrics
+ * (net::registerNetworkMetrics) plus router.N.frozen_cycles. Non-scalar
+ * extras follow where they exist: down_links (rerouting), wait_graph
+ * (after a deadlock detection) and fault_log (the exact 64-bit hash
+ * and the last 64 fault events).
  *
  * @p reason is a free-form description of why the snapshot was taken
  * (typically the check-failure diagnostic).

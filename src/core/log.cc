@@ -9,18 +9,6 @@
 
 namespace orion::core::log {
 
-namespace {
-
-void
-appendNumber(std::string& out, double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-}
-
-} // namespace
-
 const char*
 levelName(Level level)
 {
@@ -43,32 +31,6 @@ parseLevel(const std::string& text, Level& out)
     if (text == "error") { out = Level::Error; return true; }
     if (text == "off") { out = Level::Off; return true; }
     return false;
-}
-
-Field
-str(const char* key, std::string value)
-{
-    return Field{key, std::move(value), false};
-}
-
-Field
-num(const char* key, double value)
-{
-    std::string v;
-    appendNumber(v, value);
-    return Field{key, std::move(v), true};
-}
-
-Field
-u64(const char* key, std::uint64_t value)
-{
-    return Field{key, std::to_string(value), true};
-}
-
-Field
-boolean(const char* key, bool value)
-{
-    return Field{key, value ? "true" : "false", true};
 }
 
 std::string
@@ -166,36 +128,20 @@ Logger::writeLine(Level level, const char* name,
                   std::initializer_list<Field> fields,
                   const std::string* message)
 {
-    std::string line;
-    line.reserve(128);
-    line += "{\"ts\":";
-    appendNumber(line, unixSeconds());
-    line += ",\"level\":\"";
-    line += levelName(level);
-    line += "\",\"event\":\"";
-    line += report::jsonEscape(name);
-    line += '"';
+    report::JsonWriter w;
+    w.beginObject().field("ts", unixSeconds());
+    w.field("level", levelName(level)).field("event", name);
     for (const Field& f : fields) {
-        line += ",\"";
-        line += report::jsonEscape(f.key);
-        line += "\":";
-        if (f.raw) {
-            line += f.value;
-        } else {
-            line += '"';
-            line += report::jsonEscape(f.value);
-            line += '"';
-        }
+        w.key(f.key);
+        std::visit([&w](const auto& v) { w.value(v); }, f.value);
     }
     if (message != nullptr) {
-        std::string m = *message;
+        std::string_view m = *message;
         while (!m.empty() && m.back() == '\n')
-            m.pop_back();
-        line += ",\"msg\":\"";
-        line += report::jsonEscape(m);
-        line += '"';
+            m.remove_suffix(1);
+        w.field("msg", m);
     }
-    line += "}\n";
+    const std::string line = w.endObject().takeLine();
 
     LockGuard lock(mutex_);
     if (sink_ == nullptr)

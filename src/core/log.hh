@@ -34,6 +34,8 @@
 #include <cstdio>
 #include <initializer_list>
 #include <string>
+#include <utility>
+#include <variant>
 
 #include "core/annotations.hh"
 #include "core/sync.hh"
@@ -49,23 +51,22 @@ const char* levelName(Level level);
 /// Parse a level name; returns false (out unchanged) on junk.
 bool parseLevel(const std::string& text, Level& out);
 
-/** One key/value in a structured event. `raw` values are emitted
- * verbatim (numbers, booleans); others are JSON-escaped strings. */
+/** One key/value in a structured event; the JSON writer spells the
+ * typed value. */
 struct Field
 {
     std::string key;
-    std::string value;
-    bool raw = false;
+    std::variant<std::string, double, std::uint64_t, bool> value;
 };
 
-/// String field (JSON-escaped on emit).
-Field str(const char* key, std::string value);
-/// Numeric field (shortest round-trip formatting).
-Field num(const char* key, double value);
+/// String field.
+inline Field str(const char* k, std::string v) { return {k, std::move(v)}; }
+/// Numeric field (round-trip `%.17g`).
+inline Field num(const char* k, double v) { return {k, v}; }
 /// Unsigned integer field (full 64-bit precision).
-Field u64(const char* key, std::uint64_t value);
+inline Field u64(const char* k, std::uint64_t v) { return {k, v}; }
 /// Boolean field.
-Field boolean(const char* key, bool value);
+inline Field boolean(const char* k, bool v) { return {k, v}; }
 
 /// printf-style formatting into a std::string (for diag messages).
 std::string strf(const char* fmt, ...)

@@ -17,63 +17,6 @@
 
 namespace orion::core {
 
-namespace {
-
-void
-appendKv(std::string& out, const char* key, const std::string& value,
-         bool raw)
-{
-    out += '"';
-    out += key;
-    out += "\": ";
-    if (raw) {
-        out += value;
-    } else {
-        out += '"';
-        out += report::jsonEscape(value);
-        out += '"';
-    }
-}
-
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-} // namespace
-
-std::vector<PhaseShare>
-phaseShares(const PhaseProfiler& profiler)
-{
-    using Phase = PhaseProfiler::Phase;
-    constexpr unsigned kFirstRunPhase = static_cast<unsigned>(Phase::Warmup);
-    double cycle_total = 0.0;
-    double run_total = 0.0;
-    for (unsigned i = 0; i < PhaseProfiler::kNumPhases; ++i) {
-        const double s = profiler.seconds(static_cast<Phase>(i));
-        if (i < kFirstRunPhase)
-            cycle_total += s;
-        else
-            run_total += s;
-    }
-    std::vector<PhaseShare> out;
-    out.reserve(PhaseProfiler::kNumPhases);
-    for (unsigned i = 0; i < PhaseProfiler::kNumPhases; ++i) {
-        const auto phase = static_cast<Phase>(i);
-        PhaseShare s;
-        s.name = PhaseProfiler::phaseName(phase);
-        s.seconds = profiler.seconds(phase);
-        const double total =
-            i < kFirstRunPhase ? cycle_total : run_total;
-        s.share = total > 0.0 ? s.seconds / total : 0.0;
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
 RunManifest
 RunManifest::begin(std::string toolName)
 {
@@ -110,83 +53,36 @@ RunManifest::finish(std::string reason)
 }
 
 std::string
-RunManifest::toJson() const
+RunManifest::toJson(const telemetry::MetricsRegistry& metrics) const
 {
-    std::string j;
-    j.reserve(1024);
-    j += "{\n  ";
-    appendKv(j, "schema", "orion-run-manifest-v1", false);
-    j += ",\n  ";
-    appendKv(j, "tool", tool, false);
-    j += ",\n  ";
-    appendKv(j, "fingerprint", fingerprintHex, false);
-    j += ",\n  ";
-    appendKv(j, "seed", std::to_string(seed), true);
-    j += ",\n  ";
-    appendKv(j, "seeds", std::to_string(seeds), true);
-    j += ",\n  ";
-    appendKv(j, "rate_points", std::to_string(ratePoints), true);
-    j += ",\n  \"points\": { ";
-    appendKv(j, "total", std::to_string(pointsTotal), true);
-    j += ", ";
-    appendKv(j, "completed", std::to_string(pointsCompleted), true);
-    j += ", ";
-    appendKv(j, "failed", std::to_string(pointsFailed), true);
-    j += ", ";
-    appendKv(j, "from_checkpoint", std::to_string(pointsFromCheckpoint),
-             true);
-    j += " },\n  ";
-    appendKv(j, "stop_reason", stopReason, false);
-    j += ",\n  \"build\": { ";
-    appendKv(j, "compiler", compiler, false);
-    j += ", ";
-    appendKv(j, "flags", flags, false);
-    j += ", ";
-    appendKv(j, "git_sha", gitSha, false);
-    j += ", ";
-    appendKv(j, "build_type", buildType, false);
-    j += " },\n  \"host\": { ";
-    appendKv(j, "name", host, false);
-    j += ", ";
-    appendKv(j, "pid", std::to_string(pid), true);
-    j += " },\n  \"time\": { ";
-    appendKv(j, "start_unix_s", fmtDouble(startUnixSeconds), true);
-    j += ", ";
-    appendKv(j, "end_unix_s", fmtDouble(endUnixSeconds), true);
-    j += ", ";
-    appendKv(j, "wall_s",
-             fmtDouble(endUnixSeconds > startUnixSeconds
-                           ? endUnixSeconds - startUnixSeconds
-                           : 0.0),
-             true);
-    j += " },\n  \"rusage\": { ";
-    appendKv(j, "user_s", fmtDouble(userCpuSeconds), true);
-    j += ", ";
-    appendKv(j, "sys_s", fmtDouble(sysCpuSeconds), true);
-    j += ", ";
-    appendKv(j, "maxrss_kb", std::to_string(maxRssKb), true);
-    j += ", ";
-    appendKv(j, "children_user_s", fmtDouble(childUserCpuSeconds),
-             true);
-    j += ", ";
-    appendKv(j, "children_sys_s", fmtDouble(childSysCpuSeconds), true);
-    j += ", ";
-    appendKv(j, "children_maxrss_kb", std::to_string(childMaxRssKb),
-             true);
-    j += " },\n  \"phases\": [";
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-        j += i == 0 ? "\n" : ",\n";
-        j += "    { ";
-        appendKv(j, "name", phases[i].name, false);
-        j += ", ";
-        appendKv(j, "seconds", fmtDouble(phases[i].seconds), true);
-        j += ", ";
-        appendKv(j, "share", fmtDouble(phases[i].share), true);
-        j += " }";
-    }
-    j += phases.empty() ? "]\n" : "\n  ]\n";
-    j += "}\n";
-    return j;
+    report::JsonWriter w;
+    w.beginObject().field("schema", "orion-run-manifest-v2");
+    w.field("tool", tool).field("fingerprint", fingerprintHex);
+    w.field("seed", seed).field("seeds", seeds);
+    w.field("rate_points", ratePoints);
+    w.key("points").beginObject().field("total", pointsTotal);
+    w.field("completed", pointsCompleted).field("failed", pointsFailed);
+    w.field("from_checkpoint", pointsFromCheckpoint).endObject();
+    w.field("stop_reason", stopReason);
+    w.key("build").beginObject().field("compiler", compiler);
+    w.field("flags", flags).field("git_sha", gitSha);
+    w.field("build_type", buildType).endObject();
+    w.key("host").beginObject().field("name", host).field("pid", pid);
+    w.endObject();
+    w.key("time").beginObject().field("start_unix_s", startUnixSeconds);
+    w.field("end_unix_s", endUnixSeconds);
+    w.field("wall_s", endUnixSeconds > startUnixSeconds
+                          ? endUnixSeconds - startUnixSeconds
+                          : 0.0);
+    w.endObject();
+    w.key("rusage").beginObject().field("user_s", userCpuSeconds);
+    w.field("sys_s", sysCpuSeconds).field("maxrss_kb", maxRssKb);
+    w.field("children_user_s", childUserCpuSeconds);
+    w.field("children_sys_s", childSysCpuSeconds);
+    w.field("children_maxrss_kb", childMaxRssKb).endObject();
+    w.key("metrics");
+    metrics.writeJson(w);
+    return w.endObject().takeLine();
 }
 
 void

@@ -22,25 +22,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "base/profile.hh"
+#include "sim/telemetry.hh"
 
 namespace orion::core {
-
-/// One simulator stage's share of sampled kernel wall time.
-struct PhaseShare
-{
-    std::string name;
-    double seconds = 0.0;
-    double share = 0.0; ///< fraction of the sampled total, [0,1]
-};
-
-/**
- * Summarize @p profiler for the manifest: cycle phases share the
- * sampled total, run phases share the summed run-phase total.
- */
-std::vector<PhaseShare> phaseShares(const PhaseProfiler& profiler);
 
 /** Provenance and cost record for one CLI run. Fill via begin() /
  * finish(), serialize with toJson(). */
@@ -78,9 +63,6 @@ struct RunManifest
     double childSysCpuSeconds = 0.0;
     long childMaxRssKb = 0;
 
-    /// Kernel phase profile (empty unless --profile-phases).
-    std::vector<PhaseShare> phases;
-
     /** Start a manifest: stamps tool name, build info, host, pid and
      * the start wall time. */
     static RunManifest begin(std::string toolName);
@@ -89,8 +71,11 @@ struct RunManifest
      * getrusage(SELF) + getrusage(CHILDREN) totals. */
     void finish(std::string reason);
 
-    /// Serialize as a pretty-printed JSON object.
-    std::string toJson() const;
+    /** Serialize as one compact JSON object and a newline. Its
+     * `metrics` object holds @p metrics' current values (orion_sim's
+     * phase gauges under --profile-phases). */
+    std::string toJson(const telemetry::MetricsRegistry& metrics =
+                           telemetry::MetricsRegistry{}) const;
 };
 
 /** Write `contents` to `path` atomically: write to `path + ".tmp"`,

@@ -1,9 +1,11 @@
 #include "core/model_cli.hh"
 
-#include <functional>
+#include <climits>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 
+#include "core/cli.hh"
 #include "core/report.hh"
 #include "power/arbiter_model.hh"
 #include "power/buffer_model.hh"
@@ -22,8 +24,7 @@ using orion::report::fmtEng;
 [[noreturn]] void
 fail(const std::string& what)
 {
-    throw std::invalid_argument("orion_models: " + what +
-                                " (--help for usage)");
+    throw std::invalid_argument(what);
 }
 
 /** Parsed option map: every option takes one value except flags. */
@@ -34,34 +35,31 @@ struct Query
     bool muxTree = false;
     bool csv = false;
 
+    /** A finite number >= 0 (no model takes a negative one). */
     double
     number(const std::string& key, double fallback) const
     {
         const auto it = values.find(key);
-        if (it == values.end())
-            return fallback;
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(it->second, &used);
-            if (used != it->second.size())
-                fail(key + ": not a number: '" + it->second + "'");
-            return v;
-        } catch (const std::invalid_argument&) {
-            fail(key + ": not a number: '" + it->second + "'");
-        } catch (const std::out_of_range&) {
-            fail(key + ": out of range: '" + it->second + "'");
-        }
+        const double v = it == values.end()
+                             ? fallback
+                             : parseDouble("--" + key, it->second);
+        if (v < 0.0)
+            fail("--" + key + " must be non-negative");
+        return v;
     }
 
+    /** A count of at least 1 (every model asserts its counts); absent
+     * means @p fallback, and a fallback of 0 means required. */
     unsigned
-    count(const std::string& key, double fallback = -1.0) const
+    count(const std::string& key, unsigned fallback = 0) const
     {
-        const double v = number(key, fallback);
-        if (v < 0.0)
-            fail(key + " is required");
-        if (v != static_cast<unsigned>(v))
-            fail(key + " must be a whole number");
-        return static_cast<unsigned>(v);
+        const auto it = values.find(key);
+        const auto n = it == values.end()
+                           ? fallback
+                           : parseU64("--" + key, it->second, UINT_MAX);
+        if (n < 1)
+            fail("--" + key + " is required and must be >= 1");
+        return static_cast<unsigned>(n);
     }
 
     bool has(const std::string& key) const
@@ -98,7 +96,9 @@ techFrom(const Query& q)
     const double feature = q.number("feature-um", 0.1);
     const double vdd = q.number("vdd", 1.2);
     const double ghz = q.number("freq-ghz", 2.0);
-    if (feature <= 0.0 || vdd <= 0.0 || ghz <= 0.0)
+    // number() checks finiteness; a huge GHz still overflows to inf Hz.
+    if (feature <= 0.0 || vdd <= 0.0 || ghz <= 0.0 ||
+        !std::isfinite(ghz * 1e9))
         fail("--feature-um, --vdd and --freq-ghz must be positive");
     return tech::TechNode::scaled(feature, vdd, ghz * 1e9);
 }
@@ -211,11 +211,10 @@ centralBufferQuery(const Query& q, const tech::TechNode& tech)
 std::string
 linkQuery(const Query& q, const tech::TechNode& tech)
 {
-    const power::OnChipLinkModel m(
-        tech, q.number("length-um", -1.0) > 0
-                  ? q.number("length-um", -1.0)
-                  : (fail("--length-um is required"), 0.0),
-        q.count("width"));
+    const double length = q.number("length-um", 0.0);
+    if (length <= 0.0)
+        fail("--length-um is required and must be positive");
+    const power::OnChipLinkModel m(tech, length, q.count("width"));
     report::Table t;
     t.title = "on-chip link model";
     t.headers = {"quantity", "value"};
@@ -270,22 +269,27 @@ runModelQuery(const std::vector<std::string>& args)
     if (args.empty() || args.front() == "--help" || args.front() == "-h")
         return modelUsage();
 
-    const Query q = parseQuery(args);
-    const tech::TechNode tech = techFrom(q);
+    try {
+        const Query q = parseQuery(args);
+        const tech::TechNode tech = techFrom(q);
 
-    if (q.component == "buffer")
-        return bufferQuery(q, tech);
-    if (q.component == "crossbar")
-        return crossbarQuery(q, tech);
-    if (q.component == "arbiter")
-        return arbiterQuery(q, tech);
-    if (q.component == "central-buffer")
-        return centralBufferQuery(q, tech);
-    if (q.component == "link")
-        return linkQuery(q, tech);
-    if (q.component == "c2c-link")
-        return c2cLinkQuery(q, tech);
-    fail("unknown component '" + q.component + "'");
+        if (q.component == "buffer")
+            return bufferQuery(q, tech);
+        if (q.component == "crossbar")
+            return crossbarQuery(q, tech);
+        if (q.component == "arbiter")
+            return arbiterQuery(q, tech);
+        if (q.component == "central-buffer")
+            return centralBufferQuery(q, tech);
+        if (q.component == "link")
+            return linkQuery(q, tech);
+        if (q.component == "c2c-link")
+            return c2cLinkQuery(q, tech);
+        fail("unknown component '" + q.component + "'");
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("orion_models: ") +
+                                    e.what() + " (--help for usage)");
+    }
 }
 
 } // namespace orion::cli

@@ -219,68 +219,38 @@ ProgressTracker::medianPointSecondsLocked() const
 std::string
 ProgressTracker::composeJson(bool finished) const
 {
-    std::string j;
-    j.reserve(512);
     const double eta = etaSecondsLocked();
     const double median = medianPointSecondsLocked();
-    j += "{\"schema\":\"orion-heartbeat-v1\",\"label\":\"";
-    j += report::jsonEscape(opts_.label);
-    j += "\",\"pid\":";
-    j += std::to_string(::getpid());
-    j += ",\"total\":";
-    j += std::to_string(opts_.totalCells);
-    j += ",\"done\":";
-    j += std::to_string(done_);
-    j += ",\"failed\":";
-    j += std::to_string(failed_);
-    j += ",\"from_checkpoint\":";
-    j += std::to_string(cached_);
-    j += ",\"jobs\":";
-    j += std::to_string(opts_.jobs);
-    j += ",\"finished\":";
-    j += finished ? "true" : "false";
-    j += ",\"eta_s\":";
-    j += eta < 0.0 ? std::string("null") : log::strf("%.3f", eta);
-    j += ",\"ema_point_s\":";
-    j += emaPointSeconds_ <= 0.0 ? std::string("null")
-                                 : log::strf("%.6f", emaPointSeconds_);
-    j += ",\"median_point_s\":";
-    j += median < 0.0 ? std::string("null")
-                      : log::strf("%.6f", median);
-    j += ",\"started_unix_s\":";
-    j += log::strf("%.3f", startUnixSeconds_);
-    j += ",\"updated_unix_s\":";
-    j += log::strf("%.3f", unixSeconds());
-    j += ",\"workers\":[";
-    bool first = true;
+    // An unknown estimate is NaN, which the writer spells null.
+    constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
+    report::JsonWriter w;
+    w.beginObject().field("schema", "orion-heartbeat-v1");
+    w.field("label", opts_.label).field("pid", ::getpid());
+    w.field("total", opts_.totalCells).field("done", done_);
+    w.field("failed", failed_).field("from_checkpoint", cached_);
+    w.field("jobs", opts_.jobs).field("finished", finished);
+    w.field("eta_s", eta >= 0.0 ? eta : kUnknown);
+    w.field("ema_point_s",
+            emaPointSeconds_ > 0.0 ? emaPointSeconds_ : kUnknown);
+    w.field("median_point_s", median >= 0.0 ? median : kUnknown);
+    w.field("started_unix_s", startUnixSeconds_);
+    w.field("updated_unix_s", unixSeconds());
+    w.key("workers").beginArray();
     const double now_s = secondsSinceStart();
     for (unsigned i = 0; i < slots_.size(); ++i) {
         const Slot& s = slots_[i];
         if (!s.active.load(std::memory_order_acquire))
             continue;
-        if (!first)
-            j += ',';
-        first = false;
-        j += "{\"slot\":";
-        j += std::to_string(i);
-        j += ",\"rate_index\":";
-        j += std::to_string(
-            s.rateIndex.load(std::memory_order_relaxed));
-        j += ",\"seed_index\":";
-        j += std::to_string(
-            s.seedIndex.load(std::memory_order_relaxed));
-        j += ",\"attempt\":";
-        j += std::to_string(s.attempt.load(std::memory_order_relaxed));
-        j += ",\"cycles\":";
-        j += std::to_string(s.cycles.load(std::memory_order_relaxed));
-        j += ",\"running_s\":";
         const double run =
             now_s - s.startSeconds.load(std::memory_order_relaxed);
-        j += log::strf("%.3f", run > 0.0 ? run : 0.0);
-        j += '}';
+        w.beginObject().field("slot", i);
+        w.field("rate_index", s.rateIndex.load(std::memory_order_relaxed));
+        w.field("seed_index", s.seedIndex.load(std::memory_order_relaxed));
+        w.field("attempt", s.attempt.load(std::memory_order_relaxed));
+        w.field("cycles", s.cycles.load(std::memory_order_relaxed));
+        w.field("running_s", run > 0.0 ? run : 0.0).endObject();
     }
-    j += "]}\n";
-    return j;
+    return w.endArray().endObject().takeLine();
 }
 
 void

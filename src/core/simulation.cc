@@ -85,6 +85,13 @@ Simulation::Simulation(const NetworkConfig& network,
         sim_.setAudit(interval, [auditor] { auditor->auditAll(); });
     }
 
+    // Opt-in kernel phase profiler; created before the telemetry
+    // registry, which publishes its gauges.
+    if (simCfg_.profilePhases) {
+        profiler_ = std::make_unique<core::PhaseProfiler>();
+        sim_.setProfiler(profiler_.get());
+    }
+
     // Telemetry (off by default: nothing is constructed or registered,
     // keeping the disabled path bit-identical to a telemetry-free
     // build).
@@ -97,9 +104,13 @@ Simulation::Simulation(const NetworkConfig& network,
     }
     if (tele.sampleInterval > 0) {
         metrics_ = std::make_unique<telemetry::MetricsRegistry>();
-        net::registerNetworkMetrics(*metrics_, *network_, *monitor_,
-                                    sim_.bus(), faults_.get(),
+        net::registerNetworkMetrics(*metrics_, *network_, faults_.get(),
                                     health_.get(), detector_.get());
+        net::registerPowerMetrics(*metrics_,
+                                  network_->topology().numNodes(),
+                                  *monitor_, sim_.bus());
+        if (profiler_)
+            telemetry::registerPhaseMetrics(*metrics_, *profiler_);
         sampler_ = std::make_unique<net::WindowedSampler>(
             *metrics_, tele.sampleInterval);
         sampler_->registerWith(sim_);
@@ -118,10 +129,6 @@ Simulation::Simulation(const NetworkConfig& network,
                              counter->store(
                                  now, std::memory_order_relaxed);
                          });
-    }
-    if (simCfg_.profilePhases) {
-        profiler_ = std::make_unique<core::PhaseProfiler>();
-        sim_.setProfiler(profiler_.get());
     }
 }
 
@@ -190,9 +197,11 @@ Simulation::traceJson(const std::string& label) const
 {
     if (!tracer_)
         return {};
-    std::ostringstream out;
-    tracer_->writeJson(out, label);
-    return out.str();
+    // The phase gauges ride in the trace's otherData.
+    telemetry::MetricsRegistry phases;
+    if (profiler_)
+        telemetry::registerPhaseMetrics(phases, *profiler_);
+    return tracer_->toJson(label, phases);
 }
 
 void
@@ -404,23 +413,6 @@ Simulation::runProtocol(Report& r)
     // Final audits + report assembly ("drain" in the phase profile).
     if (profiler_)
         profiler_->runPhaseDone(Phase::Drain);
-
-    // Opt-in Chrome-trace spans: with both the tracer and the profiler
-    // enabled, summarize each phase as an instant event at the final
-    // cycle, microseconds carried in the packet-id field (the ring
-    // record has no payload slot; docs/OBSERVABILITY.md documents the
-    // encoding).
-    if (tracer_ && profiler_) {
-        for (unsigned i = 0; i < core::PhaseProfiler::kNumPhases; ++i) {
-            const auto phase = static_cast<Phase>(i);
-            const double secs = profiler_->seconds(phase);
-            if (secs <= 0.0)
-                continue;
-            tracer_->addInstant(core::PhaseProfiler::phaseName(phase),
-                                -1, -1, sim_.now(),
-                                static_cast<std::uint64_t>(secs * 1e6));
-        }
-    }
 }
 
 } // namespace orion

@@ -198,7 +198,9 @@ class Simulation
 
     /// @name Telemetry (null unless SimConfig::telemetry enables it)
     /// @{
-    /** The metric registry, or nullptr with telemetry disabled. */
+    /** The sampler's metric registry (network state, power and, when
+     * profiling, the phase gauges), or nullptr without
+     * --sample-interval. */
     const telemetry::MetricsRegistry* metrics() const
     {
         return metrics_.get();
@@ -225,8 +227,9 @@ class Simulation
      * the sampler is disabled). */
     std::string metricsCsv() const;
     /** The retained trace as Chrome trace-event JSON (empty string
-     * when tracing is disabled). @p label lands in the trace
-     * metadata. */
+     * when tracing is disabled). @p label, and the phase gauges when
+     * profiling (telemetry::registerPhaseMetrics), land in the trace's
+     * otherData. */
     std::string traceJson(const std::string& label) const;
     /// @}
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <sstream>
 #include <utility>
 
 #include "net/network.hh"
@@ -204,37 +203,12 @@ DeadlockDetector::detect(sim::Cycle now)
     for (const std::size_t u : cyc)
         lastWaitCycle_.push_back(unpack(u));
 
-    // Forensics: the extracted cycle plus the full wait-for graph.
-    std::ostringstream json;
-    json << "{\"detected_at\": " << now << ", \"wait_cycle\": [";
-    for (std::size_t k = 0; k < lastWaitCycle_.size(); ++k) {
-        const WaitVc& w = lastWaitCycle_[k];
-        json << (k ? ", " : "") << "{\"router\": " << w.node
-             << ", \"port\": " << w.port << ", \"vc\": " << w.vc
-             << ", \"phase\": " << w.phase
-             << ", \"out_port\": " << w.outPort
-             << ", \"out_vc\": " << w.outVc
-             << ", \"packet\": " << w.packetId
-             << ", \"head_front\": "
-             << (w.frontHead ? "true" : "false") << "}";
-    }
-    json << "], \"edges\": [";
-    bool first_edge = true;
+    // Forensics: the full wait-for graph beside the extracted cycle.
+    lastWaitEdges_.clear();
     for (std::size_t u = 0; u < N; ++u) {
-        for (const std::size_t w : succ[u]) {
-            const WaitVc a = unpack(u);
-            const WaitVc b = unpack(w);
-            json << (first_edge ? "" : ", ") << "{\"from\": \"router"
-                 << a.node << ":in" << a.port << ":vc" << a.vc
-                 << "\", \"to\": \"router" << b.node << ":in"
-                 << b.port << ":vc" << b.vc << "\", \"kind\": \""
-                 << (snap[u].phase == 2 ? "credit" : "vc-alloc")
-                 << "\"}";
-            first_edge = false;
-        }
+        for (const std::size_t w : succ[u])
+            lastWaitEdges_.push_back({unpack(u), unpack(w)});
     }
-    json << "]}";
-    waitGraphJson_ = json.str();
 
     if (recoveries_ >= cfg_.maxRecoveries) {
         unrecoverable_ = true;

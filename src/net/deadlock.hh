@@ -16,8 +16,8 @@
  * fault hooks, so the PR-3 retransmission path resends it; if
  * recovery is impossible (no diagnosable cycle victim, or the
  * recovery budget is spent) the run stops with
- * StopReason::DeadlockUnrecovered and the wait-for graph lands in the
- * forensics JSON.
+ * StopReason::DeadlockUnrecovered and the forensic snapshot renders
+ * the wait-for graph.
  *
  * The detector reads only snapshot state (Router::vcWaitState) built
  * for input-buffered crossbar routers (VC and wormhole kinds);
@@ -31,7 +31,6 @@
 #define ORION_NET_DEADLOCK_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/module.hh"
@@ -73,6 +72,14 @@ class DeadlockDetector : public sim::Module
         bool frontHead = false;
     };
 
+    /** A wait-for edge: @p from waits on @p to, for credits when
+     * from.phase is 2 (active), else for VC allocation. */
+    struct WaitEdge
+    {
+        WaitVc from;
+        WaitVc to;
+    };
+
     DeadlockDetector(Network& net, const DeadlockDetectConfig& config);
 
     void cycle(sim::Cycle now) override;
@@ -91,9 +98,11 @@ class DeadlockDetector : public sim::Module
     {
         return lastWaitCycle_;
     }
-    /** JSON object describing the last wait-for graph and cycle
-     * (empty before the first detection). */
-    const std::string& waitGraphJson() const { return waitGraphJson_; }
+    /** Every wait-for edge of the most recent detection's graph. */
+    const std::vector<WaitEdge>& lastWaitEdges() const
+    {
+        return lastWaitEdges_;
+    }
     /** Cycle of the most recent detection. */
     sim::Cycle lastDetectionAt() const { return lastDetectionAt_; }
     /// @}
@@ -114,7 +123,7 @@ class DeadlockDetector : public sim::Module
     std::uint64_t recoveries_ = 0;
     bool unrecoverable_ = false;
     std::vector<WaitVc> lastWaitCycle_;
-    std::string waitGraphJson_;
+    std::vector<WaitEdge> lastWaitEdges_;
     sim::Cycle lastDetectionAt_ = 0;
 };
 

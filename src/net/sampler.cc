@@ -86,76 +86,100 @@ WindowedSampler::writeCsv(std::ostream& out) const
 }
 
 void
-registerNetworkMetrics(telemetry::MetricsRegistry& reg, Network& net,
-                       const PowerMonitor& monitor,
-                       const sim::EventBus& bus,
+registerNetworkMetrics(telemetry::MetricsRegistry& reg, const Network& net,
                        const FaultInjector* faults,
                        const HealthMonitor* health,
                        const DeadlockDetector* detector)
 {
-    const int nodes =
-        static_cast<int>(net.topology().numNodes());
+    const auto counter = [&reg](const std::string& name, auto read) {
+        reg.addCounter(name, [read] { return double(read()); });
+    };
+    const auto gauge = [&reg](const std::string& name, auto read) {
+        reg.addGauge(name, [read] { return double(read()); });
+    };
 
     // Network-wide aggregates.
-    reg.addCounter("net.packets_injected",
-                   [&net] { return double(net.totalInjected()); });
-    reg.addCounter("net.packets_ejected",
-                   [&net] { return double(net.totalEjected()); });
-    reg.addCounter("net.packets_lost",
-                   [&net] { return double(net.totalLost()); });
-    reg.addGauge("net.in_flight",
-                 [&net] { return double(net.inFlight()); });
+    counter("net.packets_injected", [&net] { return net.totalInjected(); });
+    counter("net.packets_ejected", [&net] { return net.totalEjected(); });
+    counter("net.packets_lost", [&net] { return net.totalLost(); });
+    counter("net.packets_unreachable",
+            [&net] { return net.totalUnreachable(); });
+    gauge("net.in_flight", [&net] { return net.inFlight(); });
 
-    // Sample-latency accumulator (sum + count give per-window means).
-    const SharedState& shared = net.shared();
-    reg.addCounter("latency.sum_cycles", [&shared] {
-        return shared.sampleLatency.sum();
-    });
-    reg.addCounter("latency.count", [&shared] {
-        return double(shared.sampleLatency.count());
-    });
+    // Sample-latency accumulator (sum + count give per-window means)
+    // and the measurement sample's progress.
+    const SharedState& sh = net.shared();
+    counter("latency.sum_cycles", [&sh] { return sh.sampleLatency.sum(); });
+    counter("latency.count", [&sh] { return sh.sampleLatency.count(); });
+    counter("sample.injected", [&sh] { return sh.sampleInjected; });
+    counter("sample.ejected", [&sh] { return sh.sampleEjected; });
+    counter("sample.lost", [&sh] { return sh.sampleLost; });
+    gauge("sample.remaining", [&sh] { return sh.sampleRemaining; });
 
-    // Per-endpoint injection/ejection and source queueing.
+    // Per-endpoint injection/ejection, losses and source queueing.
+    const int nodes = static_cast<int>(net.topology().numNodes());
     for (int n = 0; n < nodes; ++n) {
         const std::string p = "node." + std::to_string(n) + ".";
         const Node& ep = net.endpoint(n);
-        reg.addCounter(p + "packets_injected", [&ep] {
-            return double(ep.packetsInjected());
-        });
-        reg.addCounter(p + "packets_ejected", [&ep] {
-            return double(ep.packetsEjected());
-        });
-        reg.addCounter(p + "flits_injected", [&ep] {
-            return double(ep.flitsInjectedTotal());
-        });
-        reg.addCounter(p + "flits_ejected", [&ep] {
-            return double(ep.flitsEjectedTotal());
-        });
-        reg.addGauge(p + "source_queue", [&ep] {
-            return double(ep.sourceQueueLength());
-        });
+        counter(p + "packets_injected",
+                [&ep] { return ep.packetsInjected(); });
+        counter(p + "packets_ejected", [&ep] { return ep.packetsEjected(); });
+        counter(p + "packets_lost", [&ep] { return ep.packetsLost(); });
+        counter(p + "packets_unreachable",
+                [&ep] { return ep.packetsUnreachable(); });
+        counter(p + "flits_injected",
+                [&ep] { return ep.flitsInjectedTotal(); });
+        counter(p + "flits_ejected", [&ep] { return ep.flitsEjectedTotal(); });
+        gauge(p + "source_queue", [&ep] { return ep.sourceQueueLength(); });
     }
 
     // Per-router occupancy, throughput ledgers, contention, credits.
     for (int n = 0; n < nodes; ++n) {
         const std::string p = "router." + std::to_string(n) + ".";
         const router::Router& r = net.router(n);
-        reg.addGauge(p + "occupancy",
-                     [&r] { return double(r.residentFlits()); });
-        reg.addCounter(p + "flits_arrived",
-                       [&r] { return double(r.flitsArrived()); });
-        reg.addCounter(p + "flits_forwarded", [&r] {
-            return double(r.flitsForwarded());
-        });
-        reg.addCounter(p + "sa_stalls",
-                       [&r] { return double(r.saStalls()); });
-        reg.addGauge(p + "credits_in_flight", [&r] {
-            return double(r.creditsInFlight());
-        });
+        gauge(p + "occupancy", [&r] { return r.residentFlits(); });
+        counter(p + "flits_arrived", [&r] { return r.flitsArrived(); });
+        counter(p + "flits_forwarded", [&r] { return r.flitsForwarded(); });
+        counter(p + "flits_discarded", [&r] { return r.flitsDiscarded(); });
+        counter(p + "sa_stalls", [&r] { return r.saStalls(); });
+        gauge(p + "credits_in_flight", [&r] { return r.creditsInFlight(); });
     }
 
+    // Fault-injection activity, by kind.
+    if (const FaultInjector* f = faults) {
+        counter("fault.events", [f] { return f->eventCount(); });
+        counter("fault.flits_corrupted", [f] { return f->flitsCorrupted(); });
+        counter("fault.flits_outage_dropped",
+                [f] { return f->flitsOutageDropped(); });
+        counter("fault.flits_discarded", [f] { return f->flitsDiscarded(); });
+        counter("fault.packets_retransmitted",
+                [f] { return f->packetsRetransmitted(); });
+        counter("fault.packets_lost", [f] { return f->packetsLost(); });
+    }
+
+    // Fault-tolerant rerouting activity.
+    if (const HealthMonitor* h = health) {
+        counter("fault.reroutes", [h] { return h->reroutes(); });
+        gauge("net.links_down", [h] { return h->downLinks().size(); });
+        gauge("net.health_epoch", [h] { return h->epoch(); });
+    }
+
+    // Runtime deadlock detection/recovery.
+    if (const DeadlockDetector* d = detector) {
+        counter("net.deadlocks_detected", [d] { return d->detections(); });
+        counter("net.deadlocks_recovered", [d] { return d->recoveries(); });
+        gauge("net.deadlock_unrecoverable",
+              [d] { return d->unrecoverable(); });
+    }
+}
+
+void
+registerPowerMetrics(telemetry::MetricsRegistry& reg, unsigned nodes,
+                     const PowerMonitor& monitor,
+                     const sim::EventBus& bus)
+{
     // The spatial power map: per-(node, component-class) energy.
-    for (int n = 0; n < nodes; ++n) {
+    for (int n = 0; n < static_cast<int>(nodes); ++n) {
         for (unsigned c = 0; c < kNumComponentClasses; ++c) {
             const auto cls = static_cast<ComponentClass>(c);
             reg.addCounter("power." + std::to_string(n) + "." +
@@ -209,51 +233,6 @@ registerNetworkMetrics(telemetry::MetricsRegistry& reg, Network& net,
                        [&bus, type] {
                            return double(bus.emittedCount(type));
                        });
-    }
-
-    // Fault-injection activity, by kind.
-    if (faults) {
-        reg.addCounter("fault.events", [faults] {
-            return double(faults->eventCount());
-        });
-        reg.addCounter("fault.flits_corrupted", [faults] {
-            return double(faults->flitsCorrupted());
-        });
-        reg.addCounter("fault.flits_outage_dropped", [faults] {
-            return double(faults->flitsOutageDropped());
-        });
-        reg.addCounter("fault.flits_discarded", [faults] {
-            return double(faults->flitsDiscarded());
-        });
-        reg.addCounter("fault.packets_retransmitted", [faults] {
-            return double(faults->packetsRetransmitted());
-        });
-        reg.addCounter("fault.packets_lost", [faults] {
-            return double(faults->packetsLost());
-        });
-    }
-
-    // Fault-tolerant rerouting activity.
-    if (health) {
-        reg.addCounter("fault.reroutes", [health] {
-            return double(health->reroutes());
-        });
-        reg.addCounter("net.packets_unreachable", [&net] {
-            return double(net.totalUnreachable());
-        });
-        reg.addGauge("net.links_down", [health] {
-            return double(health->downLinks().size());
-        });
-    }
-
-    // Runtime deadlock detection/recovery.
-    if (detector) {
-        reg.addCounter("net.deadlocks_detected", [detector] {
-            return double(detector->detections());
-        });
-        reg.addCounter("net.deadlocks_recovered", [detector] {
-            return double(detector->recoveries());
-        });
     }
 }
 

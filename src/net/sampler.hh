@@ -10,10 +10,10 @@
  * into a spatial power map — exported as long-format CSV
  * (window,cycle_start,cycle_end,metric,kind,value).
  *
- * registerNetworkMetrics() is the glue that publishes the network
- * layers' counters (routers, endpoints, power monitor, event bus,
- * fault injector) into a registry; see docs/OBSERVABILITY.md for the
- * full metric namespace.
+ * registerNetworkMetrics() and registerPowerMetrics() are the glue that
+ * publishes the network layers' counters (routers, endpoints, fault
+ * injector; power monitor, event bus) into a registry; see
+ * docs/OBSERVABILITY.md for the full metric namespace.
  */
 
 #ifndef ORION_NET_SAMPLER_HH
@@ -96,22 +96,26 @@ class WindowedSampler
 };
 
 /**
- * Publish the standard network metric namespace into @p registry:
- * net.* aggregates, latency.*, per-node node.N.* and router.N.*
- * counters/gauges, the per-(node, component-class) energy matrix
- * power.N.CLASS.energy_j, events.* bus totals, fault.* counters when
- * @p faults is non-null, rerouting counters (fault.reroutes,
- * net.packets_unreachable) when @p health is non-null, and
- * net.deadlocks_recovered when @p detector is non-null. All arguments
- * must outlive the registry's readers (they live in the owning
- * Simulation).
+ * Publish the network's state into @p registry, the one list of what
+ * describes a network (the sampler and the forensic snapshot read
+ * it): net.*, latency.*, sample.*, node.N.*, router.N.*, and fault.*,
+ * rerouting and deadlock metrics for each non-null subsystem. All
+ * arguments must outlive the registry's readers.
  */
 void registerNetworkMetrics(telemetry::MetricsRegistry& registry,
-                            Network& net, const PowerMonitor& monitor,
-                            const sim::EventBus& bus,
+                            const Network& net,
                             const FaultInjector* faults,
                             const HealthMonitor* health = nullptr,
                             const DeadlockDetector* detector = nullptr);
+
+/**
+ * Publish the power accounting of @p nodes nodes into @p registry:
+ * the energy matrix power.N.CLASS.energy_j, measured switching
+ * activity activity.* and the event-bus totals events.*.
+ */
+void registerPowerMetrics(telemetry::MetricsRegistry& registry,
+                          unsigned nodes, const PowerMonitor& monitor,
+                          const sim::EventBus& bus);
 
 } // namespace orion::net
 

@@ -1,11 +1,7 @@
 #include "sim/telemetry.hh"
 
 #include <cassert>
-#include <cstdio>
-#include <ostream>
 #include <stdexcept>
-
-#include "base/json.hh"
 
 namespace orion::telemetry {
 
@@ -38,6 +34,42 @@ MetricsRegistry::find(const std::string& name) const
             return i;
     }
     return npos;
+}
+
+void
+MetricsRegistry::writeJson(report::JsonWriter& out) const
+{
+    out.beginObject();
+    for (const Metric& m : metrics_)
+        out.field(m.name, m.read());
+    out.endObject();
+}
+
+void
+registerPhaseMetrics(MetricsRegistry& reg,
+                     const core::PhaseProfiler& profiler)
+{
+    using Phase = core::PhaseProfiler::Phase;
+    constexpr unsigned kFirstRun = static_cast<unsigned>(Phase::Warmup);
+    constexpr unsigned kEnd = core::PhaseProfiler::kNumPhases;
+    for (unsigned i = 0; i < kEnd; ++i) {
+        const auto phase = static_cast<Phase>(i);
+        // The family: cycle stages [0, kFirstRun), run phases after.
+        const bool run = i >= kFirstRun;
+        const unsigned first = run ? kFirstRun : 0;
+        const unsigned last = run ? kEnd : kFirstRun;
+        const std::string name =
+            std::string(run ? "core.run." : "sim.phase.") +
+            core::PhaseProfiler::phaseName(phase);
+        reg.addGauge(name + "_s",
+                     [&profiler, phase] { return profiler.seconds(phase); });
+        reg.addGauge(name + "_share", [&profiler, phase, first, last] {
+            double total = 0.0;
+            for (unsigned k = first; k < last; ++k)
+                total += profiler.seconds(static_cast<Phase>(k));
+            return total > 0.0 ? profiler.seconds(phase) / total : 0.0;
+        });
+    }
 }
 
 FlitTracer::FlitTracer(sim::EventBus& bus, std::size_t capacity)
@@ -100,11 +132,10 @@ FlitTracer::addInstant(const char* name, int node, int component,
     record({name, node, component, 0, packet_id, cycle, false});
 }
 
-void
-FlitTracer::writeJson(std::ostream& out, const std::string& label) const
+std::string
+FlitTracer::toJson(const std::string& label,
+                   const MetricsRegistry& metrics) const
 {
-    out << "{\n\"traceEvents\": [\n";
-
     // Track metadata: name the processes/threads that appear, once
     // each. (pid, tid) pairs are few; collect them linearly.
     std::vector<std::pair<int, int>> tracks;
@@ -124,47 +155,36 @@ FlitTracer::writeJson(std::ostream& out, const std::string& label) const
         tracks.push_back(key);
     });
 
-    bool first = true;
-    const auto sep = [&] {
-        if (!first)
-            out << ",\n";
-        first = false;
-    };
+    report::JsonWriter w;
+    w.beginObject().key("traceEvents").beginArray(/*onePerLine=*/true);
     for (const auto& [node, comp] : tracks) {
-        sep();
-        out << "{\"ph\": \"M\", \"pid\": " << node
-            << ", \"name\": \"process_name\", \"args\": {\"name\": "
-               "\"node "
-            << node << "\"}},\n";
-        out << "{\"ph\": \"M\", \"pid\": " << node << ", \"tid\": "
-            << comp
-            << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-               "\"component "
-            << comp << "\"}}";
+        w.beginObject().field("ph", "M").field("pid", node);
+        w.field("name", "process_name").key("args").beginObject();
+        w.field("name", "node " + std::to_string(node));
+        w.endObject().endObject();
+        w.beginObject().field("ph", "M").field("pid", node);
+        w.field("tid", comp).field("name", "thread_name");
+        w.key("args").beginObject();
+        w.field("name", "component " + std::to_string(comp));
+        w.endObject().endObject();
     }
-
     each([&](const Record& r) {
-        sep();
-        out << "{\"name\": \"" << report::jsonEscape(r.name)
-            << "\", \"pid\": " << r.node << ", \"tid\": " << r.component
-            << ", \"ts\": " << r.cycle;
+        w.beginObject().field("name", r.name).field("pid", r.node);
+        w.field("tid", r.component).field("ts", r.cycle);
         if (r.span) {
-            out << ", \"ph\": \"X\", \"dur\": 1, \"args\": {\"delta\": "
-                << r.deltaA << "}";
+            w.field("ph", "X").field("dur", 1).key("args").beginObject();
         } else {
-            out << ", \"ph\": \"i\", \"s\": \"t\", \"args\": "
-                   "{\"packet\": "
-                << r.packetId << ", \"delta\": " << r.deltaA << "}";
+            w.field("ph", "i").field("s", "t").key("args").beginObject();
+            w.field("packet", r.packetId);
         }
-        out << "}";
+        w.field("delta", r.deltaA).endObject().endObject();
     });
-
-    out << "\n],\n";
-    out << "\"displayTimeUnit\": \"ms\",\n";
-    out << "\"otherData\": {\"label\": \"" << report::jsonEscape(label)
-        << "\", \"recorded\": " << total_
-        << ", \"dropped\": " << dropped() << "}\n";
-    out << "}\n";
+    w.endArray().field("displayTimeUnit", "ms");
+    w.key("otherData").beginObject().field("label", label);
+    w.field("recorded", total_).field("dropped", dropped());
+    w.key("metrics");
+    metrics.writeJson(w);
+    return w.endObject().endObject().takeLine();
 }
 
 } // namespace orion::telemetry

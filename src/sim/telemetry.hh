@@ -22,10 +22,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "base/json.hh"
+#include "base/profile.hh"
 #include "sim/event.hh"
 
 namespace orion::telemetry {
@@ -94,6 +95,10 @@ class MetricsRegistry
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
     std::size_t find(const std::string& name) const;
 
+    /** Write every metric's current value as one JSON object
+     * {name: value}, in registration order. */
+    void writeJson(report::JsonWriter& out) const;
+
   private:
     struct Metric
     {
@@ -104,6 +109,17 @@ class MetricsRegistry
 
     std::vector<Metric> metrics_;
 };
+
+/**
+ * Publish @p profiler's totals as gauges: `sim.phase.<stage>_s` and
+ * `_share` for the four cycle stages (shares of the sampled cycle
+ * time), `core.run.<phase>_s` and `_share` for warmup, measure and
+ * drain (shares of the run's wall time). Shares are computed when
+ * read, so each family sums to 1. @p profiler must outlive the
+ * registry's readers.
+ */
+void registerPhaseMetrics(MetricsRegistry& registry,
+                          const core::PhaseProfiler& profiler);
 
 /** Telemetry knobs carried by SimConfig (all defaults = disabled). */
 struct TelemetryConfig
@@ -160,10 +176,12 @@ class FlitTracer
     std::size_t capacity() const { return capacity_; }
 
     /**
-     * Emit the retained records as a complete Chrome trace JSON
-     * object. @p label is stored (JSON-escaped) in the trace metadata.
+     * The retained records as a complete Chrome trace JSON object,
+     * one event per line. @p label, the record counts and @p metrics
+     * (as a `metrics` object) are stored in the trace's otherData.
      */
-    void writeJson(std::ostream& out, const std::string& label) const;
+    std::string toJson(const std::string& label,
+                       const MetricsRegistry& metrics = {}) const;
 
   private:
     struct Record

@@ -110,6 +110,17 @@ TEST(Validation, BoundsVcsToOneMask)
     EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
+TEST(Validation, BoundsNodeCountToIntIds)
+{
+    // Node ids are int. Checked through validate() only: such a
+    // network is never built.
+    NetworkConfig c = NetworkConfig::vc16();
+    c.net.dims.assign(17, 4); // 4^17 = 2^34 would wrap unsigned to 0
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+    c.net.dims.assign(31, 2); // 2^31 = INT_MAX + 1
+    EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
 TEST(Validation, RejectsVcsOnNonVcRouters)
 {
     NetworkConfig c = NetworkConfig::wh64();

@@ -20,6 +20,7 @@
 #include "core/config.hh"
 #include "core/forensics.hh"
 #include "core/simulation.hh"
+#include "json_validator.hh"
 #include "net/deadlock.hh"
 #include "net/network.hh"
 #include "net/node.hh"
@@ -174,8 +175,14 @@ TEST_F(DeadlockRecoveryTest, DetectsNamesAndBreaksTheCycle)
         EXPECT_LT(w.port, 3u);
         EXPECT_EQ(w.vc, 0u);
     }
-    EXPECT_NE(det->waitGraphJson().find("wait_cycle"),
-              std::string::npos);
+    // The wait-for graph holds the cycle's edges, between real VCs.
+    const auto& edges = det->lastWaitEdges();
+    EXPECT_GE(edges.size(), cycle.size());
+    for (const auto& e : edges) {
+        EXPECT_LT(e.from.node, 4);
+        EXPECT_LT(e.to.node, 4);
+        EXPECT_EQ(e.from.vc, 0u);
+    }
 
     EXPECT_NO_THROW(sim.auditor().auditAll());
 }
@@ -206,6 +213,16 @@ TEST_F(DeadlockRecoveryTest, ZeroRecoveryBudgetStopsUnrecovered)
     EXPECT_NE(snap.find("wait_graph"), std::string::npos);
     EXPECT_NE(snap.find("frozen_cycles"), std::string::npos);
     EXPECT_NE(snap.find("deadlock"), std::string::npos);
+    // Compact, valid JSON whose scalars come from the metric names.
+    test::JsonValidator v(snap);
+    EXPECT_TRUE(v.valid()) << snap;
+    for (const char* key :
+         {"{\"reason\":\"deadlock test\",\"cycle\":", "\"metrics\":{",
+          "\"net.deadlock_unrecoverable\":1", "\"router.0.frozen_cycles\":",
+          "\"sample.remaining\":", "\"edges\":[{\"from\":\"router",
+          "\"fault_log\":{\"hash\":"}) {
+        EXPECT_NE(snap.find(key), std::string::npos) << key;
+    }
 }
 
 // --- healthy traffic --------------------------------------------------

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/model_cli.hh"
 #include "core/report.hh"
@@ -127,6 +129,35 @@ TEST(ModelCli, Errors)
     EXPECT_THROW(runModelQuery({"buffer", "--flits", "16", "--bits",
                                 "64", "--vdd", "-1"}),
                  std::invalid_argument);
+
+    // Values a model constructor asserts against (zero counts,
+    // non-finite technology, negative power) are usage errors that
+    // name the tool, never an abort or a table of inf.
+    const std::vector<std::vector<std::string>> rejected = {
+        {"buffer", "--flits", "0", "--bits", "64"},
+        {"arbiter", "--requests", "0"},
+        {"buffer", "--flits", "4", "--bits", "64", "--vdd", "nan"},
+        {"buffer", "--flits", "4", "--bits", "64", "--feature-um", "inf"},
+        {"buffer", "--flits", "4", "--bits", "64", "--freq-ghz", "1e300"},
+        {"central-buffer", "--banks", "1", "--rows", "4", "--bits", "8",
+         "--router-ports", "0"},
+        {"link", "--length-um", "10", "--width", "0"},
+        {"c2c-link", "--watts", "-1"},
+        {"crossbar", "--inputs", "5", "--outputs", "5", "--width", "64",
+         "--load-ff", "-1000"},
+        {"buffer", "--flits", "4294967296", "--bits", "64"},
+    };
+    for (const auto& args : rejected) {
+        try {
+            runModelQuery(args);
+            ADD_FAILURE() << "accepted: " << args[0] << " " << args[1]
+                          << " " << args[2];
+        } catch (const std::invalid_argument& e) {
+            EXPECT_EQ(std::string(e.what()).rfind("orion_models: ", 0),
+                      0u)
+                << e.what();
+        }
+    }
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,12 +130,38 @@ TEST(Log, SinkEmitsValidJsonLines)
 
 TEST(Log, JsonEscapeControlsAndQuotes)
 {
-    EXPECT_EQ(report::jsonEscape("plain"), "plain");
-    EXPECT_EQ(report::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(report::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(report::jsonEscape("a\nb"), "a\\nb");
-    const std::string esc = report::jsonEscape(std::string(1, '\x01'));
-    EXPECT_EQ(esc, "\\u0001");
+    const auto quoted = [](const std::string& s) {
+        report::JsonWriter w;
+        return w.value(s).take();
+    };
+    EXPECT_EQ(quoted("plain"), "\"plain\"");
+    EXPECT_EQ(quoted("a\"b"), "\"a\\\"b\"");
+    EXPECT_EQ(quoted("a\\b"), "\"a\\\\b\"");
+    EXPECT_EQ(quoted("a\nb"), "\"a\\nb\"");
+    EXPECT_EQ(quoted(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(Json, WriterIsCompactWithOneNumberRule)
+{
+    report::JsonWriter w;
+    w.beginObject().field("s", "a\"b").field("u", UINT64_MAX);
+    w.field("i", INT64_MIN).field("d", 0.1).field("x", 3.0);
+    w.field("inf", std::numeric_limits<double>::infinity());
+    w.field("nan", std::numeric_limits<double>::quiet_NaN());
+    w.field("t", true).key("n").null();
+    w.key("a").beginArray().value(1).value(-2).beginObject().endObject();
+    w.endArray().key("lines").beginArray(/*onePerLine=*/true);
+    w.value(1u).value("two").endArray().endObject();
+    const std::string text = w.take();
+    EXPECT_EQ(text,
+              "{\"s\":\"a\\\"b\",\"u\":18446744073709551615,"
+              "\"i\":-9223372036854775808,\"d\":0.10000000000000001,"
+              "\"x\":3,\"inf\":null,\"nan\":null,\"t\":true,\"n\":null,"
+              "\"a\":[1,-2,{}],\"lines\":[\n1,\n\"two\"\n]}");
+    test::JsonValidator v(text);
+    EXPECT_TRUE(v.valid());
+    // take() starts a new document.
+    EXPECT_EQ(w.beginArray().endArray().takeLine(), "[]\n");
 }
 
 // --- Run manifests --------------------------------------------------
@@ -149,24 +177,28 @@ TEST(Manifest, SchemaValidJsonWithAllSections)
     m.pointsCompleted = 5;
     m.pointsFailed = 1;
     m.pointsFromCheckpoint = 2;
-    m.phases = {{"router_advance", 1.5, 0.75},
-                {"channel_advance", 0.5, 0.25}};
     m.finish("ok");
+    telemetry::MetricsRegistry metrics;
+    metrics.addGauge("sim.phase.router_advance_share",
+                     [] { return 0.75; });
 
-    const std::string j = m.toJson();
+    const std::string j = m.toJson(metrics);
     test::JsonValidator v(j);
     ASSERT_TRUE(v.valid()) << j;
 
     for (const char* key :
-         {"\"schema\": \"orion-run-manifest-v1\"",
-          "\"tool\": \"observe_test\"",
-          "\"fingerprint\": \"00000000deadbeef\"",
-          "\"stop_reason\": \"ok\"", "\"points\"", "\"build\"",
-          "\"host\"", "\"rusage\"", "\"router_advance\"",
-          "\"from_checkpoint\": 2"}) {
+         {"\"schema\":\"orion-run-manifest-v2\"",
+          "\"tool\":\"observe_test\"",
+          "\"fingerprint\":\"00000000deadbeef\"",
+          "\"stop_reason\":\"ok\"", "\"points\"", "\"build\"",
+          "\"host\"", "\"rusage\"",
+          "\"metrics\":{\"sim.phase.router_advance_share\":0.75}",
+          "\"from_checkpoint\":2"}) {
         EXPECT_NE(j.find(key), std::string::npos)
             << "missing " << key << " in:\n" << j;
     }
+    // Without a registry the metrics object is empty.
+    EXPECT_NE(m.toJson().find("\"metrics\":{}"), std::string::npos);
     // begin() stamps provenance; finish() stamps cost and times.
     EXPECT_FALSE(m.compiler.empty());
     EXPECT_FALSE(m.host.empty());
@@ -403,24 +435,34 @@ TEST(Profile, SharesSumToOneAndReportsUnchanged)
     ASSERT_NE(pp, nullptr);
     EXPECT_GT(pp->cycles(), 0u);
     EXPECT_GT(pp->sampledCycles(), 0u);
-    const std::vector<core::PhaseShare> shares = core::phaseShares(*pp);
-    ASSERT_FALSE(shares.empty());
+    telemetry::MetricsRegistry reg;
+    telemetry::registerPhaseMetrics(reg, *pp);
+    ASSERT_EQ(reg.size(), 2u * core::PhaseProfiler::kNumPhases);
     // Two share families, each a partition: the per-cycle kernel
-    // stages (router/channel/audit/periodic) of the sampled cycle
-    // time, and the run-level phases (warmup/measure/drain) of the
-    // whole run's wall time.
+    // stages (sim.phase.*: router/channel/audit/periodic) of the
+    // sampled cycle time, and the run-level phases (core.run.*:
+    // warmup/measure/drain) of the whole run's wall time.
     double cycle_total = 0.0;
     double run_total = 0.0;
-    for (const core::PhaseShare& s : shares) {
-        EXPECT_FALSE(s.name.empty());
-        EXPECT_GE(s.share, 0.0);
-        EXPECT_LE(s.share, 1.0);
-        if (s.name == "warmup" || s.name == "measure" ||
-            s.name == "drain")
-            run_total += s.share;
+    for (std::size_t i = 0; i < reg.size(); ++i) {
+        const std::string& name = reg.name(i);
+        EXPECT_EQ(reg.kind(i), telemetry::MetricKind::Gauge) << name;
+        const double v = reg.read(i);
+        EXPECT_GE(v, 0.0) << name;
+        if (name.size() < 6 || name.substr(name.size() - 6) != "_share")
+            continue;
+        EXPECT_LE(v, 1.0) << name;
+        if (name.rfind("core.run.", 0) == 0)
+            run_total += v;
+        else if (name.rfind("sim.phase.", 0) == 0)
+            cycle_total += v;
         else
-            cycle_total += s.share;
+            ADD_FAILURE() << "unexpected gauge " << name;
     }
+    EXPECT_NE(reg.find("sim.phase.router_advance_share"),
+              telemetry::MetricsRegistry::npos);
+    EXPECT_NE(reg.find("core.run.measure_s"),
+              telemetry::MetricsRegistry::npos);
     EXPECT_NEAR(cycle_total, 1.0, 1e-9)
         << "cycle-stage shares must partition the sampled time";
     EXPECT_NEAR(run_total, 1.0, 1e-9)

@@ -1,8 +1,12 @@
 #!/bin/sh
 # Malformed option values: orion_sweep must refuse each one with exit
 # 1 and a diagnostic that starts with its own name, before it runs
-# anything. Every case carries a tiny grid, so a build that accepts
-# the value anyway finishes quickly and fails here on its exit code.
+# anything. Every case but the grid-bound ones carries a tiny grid, so
+# a build that accepts the value anyway finishes quickly and fails
+# here on its exit code. The grid-bound cases (a COUNT of -1 or
+# 99999999999, an over-bound --seeds) would allocate or run without
+# bound on a build that lacks the bound: do not point this script at
+# one.
 #
 # Lost output: orion_sweep and orion_sim (found next to it) must exit
 # 4 with a diagnostic when stdout or an output file cannot be written.
@@ -48,6 +52,12 @@ expect_usage --isolate --isolate-cpu -5
 expect_usage --isolate --isolate-cpu 1x
 expect_usage --rates nan:0.1:4
 expect_usage --rates 0.01:inf:4
+# Rates above 1 fail every cell's validation: a usage error instead.
+expect_usage --rates 0.5:2:2
+expect_usage --rates 0.01:0.1:-1
+expect_usage --rates 0.01:0.1:99999999999
+# 2 rates x 50001 seeds: over the 100000-cell grid bound.
+expect_usage --seeds 50001
 # A flag of the shared parser still names the tool that ran.
 expect_usage --jobs 1x
 

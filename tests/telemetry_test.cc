@@ -179,12 +179,10 @@ TEST(FlitTracer, RingBufferBoundsRetention)
     EXPECT_EQ(tracer.dropped(), 6u);
 
     // The retained records are the most recent ones, in order.
-    std::ostringstream out;
-    tracer.writeJson(out, "ring");
-    const std::string json = out.str();
-    EXPECT_EQ(json.find("\"ts\": 5"), std::string::npos);
-    EXPECT_NE(json.find("\"ts\": 6"), std::string::npos);
-    EXPECT_NE(json.find("\"ts\": 9"), std::string::npos);
+    const std::string json = tracer.toJson("ring");
+    EXPECT_EQ(json.find("\"ts\":5"), std::string::npos);
+    EXPECT_NE(json.find("\"ts\":6"), std::string::npos);
+    EXPECT_NE(json.find("\"ts\":9"), std::string::npos);
     test::JsonValidator v(json);
     EXPECT_TRUE(v.valid());
 }
@@ -195,9 +193,7 @@ TEST(FlitTracer, LabelWithQuotesAndBackslashesStaysValidJson)
     telemetry::FlitTracer tracer(bus, 8);
     tracer.addInstant("nack", 1, 0, 5, 42);
 
-    std::ostringstream out;
-    tracer.writeJson(out, "say \"hi\" \\ bye");
-    const std::string json = out.str();
+    const std::string json = tracer.toJson("say \"hi\" \\ bye");
     test::JsonValidator v(json);
     EXPECT_TRUE(v.valid());
     EXPECT_NE(json.find("say \\\"hi\\\" \\\\ bye"), std::string::npos);
@@ -358,10 +354,45 @@ TEST(SimulationTelemetry, ThreePacketTraceIsValidChromeJson)
     }
     EXPECT_NE(json.find("\"packet_injected\""), std::string::npos);
     EXPECT_NE(json.find("\"packet_ejected\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
     EXPECT_NE(json.find("\"process_name\""), std::string::npos);
+}
+
+TEST(SimulationTelemetry, PhaseGaugesReachSamplerAndTrace)
+{
+    // One metrics path: with profiling on, the phase gauges are rows
+    // of the sampler's registry and the trace's otherData.metrics.
+    SimConfig s = smallRun();
+    s.telemetry.sampleInterval = 100;
+    s.telemetry.traceEnabled = true;
+    s.profilePhases = true;
+    Simulation sim(NetworkConfig::vc16(), uniform(0.05), s);
+    ASSERT_TRUE(sim.run().completed);
+
+    const auto* reg = sim.metrics();
+    ASSERT_NE(reg, nullptr);
+    for (const char* name :
+         {"sim.phase.router_advance_s", "sim.phase.periodic_share",
+          "core.run.warmup_share", "core.run.drain_s"}) {
+        EXPECT_NE(reg->find(name), telemetry::MetricsRegistry::npos)
+            << name;
+    }
+    EXPECT_NE(sim.metricsCsv().find(",sim.phase.audit_share,gauge,"),
+              std::string::npos);
+
+    const std::string json = sim.traceJson("phases");
+    test::JsonValidator v(json);
+    EXPECT_TRUE(v.valid());
+    EXPECT_NE(json.find("\"otherData\":{\"label\":\"phases\","),
+              std::string::npos);
+    EXPECT_NE(json.find("\"metrics\":{\"sim.phase.router_advance_s\":"),
+              std::string::npos);
+    // One event per line.
+    EXPECT_EQ(json.rfind("{\"traceEvents\":[\n", 0), 0u);
+    EXPECT_NE(json.find(",\n{\"name\":\"buffer_write\""),
+              std::string::npos);
 }
 
 TEST(SimulationTelemetry, SaStallsAndCreditsObservable)

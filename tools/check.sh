@@ -22,7 +22,8 @@
 #                reported, not gated). Noise-bound on shared hosts,
 #                so CI does not run it
 #   5. survive:  kill-and-resume drill — a checkpointed sweep with a
-#                live heartbeat is SIGKILLed mid-flight; the heartbeat
+#                live heartbeat is SIGKILLed once its journal holds
+#                its first cell (it must not have exited); the heartbeat
 #                must still parse (orion_status.py --once) with a
 #                done-count consistent with the journal; the resume
 #                must produce a CSV byte-identical to an uninterrupted
@@ -159,9 +160,23 @@ if run_leg survive; then
         --heartbeat "$sdir/hb.json" --heartbeat-interval 0.2 \
         > /dev/null 2> /dev/null &
     victim=$!
-    sleep 0.7
+    # Kill once the journal holds its first entry (a line after the
+    # header), so progress, not a fixed sleep, sets the kill point on
+    # any host. Polls every 0.05 s for at most 60 s.
+    polls=0
+    until [ "$(wc -l 2> /dev/null < "$sdir/journal" || echo 0)" -ge 2 ] ||
+        [ "$polls" -ge 1200 ]; do
+        polls=$((polls + 1))
+        sleep 0.05
+    done
     kill -KILL "$victim" 2> /dev/null || true
-    wait "$victim" 2> /dev/null || true
+    rc=0
+    wait "$victim" 2> /dev/null || rc=$?
+    [ "$polls" -lt 1200 ] || { echo "FAIL: no journal entry in 60 s"; exit 1; }
+    [ "$rc" -eq 137 ] || {
+        echo "FAIL: victim exited ($rc) before the SIGKILL landed"
+        exit 1
+    }
     # The killed run's heartbeat must still parse (atomic replacement
     # leaves the last complete snapshot) and its done-count must agree
     # with the journal: never ahead of it, and at most `jobs` behind
@@ -208,7 +223,7 @@ EOF
     python3 - "$sdir/journal.manifest.json" <<'EOF'
 import json, sys
 m = json.load(open(sys.argv[1]))
-assert m["schema"] == "orion-run-manifest-v1", m
+assert m["schema"] == "orion-run-manifest-v2", m
 assert m["tool"] == "orion_sweep", m
 print(f"manifest written: fingerprint {m['fingerprint']}, "
       f"stop {m['stop_reason']}")

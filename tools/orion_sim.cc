@@ -97,11 +97,14 @@ main(int argc, char** argv)
             report.stopReason == StopReason::Interrupted;
         manifest.pointsCompleted = run_failed ? 0 : 1;
         manifest.pointsFailed = run_failed ? 1 : 0;
+        // The manifest's metrics: the phase gauges, when profiling.
+        telemetry::MetricsRegistry phases;
         if (const core::PhaseProfiler* pp = simulation.phaseProfiler())
-            manifest.phases = core::phaseShares(*pp);
+            telemetry::registerPhaseMetrics(phases, *pp);
         manifest.finish(stopReasonName(report.stopReason));
         if (!opts.manifestOut.empty())
-            core::writeFileAtomic(opts.manifestOut, manifest.toJson());
+            core::writeFileAtomic(opts.manifestOut,
+                                  manifest.toJson(phases));
         log::event(log::Level::Info, "sim.done",
                    {log::str("stop_reason",
                              stopReasonName(report.stopReason)),

@@ -263,6 +263,13 @@ main(int argc, char** argv)
                   "orion_sweep: --seeds must be >= 1\n");
         return 1;
     }
+    if (rates.size() * seeds > cli::kMaxSweepCells) {
+        log::diag(log::Level::Error, "sweep.usage",
+                  log::strf("orion_sweep: %zu rates x %u seeds is more "
+                            "than the %llu cells a sweep may hold\n",
+                            rates.size(), seeds, cli::kMaxSweepCells));
+        return 1;
+    }
     if (heartbeat_interval <= 0.0) {
         log::diag(log::Level::Error, "sweep.usage",
                   "orion_sweep: --heartbeat-interval must be > 0 "
@@ -302,11 +309,15 @@ main(int argc, char** argv)
     try {
         const cli::Options opts = cli::parse(rest, "orion_sweep");
         if (opts.helpRequested) {
+            static_assert(cli::kMaxSweepCells == 100000,
+                          "the help text names the grid bound");
             std::fputs(cli::usage().c_str(), stdout);
             std::fputs("\nsweep:\n  --rates FIRST:LAST:COUNT   "
                        "evenly spaced rates (default 0.01:0.20:10)\n"
                        "  --seeds N                  average each point "
                        "over N seeds\n"
+                       "                             (rates x seeds <= "
+                       "100000 cells)\n"
                        "  --metrics-dir DIR          per-point metric "
                        "CSVs (DIR/point_NNN.csv;\n"
                        "                             DIR/seed_K/... "
