@@ -15,12 +15,14 @@
 #ifndef ORION_BENCH_BENCH_UTIL_HH
 #define ORION_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "core/cli.hh"
 #include "core/config.hh"
 #include "core/report.hh"
 #include "core/simulation.hh"
@@ -28,25 +30,23 @@
 
 namespace orion::bench {
 
-/** The environment variable @p name as an unsigned integer, or
- * @p fallback when it is unset. Anything but a plain decimal number
- * ("abc", "2e2", "-1", "") ends the harness with exit status 2. */
+/** The environment variable @p name as an unsigned integer no greater
+ * than @p max, or @p fallback when it is unset. A value cli::parseU64
+ * rejects ("abc", "2e2", "-1", "", or one above @p max) ends the
+ * harness with exit status 2. */
 inline std::uint64_t
-envU64(const char* name, std::uint64_t fallback)
+envU64(const char* name, std::uint64_t fallback,
+       std::uint64_t max = UINT64_MAX)
 {
     const char* v = std::getenv(name);
     if (v == nullptr)
         return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const std::uint64_t n = std::strtoull(v, &end, 10);
-    if (*v < '0' || *v > '9' || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr,
-                     "%s must be a non-negative integer, got '%s'\n",
-                     name, v);
+    try {
+        return cli::parseU64(name, v, max);
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
     }
-    return n;
 }
 
 inline SimConfig
@@ -66,7 +66,7 @@ inline SweepOptions
 defaultSweepOptions()
 {
     SweepOptions opts;
-    opts.jobs = static_cast<unsigned>(envU64("ORION_JOBS", 0));
+    opts.jobs = static_cast<unsigned>(envU64("ORION_JOBS", 0, UINT_MAX));
     return opts;
 }
 

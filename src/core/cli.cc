@@ -6,13 +6,15 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/log.hh"
 #include "core/report.hh"
-#include "core/sweep.hh"
 #include "net/trace.hh"
 
 namespace orion::cli {
 
 namespace {
+
+namespace log = core::log;
 
 [[noreturn]] void
 fail(const std::string& what)
@@ -83,58 +85,6 @@ parseDims(const std::string& v)
     return dims;
 }
 
-NetworkConfig
-presetByName(const std::string& name)
-{
-    if (name == "wh64")
-        return NetworkConfig::wh64();
-    if (name == "vc16")
-        return NetworkConfig::vc16();
-    if (name == "vc64")
-        return NetworkConfig::vc64();
-    if (name == "vc128")
-        return NetworkConfig::vc128();
-    if (name == "xb")
-        return NetworkConfig::xb();
-    if (name == "cb")
-        return NetworkConfig::cb();
-    fail("--preset: unknown preset '" + name + "'");
-}
-
-net::TrafficPattern
-patternByName(const std::string& name)
-{
-    if (name == "uniform")
-        return net::TrafficPattern::UniformRandom;
-    if (name == "broadcast")
-        return net::TrafficPattern::Broadcast;
-    if (name == "transpose")
-        return net::TrafficPattern::Transpose;
-    if (name == "bitcomp")
-        return net::TrafficPattern::BitComplement;
-    if (name == "tornado")
-        return net::TrafficPattern::Tornado;
-    if (name == "neighbor")
-        return net::TrafficPattern::NearestNeighbor;
-    if (name == "hotspot")
-        return net::TrafficPattern::Hotspot;
-    if (name == "trace")
-        return net::TrafficPattern::Trace;
-    fail("--pattern: unknown pattern '" + name + "'");
-}
-
-router::DeadlockMode
-deadlockByName(const std::string& name)
-{
-    if (name == "none")
-        return router::DeadlockMode::None;
-    if (name == "bubble")
-        return router::DeadlockMode::Bubble;
-    if (name == "dateline")
-        return router::DeadlockMode::Dateline;
-    fail("--deadlock: unknown mode '" + name + "'");
-}
-
 net::OutageWindow
 parseOutageSpec(const std::string& spec)
 {
@@ -165,217 +115,495 @@ parseOutageSpec(const std::string& spec)
     return w;
 }
 
-Options
-parseOptions(const std::vector<std::string>& args)
+/** One flag's value as its setter sees it; the checks name the flag
+ * in their messages. A switch sees an empty text. */
+struct Value
 {
-    Options o;
-    o.traffic.injectionRate = 0.05;
+    const std::string& flag;
+    const std::string& text;
+    /** The flag's placeholder; "a|b|c" lists the accepted values. */
+    const char* placeholder;
 
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        const auto value = [&]() -> const std::string& {
-            if (i + 1 >= args.size())
-                fail(a + ": missing value");
-            return args[++i];
-        };
-
-        if (a == "--help" || a == "-h") {
-            o.helpRequested = true;
-            return o;
-        } else if (a == "--preset") {
-            o.network = presetByName(value());
-        } else if (a == "--dims") {
-            o.network.net.dims = parseDims(value());
-        } else if (a == "--mesh") {
-            o.network.net.wrap = false;
-            o.network.net.deadlock = router::DeadlockMode::None;
-        } else if (a == "--vcs") {
-            o.network.net.vcs =
-                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
-        } else if (a == "--buffer") {
-            o.network.net.bufferDepth =
-                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
-        } else if (a == "--flit-bits") {
-            o.network.net.flitBits =
-                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
-        } else if (a == "--packet-length") {
-            o.network.net.packetLength =
-                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
-        } else if (a == "--deadlock") {
-            o.network.net.deadlock = deadlockByName(value());
-        } else if (a == "--speculative") {
-            o.network.net.speculative = true;
-        } else if (a == "--arbiter") {
-            const std::string& v = value();
-            if (v == "matrix")
-                o.network.net.arbiterKind = router::ArbiterKind::Matrix;
-            else if (v == "rr")
-                o.network.net.arbiterKind =
-                    router::ArbiterKind::RoundRobin;
-            else if (v == "queuing")
-                o.network.net.arbiterKind =
-                    router::ArbiterKind::Queuing;
-            else
-                fail("--arbiter: unknown kind '" + v + "'");
-        } else if (a == "--injection") {
-            const std::string& v = value();
-            if (v == "single")
-                o.network.net.injection =
-                    net::InjectionPolicy::SingleVc;
-            else if (v == "spread")
-                o.network.net.injection =
-                    net::InjectionPolicy::SpreadVcs;
-            else
-                fail("--injection: unknown policy '" + v + "'");
-        } else if (a == "--tie-break") {
-            const std::string& v = value();
-            if (v == "random")
-                o.network.net.tieBreak = net::TieBreak::Random;
-            else if (v == "prefer-wrap")
-                o.network.net.tieBreak = net::TieBreak::PreferWrap;
-            else
-                fail("--tie-break: unknown policy '" + v + "'");
-        } else if (a == "--pattern") {
-            o.traffic.pattern = patternByName(value());
-        } else if (a == "--rate") {
-            o.traffic.injectionRate = parseDouble(a, value());
-        } else if (a == "--broadcast-source") {
-            o.traffic.broadcastSource =
-                static_cast<int>(parseU64(a, value(), INT_MAX));
-        } else if (a == "--hotspot") {
-            o.traffic.hotspotNode =
-                static_cast<int>(parseU64(a, value(), INT_MAX));
-        } else if (a == "--hotspot-frac") {
-            o.traffic.hotspotFraction = parseDouble(a, value());
-        } else if (a == "--trace") {
-            o.traffic.trace = std::make_shared<
-                const std::vector<net::TraceRecord>>(
-                net::Trace::load(value()));
-        } else if (a == "--sample") {
-            o.sim.samplePackets = parseU64(a, value());
-        } else if (a == "--warmup") {
-            o.sim.warmupCycles = parseU64(a, value());
-        } else if (a == "--max-cycles") {
-            o.sim.maxCycles = parseU64(a, value());
-        } else if (a == "--seed") {
-            o.sim.seed = parseU64(a, value());
-        } else if (a == "--link-ber") {
-            const double ber = parseDouble(a, value());
-            if (ber < 0.0 || ber > 1.0)
-                fail("--link-ber: must be in [0, 1]");
-            o.sim.fault.linkBitErrorRate = ber;
-        } else if (a == "--link-outage") {
-            o.sim.fault.outages.push_back(parseOutageSpec(value()));
-        } else if (a == "--fault-seed") {
-            o.sim.fault.faultSeed = parseU64(a, value());
-        } else if (a == "--retry-limit") {
-            const unsigned long long n = parseU64(a, value());
-            if (n > 32)
-                fail("--retry-limit: must be <= 32");
-            o.sim.fault.retryLimit = static_cast<unsigned>(n);
-        } else if (a == "--retry-backoff") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--retry-backoff: must be >= 1");
-            o.sim.fault.retryBackoffCycles =
-                static_cast<sim::Cycle>(n);
-        } else if (a == "--reroute") {
-            o.sim.rerouteOnOutage = true;
-        } else if (a == "--deadlock-detect") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--deadlock-detect: must be >= 1");
-            o.sim.deadlockDetect.enabled = true;
-            o.sim.deadlockDetect.thresholdCycles =
-                static_cast<sim::Cycle>(n);
-            o.sim.deadlockDetect.probeCycles = std::max<sim::Cycle>(
-                1, std::min<sim::Cycle>(128, n / 4));
-        } else if (a == "--debug-poison-rate") {
-            o.sim.debugPoisonRate = parseDouble(a, value());
-        } else if (a == "--debug-segv-rate") {
-            o.sim.debugSegvRate = parseDouble(a, value());
-        } else if (a == "--point-timeout") {
-            const double sec = parseDouble(a, value());
-            if (sec <= 0.0)
-                fail("--point-timeout: must be > 0 seconds");
-            o.pointTimeoutSeconds = sec;
-        } else if (a == "--point-retries") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1 || n > 32)
-                fail("--point-retries: must be in [1, 32]");
-            o.pointRetries = static_cast<unsigned>(n);
-        } else if (a == "--point-backoff-ms") {
-            o.pointBackoffMs =
-                static_cast<unsigned>(parseU64(a, value(), UINT_MAX));
-        } else if (a == "--report-out") {
-            o.reportOut = value();
-        } else if (a == "--log-out") {
-            o.logOut = value();
-        } else if (a == "--log-level") {
-            const std::string& v = value();
-            if (v != "debug" && v != "info" && v != "warn" &&
-                v != "error") {
-                fail("--log-level: wants debug|info|warn|error: '" +
-                     v + "'");
-            }
-            o.logLevel = v;
-        } else if (a == "--manifest-out") {
-            o.manifestOut = value();
-        } else if (a == "--profile-phases") {
-            o.sim.profilePhases = true;
-        } else if (a == "--jobs") {
-            const unsigned long long n = parseU64(a, value(), UINT_MAX);
-            if (n < 1)
-                fail("--jobs: must be >= 1");
-            o.jobs = static_cast<unsigned>(n);
-        } else if (a == "--csv") {
-            o.csv = true;
-        } else if (a == "--breakdown") {
-            o.breakdown = true;
-        } else if (a == "--metrics-out") {
-            o.metricsOut = value();
-        } else if (a == "--trace-out") {
-            o.traceOut = value();
-        } else if (a == "--sample-interval") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--sample-interval: must be >= 1");
-            o.sim.telemetry.sampleInterval =
-                static_cast<sim::Cycle>(n);
-        } else if (a == "--trace-capacity") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--trace-capacity: must be >= 1");
-            o.sim.telemetry.traceCapacity =
-                static_cast<std::size_t>(n);
-        } else {
-            fail("unknown option '" + a + "'");
-        }
+    [[noreturn]] void
+    reject(const std::string& why) const
+    {
+        fail(flag + ": " + why);
     }
 
-    // --metrics-out without an explicit interval samples every 1000
-    // cycles; --trace-out enables the tracer.
-    if (!o.metricsOut.empty() && o.sim.telemetry.sampleInterval == 0)
-        o.sim.telemetry.sampleInterval = 1000;
-    if (!o.traceOut.empty())
-        o.sim.telemetry.traceEnabled = true;
+    unsigned long long
+    u64(unsigned long long max = ULLONG_MAX) const
+    {
+        return parseU64(flag, text, max);
+    }
 
-    // Cross-field checks happen in the library validators; run them
-    // here so errors surface before the (possibly long) run starts.
-    validateConfig(o.network, o.traffic, o.sim);
-    return o;
+    unsigned u32() const { return static_cast<unsigned>(u64(UINT_MAX)); }
+    int node() const { return static_cast<int>(u64(INT_MAX)); } ///< an id
+
+    /** An integer >= 1. */
+    unsigned long long
+    positive(unsigned long long max = ULLONG_MAX) const
+    {
+        const unsigned long long n = u64(max);
+        if (n < 1)
+            reject("must be >= 1");
+        return n;
+    }
+
+    double number() const { return parseDouble(flag, text); }
+
+    /** The text's position among the placeholder's choices. */
+    std::size_t
+    choice(const char* what) const
+    {
+        std::istringstream choices(placeholder);
+        std::string name;
+        for (std::size_t i = 0; std::getline(choices, name, '|'); ++i) {
+            if (name == text)
+                return i;
+        }
+        reject(std::string("unknown ") + what + " '" + text + "'");
+    }
+};
+
+// Which tools take a flag (Flag::tools).
+constexpr unsigned kSim = 1;
+constexpr unsigned kSweep = 2;
+constexpr unsigned kBoth = kSim | kSweep;
+constexpr unsigned kForwarded = 4;
+/** Both tools take it, and `orion_sweep --isolate` hands it to each
+ * worker (workerArgs): it describes the simulated cell. */
+constexpr unsigned kCell = kBoth | kForwarded;
+
+/** One command-line flag: everything parse(), usage() and
+ * workerArgs() know about it. */
+struct Flag
+{
+    const char* name;
+    const char* placeholder; ///< of its value; nullptr for a switch
+    const char* group;       ///< the --help section that lists it
+    std::string help;
+    unsigned tools;
+    void (*set)(Options&, Value);
+};
+
+const char kNetwork[] = "network (defaults to --preset vc16)";
+const char kWorkload[] = "workload";
+const char kMeasurement[] = "measurement (paper defaults)";
+const char kFaults[] = "fault injection (defaults: disabled)";
+const char kRobustness[] =
+    "robustness (defaults: disabled; docs/ROBUSTNESS.md)";
+const char kDrills[] = "test drills (defaults: disabled)";
+const char kExecution[] = "execution";
+const char kSurvivability[] =
+    "survivability (defaults: disabled; docs/ROBUSTNESS.md)";
+const char kOutput[] = "output";
+const char kTelemetry[] =
+    "telemetry (defaults: disabled; docs/OBSERVABILITY.md)";
+const char kObservability[] =
+    "observability (defaults: disabled; docs/OBSERVABILITY.md)";
+
+/** Every flag of both tools, in --help order (a group's flags
+ * together). */
+const Flag kFlags[] = {
+    {"--preset", "wh64|vc16|vc64|vc128|xb|cb", kNetwork, "paper presets",
+     kCell, [](Options& o, Value v) {
+         NetworkConfig (*const presets[])() = {
+             NetworkConfig::wh64, NetworkConfig::vc16, NetworkConfig::vc64,
+             NetworkConfig::vc128, NetworkConfig::xb, NetworkConfig::cb};
+         o.network = presets[v.choice("preset")]();
+     }},
+    {"--dims", "KxK[xK]", kNetwork, "topology radices (default 4x4)", kCell,
+     [](Options& o, Value v) { o.network.net.dims = parseDims(v.text); }},
+    {"--mesh", nullptr, kNetwork, "mesh instead of torus", kCell,
+     [](Options& o, Value) {
+         o.network.net.wrap = false;
+         o.network.net.deadlock = router::DeadlockMode::None;
+     }},
+    {"--vcs", "N", kNetwork, "virtual channels per port", kCell,
+     [](Options& o, Value v) { o.network.net.vcs = v.u32(); }},
+    {"--buffer", "N", kNetwork, "buffer depth per VC (flits)", kCell,
+     [](Options& o, Value v) { o.network.net.bufferDepth = v.u32(); }},
+    {"--flit-bits", "N", kNetwork, "flit width", kCell,
+     [](Options& o, Value v) { o.network.net.flitBits = v.u32(); }},
+    {"--packet-length", "N", kNetwork, "flits per packet", kCell,
+     [](Options& o, Value v) { o.network.net.packetLength = v.u32(); }},
+    {"--deadlock", "none|bubble|dateline", kNetwork,
+     "deadlock avoidance on rings", kCell, [](Options& o, Value v) {
+         using router::DeadlockMode;
+         const DeadlockMode modes[] = {
+             DeadlockMode::None, DeadlockMode::Bubble, DeadlockMode::Dateline};
+         o.network.net.deadlock = modes[v.choice("mode")];
+     }},
+    {"--speculative", nullptr, kNetwork, "2-stage speculative VC pipeline",
+     kCell, [](Options& o, Value) { o.network.net.speculative = true; }},
+    {"--arbiter", "matrix|rr|queuing", kNetwork, "arbiter kind", kCell,
+     [](Options& o, Value v) {
+         using router::ArbiterKind;
+         const ArbiterKind kinds[] = {ArbiterKind::Matrix,
+                                      ArbiterKind::RoundRobin,
+                                      ArbiterKind::Queuing};
+         o.network.net.arbiterKind = kinds[v.choice("kind")];
+     }},
+    {"--injection", "single|spread", kNetwork, "source VC policy", kCell,
+     [](Options& o, Value v) {
+         using net::InjectionPolicy;
+         const InjectionPolicy policies[] = {InjectionPolicy::SingleVc,
+                                             InjectionPolicy::SpreadVcs};
+         o.network.net.injection = policies[v.choice("policy")];
+     }},
+    {"--tie-break", "random|prefer-wrap", kNetwork,
+     "direction of half-way ring ties", kCell, [](Options& o, Value v) {
+         using net::TieBreak;
+         const TieBreak policies[] = {TieBreak::Random, TieBreak::PreferWrap};
+         o.network.net.tieBreak = policies[v.choice("policy")];
+     }},
+
+    {"--pattern",
+     "uniform|broadcast|transpose|bitcomp|tornado|neighbor|hotspot|trace",
+     kWorkload, "traffic pattern (default uniform)", kCell,
+     [](Options& o, Value v) {
+         using P = net::TrafficPattern;
+         const P patterns[] = {P::UniformRandom, P::Broadcast, P::Transpose,
+                               P::BitComplement, P::Tornado,
+                               P::NearestNeighbor, P::Hotspot, P::Trace};
+         o.traffic.pattern = patterns[v.choice("pattern")];
+     }},
+    {"--rate", "R", kWorkload, "packets/cycle/node (default 0.05)", kSim,
+     [](Options& o, Value v) { o.traffic.injectionRate = v.number(); }},
+    {"--rates", "FIRST:LAST:COUNT", kWorkload,
+     "evenly spaced rates (default 0.01:0.20:10)", kSweep,
+     [](Options& o, Value v) { o.rates = parseRateSpec(v.text); }},
+    {"--broadcast-source", "N", kWorkload, "broadcast source node", kCell,
+     [](Options& o, Value v) { o.traffic.broadcastSource = v.node(); }},
+    {"--hotspot", "N", kWorkload, "hotspot node", kCell,
+     [](Options& o, Value v) { o.traffic.hotspotNode = v.node(); }},
+    {"--hotspot-frac", "F", kWorkload, "hotspot's share of packets", kCell,
+     [](Options& o, Value v) { o.traffic.hotspotFraction = v.number(); }},
+    {"--trace", "FILE", kWorkload, "trace file ('cycle src dst' lines)",
+     kCell, [](Options& o, Value v) {
+         o.traffic.trace =
+             std::make_shared<const std::vector<net::TraceRecord>>(
+                 net::Trace::load(v.text));
+     }},
+
+    {"--sample", "N", kMeasurement, "sample packets (default 10000)", kCell,
+     [](Options& o, Value v) { o.sim.samplePackets = v.u64(); }},
+    {"--warmup", "N", kMeasurement, "warm-up cycles (default 1000)", kCell,
+     [](Options& o, Value v) { o.sim.warmupCycles = v.u64(); }},
+    {"--max-cycles", "N", kMeasurement, "cycle cap (default 1000000)", kCell,
+     [](Options& o, Value v) { o.sim.maxCycles = v.u64(); }},
+    {"--seed", "N", kMeasurement, "RNG seed (default 1)", kCell,
+     [](Options& o, Value v) { o.sim.seed = v.u64(); }},
+    {"--seeds", "N", kMeasurement,
+     "runs per rate, averaged (rates x seeds <= " +
+         std::to_string(kMaxSweepCells) + ")",
+     kSweep, [](Options& o, Value v) { o.seeds = v.u32(); }},
+
+    {"--link-ber", "F", kFaults, "per-bit link error rate in [0,1]", kCell,
+     [](Options& o, Value v) {
+         const double ber = v.number();
+         if (ber < 0.0 || ber > 1.0)
+             v.reject("must be in [0, 1]");
+         o.sim.fault.linkBitErrorRate = ber;
+     }},
+    {"--link-outage", "START:END[:LINK]", kFaults,
+     "drop every flit on LINK (default: a random one)", kCell,
+     [](Options& o, Value v) {
+         o.sim.fault.outages.push_back(parseOutageSpec(v.text));
+     }},
+    {"--fault-seed", "N", kFaults,
+     "fault schedule seed (default: derived from --seed)", kCell,
+     [](Options& o, Value v) { o.sim.fault.faultSeed = v.u64(); }},
+    {"--retry-limit", "N", kFaults, "retransmissions per packet (default 8)",
+     kCell, [](Options& o, Value v) {
+         const unsigned long long n = v.u64();
+         if (n > 32)
+             v.reject("must be <= 32");
+         o.sim.fault.retryLimit = static_cast<unsigned>(n);
+     }},
+    {"--retry-backoff", "N", kFaults, "base retry backoff cycles (default 8)",
+     kCell, [](Options& o, Value v) {
+         o.sim.fault.retryBackoffCycles = v.positive();
+     }},
+
+    {"--reroute", nullptr, kRobustness,
+     "route around dead links; unreachable packets fail fast", kCell,
+     [](Options& o, Value) { o.sim.rerouteOnOutage = true; }},
+    {"--deadlock-detect", "N", kRobustness,
+     "recover from wait-for cycles frozen for N cycles", kCell,
+     [](Options& o, Value v) {
+         const sim::Cycle n = v.positive();
+         o.sim.deadlockDetect.enabled = true;
+         o.sim.deadlockDetect.thresholdCycles = n;
+         o.sim.deadlockDetect.probeCycles =
+             std::max<sim::Cycle>(1, std::min<sim::Cycle>(128, n / 4));
+     }},
+
+    {"--debug-poison-rate", "R", kDrills,
+     "runs at rate R fail a check right after construction", kCell,
+     [](Options& o, Value v) { o.sim.debugPoisonRate = v.number(); }},
+    {"--debug-segv-rate", "R", kDrills,
+     "runs at rate R crash with SIGSEGV (worker crash drill)", kCell,
+     [](Options& o, Value v) { o.sim.debugSegvRate = v.number(); }},
+
+    {"--jobs", "N", kExecution,
+     "worker threads (default: all cores; same results)", kSweep,
+     [](Options& o, Value v) {
+         o.jobs = static_cast<unsigned>(v.positive(UINT_MAX));
+     }},
+
+    {"--point-timeout", "SEC", kSurvivability,
+     "wall-clock deadline per run; overruns stop as 'deadline'", kCell,
+     [](Options& o, Value v) {
+         const double sec = v.number();
+         if (sec <= 0.0)
+             v.reject("must be > 0 seconds");
+         o.pointTimeoutSeconds = sec;
+     }},
+    {"--point-retries", "N", kSurvivability,
+     "attempts per cell before it fails (default 2)", kSweep,
+     [](Options& o, Value v) {
+         const unsigned long long n = v.u64();
+         if (n < 1 || n > 32)
+             v.reject("must be in [1, 32]");
+         o.pointRetries = static_cast<unsigned>(n);
+     }},
+    {"--point-backoff-ms", "N", kSurvivability,
+     "sleep before each retry (default 0)", kSweep,
+     [](Options& o, Value v) { o.pointBackoffMs = v.u32(); }},
+    {"--checkpoint", "FILE", kSurvivability,
+     "journal finished cells to FILE (crash-safe)", kSweep,
+     [](Options& o, Value v) { o.checkpoint = v.text; }},
+    {"--resume", "FILE", kSurvivability,
+     "skip the cells FILE journals, append new ones", kSweep,
+     [](Options& o, Value v) { o.resume = v.text; }},
+    {"--isolate", nullptr, kSurvivability,
+     "one orion_sim process per cell; crashes become rows", kSweep,
+     [](Options& o, Value) { o.isolate = true; }},
+    {"--isolate-exe", "PATH", kSurvivability,
+     "worker binary (default: next to orion_sweep)", kSweep,
+     [](Options& o, Value v) { o.isolateExe = v.text; }},
+    {"--isolate-mem", "MB", kSurvivability, "worker RLIMIT_AS (MiB)", kSweep,
+     [](Options& o, Value v) { o.isolateMemMb = v.u64(UINT64_MAX >> 20); }},
+    {"--isolate-cpu", "SEC", kSurvivability, "worker RLIMIT_CPU (seconds)",
+     kSweep, [](Options& o, Value v) { o.isolateCpuSeconds = v.u64(); }},
+
+    {"--csv", nullptr, kOutput, "machine-readable one-row CSV", kSim,
+     [](Options& o, Value) { o.csv = true; }},
+    {"--breakdown", nullptr, kOutput, "per-node power map + event counts",
+     kSim, [](Options& o, Value) { o.breakdown = true; }},
+    {"--report-out", "FILE", kOutput,
+     "exact report line (hexfloat checkpoint entry)", kSim,
+     [](Options& o, Value v) { o.reportOut = v.text; }},
+    {"--resources", nullptr, kOutput,
+     "add wall_s/cpu_s/maxrss_kb columns (nondeterministic)", kSweep,
+     [](Options& o, Value) { o.resources = true; }},
+
+    {"--metrics-out", "FILE", kTelemetry,
+     "windowed metric time series (CSV)", kSim,
+     [](Options& o, Value v) { o.metricsOut = v.text; }},
+    {"--metrics-dir", "DIR", kTelemetry,
+     "one series per cell: DIR[/seed_K]/point_NNN.csv", kSweep,
+     [](Options& o, Value v) { o.metricsDir = v.text; }},
+    {"--sample-interval", "N", kTelemetry,
+     "cycles per sampling window (default 1000 with metrics)", kBoth,
+     [](Options& o, Value v) {
+         o.sim.telemetry.sampleInterval = v.positive();
+     }},
+    {"--trace-out", "FILE", kTelemetry,
+     "Chrome trace-event JSON (Perfetto, chrome://tracing)", kSim,
+     [](Options& o, Value v) { o.traceOut = v.text; }},
+    {"--trace-dir", "DIR", kTelemetry,
+     "one trace per cell: DIR[/seed_K]/point_NNN.json", kSweep,
+     [](Options& o, Value v) { o.traceDir = v.text; }},
+    {"--trace-capacity", "N", kTelemetry,
+     "trace ring-buffer records (default 65536)", kBoth,
+     [](Options& o, Value v) {
+         o.sim.telemetry.traceCapacity = v.positive();
+     }},
+
+    {"--log-out", "FILE", kObservability,
+     "structured JSON-lines log (also via ORION_LOG)", kBoth,
+     [](Options& o, Value v) { o.logOut = v.text; }},
+    {"--log-level", "debug|info|warn|error", kObservability,
+     "log threshold (default info)", kBoth, [](Options& o, Value v) {
+         log::Level level = log::Level::Info;
+         if (!log::parseLevel(v.text, level) || level == log::Level::Off)
+             v.reject(std::string("wants ") + v.placeholder + ": '" +
+                      v.text + "'");
+         o.logLevel = v.text;
+     }},
+    {"--manifest-out", "FILE", kObservability,
+     "run manifest JSON (fingerprint, build, rusage)", kBoth,
+     [](Options& o, Value v) { o.manifestOut = v.text; }},
+    {"--profile-phases", nullptr, kObservability,
+     "attribute run time to simulator phases", kBoth,
+     [](Options& o, Value) { o.sim.profilePhases = true; }},
+    {"--heartbeat", "FILE", kObservability,
+     "rewritten progress JSON (tools/orion_status.py)", kSweep,
+     [](Options& o, Value v) { o.heartbeat = v.text; }},
+    {"--heartbeat-interval", "SEC", kObservability,
+     "heartbeat refresh period (default 1)", kSweep,
+     [](Options& o, Value v) { o.heartbeatIntervalSeconds = v.number(); }},
+    {"--progress", nullptr, kObservability,
+     "rewriting stderr progress line (TTY only)", kSweep,
+     [](Options& o, Value) { o.progress = true; }},
+};
+
+unsigned
+toolBit(Tool tool)
+{
+    return tool == Tool::Sim ? kSim : kSweep;
+}
+
+const char*
+toolName(Tool tool)
+{
+    return tool == Tool::Sim ? "orion_sim" : "orion_sweep";
+}
+
+/** The entry for @p name, if @p tool takes it. */
+const Flag&
+lookup(const std::string& name, Tool tool)
+{
+    for (const Flag& f : kFlags) {
+        if (name != f.name)
+            continue;
+        const Tool other = tool == Tool::Sim ? Tool::Sweep : Tool::Sim;
+        if ((f.tools & toolBit(tool)) == 0)
+            fail(name + " is an " + toolName(other) + " option");
+        return f;
+    }
+    fail("unknown option '" + name + "'");
+}
+
+/** orion_sweep's checks across flags, once every flag is parsed. */
+void
+checkSweep(const Options& o)
+{
+    if (o.seeds < 1)
+        fail("--seeds must be >= 1");
+    if (o.rates.size() * o.seeds > kMaxSweepCells) {
+        fail(std::to_string(o.rates.size()) + " rates x " +
+             std::to_string(o.seeds) + " seeds is more than the " +
+             std::to_string(kMaxSweepCells) + " cells a sweep may hold");
+    }
+    if (o.heartbeatIntervalSeconds <= 0.0)
+        fail("--heartbeat-interval must be > 0 seconds");
+    const bool journaling = !o.checkpoint.empty() || !o.resume.empty();
+    if (!o.checkpoint.empty() && !o.resume.empty()) {
+        fail("--checkpoint and --resume are mutually exclusive "
+             "(--resume keeps appending to its journal)");
+    }
+    const bool telemetry = !o.metricsDir.empty() || !o.traceDir.empty();
+    if (journaling && telemetry) {
+        fail("--checkpoint/--resume cannot be combined with "
+             "--metrics-dir/--trace-dir (telemetry exports are not "
+             "journaled)");
+    }
+    if (o.isolate && telemetry)
+        fail("--isolate cannot be combined with --metrics-dir/--trace-dir");
+    if (!o.isolate && (!o.isolateExe.empty() || o.isolateMemMb != 0 ||
+                       o.isolateCpuSeconds != 0))
+        fail("--isolate-exe/--isolate-mem/--isolate-cpu require --isolate");
 }
 
 } // namespace
 
 Options
-parse(const std::vector<std::string>& args, const std::string& tool)
+parse(const std::vector<std::string>& args, Tool tool)
 {
     try {
-        return parseOptions(args);
+        Options o;
+        o.traffic.injectionRate = 0.05;
+
+        static const std::string kSwitch;
+        for (std::size_t i = 0; i < args.size(); ++i) {
+            const std::string& a = args[i];
+            if (a == "--help" || a == "-h") {
+                o.helpRequested = true;
+                return o;
+            }
+            const Flag& f = lookup(a, tool);
+            if (f.placeholder != nullptr && i + 1 >= args.size())
+                fail(a + ": missing value");
+            const std::string& v = f.placeholder ? args[++i] : kSwitch;
+            f.set(o, Value{a, v, f.placeholder});
+        }
+
+        // A metrics file or directory without an explicit interval
+        // samples every 1000 cycles; a trace file or directory enables
+        // the tracer.
+        if ((!o.metricsOut.empty() || !o.metricsDir.empty()) &&
+            o.sim.telemetry.sampleInterval == 0)
+            o.sim.telemetry.sampleInterval = 1000;
+        if (!o.traceOut.empty() || !o.traceDir.empty())
+            o.sim.telemetry.traceEnabled = true;
+
+        // Cross-field checks happen in the library validators; run
+        // them here so errors surface before the (possibly long) run
+        // starts.
+        validateConfig(o.network, o.traffic, o.sim);
+        if (tool == Tool::Sweep)
+            checkSweep(o);
+        return o;
     } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(tool + ": " + e.what() +
-                                    " (--help for usage)");
+        throw std::invalid_argument(std::string(toolName(tool)) + ": " +
+                                    e.what() + " (--help for usage)");
+    }
+}
+
+std::string
+usage(Tool tool)
+{
+    constexpr std::size_t kHelpColumn = 24;
+    std::string out = std::string("usage: ") + toolName(tool) + " [options]\n";
+    const char* group = nullptr;
+    for (const Flag& f : kFlags) {
+        if ((f.tools & toolBit(tool)) == 0)
+            continue;
+        if (f.group != group) {
+            group = f.group;
+            out += std::string("\n") + group + ":\n";
+        }
+        std::string line = std::string("  ") + f.name;
+        if (f.placeholder != nullptr)
+            line += std::string(" ") + f.placeholder;
+        // A long flag puts its help on the next line.
+        if (line.size() + 2 > kHelpColumn)
+            line += '\n' + std::string(kHelpColumn, ' ');
+        else
+            line.resize(kHelpColumn, ' ');
+        out += line + f.help + "\n";
+    }
+    return out;
+}
+
+std::vector<std::string>
+workerArgs(const std::vector<std::string>& args)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const Flag& f = lookup(args[i], Tool::Sweep);
+        if ((f.tools & kForwarded) != 0) {
+            out.push_back(args[i]);
+            if (f.placeholder != nullptr)
+                out.push_back(args.at(i + 1));
+        }
+        if (f.placeholder != nullptr)
+            ++i;
+    }
+    return out;
+}
+
+void
+configureLogger(const Options& opts)
+{
+    log::configureFromEnv();
+    if (!opts.logOut.empty()) {
+        log::Level level = log::Level::Info;
+        log::parseLevel(opts.logLevel, level);
+        log::configure(opts.logOut, level);
     }
 }
 
@@ -399,100 +627,6 @@ parseRateSpec(const std::string& spec)
     if (!(first > 0.0 && first <= last && last <= 1.0) || count < 2)
         bad();
     return Sweep::linspace(first, last, static_cast<unsigned>(count));
-}
-
-std::string
-usage()
-{
-    return "usage: orion_sim [options]\n"
-           "\n"
-           "network (defaults to --preset vc16):\n"
-           "  --preset wh64|vc16|vc64|vc128|xb|cb   paper presets\n"
-           "  --dims KxK[xK]       topology radices (default 4x4)\n"
-           "  --mesh               mesh instead of torus\n"
-           "  --vcs N              virtual channels per port\n"
-           "  --buffer N           buffer depth per VC (flits)\n"
-           "  --flit-bits N        flit width\n"
-           "  --packet-length N    flits per packet\n"
-           "  --deadlock none|bubble|dateline\n"
-           "  --speculative        2-stage speculative VC pipeline\n"
-           "  --arbiter matrix|rr|queuing\n"
-           "  --injection single|spread   source VC policy\n"
-           "  --tie-break random|prefer-wrap\n"
-           "\n"
-           "workload:\n"
-           "  --pattern uniform|broadcast|transpose|bitcomp|tornado|"
-           "neighbor|hotspot|trace\n"
-           "  --rate R             packets/cycle/node (default 0.05)\n"
-           "  --broadcast-source N --hotspot N --hotspot-frac F\n"
-           "  --trace FILE         trace file ('cycle src dst' lines)\n"
-           "\n"
-           "measurement (paper defaults):\n"
-           "  --sample N           sample packets (default 10000)\n"
-           "  --warmup N           warm-up cycles (default 1000)\n"
-           "  --max-cycles N       cycle cap (default 1000000)\n"
-           "  --seed N             RNG seed (default 1)\n"
-           "\n"
-           "fault injection (defaults: disabled):\n"
-           "  --link-ber F         per-bit link error rate in [0,1]\n"
-           "  --link-outage START:END[:LINK]\n"
-           "                       drop all flits on LINK (random link\n"
-           "                       if omitted) during [START, END)\n"
-           "  --fault-seed N       fault schedule seed (default:\n"
-           "                       derived from --seed)\n"
-           "  --retry-limit N      retransmissions per packet "
-           "(default 8)\n"
-           "  --retry-backoff N    base retry backoff cycles "
-           "(default 8)\n"
-           "\n"
-           "robustness (defaults: disabled; docs/ROBUSTNESS.md):\n"
-           "  --reroute            reroute sources around dead links\n"
-           "                       (fail fast as 'unreachable' when a\n"
-           "                       destination is partitioned)\n"
-           "  --deadlock-detect N  detect wait-for cycles after N\n"
-           "                       frozen cycles and recover by worm\n"
-           "                       poisoning + retransmission\n"
-           "\n"
-           "execution:\n"
-           "  --jobs N             sweep worker threads (default: "
-           "hardware\n"
-           "                       concurrency; results identical for "
-           "any N)\n"
-           "\n"
-           "survivability (defaults: disabled; docs/ROBUSTNESS.md):\n"
-           "  --point-timeout SEC  wall-clock deadline per run / sweep\n"
-           "                       point; overruns stop cooperatively\n"
-           "                       as status 'deadline'\n"
-           "  --point-retries N    attempts per sweep cell before it\n"
-           "                       fails for good (default 2)\n"
-           "  --point-backoff-ms N sleep before each retry (default 0)\n"
-           "\n"
-           "output:\n"
-           "  --csv                machine-readable one-row CSV\n"
-           "  --breakdown          per-node power map + event counts\n"
-           "  --report-out FILE    machine-mergeable report line (exact\n"
-           "                       hexfloat doubles; the checkpoint\n"
-           "                       entry format)\n"
-           "\n"
-           "telemetry (defaults: disabled; see docs/OBSERVABILITY.md):\n"
-           "  --metrics-out FILE   windowed metric time series (CSV)\n"
-           "  --sample-interval N  cycles per sampling window (default\n"
-           "                       1000 when --metrics-out is set)\n"
-           "  --trace-out FILE     Chrome trace-event JSON (load in\n"
-           "                       Perfetto / chrome://tracing)\n"
-           "  --trace-capacity N   trace ring-buffer records "
-           "(default 65536)\n"
-           "\n"
-           "observability (defaults: disabled; docs/OBSERVABILITY.md):\n"
-           "  --log-out FILE       structured JSON-lines log (also via\n"
-           "                       the ORION_LOG environment variable)\n"
-           "  --log-level L        debug|info|warn|error (default "
-           "info)\n"
-           "  --manifest-out FILE  run manifest JSON (config\n"
-           "                       fingerprint, build info, rusage,\n"
-           "                       stop reason)\n"
-           "  --profile-phases     attribute kernel time to simulator\n"
-           "                       stages (reported in the manifest)\n";
 }
 
 std::string

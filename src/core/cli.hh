@@ -1,88 +1,117 @@
 /**
  * @file
- * Command-line front end: turns argv-style options into a validated
- * (NetworkConfig, TrafficConfig, SimConfig) triple and renders run
- * reports. Lives in the library (rather than the tool's main) so the
- * parsing logic is unit-testable. usage() lists every option.
+ * Command-line front end of orion_sim and orion_sweep. One table in
+ * cli.cc declares every flag once (value placeholder, --help line and
+ * group, the tools that take it, the code that checks and stores its
+ * value), and parse(), usage() and workerArgs() all read it, so each
+ * tool accepts exactly the flags its --help lists. Library code, so
+ * it is unit-testable.
  */
 
 #ifndef ORION_CORE_CLI_HH
 #define ORION_CORE_CLI_HH
 
 #include <climits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/config.hh"
 #include "core/simulation.hh"
+#include "core/sweep.hh"
 
 namespace orion::cli {
 
-/** Everything a parsed command line describes. */
+/** The tools that read the flag table. */
+enum class Tool
+{
+    Sim,   ///< orion_sim: one run
+    Sweep, ///< orion_sweep: a grid of rates x seeds
+};
+
+/**
+ * Everything a parsed command line describes. Each field below the
+ * configs holds the flag its comment names (`TOOL --help` says what
+ * the flag does); a tool that does not take the flag leaves the
+ * default.
+ */
 struct Options
 {
     NetworkConfig network = NetworkConfig::vc16();
     TrafficConfig traffic;
     SimConfig sim;
-    /** Emit machine-readable CSV instead of the text report. */
-    bool csv = false;
-    /** Worker threads for sweep drivers (--jobs): 0 = hardware
-     * concurrency (the default), 1 = serial. Results are identical
-     * for every value; see SweepOptions::jobs. */
-    unsigned jobs = 0;
-    /** Append the per-node power map and event counts (text mode). */
-    bool breakdown = false;
-    /** Write the sampled metric time series here (--metrics-out;
-     * empty = don't). Implies a default --sample-interval of 1000
-     * cycles when none was given. */
-    std::string metricsOut;
-    /** Write the Chrome trace-event JSON here (--trace-out; empty =
-     * don't). */
-    std::string traceOut;
-    /**
-     * Wall-clock deadline in seconds for a run / each sweep point
-     * (--point-timeout; <= 0 disables). Overruns stop cooperatively
-     * with StopReason::Deadline. See docs/ROBUSTNESS.md.
-     */
-    double pointTimeoutSeconds = 0.0;
-    /** Attempts per sweep cell before it is declared failed
-     * (--point-retries, >= 1; default: the historical 2). */
-    unsigned pointRetries = 2;
-    /** Milliseconds slept before each retry (--point-backoff-ms). */
-    unsigned pointBackoffMs = 0;
-    /**
-     * Write the run report here in the checkpoint entry line format
-     * (--report-out; empty = don't): exact hexfloat doubles, so a
-     * parent process (orion_sweep --isolate) can merge it
-     * bit-identically with in-process results.
-     */
+
+    // orion_sim's flags.
+    bool csv = false;       ///< --csv
+    bool breakdown = false; ///< --breakdown
+    std::string metricsOut; ///< --metrics-out (empty = none)
+    std::string traceOut;   ///< --trace-out (empty = none)
+    /** --report-out: the report as an exact checkpoint entry line, for
+     * `orion_sweep --isolate` to merge bit-identically. */
     std::string reportOut;
-    /**
-     * Structured JSON-lines log sink (--log-out; empty = stderr-only
-     * diagnostics, byte-identical to builds without the logger). Also
-     * settable via the ORION_LOG environment variable; the flag wins.
-     */
+
+    // Flags both tools take.
+    /** --point-timeout: wall-clock seconds per run / sweep cell (<= 0
+     * disables); overruns stop cooperatively with StopReason::Deadline. */
+    double pointTimeoutSeconds = 0.0;
+    /** --log-out (empty = stderr diagnostics only, byte-identical to
+     * builds without the logger); ORION_LOG sets it too, the flag wins. */
     std::string logOut;
-    /** Minimum level written to the log sink (--log-level
-     * debug|info|warn|error; default info). */
-    std::string logLevel = "info";
-    /** Write the run manifest JSON here (--manifest-out; empty =
-     * don't). See core/manifest.hh for the schema. */
-    std::string manifestOut;
+    std::string logLevel = "info"; ///< --log-level
+    std::string manifestOut;       ///< --manifest-out (core/manifest.hh)
+
+    // orion_sweep's flags.
+    /** --jobs: 0 = hardware concurrency; results are identical for
+     * every value (SweepOptions::jobs). */
+    unsigned jobs = 0;
+    unsigned pointRetries = 2;   ///< --point-retries (RetryPolicy)
+    unsigned pointBackoffMs = 0; ///< --point-backoff-ms
+    /** --rates */
+    std::vector<double> rates = Sweep::linspace(0.01, 0.20, 10);
+    unsigned seeds = 1;                    ///< --seeds
+    std::string metricsDir;                ///< --metrics-dir
+    std::string traceDir;                  ///< --trace-dir
+    std::string checkpoint;                ///< --checkpoint
+    std::string resume;                    ///< --resume
+    bool isolate = false;                  ///< --isolate
+    std::string isolateExe;                ///< --isolate-exe
+    std::uint64_t isolateMemMb = 0;        ///< --isolate-mem (MiB)
+    std::uint64_t isolateCpuSeconds = 0;   ///< --isolate-cpu
+    std::string heartbeat;                 ///< --heartbeat
+    double heartbeatIntervalSeconds = 1.0; ///< --heartbeat-interval
+    bool progress = false;                 ///< --progress
+    bool resources = false;                ///< --resources
+
     /** --help was requested: print usage() and exit successfully. */
     bool helpRequested = false;
 };
 
 /**
- * Parse @p args (without argv[0]). Throws std::invalid_argument with
- * a user-facing message, prefixed "@p tool: ", on unknown options or
- * malformed values.
+ * Parse @p args (without argv[0]) as @p tool's command line. Throws
+ * std::invalid_argument, prefixed "TOOL: ", on a flag @p tool does
+ * not take, a malformed value, or values that do not compose into a
+ * valid run or sweep. --help stops parsing where it appears.
  */
-Options parse(const std::vector<std::string>& args,
-              const std::string& tool = "orion_sim");
+Options parse(const std::vector<std::string>& args, Tool tool = Tool::Sim);
+
+/** @p tool's --help text, generated from the flag table by group. */
+std::string usage(Tool tool = Tool::Sim);
+
+/**
+ * What `orion_sweep --isolate` hands every orion_sim worker: the flags
+ * of @p args (a command line parse() accepted for orion_sweep), with
+ * their values, that describe one cell (the values sweepFingerprint
+ * binds), plus --point-timeout. Output and observability flags stay
+ * with the parent, so workers never race on one file.
+ */
+std::vector<std::string> workerArgs(const std::vector<std::string>& args);
+
+/** Attach the structured log sink: ORION_LOG first, --log-out and
+ * --log-level win. */
+void configureLogger(const Options& opts);
 
 /// @name Checked option values
-/// The parsers behind parse(), for tools' own options. Each throws
+/// The parsers behind parse(), for other front ends. Each throws
 /// std::invalid_argument ("OPT: not a number: 'V'", ...) on a value
 /// that is not wholly a number in range.
 /// @{
@@ -93,9 +122,6 @@ unsigned long long parseU64(const std::string& opt, const std::string& v,
 /** A finite double (no nan or inf). */
 double parseDouble(const std::string& opt, const std::string& v);
 /// @}
-
-/** The usage/help text. */
-std::string usage();
 
 /** Render @p report as the human-readable run summary. */
 std::string formatReport(const Options& opts, const Report& report);

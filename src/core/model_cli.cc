@@ -1,8 +1,9 @@
 #include "core/model_cli.hh"
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
-#include <map>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/cli.hh"
@@ -27,98 +28,98 @@ fail(const std::string& what)
     throw std::invalid_argument(what);
 }
 
-/** Parsed option map: every option takes one value except flags. */
+/** One key a component takes: `--NAME PLACEHOLDER`, or a switch when
+ * it has no placeholder (off unless given). */
+struct Key
+{
+    const char* name;
+    const char* placeholder;
+    const char* fallback; ///< the value when not given; nullptr: required
+};
+
+// Keys several components take.
+const Key kFeature{"feature-um", "F", "0.1"};
+const Key kVdd{"vdd", "V", "1.2"};
+const Key kCsv{"csv", nullptr, nullptr};
+
+struct Query;
+
+/** A model orion_models evaluates, with every key it takes. */
+struct Component
+{
+    const char* name;
+    std::vector<Key> keys;
+    /** Fill the quantity/value table. */
+    void (*run)(const Query&, report::Table&);
+};
+
+/** A parsed query: each of its component's keys with the text given,
+ * else the key's fallback ("" for an absent required key or an unset
+ * switch). */
 struct Query
 {
-    std::string component;
-    std::map<std::string, std::string> values;
-    bool muxTree = false;
-    bool csv = false;
+    const Component& component;
+    std::vector<std::string> values;
 
-    /** A finite number >= 0 (no model takes a negative one). */
-    double
-    number(const std::string& key, double fallback) const
+    /** @p key's text (at() throws on a key the component lacks). */
+    const std::string&
+    text(const char* key) const
     {
-        const auto it = values.find(key);
-        const double v = it == values.end()
-                             ? fallback
-                             : parseDouble("--" + key, it->second);
-        if (v < 0.0)
-            fail("--" + key + " must be non-negative");
-        return v;
+        std::size_t i = 0;
+        while (std::strcmp(component.keys.at(i).name, key) != 0)
+            ++i;
+        return values[i];
     }
 
-    /** A count of at least 1 (every model asserts its counts); absent
-     * means @p fallback, and a fallback of 0 means required. */
-    unsigned
-    count(const std::string& key, unsigned fallback = 0) const
+    /** A finite number >= 0 (no model takes a negative one); 0 when
+     * absent. */
+    double
+    number(const char* key) const
     {
-        const auto it = values.find(key);
-        const auto n = it == values.end()
-                           ? fallback
-                           : parseU64("--" + key, it->second, UINT_MAX);
+        const std::string& v = text(key);
+        const double d =
+            v.empty() ? 0.0 : parseDouble(std::string("--") + key, v);
+        if (d < 0.0)
+            fail(std::string("--") + key + " must be non-negative");
+        return d;
+    }
+
+    /** A count of at least 1 (every model asserts its counts). */
+    unsigned
+    count(const char* key) const
+    {
+        const std::string& v = text(key);
+        const auto n =
+            v.empty() ? 0 : parseU64(std::string("--") + key, v, UINT_MAX);
         if (n < 1)
-            fail("--" + key + " is required and must be >= 1");
+            fail(std::string("--") + key + " is required and must be >= 1");
         return static_cast<unsigned>(n);
     }
 
-    bool has(const std::string& key) const
-    {
-        return values.count(key) > 0;
-    }
+    bool isSet(const char* key) const { return !text(key).empty(); }
 };
 
-Query
-parseQuery(const std::vector<std::string>& args)
-{
-    Query q;
-    q.component = args.front();
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--mux-tree") {
-            q.muxTree = true;
-        } else if (a == "--csv") {
-            q.csv = true;
-        } else if (a.rfind("--", 0) == 0) {
-            if (i + 1 >= args.size())
-                fail(a + ": missing value");
-            q.values[a.substr(2)] = args[++i];
-        } else {
-            fail("unexpected argument '" + a + "'");
-        }
-    }
-    return q;
-}
-
+/** The on-chip models' technology. None of them prints a power, so
+ * the clock (any positive value builds the node) does not matter. */
 tech::TechNode
-techFrom(const Query& q)
+onChipTech(const Query& q)
 {
-    const double feature = q.number("feature-um", 0.1);
-    const double vdd = q.number("vdd", 1.2);
-    const double ghz = q.number("freq-ghz", 2.0);
-    // number() checks finiteness; a huge GHz still overflows to inf Hz.
-    if (feature <= 0.0 || vdd <= 0.0 || ghz <= 0.0 ||
-        !std::isfinite(ghz * 1e9))
-        fail("--feature-um, --vdd and --freq-ghz must be positive");
-    return tech::TechNode::scaled(feature, vdd, ghz * 1e9);
+    const double feature = q.number("feature-um");
+    const double vdd = q.number("vdd");
+    if (feature <= 0.0 || vdd <= 0.0)
+        fail("--feature-um and --vdd must be positive");
+    return tech::TechNode::scaled(feature, vdd, 2e9);
 }
 
-std::string
-render(const Query& q, report::Table& t)
+void
+bufferQuery(const Query& q, report::Table& t)
 {
-    return q.csv ? report::formatCsv(t) : report::formatTable(t);
-}
-
-std::string
-bufferQuery(const Query& q, const tech::TechNode& tech)
-{
+    const tech::TechNode tech = onChipTech(q);
     const power::BufferParams p{
         q.count("flits"), q.count("bits"),
-        q.count("read-ports", 1), q.count("write-ports", 1)};
+        q.count("read-ports"), q.count("write-ports")};
     const power::BufferModel m(tech, p);
-    report::Table t;
     t.title = "FIFO buffer model (Table 2)";
-    t.headers = {"quantity", "value"};
     t.addRow({"L_wl", fmt(m.wordlineLengthUm(), 1) + " um"});
     t.addRow({"L_bl", fmt(m.bitlineLengthUm(), 1) + " um"});
     t.addRow({"C_wl", fmtEng(m.wordlineCap(), "F", 2)});
@@ -129,22 +130,21 @@ bufferQuery(const Query& q, const tech::TechNode& tech)
     t.addRow({"E_read", fmtEng(m.readEnergy(), "J", 2)});
     t.addRow({"E_wrt (avg)", fmtEng(m.avgWriteEnergy(), "J", 2)});
     t.addRow({"area", fmt(m.areaUm2() / 1e6, 4) + " mm2"});
-    return render(q, t);
 }
 
-std::string
-crossbarQuery(const Query& q, const tech::TechNode& tech)
+void
+crossbarQuery(const Query& q, report::Table& t)
 {
+    const tech::TechNode tech = onChipTech(q);
+    const bool mux_tree = q.isSet("mux-tree");
     const power::CrossbarParams p{
         q.count("inputs"), q.count("outputs"), q.count("width"),
-        q.muxTree ? power::CrossbarKind::MuxTree
-                  : power::CrossbarKind::Matrix,
-        q.number("load-ff", 0.0) * 1e-15};
+        mux_tree ? power::CrossbarKind::MuxTree
+                 : power::CrossbarKind::Matrix,
+        q.number("load-ff") * 1e-15};
     const power::CrossbarModel m(tech, p);
-    report::Table t;
-    t.title = q.muxTree ? "mux-tree crossbar model (Table 3)"
-                        : "matrix crossbar model (Table 3)";
-    t.headers = {"quantity", "value"};
+    t.title = mux_tree ? "mux-tree crossbar model (Table 3)"
+                       : "matrix crossbar model (Table 3)";
     t.addRow({"L_in", fmt(m.inputLengthUm(), 1) + " um"});
     t.addRow({"L_out", fmt(m.outputLengthUm(), 1) + " um"});
     t.addRow({"C_in/bit", fmtEng(m.inputCap(), "F", 2)});
@@ -153,30 +153,24 @@ crossbarQuery(const Query& q, const tech::TechNode& tech)
     t.addRow({"E_xb (avg)", fmtEng(m.avgTraversalEnergy(), "J", 2)});
     t.addRow({"E_xb_ctr", fmtEng(m.controlEnergy(), "J", 2)});
     t.addRow({"area", fmt(m.areaUm2() / 1e6, 4) + " mm2"});
-    return render(q, t);
 }
 
-std::string
-arbiterQuery(const Query& q, const tech::TechNode& tech)
+void
+arbiterQuery(const Query& q, report::Table& t)
 {
+    const tech::TechNode tech = onChipTech(q);
     power::ArbiterKind kind = power::ArbiterKind::Matrix;
-    if (q.has("kind")) {
-        const std::string& k = q.values.at("kind");
-        if (k == "matrix")
-            kind = power::ArbiterKind::Matrix;
-        else if (k == "rr")
-            kind = power::ArbiterKind::RoundRobin;
-        else if (k == "queuing")
-            kind = power::ArbiterKind::Queuing;
-        else
-            fail("--kind: unknown arbiter kind '" + k + "'");
-    }
+    const std::string& k = q.text("kind");
+    if (k == "rr")
+        kind = power::ArbiterKind::RoundRobin;
+    else if (k == "queuing")
+        kind = power::ArbiterKind::Queuing;
+    else if (k != "matrix")
+        fail("--kind: unknown arbiter kind '" + k + "'");
     const power::ArbiterModel m(
         tech, {q.count("requests"), kind,
-               q.number("xbar-ctrl-ff", 0.0) * 1e-15});
-    report::Table t;
+               q.number("xbar-ctrl-ff") * 1e-15});
     t.title = "arbiter model (Table 4)";
-    t.headers = {"quantity", "value"};
     t.addRow({"priority flip-flops",
               std::to_string(m.priorityFlipFlops())});
     t.addRow({"C_req", fmtEng(m.requestCap(), "F", 2)});
@@ -185,82 +179,104 @@ arbiterQuery(const Query& q, const tech::TechNode& tech)
     t.addRow({"C_gnt", fmtEng(m.grantCap(), "F", 2)});
     t.addRow({"E_arb (avg)",
               fmtEng(m.avgArbitrationEnergy(), "J", 2)});
-    return render(q, t);
 }
 
-std::string
-centralBufferQuery(const Query& q, const tech::TechNode& tech)
+void
+centralBufferQuery(const Query& q, report::Table& t)
 {
+    const tech::TechNode tech = onChipTech(q);
     const power::CentralBufferParams p{
         q.count("banks"),          q.count("rows"),
-        q.count("bits"),           q.count("read-ports", 2),
-        q.count("write-ports", 2), q.count("router-ports", 5),
+        q.count("bits"),           q.count("read-ports"),
+        q.count("write-ports"),    q.count("router-ports"),
         2};
     const power::CentralBufferModel m(tech, p);
-    report::Table t;
     t.title = "central buffer model (hierarchical, Section 3.2)";
-    t.headers = {"quantity", "value"};
     t.addRow({"bank E_read", fmtEng(m.bankModel().readEnergy(), "J",
                                     2)});
     t.addRow({"E_write (avg)", fmtEng(m.avgWriteEnergy(), "J", 2)});
     t.addRow({"E_read (avg)", fmtEng(m.avgReadEnergy(), "J", 2)});
     t.addRow({"area", fmt(m.areaUm2() / 1e6, 4) + " mm2"});
-    return render(q, t);
 }
 
-std::string
-linkQuery(const Query& q, const tech::TechNode& tech)
+void
+linkQuery(const Query& q, report::Table& t)
 {
-    const double length = q.number("length-um", 0.0);
+    const tech::TechNode tech = onChipTech(q);
+    const double length = q.number("length-um");
     if (length <= 0.0)
         fail("--length-um is required and must be positive");
     const power::OnChipLinkModel m(tech, length, q.count("width"));
-    report::Table t;
     t.title = "on-chip link model";
-    t.headers = {"quantity", "value"};
     t.addRow({"C_wire/bit", fmtEng(m.wireCap(), "F", 2)});
     t.addRow({"E_link (avg)", fmtEng(m.avgTraversalEnergy(), "J", 2)});
     t.addRow({"E_link/bit", fmtEng(m.traversalEnergy(1), "J", 2)});
-    return render(q, t);
 }
 
-std::string
-c2cLinkQuery(const Query& q, const tech::TechNode& tech)
+void
+c2cLinkQuery(const Query& q, report::Table& t)
 {
-    const power::ChipToChipLinkModel m(q.number("watts", 3.0));
-    report::Table t;
+    const double ghz = q.number("freq-ghz");
+    // number() checks finiteness; a huge GHz still overflows to inf Hz.
+    if (ghz <= 0.0 || !std::isfinite(ghz * 1e9))
+        fail("--freq-ghz must be positive");
+    const power::ChipToChipLinkModel m(q.number("watts"));
     t.title = "chip-to-chip link model (constant power)";
-    t.headers = {"quantity", "value"};
     t.addRow({"power", fmt(m.powerWatts(), 2) + " W"});
     t.addRow({"energy/cycle",
-              fmtEng(m.energyOver(tech.cyclePeriod(), 1.0), "J", 2)});
-    return render(q, t);
+              fmtEng(m.energyOver(1.0 / (ghz * 1e9), 1.0), "J", 2)});
 }
+
+const Component kComponents[] = {
+    {"buffer",
+     {{"flits", "B", nullptr}, {"bits", "F", nullptr},
+      {"read-ports", "N", "1"}, {"write-ports", "N", "1"}, kFeature, kVdd,
+      kCsv},
+     bufferQuery},
+    {"crossbar",
+     {{"inputs", "I", nullptr}, {"outputs", "O", nullptr},
+      {"width", "W", nullptr}, {"mux-tree", nullptr, nullptr},
+      {"load-ff", "F", "0"}, kFeature, kVdd, kCsv},
+     crossbarQuery},
+    {"arbiter",
+     {{"requests", "R", nullptr}, {"kind", "matrix|rr|queuing", "matrix"},
+      {"xbar-ctrl-ff", "F", "0"}, kFeature, kVdd, kCsv},
+     arbiterQuery},
+    {"central-buffer",
+     {{"banks", "N", nullptr}, {"rows", "N", nullptr}, {"bits", "F", nullptr},
+      {"read-ports", "N", "2"}, {"write-ports", "N", "2"},
+      {"router-ports", "N", "5"}, kFeature, kVdd, kCsv},
+     centralBufferQuery},
+    {"link",
+     {{"length-um", "L", nullptr}, {"width", "W", nullptr}, kFeature, kVdd,
+      kCsv},
+     linkQuery},
+    {"c2c-link", {{"watts", "W", "3.0"}, {"freq-ghz", "G", "2.0"}, kCsv},
+     c2cLinkQuery},
+};
 
 } // namespace
 
 std::string
 modelUsage()
 {
-    return "usage: orion_models COMPONENT [options]\n"
-           "\n"
-           "components:\n"
-           "  buffer          --flits B --bits F [--read-ports N] "
-           "[--write-ports N]\n"
-           "  crossbar        --inputs I --outputs O --width W "
-           "[--mux-tree] [--load-ff F]\n"
-           "  arbiter         --requests R [--kind matrix|rr|queuing] "
-           "[--xbar-ctrl-ff F]\n"
-           "  central-buffer  --banks N --rows N --bits F "
-           "[--read-ports N] [--write-ports N] [--router-ports N]\n"
-           "  link            --length-um L --width W\n"
-           "  c2c-link        [--watts W]\n"
-           "\n"
-           "common options:\n"
-           "  --feature-um F   drawn feature size (default 0.1)\n"
-           "  --vdd V          supply voltage (default 1.2)\n"
-           "  --freq-ghz G     clock (default 2.0)\n"
-           "  --csv            CSV output\n";
+    std::string out = "usage: orion_models COMPONENT [options]\n";
+    for (const Component& c : kComponents) {
+        out += std::string("\n") + c.name + "\n";
+        for (const Key& k : c.keys) {
+            std::string line = std::string("  --") + k.name;
+            if (k.placeholder != nullptr)
+                line += std::string(" ") + k.placeholder;
+            line.resize(std::max<std::size_t>(line.size() + 2, 22), ' ');
+            out += line +
+                   (k.placeholder == nullptr ? "switch"
+                    : k.fallback == nullptr
+                        ? "required"
+                        : std::string("default ") + k.fallback) +
+                   "\n";
+        }
+    }
+    return out;
 }
 
 std::string
@@ -270,22 +286,35 @@ runModelQuery(const std::vector<std::string>& args)
         return modelUsage();
 
     try {
-        const Query q = parseQuery(args);
-        const tech::TechNode tech = techFrom(q);
-
-        if (q.component == "buffer")
-            return bufferQuery(q, tech);
-        if (q.component == "crossbar")
-            return crossbarQuery(q, tech);
-        if (q.component == "arbiter")
-            return arbiterQuery(q, tech);
-        if (q.component == "central-buffer")
-            return centralBufferQuery(q, tech);
-        if (q.component == "link")
-            return linkQuery(q, tech);
-        if (q.component == "c2c-link")
-            return c2cLinkQuery(q, tech);
-        fail("unknown component '" + q.component + "'");
+        const Component* c = std::find_if(
+            std::begin(kComponents), std::end(kComponents),
+            [&](const Component& comp) { return args.front() == comp.name; });
+        if (c == std::end(kComponents))
+            fail("unknown component '" + args.front() + "'");
+        Query q{*c, {}};
+        for (const Key& k : c->keys)
+            q.values.emplace_back(k.fallback != nullptr ? k.fallback : "");
+        for (std::size_t i = 1; i < args.size(); ++i) {
+            const std::string& a = args[i];
+            if (a.rfind("--", 0) != 0)
+                fail("unexpected argument '" + a + "'");
+            std::size_t k = 0;
+            while (k < c->keys.size() && a.substr(2) != c->keys[k].name)
+                ++k;
+            if (k == c->keys.size())
+                fail(std::string(c->name) + " does not take " + a);
+            if (c->keys[k].placeholder == nullptr)
+                q.values[k] = "1";
+            else if (i + 1 < args.size())
+                q.values[k] = args[++i];
+            else
+                fail(a + ": missing value");
+        }
+        report::Table t;
+        t.headers = {"quantity", "value"};
+        c->run(q, t);
+        return q.isSet("csv") ? report::formatCsv(t)
+                              : report::formatTable(t);
     } catch (const std::invalid_argument& e) {
         throw std::invalid_argument(std::string("orion_models: ") +
                                     e.what() + " (--help for usage)");

@@ -7,18 +7,8 @@
  * other network simulators." orion_models is that separate tool: it
  * evaluates one Table 2-4 component model for arbitrary parameters
  * and prints its capacitances, per-operation energies and area.
- *
- * Grammar (argv after the program name):
- *   buffer          --flits B --bits F [--read-ports N]
- *                   [--write-ports N]
- *   crossbar        --inputs I --outputs O --width W [--mux-tree]
- *                   [--load-ff F]
- *   arbiter         --requests R [--kind matrix|rr|queuing]
- *   central-buffer  --banks N --rows N --bits F [--read-ports N]
- *                   [--write-ports N] [--router-ports N]
- *   link            --length-um L --width W
- *   c2c-link        [--watts W]
- * common options:   --feature-um F --vdd V --freq-ghz G --csv
+ * `orion_models --help` lists the components and the keys each one
+ * takes; model_cli.cc declares them once.
  */
 
 #ifndef ORION_CORE_MODEL_CLI_HH
@@ -30,14 +20,16 @@
 namespace orion::cli {
 
 /**
- * Evaluate one model query and return its rendered table (text, or
- * CSV when --csv is given). Throws std::invalid_argument with a
- * user-facing message on bad input. An empty/--help query returns the
- * usage text.
+ * Evaluate one model query (COMPONENT, then its keys) and return its
+ * table (text, or CSV with --csv). Throws std::invalid_argument,
+ * prefixed "orion_models: ", on an unknown component, a key the
+ * component does not take, or a bad value. An empty/--help query
+ * returns the usage text.
  */
 std::string runModelQuery(const std::vector<std::string>& args);
 
-/** The usage/help text for orion_models. */
+/** The usage/help text for orion_models, generated from the
+ * components' key declarations. */
 std::string modelUsage();
 
 } // namespace orion::cli

@@ -16,6 +16,12 @@ namespace orion::core {
 namespace {
 
 constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
+/** The heartbeat's "label" and the progress line's prefix. */
+constexpr const char* kLabel = "sweep";
+/** A cell is stalled once it runs kStallFactor x the median
+ * completed-point wall time, and at least kStallFloorSeconds. */
+constexpr double kStallFactor = 4.0;
+constexpr double kStallFloorSeconds = 5.0;
 
 std::string
 fmtEta(double eta)
@@ -225,7 +231,7 @@ ProgressTracker::composeJson(bool finished) const
     constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
     report::JsonWriter w;
     w.beginObject().field("schema", "orion-heartbeat-v1");
-    w.field("label", opts_.label).field("pid", ::getpid());
+    w.field("label", kLabel).field("pid", ::getpid());
     w.field("total", opts_.totalCells).field("done", done_);
     w.field("failed", failed_).field("from_checkpoint", cached_);
     w.field("jobs", opts_.jobs).field("finished", finished);
@@ -288,7 +294,7 @@ ProgressTracker::renderProgressLine()
     LockGuard lock(mutex_);
     std::string line = log::strf(
         "\r%s: %llu/%llu done, %llu failed, ETA %s    ",
-        opts_.label.c_str(),
+        kLabel,
         static_cast<unsigned long long>(done_),
         static_cast<unsigned long long>(opts_.totalCells),
         static_cast<unsigned long long>(failed_),
@@ -312,7 +318,7 @@ ProgressTracker::checkStalls()
     if (samples < 5 || median <= 0.0)
         return;
     const double threshold =
-        std::max(opts_.stallFactor * median, opts_.stallFloorSeconds);
+        std::max(kStallFactor * median, kStallFloorSeconds);
     const double now_s = secondsSinceStart();
     for (unsigned i = 0; i < slots_.size(); ++i) {
         Slot& s = slots_[i];

@@ -20,7 +20,8 @@
  * a reader — tools/orion_status.py — never sees a torn file, even
  * after SIGKILL. A background thread refreshes the heartbeat between
  * completions and emits stall warnings through the structured logger
- * when a cell exceeds stallFactor x the median point time.
+ * when a cell runs longer than 4x the median point time (and at least
+ * 5 s; needs >= 5 completed points).
  *
  * Cells satisfied from a checkpoint journal are reported via
  * noteCached() so resumed runs show honest done/total counts.
@@ -52,12 +53,6 @@ class ProgressTracker
         bool progressLine = false;
         std::uint64_t totalCells = 0;
         unsigned jobs = 1;
-        std::string label = "sweep";
-        /// Warn (via the logger) when an in-flight cell exceeds
-        /// stallFactor x the median completed-point wall time (and at
-        /// least stallFloorSeconds; needs >= 5 completed samples).
-        double stallFactor = 4.0;
-        double stallFloorSeconds = 5.0;
     };
 
     explicit ProgressTracker(Options opts);

@@ -1,14 +1,20 @@
 /**
  * @file
  * Tests for the command-line front end: option parsing, preset and
- * override composition, error reporting, and report rendering.
+ * override composition, error reporting, report rendering, and the
+ * agreement of each tool's --help with the flags it takes.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/cli.hh"
+#include "core/model_cli.hh"
 
 namespace {
 
@@ -31,6 +37,7 @@ TEST(CliParse, HelpShortCircuits)
     EXPECT_TRUE(parse({"-h"}).helpRequested);
     // Even with other (possibly bad) options after it.
     EXPECT_TRUE(parse({"--help", "--bogus"}).helpRequested);
+    EXPECT_TRUE(parse({"--help", "--bogus"}, Tool::Sweep).helpRequested);
     EXPECT_FALSE(usage().empty());
 }
 
@@ -237,21 +244,15 @@ TEST(RateSpec, RejectsMalformedSpecs)
 TEST(CliParse, SurvivabilityFlags)
 {
     const Options o = parse({"--point-timeout", "2.5",
-                             "--point-retries", "3",
-                             "--point-backoff-ms", "50",
                              "--report-out", "out.entry",
                              "--debug-segv-rate", "0.04"});
     EXPECT_DOUBLE_EQ(o.pointTimeoutSeconds, 2.5);
-    EXPECT_EQ(o.pointRetries, 3u);
-    EXPECT_EQ(o.pointBackoffMs, 50u);
     EXPECT_EQ(o.reportOut, "out.entry");
     EXPECT_DOUBLE_EQ(o.sim.debugSegvRate, 0.04);
 
-    // Defaults: no deadline, the historical single retry, no report.
+    // Defaults: no deadline, no report.
     const Options d = parse({});
     EXPECT_DOUBLE_EQ(d.pointTimeoutSeconds, 0.0);
-    EXPECT_EQ(d.pointRetries, 2u);
-    EXPECT_EQ(d.pointBackoffMs, 0u);
     EXPECT_TRUE(d.reportOut.empty());
     EXPECT_LT(d.sim.debugSegvRate, 0.0);
 }
@@ -262,12 +263,193 @@ TEST(CliParse, SurvivabilityFlagsRejectInvalidValues)
                  std::invalid_argument);
     EXPECT_THROW(parse({"--point-timeout", "-1"}),
                  std::invalid_argument);
-    EXPECT_THROW(parse({"--point-retries", "0"}),
-                 std::invalid_argument);
-    EXPECT_THROW(parse({"--point-retries", "64"}),
-                 std::invalid_argument);
-    EXPECT_THROW(parse({"--point-backoff-ms", "junk"}),
-                 std::invalid_argument);
+}
+
+/** What parse() throws for @p args as @p tool's command line, or ""
+ * when it accepts them. */
+std::string
+parseError(const std::vector<std::string>& args, Tool tool)
+{
+    try {
+        parse(args, tool);
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CliSweep, RetryAndJobsFlags)
+{
+    const Options o = parse({"--point-retries", "3", "--point-backoff-ms",
+                             "50", "--jobs", "4"},
+                            Tool::Sweep);
+    EXPECT_EQ(o.pointRetries, 3u);
+    EXPECT_EQ(o.pointBackoffMs, 50u);
+    EXPECT_EQ(o.jobs, 4u);
+
+    // Defaults: the historical single retry, no backoff, all cores.
+    const Options d = parse({}, Tool::Sweep);
+    EXPECT_EQ(d.pointRetries, 2u);
+    EXPECT_EQ(d.pointBackoffMs, 0u);
+    EXPECT_EQ(d.jobs, 0u);
+
+    const std::string retries = "orion_sweep: --point-retries: must be "
+                                "in [1, 32] (--help for usage)";
+    EXPECT_EQ(parseError({"--point-retries", "0"}, Tool::Sweep), retries);
+    EXPECT_EQ(parseError({"--point-retries", "64"}, Tool::Sweep), retries);
+    EXPECT_EQ(parseError({"--point-backoff-ms", "junk"}, Tool::Sweep),
+              "orion_sweep: --point-backoff-ms: not a number: 'junk' "
+              "(--help for usage)");
+    EXPECT_EQ(parseError({"--jobs", "0"}, Tool::Sweep),
+              "orion_sweep: --jobs: must be >= 1 (--help for usage)");
+    EXPECT_EQ(parseError({"--jobs", "4294967296"}, Tool::Sweep),
+              "orion_sweep: --jobs: out of range: '4294967296' "
+              "(--help for usage)");
+}
+
+TEST(CliSweep, GridAndCrossFlagChecks)
+{
+    const Options o = parse({"--rates", "0.02:0.08:4", "--seeds", "3",
+                             "--isolate", "--isolate-mem", "512",
+                             "--heartbeat", "hb.json", "--progress"},
+                            Tool::Sweep);
+    EXPECT_EQ(o.rates.size(), 4u);
+    EXPECT_EQ(o.seeds, 3u);
+    EXPECT_TRUE(o.isolate);
+    EXPECT_EQ(o.isolateMemMb, 512u);
+    EXPECT_EQ(o.heartbeat, "hb.json");
+    EXPECT_TRUE(o.progress);
+    EXPECT_EQ(parse({}, Tool::Sweep).rates.size(), 10u);
+
+    const auto error = [](const std::vector<std::string>& args) {
+        return parseError(args, Tool::Sweep);
+    };
+    EXPECT_EQ(error({"--seeds", "0"}),
+              "orion_sweep: --seeds must be >= 1 (--help for usage)");
+    EXPECT_NE(error({"--rates", "0.01:0.02:50000", "--seeds", "3"})
+                  .find("50000 rates x 3 seeds is more than the 100000 "
+                        "cells a sweep may hold"),
+              std::string::npos);
+    EXPECT_NE(error({"--heartbeat-interval", "0"}).find("must be > 0"),
+              std::string::npos);
+    EXPECT_NE(error({"--checkpoint", "a", "--resume", "b"})
+                  .find("mutually exclusive"),
+              std::string::npos);
+    EXPECT_NE(error({"--resume", "j", "--metrics-dir", "m"})
+                  .find("not journaled"),
+              std::string::npos);
+    EXPECT_NE(error({"--isolate", "--trace-dir", "t"})
+                  .find("--isolate cannot be combined"),
+              std::string::npos);
+    EXPECT_NE(error({"--isolate-cpu", "5"}).find("require --isolate"),
+              std::string::npos);
+}
+
+TEST(CliParse, EachToolRejectsTheOthersFlags)
+{
+    for (const char* flag : {"--rate", "--csv", "--breakdown",
+                             "--report-out", "--metrics-out",
+                             "--trace-out"}) {
+        EXPECT_EQ(parseError({flag, "1"}, Tool::Sweep),
+                  std::string("orion_sweep: ") + flag +
+                      " is an orion_sim option (--help for usage)");
+    }
+    for (const char* flag :
+         {"--jobs", "--point-retries", "--point-backoff-ms"}) {
+        EXPECT_EQ(parseError({flag, "1"}, Tool::Sim),
+                  std::string("orion_sim: ") + flag +
+                      " is an orion_sweep option (--help for usage)");
+    }
+    EXPECT_EQ(parseError({"--bogus"}, Tool::Sweep),
+              "orion_sweep: unknown option '--bogus' (--help for usage)");
+}
+
+TEST(CliSweep, WorkersGetTheCellFlagsOnly)
+{
+    const std::vector<std::string> args = {
+        "--preset", "vc64", "--jobs", "2", "--seeds", "2", "--isolate",
+        "--point-timeout", "5", "--log-out", "l.jsonl", "--profile-phases",
+        "--link-ber", "1e-6", "--mesh", "--point-retries", "3",
+        "--sample-interval", "100", "--seed", "7"};
+    ASSERT_NO_THROW(parse(args, Tool::Sweep));
+    EXPECT_EQ(workerArgs(args),
+              (std::vector<std::string>{"--preset", "vc64",
+                                        "--point-timeout", "5",
+                                        "--link-ber", "1e-6", "--mesh",
+                                        "--seed", "7"}));
+}
+
+/** Every --flag @p text names, once each. */
+std::set<std::string>
+flagsNamed(const std::string& text)
+{
+    static const std::regex flag("--[a-z][a-z0-9-]*");
+    std::set<std::string> out;
+    for (auto it = std::sregex_iterator(text.begin(), text.end(), flag);
+         it != std::sregex_iterator(); ++it)
+        out.insert(it->str());
+    return out;
+}
+
+TEST(CliHelp, EachToolsHelpNamesExactlyTheFlagsItTakes)
+{
+    const std::set<std::string> sim = flagsNamed(usage(Tool::Sim));
+    const std::set<std::string> sweep = flagsNamed(usage(Tool::Sweep));
+    std::set<std::string> all = sim;
+    all.insert(sweep.begin(), sweep.end());
+    EXPECT_EQ(sim.size(), 43u);
+    EXPECT_EQ(sweep.size(), 54u);
+    EXPECT_EQ(usage(Tool::Sim).rfind("usage: orion_sim ", 0), 0u);
+    EXPECT_EQ(usage(Tool::Sweep).rfind("usage: orion_sweep ", 0), 0u);
+    for (const Tool tool : {Tool::Sim, Tool::Sweep}) {
+        const std::set<std::string>& named =
+            tool == Tool::Sim ? sim : sweep;
+        for (const std::string& flag : all) {
+            // A malformed value draws a value error from a flag the
+            // tool takes, and a flag error from one it does not.
+            const std::string err = parseError({flag, "?"}, tool);
+            const bool refused =
+                err.find("unknown option '" + flag + "'") !=
+                    std::string::npos ||
+                err.find(flag + " is an orion_") != std::string::npos;
+            EXPECT_EQ(refused, named.count(flag) == 0) << flag << ": " << err;
+        }
+    }
+}
+
+TEST(CliHelp, ModelHelpNamesExactlyTheKeysEachComponentTakes)
+{
+    // Component names start a line; the keys they take follow.
+    std::map<std::string, std::set<std::string>> taken;
+    std::set<std::string> all;
+    std::istringstream in(modelUsage());
+    std::string line;
+    std::string component;
+    std::getline(in, line);
+    EXPECT_EQ(line.rfind("usage: orion_models ", 0), 0u);
+    while (std::getline(in, line)) {
+        if (!line.empty() && line[0] != ' ')
+            component = line;
+        for (const std::string& key : flagsNamed(line)) {
+            taken[component].insert(key);
+            all.insert(key);
+        }
+    }
+    EXPECT_EQ(taken.size(), 6u);
+    for (const auto& [name, keys] : taken) {
+        for (const std::string& key : all) {
+            std::string err;
+            try {
+                runModelQuery({name, key, "?"});
+            } catch (const std::exception& e) {
+                err = e.what();
+            }
+            const bool refused =
+                err.find("does not take " + key + " (") != std::string::npos;
+            EXPECT_EQ(refused, keys.count(key) == 0)
+                << name << " " << key << ": " << err;
+        }
+    }
 }
 
 TEST(CliParse, ObservabilityFlags)

@@ -138,7 +138,7 @@ TEST(ModelCli, Errors)
         {"arbiter", "--requests", "0"},
         {"buffer", "--flits", "4", "--bits", "64", "--vdd", "nan"},
         {"buffer", "--flits", "4", "--bits", "64", "--feature-um", "inf"},
-        {"buffer", "--flits", "4", "--bits", "64", "--freq-ghz", "1e300"},
+        {"c2c-link", "--freq-ghz", "1e300"},
         {"central-buffer", "--banks", "1", "--rows", "4", "--bits", "8",
          "--router-ports", "0"},
         {"link", "--length-um", "10", "--width", "0"},
@@ -155,6 +155,31 @@ TEST(ModelCli, Errors)
         } catch (const std::invalid_argument& e) {
             EXPECT_EQ(std::string(e.what()).rfind("orion_models: ", 0),
                       0u)
+                << e.what();
+        }
+    }
+}
+
+TEST(ModelCli, RejectsKeysTheComponentDoesNotTake)
+{
+    // Misspelt keys, keys of another component, and technology keys
+    // the model never reads: each is an error naming the key.
+    const std::vector<std::vector<std::string>> rejected = {
+        {"buffer", "--flits", "4", "--bits", "64", "--read-prots", "3"},
+        {"crossbar", "--inputs", "5", "--outputs", "5", "--width", "64",
+         "--muxtree", "--csv"},
+        {"link", "--length-um", "100", "--width", "64", "--freq", "1"},
+        {"arbiter", "--requests", "4", "--bits", "64"},
+        {"buffer", "--flits", "4", "--bits", "64", "--freq-ghz", "3"},
+        {"c2c-link", "--vdd", "1.0"},
+    };
+    for (const auto& args : rejected) {
+        try {
+            runModelQuery(args);
+            ADD_FAILURE() << "accepted: " << args[0];
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(" does not take --"),
+                      std::string::npos)
                 << e.what();
         }
     }

@@ -234,7 +234,6 @@ TEST(Progress, CountsAndSnapshotWithoutHeartbeatFile)
     core::ProgressTracker::Options po;
     po.totalCells = 4;
     po.jobs = 2;
-    po.label = "unit";
     core::ProgressTracker tracker(po);
 
     EXPECT_EQ(tracker.done(), 0u);

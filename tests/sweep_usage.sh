@@ -8,32 +8,47 @@
 # bound on a build that lacks the bound: do not point this script at
 # one.
 #
-# Lost output: orion_sweep and orion_sim (found next to it) must exit
-# 4 with a diagnostic when stdout or an output file cannot be written.
-# /dev/full fails every write; the cases are skipped where it is not
-# writable.
+# Flags a tool does not take: orion_sweep, orion_sim and orion_models
+# (both found next to orion_sweep) refuse each with exit 1 and a
+# diagnostic in their own name, and each tool's --help names it.
 #
-# Usage: tests/sweep_usage.sh PATH/TO/orion_sweep
+# Lost output: orion_sweep and orion_sim must exit 4 with a diagnostic
+# when stdout or an output file cannot be written. /dev/full fails
+# every write; the cases are skipped where it is not writable.
+#
+# A bench harness (HARNESS) exits 2 on an ORION_JOBS its worker count
+# cannot hold.
+#
+# Usage: tests/sweep_usage.sh PATH/TO/orion_sweep PATH/TO/HARNESS
 set -u
 
 sweep=$1
-sim=$(dirname "$sweep")/orion_sim
+harness=$2
+bin=$(dirname "$sweep")
+sim=$bin/orion_sim
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 status=0
 
-expect_usage() {
-    "$sweep" --rates 0.02:0.04:2 --sample 50 --jobs 1 "$@" \
-        >/dev/null 2>"$tmp/err"
+# expect_refusal TOOL ARGS...: TOOL exits 1 with a diagnostic that
+# starts with its name.
+expect_refusal() {
+    tool=$1
+    shift
+    "$bin/$tool" "$@" >/dev/null 2>"$tmp/err"
     rc=$?
     if [ "$rc" -ne 1 ]; then
-        echo "sweep_usage: '$*' exited $rc, expected 1" >&2
+        echo "sweep_usage: $tool '$*' exited $rc, expected 1" >&2
         status=1
-    elif ! grep -q '^orion_sweep: ' "$tmp/err"; then
-        echo "sweep_usage: '$*' printed no orion_sweep diagnostic:" >&2
+    elif ! grep -q "^$tool: " "$tmp/err"; then
+        echo "sweep_usage: $tool '$*' printed no $tool diagnostic:" >&2
         cat "$tmp/err" >&2
         status=1
     fi
+}
+
+expect_usage() {
+    expect_refusal orion_sweep --rates 0.02:0.04:2 --sample 50 --jobs 1 "$@"
 }
 
 expect_usage --seeds 2x
@@ -60,6 +75,48 @@ expect_usage --rates 0.01:0.1:99999999999
 expect_usage --seeds 50001
 # A flag of the shared parser still names the tool that ran.
 expect_usage --jobs 1x
+# orion_sim's flags that a sweep would ignore.
+expect_usage --rate 0.05
+expect_usage --csv
+expect_usage --breakdown
+expect_usage --report-out "$tmp/r.txt"
+expect_usage --metrics-out "$tmp/m.csv"
+expect_usage --trace-out "$tmp/t.json"
+# orion_sweep's flags, which one run has no use for.
+expect_refusal orion_sim --sample 50 --jobs 3
+expect_refusal orion_sim --sample 50 --point-retries 5
+expect_refusal orion_sim --sample 50 --point-backoff-ms 100
+# Component keys that are misspelt or belong to another component.
+expect_refusal orion_models buffer --flits 4 --bits 64 --read-prots 3
+expect_refusal orion_models crossbar --inputs 5 --outputs 5 --width 64 \
+    --muxtree --csv
+expect_refusal orion_models link --length-um 100 --width 64 --freq 1
+expect_refusal orion_models arbiter --requests 4 --bits 64
+
+for tool in orion_sim orion_sweep orion_models; do
+    if ! "$bin/$tool" --help | head -n 1 | grep -q "^usage: $tool "; then
+        echo "sweep_usage: $tool --help does not name $tool" >&2
+        status=1
+    fi
+done
+
+# At --seeds 2 every failed seed's forensic snapshot follows its
+# rate's failure line, as each failed rate's does at --seeds 1.
+"$sweep" --rates 0.02:0.04:2 --sample 100 --seeds 2 --jobs 1 \
+    --debug-poison-rate 0.04 >/dev/null 2>"$tmp/err"
+snapshots=$(grep -c '^{"reason":' "$tmp/err")
+if [ "$snapshots" -ne 2 ]; then
+    echo "sweep_usage: --seeds 2 printed $snapshots snapshots, expected 2" >&2
+    status=1
+fi
+
+# 2^32 + 1 workers: out of range, not a wrap to 1.
+ORION_JOBS=4294967297 ORION_SAMPLE=50 "$harness" >/dev/null 2>"$tmp/err"
+rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q '^ORION_JOBS: ' "$tmp/err"; then
+    echo "sweep_usage: ORION_JOBS=4294967297 exited $rc, expected 2" >&2
+    status=1
+fi
 
 # expect_io_error TOOL RC WHAT: a run of TOOL that lost its output
 # exited RC, which must be 4, and said so on stderr.

@@ -35,23 +35,7 @@
 #include "core/manifest.hh"
 #include "core/sweep.hh"
 
-namespace {
-
 namespace log = orion::core::log;
-
-/** Attach the structured log sink: environment first, flags win. */
-void
-configureLogger(const orion::cli::Options& opts)
-{
-    log::configureFromEnv();
-    if (!opts.logOut.empty()) {
-        log::Level level = log::Level::Info;
-        log::parseLevel(opts.logLevel, level);
-        log::configure(opts.logOut, level);
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
@@ -65,7 +49,7 @@ main(int argc, char** argv)
             std::fputs(cli::usage().c_str(), stdout);
             return 0;
         }
-        configureLogger(opts);
+        cli::configureLogger(opts);
 
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sim");

@@ -5,10 +5,8 @@
  * Runs the same configuration across a range of injection rates and
  * emits one CSV row per point (the series behind latency/power vs.
  * load figures), plus the measured zero-load latency and the paper's
- * 2x-zero-load saturation point. Accepts all orion_sim options plus
- * the sweep options `orion_sweep --help` lists: the rate grid and
- * seed count, per-point telemetry directories, checkpoint/resume,
- * crash isolation, heartbeat and resource columns.
+ * 2x-zero-load saturation point. `orion_sweep --help` lists its
+ * options (core/cli.cc declares them).
  *
  * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
  * more points failed (rows for healthy points still printed); 4 an
@@ -20,14 +18,12 @@
  *   orion_sweep --preset vc64 --rates 0.02:0.18:9 --seeds 3 > vc64.csv
  */
 
-#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -79,9 +75,46 @@ seedDir(const std::string& dir, unsigned k, unsigned seeds)
 }
 
 /**
- * The single-seed output: one row per rate with the full report, the
- * saturation line, and each failed point's diagnosis with its
- * forensics on stderr.
+ * Each failed rate's diagnosis on stderr, then the forensic snapshot
+ * of each of its failed cells, in cell order.
+ */
+void
+printFailures(const std::vector<SweepPoint>& cells, unsigned seeds)
+{
+    for (std::size_t first = 0; first < cells.size(); first += seeds) {
+        std::vector<const PointFailure*> failed;
+        for (std::size_t c = first; c < first + seeds; ++c) {
+            if (cells[c].failure)
+                failed.push_back(&*cells[c].failure);
+        }
+        if (failed.empty())
+            continue;
+        const double rate = cells[first].injectionRate;
+        const PointFailure& f = *failed.front();
+        if (seeds == 1) {
+            log::diag(log::Level::Error, "sweep.point_failed",
+                      log::strf("orion_sweep: rate %.4f failed (%s): %s\n",
+                                rate, stopReasonName(f.reason),
+                                f.message.c_str()),
+                      {log::num("rate", rate),
+                       log::str("reason", stopReasonName(f.reason))});
+        } else {
+            log::diag(log::Level::Error, "sweep.point_failed",
+                      log::strf("orion_sweep: rate %.4f: %zu of %u seeds "
+                                "failed: %s\n",
+                                rate, failed.size(), seeds,
+                                f.message.c_str()));
+        }
+        for (const PointFailure* cell : failed) {
+            if (!cell->forensicsJson.empty())
+                log::rawStderr(cell->forensicsJson);
+        }
+    }
+}
+
+/**
+ * The single-seed output: one row per rate with the full report, then
+ * the saturation line.
  */
 void
 printPoints(const std::vector<SweepPoint>& points, bool resources,
@@ -124,24 +157,11 @@ printPoints(const std::vector<SweepPoint>& points, bool resources,
                                 : report::fmt(sat, 3).c_str()),
               {log::num("zero_load_cycles", zero_load),
                log::num("saturation_rate", sat)});
-    for (const SweepPoint& p : points) {
-        if (!p.failure)
-            continue;
-        log::diag(log::Level::Error, "sweep.point_failed",
-                  log::strf("orion_sweep: rate %.4f failed (%s): %s\n",
-                            p.injectionRate,
-                            stopReasonName(p.failure->reason),
-                            p.failure->message.c_str()),
-                  {log::num("rate", p.injectionRate),
-                   log::str("reason", stopReasonName(p.failure->reason))});
-        if (!p.failure->forensicsJson.empty())
-            log::rawStderr(p.failure->forensicsJson);
-    }
 }
 
 /**
  * The multi-seed output: one row per rate with the seed mean and
- * latency spread, then one line per rate with failed seeds.
+ * latency spread.
  */
 void
 printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
@@ -154,8 +174,7 @@ printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
                  "power_w",     "failed_seeds", "attempts"};
     if (resources)
         t.headers.insert(t.headers.end(), {"wall_s", "cpu_s", "maxrss_kb"});
-    const std::vector<AveragedPoint> points = Sweep::average(cells, seeds);
-    for (const AveragedPoint& p : points) {
+    for (const AveragedPoint& p : Sweep::average(cells, seeds)) {
         std::vector<std::string> row{
             report::fmt(p.injectionRate, 4),
             p.allCompleted ? "1" : "0",
@@ -178,15 +197,6 @@ printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
                         "%u seeds per point\n",
                         zero_load, seeds),
               {log::u64("failed_seeds", failed_seeds)});
-    for (const AveragedPoint& p : points) {
-        if (p.failedSeeds == 0)
-            continue;
-        log::diag(log::Level::Error, "sweep.point_failed",
-                  log::strf("orion_sweep: rate %.4f: %u of %u seeds "
-                            "failed: %s\n",
-                            p.injectionRate, p.failedSeeds, p.seeds,
-                            p.firstFailure.c_str()));
-    }
 }
 
 } // namespace
@@ -194,177 +204,16 @@ printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
 int
 main(int argc, char** argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    std::vector<double> rates = Sweep::linspace(0.01, 0.20, 10);
-    unsigned seeds = 1;
-    std::string metrics_dir;
-    std::string trace_dir;
-    std::string checkpoint_path;
-    std::string resume_path;
-    bool isolate = false;
-    std::string isolate_exe;
-    std::uint64_t isolate_mem_mb = 0;
-    std::uint64_t isolate_cpu_s = 0;
-    std::string heartbeat_path;
-    double heartbeat_interval = 1.0;
-    bool progress_line = false;
-    bool resources_cols = false;
-
-    // Extract the sweep-only options, pass the rest to the shared
-    // parser (and, in --isolate mode, to the worker processes).
-    std::vector<std::string> rest;
+    const std::vector<std::string> args(argv + 1, argv + argc);
     try {
-        for (std::size_t i = 0; i < args.size(); ++i) {
-            const std::string& a = args[i];
-            const auto value = [&]() -> const std::string& {
-                if (i + 1 >= args.size())
-                    throw std::invalid_argument(a + ": missing value");
-                return args[++i];
-            };
-            if (a == "--isolate")
-                isolate = true;
-            else if (a == "--progress")
-                progress_line = true;
-            else if (a == "--resources")
-                resources_cols = true;
-            else if (a == "--rates")
-                rates = cli::parseRateSpec(value());
-            else if (a == "--seeds")
-                seeds = static_cast<unsigned>(
-                    cli::parseU64(a, value(), UINT_MAX));
-            else if (a == "--metrics-dir")
-                metrics_dir = value();
-            else if (a == "--trace-dir")
-                trace_dir = value();
-            else if (a == "--checkpoint")
-                checkpoint_path = value();
-            else if (a == "--resume")
-                resume_path = value();
-            else if (a == "--isolate-exe")
-                isolate_exe = value();
-            else if (a == "--isolate-mem") // MiB, converted to bytes
-                isolate_mem_mb = cli::parseU64(a, value(), UINT64_MAX >> 20);
-            else if (a == "--isolate-cpu")
-                isolate_cpu_s = cli::parseU64(a, value());
-            else if (a == "--heartbeat")
-                heartbeat_path = value();
-            else if (a == "--heartbeat-interval")
-                heartbeat_interval = cli::parseDouble(a, value());
-            else
-                rest.push_back(a);
-        }
-    } catch (const std::exception& e) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  log::strf("orion_sweep: %s\n", e.what()));
-        return 1;
-    }
-    if (seeds < 1) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --seeds must be >= 1\n");
-        return 1;
-    }
-    if (rates.size() * seeds > cli::kMaxSweepCells) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  log::strf("orion_sweep: %zu rates x %u seeds is more "
-                            "than the %llu cells a sweep may hold\n",
-                            rates.size(), seeds, cli::kMaxSweepCells));
-        return 1;
-    }
-    if (heartbeat_interval <= 0.0) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --heartbeat-interval must be > 0 "
-                  "seconds\n");
-        return 1;
-    }
-    if (!checkpoint_path.empty() && !resume_path.empty()) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --checkpoint and --resume are "
-                  "mutually exclusive (--resume keeps appending "
-                  "to its journal)\n");
-        return 1;
-    }
-    const bool journaling =
-        !checkpoint_path.empty() || !resume_path.empty();
-    if (journaling && (!metrics_dir.empty() || !trace_dir.empty())) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --checkpoint/--resume cannot be "
-                  "combined with --metrics-dir/--trace-dir "
-                  "(telemetry exports are not journaled)\n");
-        return 1;
-    }
-    if (isolate && (!metrics_dir.empty() || !trace_dir.empty())) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate cannot be combined with "
-                  "--metrics-dir/--trace-dir\n");
-        return 1;
-    }
-    if (!isolate && (!isolate_exe.empty() || isolate_mem_mb != 0 ||
-                     isolate_cpu_s != 0)) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate-exe/--isolate-mem/"
-                  "--isolate-cpu require --isolate\n");
-        return 1;
-    }
-
-    try {
-        const cli::Options opts = cli::parse(rest, "orion_sweep");
+        const cli::Options opts = cli::parse(args, cli::Tool::Sweep);
         if (opts.helpRequested) {
-            static_assert(cli::kMaxSweepCells == 100000,
-                          "the help text names the grid bound");
-            std::fputs(cli::usage().c_str(), stdout);
-            std::fputs("\nsweep:\n  --rates FIRST:LAST:COUNT   "
-                       "evenly spaced rates (default 0.01:0.20:10)\n"
-                       "  --seeds N                  average each point "
-                       "over N seeds\n"
-                       "                             (rates x seeds <= "
-                       "100000 cells)\n"
-                       "  --metrics-dir DIR          per-point metric "
-                       "CSVs (DIR/point_NNN.csv;\n"
-                       "                             DIR/seed_K/... "
-                       "with --seeds N>1)\n"
-                       "  --trace-dir DIR            per-point Chrome "
-                       "traces (DIR/point_NNN.json;\n"
-                       "                             per-seed subdirs "
-                       "with --seeds N>1)\n"
-                       "  --checkpoint FILE          journal finished "
-                       "cells to FILE (crash-safe)\n"
-                       "  --resume FILE              skip cells "
-                       "journaled in FILE, append new ones;\n"
-                       "                             merged output is "
-                       "byte-identical to an\n"
-                       "                             uninterrupted run "
-                       "at any --jobs\n"
-                       "  --isolate                  one orion_sim "
-                       "subprocess per point (crashes\n"
-                       "                             become structured "
-                       "failed rows)\n"
-                       "  --isolate-exe PATH         worker binary "
-                       "(default: next to orion_sweep)\n"
-                       "  --isolate-mem MB           worker RLIMIT_AS "
-                       "cap (MiB)\n"
-                       "  --isolate-cpu SEC          worker RLIMIT_CPU "
-                       "cap (seconds)\n"
-                       "  --heartbeat FILE           atomically "
-                       "rewritten progress JSON (watch with\n"
-                       "                             tools/"
-                       "orion_status.py)\n"
-                       "  --heartbeat-interval SEC   background "
-                       "refresh period (default 1)\n"
-                       "  --progress                 rewriting stderr "
-                       "progress line (TTY only)\n"
-                       "  --resources                append wall_s/"
-                       "cpu_s/maxrss_kb CSV columns\n"
-                       "                             (nondeterministic "
-                       "values; off by default)\n",
-                       stdout);
+            std::fputs(cli::usage(cli::Tool::Sweep).c_str(), stdout);
             return 0;
         }
-        log::configureFromEnv();
-        if (!opts.logOut.empty()) {
-            log::Level level = log::Level::Info;
-            log::parseLevel(opts.logLevel, level);
-            log::configure(opts.logOut, level);
-        }
+        cli::configureLogger(opts);
+        const std::vector<double>& rates = opts.rates;
+        const unsigned seeds = opts.seeds;
 
         // One Ctrl-C/SIGTERM stops every in-flight point
         // cooperatively; a second one kills the process the
@@ -376,31 +225,23 @@ main(int argc, char** argv)
         const double zero_load = Sweep::zeroLoadLatency(
             opts.network, opts.traffic, opts.sim);
 
-        // Per-point telemetry export: the dir options imply the same
-        // telemetry defaults --metrics-out/--trace-out do in
-        // orion_sim. Telemetry stays off in parallel sweeps unless
-        // explicitly requested here.
-        SimConfig sim_cfg = opts.sim;
-        if (!metrics_dir.empty()) {
-            if (sim_cfg.telemetry.sampleInterval == 0)
-                sim_cfg.telemetry.sampleInterval = 1000;
-            std::filesystem::create_directories(metrics_dir);
-        }
-        if (!trace_dir.empty()) {
-            sim_cfg.telemetry.traceEnabled = true;
-            std::filesystem::create_directories(trace_dir);
+        // Per-point telemetry export (parse() turned it on): make the
+        // directories before the sweep runs.
+        for (const std::string& dir : {opts.metricsDir, opts.traceDir}) {
+            if (!dir.empty())
+                std::filesystem::create_directories(dir);
         }
 
         // Checkpoint plumbing: the fingerprint binds the journal to
         // this exact configuration and grid; a mismatched --resume is
         // a structured error, never a silent mix of results.
         const std::uint64_t fingerprint = core::sweepFingerprint(
-            opts.network, opts.traffic, sim_cfg, rates, seeds);
+            opts.network, opts.traffic, opts.sim, rates, seeds);
         std::vector<core::CheckpointEntry> resume_entries;
         std::unique_ptr<core::CheckpointJournal> journal;
-        if (!resume_path.empty()) {
+        if (!opts.resume.empty()) {
             core::CheckpointLoad load =
-                core::loadCheckpoint(resume_path, fingerprint);
+                core::loadCheckpoint(opts.resume, fingerprint);
             resume_entries = std::move(load.entries);
             if (load.truncatedTail) {
                 log::diag(log::Level::Warn, "sweep.torn_journal",
@@ -412,17 +253,17 @@ main(int argc, char** argv)
                       log::strf("orion_sweep: resuming: %zu cells "
                                 "cached in '%s'\n",
                                 resume_entries.size(),
-                                resume_path.c_str()),
+                                opts.resume.c_str()),
                       {log::u64("cached", resume_entries.size()),
-                       log::str("journal", resume_path)});
+                       log::str("journal", opts.resume)});
             journal = std::make_unique<core::CheckpointJournal>(
-                resume_path, fingerprint, /*resume=*/true);
-        } else if (!checkpoint_path.empty()) {
+                opts.resume, fingerprint, /*resume=*/true);
+        } else if (!opts.checkpoint.empty()) {
             journal = std::make_unique<core::CheckpointJournal>(
-                checkpoint_path, fingerprint, /*resume=*/false);
+                opts.checkpoint, fingerprint, /*resume=*/false);
         }
         const std::string journal_path =
-            !resume_path.empty() ? resume_path : checkpoint_path;
+            !opts.resume.empty() ? opts.resume : opts.checkpoint;
 
         // Run manifest: explicit --manifest-out, or automatically
         // beside a checkpoint journal so long runs self-describe.
@@ -432,7 +273,7 @@ main(int argc, char** argv)
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sweep");
         manifest.fingerprintHex = core::hex16(fingerprint);
-        manifest.seed = sim_cfg.seed;
+        manifest.seed = opts.sim.seed;
         manifest.seeds = seeds;
         manifest.ratePoints = rates.size();
         manifest.pointsTotal =
@@ -454,11 +295,11 @@ main(int argc, char** argv)
 
         // Live progress: heartbeat file and/or TTY progress line.
         std::unique_ptr<core::ProgressTracker> tracker;
-        if (!heartbeat_path.empty() || progress_line) {
+        if (!opts.heartbeat.empty() || opts.progress) {
             core::ProgressTracker::Options po;
-            po.heartbeatPath = heartbeat_path;
-            po.heartbeatIntervalSeconds = heartbeat_interval;
-            po.progressLine = progress_line;
+            po.heartbeatPath = opts.heartbeat;
+            po.heartbeatIntervalSeconds = opts.heartbeatIntervalSeconds;
+            po.progressLine = opts.progress;
             po.totalCells = manifest.pointsTotal;
             po.jobs = core::resolveJobs(opts.jobs);
             tracker = std::make_unique<core::ProgressTracker>(po);
@@ -468,7 +309,7 @@ main(int argc, char** argv)
                     log::u64("rate_points", rates.size()),
                     log::u64("seeds", seeds),
                     log::u64("cells", manifest.pointsTotal),
-                    log::boolean("isolate", isolate),
+                    log::boolean("isolate", opts.isolate),
                     log::u64("cached", resume_entries.size())});
 
         SweepOptions sweep_opts;
@@ -479,35 +320,25 @@ main(int argc, char** argv)
         sweep_opts.cancel = &core::interruptToken();
         sweep_opts.journal = journal.get();
         sweep_opts.resume =
-            resume_path.empty() ? nullptr : &resume_entries;
+            opts.resume.empty() ? nullptr : &resume_entries;
         sweep_opts.progress = tracker.get();
-        if (isolate) {
+        if (opts.isolate) {
             // Default worker: the orion_sim built next to this binary.
             sweep_opts.workerCommand.push_back(
-                !isolate_exe.empty()
-                    ? isolate_exe
+                !opts.isolateExe.empty()
+                    ? opts.isolateExe
                     : (std::filesystem::path(argv[0]).parent_path() /
                        "orion_sim")
                           .string());
-            // Observability flags stay in the parent: workers would
-            // otherwise race to overwrite one manifest file and pay
-            // for per-cell phase profiles nobody collects.
-            for (std::size_t f = 0; f < rest.size(); ++f) {
-                const std::string& a = rest[f];
-                if (a == "--log-out" || a == "--log-level" ||
-                    a == "--manifest-out") {
-                    ++f; // skip the flag's value too
-                    continue;
-                }
-                if (a != "--profile-phases")
-                    sweep_opts.workerCommand.push_back(a);
-            }
-            sweep_opts.workerMemBytes = isolate_mem_mb * 1024 * 1024;
-            sweep_opts.workerCpuSeconds = isolate_cpu_s;
+            const std::vector<std::string> cell = cli::workerArgs(args);
+            sweep_opts.workerCommand.insert(sweep_opts.workerCommand.end(),
+                                            cell.begin(), cell.end());
+            sweep_opts.workerMemBytes = opts.isolateMemMb * 1024 * 1024;
+            sweep_opts.workerCpuSeconds = opts.isolateCpuSeconds;
         }
 
         const std::vector<SweepPoint> cells =
-            Sweep::overRates(opts.network, opts.traffic, sim_cfg, rates,
+            Sweep::overRates(opts.network, opts.traffic, opts.sim, rates,
                              sweep_opts, seeds);
         if (tracker)
             tracker->finalize();
@@ -550,7 +381,7 @@ main(int argc, char** argv)
         // subdirectories DIR/seed_K/ with --seeds N>1, where seeds
         // that captured nothing (failed) write no file.
         for (unsigned k = 0; k < seeds; ++k) {
-            for (const std::string& dir : {metrics_dir, trace_dir}) {
+            for (const std::string& dir : {opts.metricsDir, opts.traceDir}) {
                 if (!dir.empty())
                     std::filesystem::create_directories(
                         seedDir(dir, k, seeds));
@@ -567,16 +398,17 @@ main(int argc, char** argv)
                     pointPath(seedDir(dir, k, seeds), c / seeds, ext),
                     content);
             };
-            exportTo(metrics_dir, cells[c].metricsCsv, "csv");
-            exportTo(trace_dir, cells[c].traceJson, "json");
+            exportTo(opts.metricsDir, cells[c].metricsCsv, "csv");
+            exportTo(opts.traceDir, cells[c].traceJson, "json");
         }
 
         writeManifest(manifest.pointsFailed > 0 ? "failed-points" : "ok");
         if (seeds == 1)
-            printPoints(cells, resources_cols, zero_load);
+            printPoints(cells, opts.resources, zero_load);
         else
-            printAveraged(cells, seeds, resources_cols, zero_load,
+            printAveraged(cells, seeds, opts.resources, zero_load,
                           manifest.pointsFailed);
+        printFailures(cells, seeds);
         core::flushStdout();
         // Failure isolation: every healthy point above still printed;
         // failed points carry their diagnosis and flip the exit code.
