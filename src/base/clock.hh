@@ -6,7 +6,7 @@
  * power is energy x f_clk / cycles, so results depend on simulated
  * cycles only. Host time may feed profiling (base/profile), deadlines
  * and watchdogs (base/cancel, core/isolate), per-cell accounting,
- * heartbeats, logs and manifests, never simulation state.
+ * logs and run manifests, never simulation state.
  * tools/orion_lint.py's nondeterminism rule keeps it that way: a
  * clock read anywhere else in src/ is a finding, and so is a call to
  * these helpers from the simulation layers (tech, power, sim, router,

@@ -1,7 +1,7 @@
 /**
  * @file
  * The one writer of JSON text. Every JSON document the tree emits
- * (run manifests, heartbeats, log lines, forensic snapshots, Chrome
+ * (run manifests, log lines, forensic snapshots, Chrome
  * traces, the overhead bench line) is built by a JsonWriter, so
  * quoting, separators and number formatting live in one place.
  *

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -423,7 +426,7 @@ const Flag kFlags[] = {
      }},
 
     {"--log-out", "FILE", kObservability,
-     "structured JSON-lines log (also via ORION_LOG)", kBoth,
+     "structured JSON-lines log", kBoth,
      [](Options& o, Value v) { o.logOut = v.text; }},
     {"--log-level", "debug|info|warn|error", kObservability,
      "log threshold (default info)", kBoth, [](Options& o, Value v) {
@@ -434,16 +437,13 @@ const Flag kFlags[] = {
          o.logLevel = v.text;
      }},
     {"--manifest-out", "FILE", kObservability,
-     "run manifest JSON (fingerprint, build, rusage)", kBoth,
+     "run manifest JSON (fingerprint, build, progress, rusage)", kBoth,
      [](Options& o, Value v) { o.manifestOut = v.text; }},
     {"--profile-phases", nullptr, kObservability,
      "attribute run time to simulator phases", kBoth,
      [](Options& o, Value) { o.sim.profilePhases = true; }},
-    {"--heartbeat", "FILE", kObservability,
-     "rewritten progress JSON (tools/orion_status.py)", kSweep,
-     [](Options& o, Value v) { o.heartbeat = v.text; }},
     {"--heartbeat-interval", "SEC", kObservability,
-     "heartbeat refresh period (default 1)", kSweep,
+     "run manifest refresh period (default 1)", kSweep,
      [](Options& o, Value v) { o.heartbeatIntervalSeconds = v.number(); }},
     {"--progress", nullptr, kObservability,
      "rewriting stderr progress line (TTY only)", kSweep,
@@ -508,6 +508,54 @@ checkSweep(const Options& o)
         fail("--isolate-exe/--isolate-mem/--isolate-cpu require --isolate");
 }
 
+/** Refuse each flag of @p given that would change nothing: its effect
+ * reaches only an output the command line does not ask for. */
+void
+checkNeeds(const Options& o, const std::set<std::string>& given, Tool tool)
+{
+    const auto need = [&given](const char* flag, bool met, const char* what) {
+        if (given.count(flag) != 0 && !met)
+            fail(std::string(flag) + " needs " + what);
+    };
+    const bool sim = tool == Tool::Sim;
+    const bool metrics = !o.metricsOut.empty() || !o.metricsDir.empty();
+    const bool trace = !o.traceOut.empty() || !o.traceDir.empty();
+    need("--sample-interval", metrics,
+         sim ? "--metrics-out" : "--metrics-dir");
+    need("--trace-capacity", trace, sim ? "--trace-out" : "--trace-dir");
+    // Only orion_sim's manifest carries the phase gauges.
+    need("--profile-phases",
+         metrics || trace || (sim && !o.manifestOut.empty()),
+         sim ? "--manifest-out, --metrics-out or --trace-out"
+             : "--metrics-dir or --trace-dir");
+    need("--heartbeat-interval", !o.manifestOut.empty() || o.progress,
+         "--manifest-out, --checkpoint, --resume or --progress");
+    need("--log-level", !o.logOut.empty(), "--log-out");
+}
+
+/** Refuse two of @p files, a map from flag to the file it names, that
+ * are one file: a run must not write over its own journal, log or
+ * trace input. */
+void
+checkDistinct(const std::map<std::string, std::string>& files)
+{
+    std::map<std::filesystem::path, std::string> seen;
+    for (const auto& [flag, path] : files) {
+        if (path.empty())
+            continue; // names no file
+        // absolute() first: weakly_canonical keeps a relative path
+        // relative when no prefix of it exists, so x and ./x differ.
+        std::error_code ec;
+        const std::filesystem::path key = std::filesystem::weakly_canonical(
+            std::filesystem::absolute(path), ec);
+        const auto [it, fresh] =
+            seen.emplace(ec ? std::filesystem::path(path) : key, flag);
+        if (!fresh)
+            fail(it->second + " and " + flag + " name the same file '" +
+                 path + "'");
+    }
+}
+
 } // namespace
 
 Options
@@ -518,6 +566,9 @@ parse(const std::vector<std::string>& args, Tool tool)
         o.traffic.injectionRate = 0.05;
 
         static const std::string kSwitch;
+        std::set<std::string> given;
+        // A FILE value names a file the run reads (--trace) or writes.
+        std::map<std::string, std::string> files;
         for (std::size_t i = 0; i < args.size(); ++i) {
             const std::string& a = args[i];
             if (a == "--help" || a == "-h") {
@@ -529,7 +580,20 @@ parse(const std::vector<std::string>& args, Tool tool)
                 fail(a + ": missing value");
             const std::string& v = f.placeholder ? args[++i] : kSwitch;
             f.set(o, Value{a, v, f.placeholder});
+            given.insert(a);
+            if (f.placeholder && f.placeholder == std::string("FILE"))
+                files[a] = v;
         }
+        // A journaling sweep keeps its manifest beside the journal.
+        const std::string& journal =
+            o.resume.empty() ? o.checkpoint : o.resume;
+        if (o.manifestOut.empty() && !journal.empty()) {
+            o.manifestOut = journal + ".manifest.json";
+            files["the run manifest"] = o.manifestOut;
+        }
+        // writeFileAtomic stages each manifest write in PATH.tmp.
+        if (!o.manifestOut.empty())
+            files["the run manifest's staging file"] = o.manifestOut + ".tmp";
 
         // A metrics file or directory without an explicit interval
         // samples every 1000 cycles; a trace file or directory enables
@@ -546,6 +610,8 @@ parse(const std::vector<std::string>& args, Tool tool)
         validateConfig(o.network, o.traffic, o.sim);
         if (tool == Tool::Sweep)
             checkSweep(o);
+        checkNeeds(o, given, tool);
+        checkDistinct(files);
         return o;
     } catch (const std::invalid_argument& e) {
         throw std::invalid_argument(std::string(toolName(tool)) + ": " +
@@ -599,7 +665,6 @@ workerArgs(const std::vector<std::string>& args)
 void
 configureLogger(const Options& opts)
 {
-    log::configureFromEnv();
     if (!opts.logOut.empty()) {
         log::Level level = log::Level::Info;
         log::parseLevel(opts.logLevel, level);

@@ -55,10 +55,12 @@ struct Options
      * disables); overruns stop cooperatively with StopReason::Deadline. */
     double pointTimeoutSeconds = 0.0;
     /** --log-out (empty = stderr diagnostics only, byte-identical to
-     * builds without the logger); ORION_LOG sets it too, the flag wins. */
+     * builds without the logger). */
     std::string logOut;
     std::string logLevel = "info"; ///< --log-level
-    std::string manifestOut;       ///< --manifest-out (core/manifest.hh)
+    /** --manifest-out (core/manifest.hh); a journaling orion_sweep
+     * defaults it to JOURNAL.manifest.json. */
+    std::string manifestOut;
 
     // orion_sweep's flags.
     /** --jobs: 0 = hardware concurrency; results are identical for
@@ -77,7 +79,6 @@ struct Options
     std::string isolateExe;                ///< --isolate-exe
     std::uint64_t isolateMemMb = 0;        ///< --isolate-mem (MiB)
     std::uint64_t isolateCpuSeconds = 0;   ///< --isolate-cpu
-    std::string heartbeat;                 ///< --heartbeat
     double heartbeatIntervalSeconds = 1.0; ///< --heartbeat-interval
     bool progress = false;                 ///< --progress
     bool resources = false;                ///< --resources
@@ -89,8 +90,9 @@ struct Options
 /**
  * Parse @p args (without argv[0]) as @p tool's command line. Throws
  * std::invalid_argument, prefixed "TOOL: ", on a flag @p tool does
- * not take, a malformed value, or values that do not compose into a
- * valid run or sweep. --help stops parsing where it appears.
+ * not take, a malformed value, values that do not compose into a
+ * valid run or sweep, a flag whose output is not asked for, or two
+ * flags that name one file. --help stops parsing where it appears.
  */
 Options parse(const std::vector<std::string>& args, Tool tool = Tool::Sim);
 
@@ -106,8 +108,8 @@ std::string usage(Tool tool = Tool::Sim);
  */
 std::vector<std::string> workerArgs(const std::vector<std::string>& args);
 
-/** Attach the structured log sink: ORION_LOG first, --log-out and
- * --log-level win. */
+/** Attach the structured log sink that --log-out and --log-level
+ * describe, if any. */
 void configureLogger(const Options& opts);
 
 /// @name Checked option values

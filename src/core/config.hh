@@ -201,7 +201,7 @@ struct SimConfig
      * Live progress counter (not owned; may be null). When set, the
      * simulation registers a periodic hook that publishes the current
      * cycle into it every few thousand cycles — one relaxed atomic
-     * store, read by the sweep heartbeat thread (core/progress.hh).
+     * store, read by the live run manifest (core/progress.hh).
      * Observability only: excluded from sweepFingerprint like
      * telemetry and cancellation, because it never changes report
      * bytes.

@@ -1,7 +1,6 @@
 #include "core/log.hh"
 
 #include <cstdarg>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "base/clock.hh"
@@ -83,18 +82,6 @@ Logger::configure(const std::string& path, Level level)
         throw std::runtime_error("cannot open log file '" + path + "'");
     sink_ = f;
     level_.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void
-Logger::configureFromEnv()
-{
-    const char* path = std::getenv("ORION_LOG");
-    if (path == nullptr || path[0] == '\0')
-        return;
-    Level level = Level::Info;
-    if (const char* lv = std::getenv("ORION_LOG_LEVEL"))
-        parseLevel(lv, level); // junk -> keep info
-    configure(path, level);
 }
 
 void

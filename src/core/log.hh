@@ -17,14 +17,13 @@
  *     load; event() returns immediately on it. No formatting work
  *     happens unless a sink is attached at or below the event level.
  *
- *  3. Thread safety. Sweep workers and the heartbeat thread log
+ *  3. Thread safety. Sweep workers and the progress thread log
  *     concurrently; each JSON line is serialized under an annotated
  *     core::Mutex and emitted with a single fwrite, so lines never
  *     interleave.
  *
  * The sink is a process-wide singleton configured once at CLI startup
- * (`--log-out FILE --log-level LVL`, or the ORION_LOG / ORION_LOG_LEVEL
- * environment variables; flags win). Library code never configures it.
+ * (`--log-out FILE --log-level LVL`). Library code never configures it.
  */
 #ifndef ORION_CORE_LOG_HH
 #define ORION_CORE_LOG_HH
@@ -89,10 +88,6 @@ class Logger
     void configure(const std::string& path, Level level)
         ORION_EXCLUDES(mutex_);
 
-    /** Attach from ORION_LOG / ORION_LOG_LEVEL if set (CLI flags call
-     * configure() afterwards and win). Unparseable level -> info. */
-    void configureFromEnv() ORION_EXCLUDES(mutex_);
-
     /// True when a sink is attached at or below `level`.
     bool
     sinkEnabled(Level level) const
@@ -142,12 +137,6 @@ inline void
 configure(const std::string& path, Level level)
 {
     Logger::instance().configure(path, level);
-}
-
-inline void
-configureFromEnv()
-{
-    Logger::instance().configureFromEnv();
 }
 
 inline bool

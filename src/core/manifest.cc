@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <stdexcept>
 
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -13,7 +12,6 @@
 #include "base/clock.hh"
 #include "base/json.hh"
 #include "core/build_info.hh"
-#include "core/log.hh"
 
 namespace orion::core {
 
@@ -29,15 +27,16 @@ RunManifest::begin(std::string toolName)
     m.buildType = b.buildType;
     m.host = hostName();
     m.pid = static_cast<int>(::getpid());
-    m.startUnixSeconds = unixSeconds();
+    m.startUnixSeconds = m.updatedUnixSeconds = unixSeconds();
     return m;
 }
 
 void
 RunManifest::finish(std::string reason)
 {
+    finished = true;
     stopReason = std::move(reason);
-    endUnixSeconds = unixSeconds();
+    endUnixSeconds = updatedUnixSeconds = unixSeconds();
     rusage self{};
     if (::getrusage(RUSAGE_SELF, &self) == 0) {
         userCpuSeconds = timevalSeconds(self.ru_utime);
@@ -56,23 +55,34 @@ std::string
 RunManifest::toJson(const telemetry::MetricsRegistry& metrics) const
 {
     report::JsonWriter w;
-    w.beginObject().field("schema", "orion-run-manifest-v2");
+    w.beginObject().field("schema", "orion-run-manifest-v3");
     w.field("tool", tool).field("fingerprint", fingerprintHex);
     w.field("seed", seed).field("seeds", seeds);
-    w.field("rate_points", ratePoints);
+    w.field("rate_points", ratePoints).field("jobs", jobs);
     w.key("points").beginObject().field("total", pointsTotal);
     w.field("completed", pointsCompleted).field("failed", pointsFailed);
     w.field("from_checkpoint", pointsFromCheckpoint).endObject();
-    w.field("stop_reason", stopReason);
+    w.field("finished", finished).field("stop_reason", stopReason);
+    w.field("eta_s", etaSeconds).field("ema_point_s", emaPointSeconds);
+    w.field("median_point_s", medianPointSeconds);
+    w.key("workers").beginArray();
+    for (const Worker& k : workers) {
+        w.beginObject().field("slot", k.slot);
+        w.field("rate_index", k.rateIndex).field("seed_index", k.seedIndex);
+        w.field("attempt", k.attempt).field("cycles", k.cycles);
+        w.field("running_s", k.runningSeconds).endObject();
+    }
+    w.endArray();
     w.key("build").beginObject().field("compiler", compiler);
     w.field("flags", flags).field("git_sha", gitSha);
     w.field("build_type", buildType).endObject();
     w.key("host").beginObject().field("name", host).field("pid", pid);
     w.endObject();
     w.key("time").beginObject().field("start_unix_s", startUnixSeconds);
+    w.field("updated_unix_s", updatedUnixSeconds);
     w.field("end_unix_s", endUnixSeconds);
-    w.field("wall_s", endUnixSeconds > startUnixSeconds
-                          ? endUnixSeconds - startUnixSeconds
+    w.field("wall_s", updatedUnixSeconds > startUnixSeconds
+                          ? updatedUnixSeconds - startUnixSeconds
                           : 0.0);
     w.endObject();
     w.key("rusage").beginObject().field("user_s", userCpuSeconds);
@@ -91,25 +101,26 @@ writeFileAtomic(const std::string& path, const std::string& contents)
     const std::string tmp = path + ".tmp";
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                           0644);
-    if (fd < 0)
-        throw std::runtime_error("cannot open '" + tmp + "'");
+    if (fd < 0) {
+        throw IoError("cannot open '" + tmp + "' for writing: " +
+                      std::strerror(errno));
+    }
     std::size_t off = 0;
     while (off < contents.size()) {
         const ssize_t n = ::write(fd, contents.data() + off,
                                   contents.size() - off);
         if (n < 0) {
             ::close(fd);
-            throw std::runtime_error("cannot write '" + tmp + "'");
+            throw IoError("cannot write '" + tmp + "'");
         }
         off += static_cast<std::size_t>(n);
     }
     // fsync before rename so the replacement is never an empty file
     // after a crash (same discipline as the checkpoint journal).
     if (::fsync(fd) != 0 || ::close(fd) != 0)
-        throw std::runtime_error("cannot sync '" + tmp + "'");
+        throw IoError("cannot sync '" + tmp + "'");
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw std::runtime_error("cannot rename '" + tmp + "' to '" +
-                                 path + "'");
+        throw IoError("cannot rename '" + tmp + "' to '" + path + "'");
     // fsync the containing directory too: the rename lives in the
     // directory's data, and without this a power loss (not just a
     // process death) can forget the replacement entirely.

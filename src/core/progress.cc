@@ -3,21 +3,18 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include <unistd.h>
 
 #include "base/clock.hh"
-#include "base/json.hh"
 #include "core/log.hh"
-#include "core/manifest.hh"
 
 namespace orion::core {
 
 namespace {
 
 constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
-/** The heartbeat's "label" and the progress line's prefix. */
-constexpr const char* kLabel = "sweep";
 /** A cell is stalled once it runs kStallFactor x the median
  * completed-point wall time, and at least kStallFloorSeconds. */
 constexpr double kStallFactor = 4.0;
@@ -26,7 +23,7 @@ constexpr double kStallFloorSeconds = 5.0;
 std::string
 fmtEta(double eta)
 {
-    if (eta < 0.0)
+    if (!(eta >= 0.0))
         return "--";
     if (eta < 120.0)
         return log::strf("%.0fs", eta);
@@ -40,22 +37,22 @@ fmtEta(double eta)
 ProgressTracker::ProgressTracker(Options opts)
     : opts_(std::move(opts)),
       tty_(::isatty(STDERR_FILENO) == 1),
-      startUnixSeconds_(unixSeconds()),
-      slots_(std::max(1u, opts_.jobs))
+      live_(!opts_.manifestPath.empty() || (opts_.progressLine && tty_)),
+      slots_(std::max(1u, opts_.manifest.jobs))
 {
     steadyBase_ = monotonicSeconds();
     pointSeconds_.reserve(256);
-    const bool wantThread =
-        !opts_.heartbeatPath.empty() || (opts_.progressLine && tty_);
-    if (wantThread && opts_.heartbeatIntervalSeconds > 0.0)
+    // The manifest exists from the start; a path that cannot take it
+    // fails the run before any cell runs.
+    if (!opts_.manifestPath.empty())
+        writeFileAtomic(opts_.manifestPath, snapshot().toJson());
+    if (live_ && opts_.intervalSeconds > 0.0)
         thread_ = std::thread([this] { threadMain(); });
-    if (!opts_.heartbeatPath.empty())
-        writeHeartbeat(false); // a heartbeat exists from the start
 }
 
 ProgressTracker::~ProgressTracker()
 {
-    finalize();
+    stop();
 }
 
 double
@@ -96,7 +93,7 @@ ProgressTracker::setAttempt(unsigned slot, unsigned attempt)
 std::atomic<std::uint64_t>*
 ProgressTracker::cycleCounter(unsigned slot)
 {
-    if (slot >= slots_.size())
+    if (!live_ || slot >= slots_.size())
         return nullptr;
     return &slots_[slot].cycles;
 }
@@ -119,40 +116,33 @@ ProgressTracker::endCell(unsigned slot, bool failed, double wallSeconds)
                                          0.7 * emaPointSeconds_;
             pointSeconds_.push_back(wallSeconds);
         }
+        changed_ = true;
+        wake_.notifyAll();
     }
-    if (!opts_.heartbeatPath.empty())
-        writeHeartbeat(false);
-    renderProgressLine();
 }
 
 void
-ProgressTracker::noteCached()
+ProgressTracker::noteCached(bool failed)
 {
-    {
-        LockGuard lock(mutex_);
-        ++done_;
-        ++cached_;
-    }
-    if (!opts_.heartbeatPath.empty())
-        writeHeartbeat(false);
-    renderProgressLine();
+    LockGuard lock(mutex_);
+    ++done_;
+    ++cached_;
+    if (failed)
+        ++failed_;
+    changed_ = true;
+    wake_.notifyAll();
 }
 
 void
-ProgressTracker::finalize()
+ProgressTracker::stop()
 {
     {
         LockGuard lock(mutex_);
-        if (finalized_)
-            return;
-        finalized_ = true;
         stop_ = true;
         wake_.notifyAll();
     }
     if (thread_.joinable())
         thread_.join();
-    if (!opts_.heartbeatPath.empty())
-        writeHeartbeat(true);
     LockGuard lock(mutex_);
     if (lineDrawn_) {
         // Clear the rewriting line so subsequent stderr output starts
@@ -162,49 +152,32 @@ ProgressTracker::finalize()
     }
 }
 
-std::uint64_t
-ProgressTracker::done() const
+void
+ProgressTracker::finish(const std::string& stopReason)
 {
-    LockGuard lock(mutex_);
-    return done_;
+    stop();
+    if (opts_.manifestPath.empty())
+        return;
+    RunManifest m = snapshot();
+    m.finish(stopReason);
+    writeFileAtomic(opts_.manifestPath, m.toJson());
 }
 
-std::uint64_t
-ProgressTracker::failed() const
+RunManifest
+ProgressTracker::snapshot() const
 {
     LockGuard lock(mutex_);
-    return failed_;
-}
-
-std::uint64_t
-ProgressTracker::fromCheckpoint() const
-{
-    LockGuard lock(mutex_);
-    return cached_;
-}
-
-double
-ProgressTracker::etaSeconds() const
-{
-    LockGuard lock(mutex_);
-    return etaSecondsLocked();
-}
-
-std::string
-ProgressTracker::heartbeatJson() const
-{
-    LockGuard lock(mutex_);
-    return composeJson(false);
+    return snapshotLocked();
 }
 
 double
 ProgressTracker::etaSecondsLocked() const
 {
-    if (emaPointSeconds_ <= 0.0 || opts_.totalCells == 0)
-        return -1.0;
-    const std::uint64_t remaining =
-        opts_.totalCells > done_ ? opts_.totalCells - done_ : 0;
-    const unsigned lanes = std::max(1u, opts_.jobs);
+    const std::uint64_t total = opts_.manifest.pointsTotal;
+    if (emaPointSeconds_ <= 0.0 || total == 0)
+        return RunManifest::kUnknown;
+    const std::uint64_t remaining = total > done_ ? total - done_ : 0;
+    const unsigned lanes = std::max(1u, opts_.manifest.jobs);
     return static_cast<double>(remaining) * emaPointSeconds_ /
            static_cast<double>(lanes);
 }
@@ -213,7 +186,7 @@ double
 ProgressTracker::medianPointSecondsLocked() const
 {
     if (pointSeconds_.empty())
-        return -1.0;
+        return RunManifest::kUnknown;
     std::vector<double> copy = pointSeconds_;
     const std::size_t mid = copy.size() / 2;
     std::nth_element(copy.begin(),
@@ -222,26 +195,18 @@ ProgressTracker::medianPointSecondsLocked() const
     return copy[mid];
 }
 
-std::string
-ProgressTracker::composeJson(bool finished) const
+RunManifest
+ProgressTracker::snapshotLocked() const
 {
-    const double eta = etaSecondsLocked();
-    const double median = medianPointSecondsLocked();
-    // An unknown estimate is NaN, which the writer spells null.
-    constexpr double kUnknown = std::numeric_limits<double>::quiet_NaN();
-    report::JsonWriter w;
-    w.beginObject().field("schema", "orion-heartbeat-v1");
-    w.field("label", kLabel).field("pid", ::getpid());
-    w.field("total", opts_.totalCells).field("done", done_);
-    w.field("failed", failed_).field("from_checkpoint", cached_);
-    w.field("jobs", opts_.jobs).field("finished", finished);
-    w.field("eta_s", eta >= 0.0 ? eta : kUnknown);
-    w.field("ema_point_s",
-            emaPointSeconds_ > 0.0 ? emaPointSeconds_ : kUnknown);
-    w.field("median_point_s", median >= 0.0 ? median : kUnknown);
-    w.field("started_unix_s", startUnixSeconds_);
-    w.field("updated_unix_s", unixSeconds());
-    w.key("workers").beginArray();
+    RunManifest m = opts_.manifest;
+    m.pointsCompleted = done_ - failed_;
+    m.pointsFailed = failed_;
+    m.pointsFromCheckpoint = cached_;
+    m.etaSeconds = etaSecondsLocked();
+    m.emaPointSeconds =
+        emaPointSeconds_ > 0.0 ? emaPointSeconds_ : RunManifest::kUnknown;
+    m.medianPointSeconds = medianPointSecondsLocked();
+    m.updatedUnixSeconds = unixSeconds();
     const double now_s = secondsSinceStart();
     for (unsigned i = 0; i < slots_.size(); ++i) {
         const Slot& s = slots_[i];
@@ -249,40 +214,32 @@ ProgressTracker::composeJson(bool finished) const
             continue;
         const double run =
             now_s - s.startSeconds.load(std::memory_order_relaxed);
-        w.beginObject().field("slot", i);
-        w.field("rate_index", s.rateIndex.load(std::memory_order_relaxed));
-        w.field("seed_index", s.seedIndex.load(std::memory_order_relaxed));
-        w.field("attempt", s.attempt.load(std::memory_order_relaxed));
-        w.field("cycles", s.cycles.load(std::memory_order_relaxed));
-        w.field("running_s", run > 0.0 ? run : 0.0).endObject();
+        m.workers.push_back(
+            {i, s.rateIndex.load(std::memory_order_relaxed),
+             s.seedIndex.load(std::memory_order_relaxed),
+             s.attempt.load(std::memory_order_relaxed),
+             s.cycles.load(std::memory_order_relaxed),
+             run > 0.0 ? run : 0.0});
     }
-    return w.endArray().endObject().takeLine();
+    return m;
 }
 
 void
-ProgressTracker::writeHeartbeat(bool finished)
+ProgressTracker::rewrite()
 {
-    std::string j;
-    {
-        LockGuard lock(mutex_);
-        if (heartbeatBroken_)
-            return;
-        j = composeJson(finished);
-    }
+    if (opts_.manifestPath.empty() || rewritesFailed_)
+        return;
     try {
-        // writeMutex_ serializes the tmp+rename replacement; several
-        // writers (worker endCell, the background thread, finalize)
-        // share one staging path.
-        LockGuard wlock(writeMutex_);
-        writeFileAtomic(opts_.heartbeatPath, j);
-    } catch (const std::exception& e) {
-        LockGuard lock(mutex_);
-        if (!heartbeatBroken_) {
-            heartbeatBroken_ = true;
-            log::event(log::Level::Error, "heartbeat.write_failed",
-                       {log::str("path", opts_.heartbeatPath),
-                        log::str("error", e.what())});
-        }
+        writeFileAtomic(opts_.manifestPath, snapshot().toJson());
+    } catch (const IoError& e) {
+        // A live update is best-effort: say so once and stop trying;
+        // finish() still writes the final manifest or throws.
+        rewritesFailed_ = true;
+        log::diag(log::Level::Warn, "manifest.write_failed",
+                  log::strf("%s: cannot update the run manifest: %s; "
+                            "live updates stop\n",
+                            opts_.manifest.tool.c_str(), e.what()),
+                  {log::str("path", opts_.manifestPath)});
     }
 }
 
@@ -293,10 +250,9 @@ ProgressTracker::renderProgressLine()
         return;
     LockGuard lock(mutex_);
     std::string line = log::strf(
-        "\r%s: %llu/%llu done, %llu failed, ETA %s    ",
-        kLabel,
+        "\rsweep: %llu/%llu done, %llu failed, ETA %s    ",
         static_cast<unsigned long long>(done_),
-        static_cast<unsigned long long>(opts_.totalCells),
+        static_cast<unsigned long long>(opts_.manifest.pointsTotal),
         static_cast<unsigned long long>(failed_),
         fmtEta(etaSecondsLocked()).c_str());
     if (line.size() > 79)
@@ -315,7 +271,7 @@ ProgressTracker::checkStalls()
         median = medianPointSecondsLocked();
         samples = pointSeconds_.size();
     }
-    if (samples < 5 || median <= 0.0)
+    if (samples < 5 || !(median > 0.0))
         return;
     const double threshold =
         std::max(kStallFactor * median, kStallFloorSeconds);
@@ -352,15 +308,16 @@ ProgressTracker::threadMain()
 {
     for (;;) {
         {
+            // Woken by a finished or cached cell, or by the interval:
+            // the cells that finish during one write share the next.
             LockGuard lock(mutex_);
+            if (!changed_ && !stop_)
+                wake_.waitFor(mutex_, opts_.intervalSeconds);
             if (stop_)
                 return;
-            wake_.waitFor(mutex_, opts_.heartbeatIntervalSeconds);
-            if (stop_)
-                return;
+            changed_ = false;
         }
-        if (!opts_.heartbeatPath.empty())
-            writeHeartbeat(false);
+        rewrite();
         renderProgressLine();
         checkStalls();
     }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Live sweep progress: heartbeat files, ETA, stall warnings and a
- * rewriting terminal progress line (docs/OBSERVABILITY.md, "Run-level
- * observability").
+ * Live sweep progress: the run manifest kept current, ETA, stall
+ * warnings and a rewriting terminal progress line
+ * (docs/OBSERVABILITY.md, "Run manifest").
  *
  * A ProgressTracker rides alongside Sweep::overRates and
  * the isolated worker loop. Workers open a ProgressScope per cell;
@@ -14,14 +14,17 @@
  *
  * Completion flows back through endCell(): counts, an EMA of point
  * wall times (the ETA source) and a sample list (median, for stall
- * detection) update under an annotated mutex, and when a heartbeat
- * path is configured the JSON snapshot is atomically replaced
- * (tmp + rename, same crash discipline as the checkpoint journal) so
- * a reader — tools/orion_status.py — never sees a torn file, even
- * after SIGKILL. A background thread refreshes the heartbeat between
- * completions and emits stall warnings through the structured logger
- * when a cell runs longer than 4x the median point time (and at least
- * 5 s; needs >= 5 completed points).
+ * detection) update under an annotated mutex, and the call wakes a
+ * background thread. While the run lasts that thread is the only
+ * writer of the run's manifest (core/manifest.hh): it replaces the
+ * file atomically (tmp + rename, same crash discipline as the
+ * checkpoint journal) after each wake and every interval, so a reader
+ * — tools/orion_status.py — never sees a torn file, even after
+ * SIGKILL, and cells never wait on its fsyncs; the cells that finish
+ * during one write share the next. The thread also emits stall
+ * warnings through the structured logger when a cell runs longer than
+ * 4x the median point time (and at least 5 s; needs >= 5 completed
+ * points).
  *
  * Cells satisfied from a checkpoint journal are reported via
  * noteCached() so resumed runs show honest done/total counts.
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "core/annotations.hh"
+#include "core/manifest.hh"
 #include "core/sync.hh"
 
 namespace orion::core {
@@ -45,17 +49,25 @@ class ProgressTracker
   public:
     struct Options
     {
-        /// Heartbeat JSON path; empty disables the heartbeat file.
-        std::string heartbeatPath;
-        double heartbeatIntervalSeconds = 1.0;
+        /// The run manifest's path; empty writes no file.
+        std::string manifestPath;
+        /** The run's manifest from RunManifest::begin(), with the
+         * grid filled in: its pointsTotal and jobs size the sweep.
+         * The tracker fills in the counts and the live keys. */
+        RunManifest manifest;
+        /** Seconds between refreshes of the manifest and the line;
+         * <= 0 starts no thread, so only the constructor and finish()
+         * write the manifest. */
+        double intervalSeconds = 1.0;
         /// Rewriting stderr progress line. Forced off when stderr is
         /// not a TTY, so piped/redirected runs stay byte-identical.
         bool progressLine = false;
-        std::uint64_t totalCells = 0;
-        unsigned jobs = 1;
     };
 
+    /** Writes the manifest once when it has a path.
+     * @throw IoError when that write fails. */
     explicit ProgressTracker(Options opts);
+    /** Stops the background thread; writes nothing. */
     ~ProgressTracker();
 
     ProgressTracker(const ProgressTracker&) = delete;
@@ -72,35 +84,30 @@ class ProgressTracker
     void setAttempt(unsigned slot, unsigned attempt);
 
     /** Live cycle counter for the slot (plumb into
-     * SimConfig::progressCycles). Valid until endCell(). */
+     * SimConfig::progressCycles), or null when no manifest or line
+     * shows it. Valid until endCell(). */
     std::atomic<std::uint64_t>* cycleCounter(unsigned slot);
 
-    /** Release the slot and record the outcome. */
+    /** Release the slot, record the outcome and wake the thread that
+     * rewrites the manifest. Call it after the cell's journal append,
+     * so the manifest never counts a cell the journal lacks. */
     void endCell(unsigned slot, bool failed, double wallSeconds)
         ORION_EXCLUDES(mutex_);
 
-    /** Count cells satisfied from a checkpoint journal (no wall-time
-     * sample; they cost nothing in this run). */
-    void noteCached() ORION_EXCLUDES(mutex_);
+    /** Count a cell satisfied from a checkpoint journal (no wall-time
+     * sample; it costs nothing in this run). */
+    void noteCached(bool failed) ORION_EXCLUDES(mutex_);
 
     /// @}
 
-    /** Write a final heartbeat (finished=true), clear the progress
-     * line and stop the background thread. Idempotent; the destructor
-     * calls it. */
-    void finalize() ORION_EXCLUDES(mutex_);
+    /** Stamp the stop reason and the run's cost, stop the background
+     * thread, clear the progress line and write the final manifest.
+     * @throw IoError when that write fails: the run lost an output. */
+    void finish(const std::string& stopReason) ORION_EXCLUDES(mutex_);
 
-    /// @name Snapshot (tests, manifests)
-    /// @{
-    std::uint64_t done() const ORION_EXCLUDES(mutex_);
-    std::uint64_t failed() const ORION_EXCLUDES(mutex_);
-    std::uint64_t fromCheckpoint() const ORION_EXCLUDES(mutex_);
-    std::uint64_t total() const { return opts_.totalCells; }
-    /// Negative when unknown (no completed samples yet).
-    double etaSeconds() const ORION_EXCLUDES(mutex_);
-    /// Current heartbeat JSON (what the file would contain).
-    std::string heartbeatJson() const ORION_EXCLUDES(mutex_);
-    /// @}
+    /** The manifest as the file would hold it now: counts, estimates
+     * (kUnknown until a cell finishes) and the cells in flight. */
+    RunManifest snapshot() const ORION_EXCLUDES(mutex_);
 
   private:
     struct Slot
@@ -116,9 +123,9 @@ class ProgressTracker
     };
 
     double secondsSinceStart() const;
-    std::string composeJson(bool finished) const
-        ORION_REQUIRES(mutex_);
-    void writeHeartbeat(bool finished) ORION_EXCLUDES(mutex_);
+    RunManifest snapshotLocked() const ORION_REQUIRES(mutex_);
+    void stop() ORION_EXCLUDES(mutex_);
+    void rewrite() ORION_EXCLUDES(mutex_);
     void renderProgressLine() ORION_EXCLUDES(mutex_);
     double etaSecondsLocked() const ORION_REQUIRES(mutex_);
     double medianPointSecondsLocked() const ORION_REQUIRES(mutex_);
@@ -126,28 +133,23 @@ class ProgressTracker
     void threadMain();
 
     const Options opts_;
-    const bool tty_;               ///< stderr is a TTY (line allowed)
-    const double startUnixSeconds_; ///< wall clock at construction
+    const bool tty_;  ///< stderr is a TTY (line allowed)
+    const bool live_; ///< a manifest or line shows the sweep as it runs
     // Fixed-size slot array; elements are atomics mutated lock-free by
-    // their owning worker and read by the heartbeat thread.
+    // their owning worker and read by the refresh thread.
     std::vector<Slot> slots_; // lint-allow: unguarded -- fixed-size array of lock-free atomics
-    // Joined exactly once by finalize(); never touched concurrently.
-    std::thread thread_; // lint-allow: unguarded -- ctor/finalize only
+    // Joined exactly once by stop(); never touched concurrently.
+    std::thread thread_; // lint-allow: unguarded -- ctor/stop only
     // Monotonic base for secondsSinceStart(); set once in the ctor.
     double steadyBase_ = 0.0; // lint-allow: unguarded -- written once before the thread starts
-
-    /** Serializes heartbeat file replacement: concurrent writers
-     * (worker endCell vs. the background thread) would otherwise race
-     * on the shared "path.tmp" staging name — one rename wins, the
-     * other fails on the vanished tmp file. Held only around the
-     * write, never while composing under mutex_. */
-    mutable core::Mutex writeMutex_;
+    // Only the refresh thread's rewrite() reads or sets it.
+    bool rewritesFailed_ = false; // lint-allow: unguarded -- refresh thread only
 
     mutable core::Mutex mutex_;
     CondVar wake_;
     bool stop_ ORION_GUARDED_BY(mutex_) = false;
-    bool finalized_ ORION_GUARDED_BY(mutex_) = false;
-    bool heartbeatBroken_ ORION_GUARDED_BY(mutex_) = false;
+    /// A cell finished since the thread last woke: rewrite now.
+    bool changed_ ORION_GUARDED_BY(mutex_) = false;
     bool lineDrawn_ ORION_GUARDED_BY(mutex_) = false;
     std::uint64_t done_ ORION_GUARDED_BY(mutex_) = 0;
     std::uint64_t failed_ ORION_GUARDED_BY(mutex_) = 0;

@@ -236,7 +236,7 @@ class CellRunner
             p.injectionRate = rates_[i];
             p.fromCheckpoint = true;
             if (opts_.progress != nullptr)
-                opts_.progress->noteCached();
+                opts_.progress->noteCached(p.failure.has_value());
             return p;
         }
 
@@ -258,8 +258,8 @@ class CellRunner
         cell.point.injectionRate = rates_[i];
         if (opts_.journal != nullptr && journalable(cell.point))
             opts_.journal->append(makeEntry(i, k, cell));
-        // End after the journal append so a heartbeat's done count
-        // never exceeds the journal's entry count.
+        // End after the journal append so the run manifest's done
+        // count never exceeds the journal's entry count.
         scope.end(cell.point.failure.has_value(), wall_s);
         return std::move(cell.point);
     }
@@ -332,7 +332,7 @@ class CellRunner
     {
         TrafficConfig t = traffic_;
         t.injectionRate = rates_[i];
-        // Publish live cycle counts for the heartbeat thread.
+        // Publish live cycle counts for the run manifest.
         // Observability only: the periodic hook this installs is a
         // relaxed store, so results stay bit-identical.
         s.progressCycles = scope.cycles();

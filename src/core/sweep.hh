@@ -159,11 +159,12 @@ struct SweepOptions
     const std::vector<core::CheckpointEntry>* resume = nullptr;
     /**
      * Live progress tracker (not owned, may be null). When set, each
-     * worker reports cell begin/attempt/end (and resume-cache hits)
-     * so the heartbeat file / progress line / stall detector see the
-     * sweep as it runs. Observability only: installing a tracker
-     * never changes results — the per-cell hooks are atomic stores
-     * outside the simulated machine. See core/progress.hh.
+     * worker reports cell begin/attempt/end (and resume-cache hits):
+     * the tracker is the run's count of them, and its run manifest,
+     * progress line and stall detector watch the sweep as it runs.
+     * Observability only: installing a tracker never changes results
+     * — the per-cell hooks are atomic stores outside the simulated
+     * machine. See core/progress.hh.
      */
     core::ProgressTracker* progress = nullptr;
     /**

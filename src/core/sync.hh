@@ -76,8 +76,8 @@ class CondVar
     /**
      * Block until notified or the timeout elapses (spurious wakeups
      * possible); returns false on timeout. Timed waits serve periodic
-     * background work (heartbeat writers); simulation code never
-     * depends on them.
+     * background work (the run manifest's refresh); simulation code
+     * never depends on them.
      */
     bool
     waitFor(Mutex& mutex, double seconds) ORION_REQUIRES(mutex)

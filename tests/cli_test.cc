@@ -311,13 +311,13 @@ TEST(CliSweep, GridAndCrossFlagChecks)
 {
     const Options o = parse({"--rates", "0.02:0.08:4", "--seeds", "3",
                              "--isolate", "--isolate-mem", "512",
-                             "--heartbeat", "hb.json", "--progress"},
+                             "--manifest-out", "m.json", "--progress"},
                             Tool::Sweep);
     EXPECT_EQ(o.rates.size(), 4u);
     EXPECT_EQ(o.seeds, 3u);
     EXPECT_TRUE(o.isolate);
     EXPECT_EQ(o.isolateMemMb, 512u);
-    EXPECT_EQ(o.heartbeat, "hb.json");
+    EXPECT_EQ(o.manifestOut, "m.json");
     EXPECT_TRUE(o.progress);
     EXPECT_EQ(parse({}, Tool::Sweep).rates.size(), 10u);
 
@@ -368,9 +368,9 @@ TEST(CliSweep, WorkersGetTheCellFlagsOnly)
 {
     const std::vector<std::string> args = {
         "--preset", "vc64", "--jobs", "2", "--seeds", "2", "--isolate",
-        "--point-timeout", "5", "--log-out", "l.jsonl", "--profile-phases",
+        "--point-timeout", "5", "--log-out", "l.jsonl",
         "--link-ber", "1e-6", "--mesh", "--point-retries", "3",
-        "--sample-interval", "100", "--seed", "7"};
+        "--seed", "7"};
     ASSERT_NO_THROW(parse(args, Tool::Sweep));
     EXPECT_EQ(workerArgs(args),
               (std::vector<std::string>{"--preset", "vc64",
@@ -398,7 +398,7 @@ TEST(CliHelp, EachToolsHelpNamesExactlyTheFlagsItTakes)
     std::set<std::string> all = sim;
     all.insert(sweep.begin(), sweep.end());
     EXPECT_EQ(sim.size(), 43u);
-    EXPECT_EQ(sweep.size(), 54u);
+    EXPECT_EQ(sweep.size(), 53u);
     EXPECT_EQ(usage(Tool::Sim).rfind("usage: orion_sim ", 0), 0u);
     EXPECT_EQ(usage(Tool::Sweep).rfind("usage: orion_sweep ", 0), 0u);
     for (const Tool tool : {Tool::Sim, Tool::Sweep}) {
@@ -474,6 +474,97 @@ TEST(CliParse, ObservabilityFlags)
                  std::invalid_argument);
     EXPECT_THROW(parse({"--log-out"}), std::invalid_argument);
     EXPECT_THROW(parse({"--manifest-out"}), std::invalid_argument);
+}
+
+TEST(CliParse, FlagsThatShapeAnAbsentOutputAreRefused)
+{
+    const auto refused = [](const std::vector<std::string>& args,
+                            Tool tool, const std::string& needs) {
+        const std::string err = parseError(args, tool);
+        EXPECT_NE(err.find(args.front() + " needs " + needs),
+                  std::string::npos)
+            << err;
+    };
+    refused({"--sample-interval", "10"}, Tool::Sim, "--metrics-out");
+    refused({"--sample-interval", "10"}, Tool::Sweep, "--metrics-dir");
+    refused({"--trace-capacity", "64"}, Tool::Sim, "--trace-out");
+    refused({"--trace-capacity", "64"}, Tool::Sweep, "--trace-dir");
+    refused({"--profile-phases"}, Tool::Sim,
+            "--manifest-out, --metrics-out or --trace-out");
+    // orion_sweep's manifest carries no phase gauges.
+    refused({"--profile-phases", "--manifest-out", "m.json"}, Tool::Sweep,
+            "--metrics-dir or --trace-dir");
+    refused({"--heartbeat-interval", "2"}, Tool::Sweep,
+            "--manifest-out, --checkpoint, --resume or --progress");
+    refused({"--log-level", "debug"}, Tool::Sim, "--log-out");
+    refused({"--log-level", "info"}, Tool::Sweep, "--log-out");
+
+    // With their output each is accepted.
+    for (const std::vector<std::string>& ok :
+         {std::vector<std::string>{"--sample-interval", "10",
+                                   "--metrics-dir", "m"},
+          {"--trace-capacity", "64", "--trace-dir", "t"},
+          {"--profile-phases", "--metrics-dir", "m"},
+          {"--heartbeat-interval", "2", "--checkpoint", "j"},
+          {"--heartbeat-interval", "2", "--progress"},
+          {"--log-level", "warn", "--log-out", "l"}})
+        EXPECT_EQ(parseError(ok, Tool::Sweep), "");
+    EXPECT_EQ(parseError({"--profile-phases", "--manifest-out", "m.json"},
+                         Tool::Sim),
+              "");
+}
+
+TEST(CliParse, FilesOfOneRunMustDiffer)
+{
+    EXPECT_EQ(parseError({"--checkpoint", "x", "--manifest-out", "x"},
+                         Tool::Sweep),
+              "orion_sweep: --checkpoint and --manifest-out name the same "
+              "file 'x' (--help for usage)");
+    EXPECT_EQ(parseError({"--resume", "x", "--log-out", "./x"},
+                         Tool::Sweep),
+              "orion_sweep: --log-out and --resume name the same file "
+              "'x' (--help for usage)");
+    // The default manifest sits beside the journal.
+    const Options o = parse({"--checkpoint", "j"}, Tool::Sweep);
+    EXPECT_EQ(o.manifestOut, "j.manifest.json");
+    EXPECT_NE(parseError({"--checkpoint", "j", "--log-out",
+                          "j.manifest.json"},
+                         Tool::Sweep)
+                  .find("--log-out and the run manifest name the same "
+                        "file"),
+              std::string::npos);
+    // Each manifest write truncates PATH.tmp before renaming it over
+    // PATH, so that staging file is one of the run's files too.
+    EXPECT_EQ(parseError({"--checkpoint", "run.tmp", "--manifest-out",
+                          "run"},
+                         Tool::Sweep),
+              "orion_sweep: --checkpoint and the run manifest's staging "
+              "file name the same file 'run.tmp' (--help for usage)");
+    EXPECT_NE(parseError({"--checkpoint", "j", "--log-out",
+                          "j.manifest.json.tmp"},
+                         Tool::Sweep)
+                  .find("--log-out and the run manifest's staging file "
+                        "name the same file"),
+              std::string::npos);
+    EXPECT_NE(parseError({"--metrics-out", "m.json.tmp",
+                          "--manifest-out", "m.json"},
+                         Tool::Sim)
+                  .find("--metrics-out and the run manifest's staging "
+                        "file name the same file"),
+              std::string::npos);
+    EXPECT_NE(parseError({"--metrics-out", "d/o", "--report-out",
+                          "d/../d/o"},
+                         Tool::Sim)
+                  .find("--metrics-out and --report-out name the same"),
+              std::string::npos);
+    EXPECT_EQ(parseError({"--checkpoint", "a", "--log-out", "b",
+                          "--manifest-out", "c"},
+                         Tool::Sweep),
+              "");
+    // An empty value names no file.
+    EXPECT_EQ(parseError({"--log-out", "", "--manifest-out", ""},
+                         Tool::Sweep),
+              "");
 }
 
 TEST(CliParse, RateAcceptsExactHexfloat)

@@ -5,7 +5,7 @@
  * checking the invariants that must hold for *every* legal
  * configuration — delivery, conservation, watchdog silence below
  * saturation, and energy/event consistency. Plus file-format torture:
- * checkpoint journals under mutation and the heartbeat file under
+ * checkpoint journals under mutation and the live run manifest under
  * concurrent writers.
  */
 
@@ -263,28 +263,29 @@ TEST_P(JournalFuzz, MutatedJournalLoadsCleanlyOrThrowsStructured)
 INSTANTIATE_TEST_SUITE_P(Seeds, JournalFuzz,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-// --- heartbeat atomic-replacement fuzzing ------------------------------
+// --- run manifest atomic-replacement fuzzing ---------------------------
 //
-// The heartbeat file is replaced via tmp + rename while several
+// The live run manifest is replaced via tmp + rename while several
 // threads complete cells and a background refresher runs on a
 // millisecond period. A concurrent reader (tools/orion_status.py's
 // position) must never observe a torn file: every non-empty read
-// parses as a complete orion-heartbeat-v1 JSON document.
+// parses as a complete orion-run-manifest-v3 JSON document.
 
-TEST(HeartbeatFuzz, ConcurrentWritersNeverTearTheFile)
+TEST(ManifestFuzz, ConcurrentWritersNeverTearTheFile)
 {
     const std::string path =
-        testing::TempDir() + "orion_hb_fuzz.json";
+        testing::TempDir() + "orion_manifest_fuzz.json";
     std::remove(path.c_str());
 
     constexpr unsigned kWriters = 4;
     constexpr unsigned kCellsPerWriter = 64;
 
     core::ProgressTracker::Options po;
-    po.totalCells = kWriters * kCellsPerWriter;
-    po.jobs = kWriters;
-    po.heartbeatPath = path;
-    po.heartbeatIntervalSeconds = 0.001; // refresher hammers too
+    po.manifestPath = path;
+    po.manifest = core::RunManifest::begin("fuzz_test");
+    po.manifest.pointsTotal = kWriters * kCellsPerWriter;
+    po.manifest.jobs = kWriters;
+    po.intervalSeconds = 0.001; // refresher hammers too
     core::ProgressTracker tracker(po);
 
     std::atomic<bool> stop{false};
@@ -307,7 +308,7 @@ TEST(HeartbeatFuzz, ConcurrentWritersNeverTearTheFile)
             ++reads;
             test::JsonValidator v(snapshot);
             if (!v.valid() ||
-                snapshot.find("orion-heartbeat-v1") ==
+                snapshot.find("orion-run-manifest-v3") ==
                     std::string::npos)
                 ++torn;
         }
@@ -326,26 +327,27 @@ TEST(HeartbeatFuzz, ConcurrentWritersNeverTearTheFile)
     }
     for (std::thread& t : writers)
         t.join();
-    tracker.finalize();
+    tracker.finish("ok");
     stop.store(true, std::memory_order_relaxed);
     reader.join();
 
-    EXPECT_EQ(tracker.done(),
+    const core::RunManifest m = tracker.snapshot();
+    EXPECT_EQ(m.pointsCompleted + m.pointsFailed,
               std::uint64_t{kWriters} * kCellsPerWriter);
     EXPECT_GT(reads.load(), 0u)
-        << "the final heartbeat alone guarantees one read";
+        << "the final manifest alone guarantees one read";
     EXPECT_EQ(torn.load(), 0u)
-        << "a reader observed a torn/empty heartbeat";
+        << "a reader observed a torn/empty manifest";
 
-    const std::string final_hb = [&] {
+    const std::string final_doc = [&] {
         std::ifstream in(path, std::ios::binary);
         std::ostringstream ss;
         ss << in.rdbuf();
         return ss.str();
     }();
-    test::JsonValidator v(final_hb);
-    ASSERT_TRUE(v.valid()) << final_hb;
-    EXPECT_NE(final_hb.find("\"finished\":true"), std::string::npos);
+    test::JsonValidator v(final_doc);
+    ASSERT_TRUE(v.valid()) << final_doc;
+    EXPECT_NE(final_doc.find("\"finished\":true"), std::string::npos);
     std::remove(path.c_str());
 }
 

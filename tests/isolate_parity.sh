@@ -3,9 +3,11 @@
 # process per point) must print the same CSV, byte for byte, and exit
 # with the same code as the in-process sweep. A journal written by an
 # --isolate run and cut to two entries must resume in-process to that
-# same CSV. The in-process --seeds 2 path (averaged rows) must resume
-# the same way from a journal cut to two of its cells, and print that
-# CSV with --isolate too.
+# same CSV, and so must the whole journal, whose run manifest
+# (tools/orion_status.py reads it) then counts all four cells as
+# carried over, the poisoned one as failed. The in-process --seeds 2
+# path (averaged rows) must resume the same way from a journal cut to
+# two of its cells, and print that CSV with --isolate too.
 #
 # The sweep poisons one point (a structured check failure, so exit 3)
 # and injects link bit errors, so the retry band, the failure row and
@@ -15,6 +17,7 @@
 set -u
 
 sweep=$1
+status_py=$(dirname "$0")/../tools/orion_status.py
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
@@ -49,6 +52,19 @@ rc=$(run resumed.csv --resume "$tmp/cut")
 [ "$rc" -eq 3 ] || fail "in-process --resume exited $rc, expected 3"
 cmp "$tmp/inproc.csv" "$tmp/resumed.csv" ||
     fail "in-process resume of an --isolate journal differs"
+
+rc=$(run whole.csv --resume "$tmp/journal")
+[ "$rc" -eq 3 ] || fail "--resume of the whole journal exited $rc, expected 3"
+cmp "$tmp/inproc.csv" "$tmp/whole.csv" ||
+    fail "--resume of the whole journal differs"
+status=$(python3 "$status_py" --once "$tmp/journal.manifest.json")
+python3 - "$status" <<'EOF' || fail "run manifest of the resume: $status"
+import json, sys
+s = json.loads(sys.argv[1])
+assert s["ok"] and s["finished"], s
+assert s["done"] == s["total"] == 4, s
+assert s["from_checkpoint"] == 4 and s["failed"] == 1, s
+EOF
 
 rc=$(run seeds.csv --seeds 2)
 [ "$rc" -eq 3 ] || fail "--seeds 2 sweep exited $rc, expected 3"

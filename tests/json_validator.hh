@@ -1,7 +1,7 @@
 /**
  * @file
  * Minimal recursive-descent JSON validator shared by the tests —
- * enough to prove an emitter (trace writer, run manifest, heartbeat)
+ * enough to prove an emitter (trace writer, run manifest)
  * produces structurally valid JSON (balanced, quoted, escaped)
  * without pulling a JSON library into the toolchain.
  */

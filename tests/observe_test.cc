@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the run-level observability layer: the structured logger,
- * run manifests, the sweep progress tracker / heartbeat file, phase
+ * run manifests, the sweep progress tracker that keeps one live, phase
  * profiling and per-point resource accounting. The key guarantee
  * throughout is the observability contract: attaching any of these
  * never changes simulation results — reports stay bit-identical with
@@ -11,14 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "base/clock.hh"
 #include "base/json.hh"
 #include "base/profile.hh"
 #include "core/checkpoint.hh"
@@ -49,6 +55,19 @@ slurp(const std::string& path)
     std::ostringstream out;
     out << in.rdbuf();
     return out.str();
+}
+
+/** Poll @p holds for up to 10 s: true once it holds. */
+bool
+eventually(const std::function<bool()>& holds)
+{
+    const double deadline = core::monotonicSeconds() + 10.0;
+    while (!holds()) {
+        if (core::monotonicSeconds() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
 }
 
 TrafficConfig
@@ -177,21 +196,33 @@ TEST(Manifest, SchemaValidJsonWithAllSections)
     m.pointsCompleted = 5;
     m.pointsFailed = 1;
     m.pointsFromCheckpoint = 2;
+    m.workers.push_back({1, 2, 0, 3, 4096, 0.5});
+    // Live: unfinished, estimates unknown, no end time.
+    const std::string live = m.toJson();
+    for (const char* key :
+         {"\"schema\":\"orion-run-manifest-v3\"", "\"finished\":false",
+          "\"stop_reason\":\"running\"", "\"eta_s\":null",
+          "\"end_unix_s\":null",
+          "\"workers\":[{\"slot\":1,\"rate_index\":2,\"seed_index\":0,"
+          "\"attempt\":3,\"cycles\":4096,\"running_s\":0.5}]"}) {
+        EXPECT_NE(live.find(key), std::string::npos)
+            << "missing " << key << " in:\n" << live;
+    }
+
     m.finish("ok");
     telemetry::MetricsRegistry metrics;
     metrics.addGauge("sim.phase.router_advance_share",
                      [] { return 0.75; });
-
     const std::string j = m.toJson(metrics);
     test::JsonValidator v(j);
     ASSERT_TRUE(v.valid()) << j;
 
     for (const char* key :
-         {"\"schema\":\"orion-run-manifest-v2\"",
+         {"\"schema\":\"orion-run-manifest-v3\"",
           "\"tool\":\"observe_test\"",
-          "\"fingerprint\":\"00000000deadbeef\"",
+          "\"fingerprint\":\"00000000deadbeef\"", "\"finished\":true",
           "\"stop_reason\":\"ok\"", "\"points\"", "\"build\"",
-          "\"host\"", "\"rusage\"",
+          "\"host\"", "\"rusage\"", "\"updated_unix_s\"",
           "\"metrics\":{\"sim.phase.router_advance_share\":0.75}",
           "\"from_checkpoint\":2"}) {
         EXPECT_NE(j.find(key), std::string::npos)
@@ -204,6 +235,7 @@ TEST(Manifest, SchemaValidJsonWithAllSections)
     EXPECT_FALSE(m.host.empty());
     EXPECT_GT(m.pid, 0);
     EXPECT_GE(m.endUnixSeconds, m.startUnixSeconds);
+    EXPECT_EQ(m.updatedUnixSeconds, m.endUnixSeconds);
     EXPECT_GE(m.userCpuSeconds + m.sysCpuSeconds, 0.0);
     EXPECT_GT(m.maxRssKb, 0);
 }
@@ -220,24 +252,37 @@ TEST(Manifest, WriteFileAtomicRoundTrip)
     EXPECT_FALSE(tmp.good());
     std::remove(path.c_str());
 
+    // A manifest that cannot be written is a lost output.
     EXPECT_THROW(
         core::writeFileAtomic(testing::TempDir() +
                                   "no_such_dir/x.json",
                               "y"),
-        std::runtime_error);
+        core::IoError);
 }
 
-// --- Progress tracker / heartbeat -----------------------------------
+// --- Progress tracker: the live run manifest ------------------------
 
-TEST(Progress, CountsAndSnapshotWithoutHeartbeatFile)
+/** Tracker options for a grid of @p cells on @p jobs workers. */
+core::ProgressTracker::Options
+trackerOptions(std::uint64_t cells, unsigned jobs,
+               const std::string& path = "")
 {
     core::ProgressTracker::Options po;
-    po.totalCells = 4;
-    po.jobs = 2;
-    core::ProgressTracker tracker(po);
+    po.manifestPath = path;
+    po.manifest = core::RunManifest::begin("observe_test");
+    po.manifest.pointsTotal = cells;
+    po.manifest.jobs = jobs;
+    return po;
+}
 
-    EXPECT_EQ(tracker.done(), 0u);
-    EXPECT_LT(tracker.etaSeconds(), 0.0) << "no samples yet";
+TEST(Progress, CountsAndSnapshot)
+{
+    const std::string path = tempPath("observe_counts.json");
+    core::ProgressTracker tracker(trackerOptions(4, 2, path));
+
+    core::RunManifest m = tracker.snapshot();
+    EXPECT_EQ(m.pointsCompleted + m.pointsFailed, 0u);
+    EXPECT_TRUE(std::isnan(m.etaSeconds)) << "no samples yet";
 
     const unsigned a = tracker.beginCell(0, 0);
     const unsigned b = tracker.beginCell(1, 0);
@@ -247,73 +292,110 @@ TEST(Progress, CountsAndSnapshotWithoutHeartbeatFile)
     cycles->store(1234, std::memory_order_relaxed);
 
     {
-        const std::string j = tracker.heartbeatJson();
+        const std::string j = tracker.snapshot().toJson();
         test::JsonValidator v(j);
         ASSERT_TRUE(v.valid()) << j;
-        EXPECT_NE(j.find("\"schema\":\"orion-heartbeat-v1\""),
-                  std::string::npos);
         EXPECT_NE(j.find("\"cycles\":1234"), std::string::npos)
             << "in-flight worker must be visible: " << j;
     }
 
     tracker.endCell(a, false, 0.01);
     tracker.endCell(b, true, 0.02);
-    tracker.noteCached(); // a cell merged from a resumed journal
+    tracker.noteCached(false); // cells merged from a resumed journal
+    tracker.noteCached(true);
     tracker.beginCell(2, 0);
-    // Scope-less cell abandoned: finalize() must not hang on it.
+    // Scope-less cell abandoned: finish() must not hang on it.
 
-    EXPECT_EQ(tracker.done(), 3u);
-    EXPECT_EQ(tracker.failed(), 1u);
-    EXPECT_EQ(tracker.fromCheckpoint(), 1u);
-    EXPECT_EQ(tracker.total(), 4u);
-    EXPECT_GE(tracker.etaSeconds(), 0.0);
-    tracker.finalize();
+    m = tracker.snapshot();
+    EXPECT_EQ(m.pointsCompleted, 2u);
+    EXPECT_EQ(m.pointsFailed, 2u) << "a cached failure still failed";
+    EXPECT_EQ(m.pointsFromCheckpoint, 2u);
+    EXPECT_GE(m.etaSeconds, 0.0);
+    tracker.finish("ok");
+    std::remove(path.c_str());
 }
 
-TEST(Progress, HeartbeatFileFinishedAndValid)
+TEST(Progress, ManifestLiveFromTheStartAndFinal)
 {
-    const std::string path = tempPath("observe_hb.json");
+    const std::string path = tempPath("observe_live.json");
     std::remove(path.c_str());
     {
-        core::ProgressTracker::Options po;
-        po.totalCells = 2;
-        po.jobs = 1;
-        po.heartbeatPath = path;
-        po.heartbeatIntervalSeconds = 0.05;
+        core::ProgressTracker::Options po = trackerOptions(2, 1, path);
+        po.intervalSeconds = 3600.0; // only a finished cell wakes it
         core::ProgressTracker tracker(po);
 
-        // The heartbeat exists from the very start of the run.
+        // The manifest exists from the very start of the run.
         const std::string early_snapshot = slurp(path);
         test::JsonValidator early(early_snapshot);
         EXPECT_TRUE(early.valid()) << early_snapshot;
+        EXPECT_NE(early_snapshot.find("\"finished\":false"),
+                  std::string::npos);
 
         core::ProgressScope s1(&tracker, 0, 0);
         s1.end(false, 0.01);
+        EXPECT_TRUE(eventually([&path] {
+            return slurp(path).find("\"completed\":1") != std::string::npos;
+        })) << "a finished cell must get the manifest rewritten";
         core::ProgressScope s2(&tracker, 1, 0);
         s2.end(false, 0.01);
-        tracker.finalize();
+        tracker.finish("ok");
     }
     const std::string j = slurp(path);
     test::JsonValidator v(j);
     ASSERT_TRUE(v.valid()) << j;
     EXPECT_NE(j.find("\"finished\":true"), std::string::npos) << j;
-    EXPECT_NE(j.find("\"done\":2"), std::string::npos) << j;
+    EXPECT_NE(j.find("\"stop_reason\":\"ok\""), std::string::npos) << j;
+    EXPECT_NE(j.find("\"completed\":2"), std::string::npos) << j;
     EXPECT_NE(j.find("\"workers\":[]"), std::string::npos) << j;
     std::remove(path.c_str());
 }
 
+TEST(Progress, LostManifestWarnsMidRunAndThrowsAtTheEnd)
+{
+    // A manifest that cannot be written at the start fails the run
+    // before any cell runs.
+    EXPECT_THROW(core::ProgressTracker(trackerOptions(
+                     1, 1, tempPath("no_such_dir/observe.json"))),
+                 core::IoError);
+
+    const std::string dir = tempPath("observe_lost");
+    std::filesystem::create_directories(dir);
+    const std::string log_path = tempPath("observe_lost.jsonl");
+    std::remove(log_path.c_str());
+    log::configure(log_path, log::Level::Warn);
+    core::ProgressTracker tracker(trackerOptions(1, 1, dir + "/m.json"));
+    std::filesystem::remove_all(dir);
+    core::ProgressScope scope(&tracker, 0, 0);
+    scope.end(false, 0.01); // a mid-run rewrite fails: warns, no throw
+    EXPECT_TRUE(eventually([&log_path] {
+        return slurp(log_path).find("manifest.write_failed") !=
+               std::string::npos;
+    })) << slurp(log_path);
+    EXPECT_THROW(tracker.finish("ok"), core::IoError);
+    log::Logger::instance().reset();
+    std::remove(log_path.c_str());
+}
+
+TEST(Progress, NothingWatchesWithoutAManifestOrLine)
+{
+    core::ProgressTracker tracker(trackerOptions(1, 1));
+    const unsigned slot = tracker.beginCell(0, 0);
+    // No reader: cells run without the periodic cycle hook.
+    EXPECT_EQ(tracker.cycleCounter(slot), nullptr);
+    tracker.endCell(slot, false, 0.01);
+    EXPECT_EQ(tracker.snapshot().pointsCompleted, 1u);
+    tracker.finish("ok"); // no file to write
+}
+
 TEST(Progress, ScopeDestructionWithoutEndCountsAsFailure)
 {
-    core::ProgressTracker::Options po;
-    po.totalCells = 1;
-    core::ProgressTracker tracker(po);
+    core::ProgressTracker tracker(trackerOptions(1, 1));
     {
         core::ProgressScope scope(&tracker, 0, 0);
         // An exception escape destroys the scope without end().
     }
-    EXPECT_EQ(tracker.done(), 1u);
-    EXPECT_EQ(tracker.failed(), 1u);
-    tracker.finalize();
+    EXPECT_EQ(tracker.snapshot().pointsFailed, 1u);
+    EXPECT_EQ(tracker.snapshot().pointsCompleted, 0u);
 }
 
 TEST(Progress, NullTrackerScopeIsFree)
@@ -336,18 +418,17 @@ TEST(Progress, SweepBitIdenticalWithTrackerAttached)
     const std::vector<SweepPoint> plain = Sweep::overRates(
         net, traffic, sim, rates, SweepOptions::withJobs(2));
 
-    core::ProgressTracker::Options po;
-    po.totalCells = rates.size();
-    po.jobs = 2;
-    core::ProgressTracker tracker(po);
+    const std::string path = tempPath("observe_sweep.json");
+    core::ProgressTracker tracker(trackerOptions(rates.size(), 2, path));
     SweepOptions opts = SweepOptions::withJobs(2);
     opts.progress = &tracker;
     const std::vector<SweepPoint> tracked =
         Sweep::overRates(net, traffic, sim, rates, opts);
-    tracker.finalize();
+    tracker.finish("ok");
+    std::remove(path.c_str());
 
-    EXPECT_EQ(tracker.done(), rates.size());
-    EXPECT_EQ(tracker.failed(), 0u);
+    EXPECT_EQ(tracker.snapshot().pointsCompleted, rates.size());
+    EXPECT_EQ(tracker.snapshot().pointsFailed, 0u);
     ASSERT_EQ(plain.size(), tracked.size());
     for (std::size_t i = 0; i < plain.size(); ++i) {
         // Bitwise, not approximate: the tracker must be a pure
@@ -371,7 +452,10 @@ TEST(Progress, ResumedSweepReportsCarriedOverCells)
 {
     const NetworkConfig net = NetworkConfig::vc16();
     const TrafficConfig traffic = uniform(0.03);
-    const SimConfig sim = smallRun();
+    SimConfig sim = smallRun();
+    // One poisoned cell: its journaled failure must count as failed
+    // when the resume merges it.
+    sim.debugPoisonRate = 0.04;
     const std::vector<double> rates = {0.02, 0.04, 0.06};
     const std::uint64_t fp =
         core::sweepFingerprint(net, traffic, sim, rates, 1);
@@ -389,19 +473,19 @@ TEST(Progress, ResumedSweepReportsCarriedOverCells)
         core::loadCheckpoint(journal_path, fp);
     ASSERT_EQ(load.entries.size(), rates.size());
 
-    core::ProgressTracker::Options po;
-    po.totalCells = rates.size();
-    core::ProgressTracker tracker(po);
+    core::ProgressTracker tracker(trackerOptions(rates.size(), 1));
     SweepOptions opts = SweepOptions::withJobs(1);
     opts.resume = &load.entries;
     opts.progress = &tracker;
     const std::vector<SweepPoint> pts =
         Sweep::overRates(net, traffic, sim, rates, opts);
-    tracker.finalize();
+    tracker.finish("failed-points");
 
-    EXPECT_EQ(tracker.done(), rates.size());
-    EXPECT_EQ(tracker.fromCheckpoint(), rates.size())
+    const core::RunManifest m = tracker.snapshot();
+    EXPECT_EQ(m.pointsFromCheckpoint, rates.size())
         << "every cell was satisfied from the journal";
+    EXPECT_EQ(m.pointsFailed, 1u);
+    EXPECT_EQ(m.pointsCompleted, rates.size() - 1);
     for (const SweepPoint& p : pts) {
         EXPECT_TRUE(p.fromCheckpoint);
         EXPECT_FALSE(p.resources.valid)

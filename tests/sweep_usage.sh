@@ -10,11 +10,16 @@
 #
 # Flags a tool does not take: orion_sweep, orion_sim and orion_models
 # (both found next to orion_sweep) refuse each with exit 1 and a
-# diagnostic in their own name, and each tool's --help names it.
+# diagnostic in their own name, and each tool's --help names it. So
+# do orion_sweep and orion_sim for a flag whose output the command
+# line does not ask for, and for two flags that name one file.
+# ORION_LOG attaches no log sink.
 #
 # Lost output: orion_sweep and orion_sim must exit 4 with a diagnostic
-# when stdout or an output file cannot be written. /dev/full fails
-# every write; the cases are skipped where it is not writable.
+# when stdout or an output file cannot be written: a run manifest in a
+# missing directory (orion_sweep before it runs a cell), and, where
+# /dev/full is writable (it fails every write), stdout and the metrics
+# files.
 #
 # A bench harness (HARNESS) exits 2 on an ORION_JOBS its worker count
 # cannot hold.
@@ -86,6 +91,27 @@ expect_usage --trace-out "$tmp/t.json"
 expect_refusal orion_sim --sample 50 --jobs 3
 expect_refusal orion_sim --sample 50 --point-retries 5
 expect_refusal orion_sim --sample 50 --point-backoff-ms 100
+# The run manifest replaced the heartbeat file.
+expect_usage --heartbeat "$tmp/hb.json"
+# Flags that only shape an output the command line does not ask for.
+expect_usage --sample-interval 10
+expect_usage --trace-capacity 64
+expect_usage --profile-phases
+expect_usage --heartbeat-interval 2
+expect_usage --log-level debug
+expect_refusal orion_sim --sample 50 --sample-interval 10
+expect_refusal orion_sim --sample 50 --trace-capacity 64
+expect_refusal orion_sim --sample 50 --profile-phases
+expect_refusal orion_sim --sample 50 --log-level debug
+# Two files of one run that are one file.
+expect_usage --checkpoint "$tmp/x" --manifest-out "$tmp/x"
+expect_usage --checkpoint "$tmp/x" --log-out "$tmp/./x"
+expect_usage --checkpoint "$tmp/x" --log-out "$tmp/x.manifest.json"
+expect_refusal orion_sim --sample 50 --metrics-out "$tmp/o" \
+    --report-out "$tmp/o"
+printf '0 0 1\n' >"$tmp/trace.txt"
+expect_refusal orion_sim --sample 50 --pattern trace \
+    --trace "$tmp/trace.txt" --trace-out "$tmp/trace.txt"
 # Component keys that are misspelt or belong to another component.
 expect_refusal orion_models buffer --flits 4 --bits 64 --read-prots 3
 expect_refusal orion_models crossbar --inputs 5 --outputs 5 --width 64 \
@@ -110,6 +136,15 @@ if [ "$snapshots" -ne 2 ]; then
     status=1
 fi
 
+# The log sink is --log-out's alone.
+ORION_LOG="$tmp/env.log" "$sweep" --rates 0.02:0.04:2 --sample 50 --jobs 1 \
+    >/dev/null 2>&1
+ORION_LOG="$tmp/env.log" "$sim" --sample 50 >/dev/null 2>&1
+if [ -e "$tmp/env.log" ]; then
+    echo "sweep_usage: ORION_LOG attached a log sink" >&2
+    status=1
+fi
+
 # 2^32 + 1 workers: out of range, not a wrap to 1.
 ORION_JOBS=4294967297 ORION_SAMPLE=50 "$harness" >/dev/null 2>"$tmp/err"
 rc=$?
@@ -130,6 +165,22 @@ expect_io_error() {
         status=1
     fi
 }
+
+# The atomic writer stages PATH.tmp beside its target, so a missing
+# directory fails the run manifest where /dev/full would not. The
+# sweep's first write fails before any cell runs: its journal keeps
+# only the header line.
+"$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \
+    --checkpoint "$tmp/lost.ckpt" --manifest-out "$tmp/none/m.json" \
+    >/dev/null 2>"$tmp/err"
+expect_io_error orion_sweep $? "orion_sweep --manifest-out in a missing dir"
+if [ "$(wc -l < "$tmp/lost.ckpt")" -ne 1 ]; then
+    echo "sweep_usage: a sweep whose manifest cannot be written ran cells" >&2
+    status=1
+fi
+"$sim" --preset vc16 --rate 0.02 --sample 200 \
+    --manifest-out "$tmp/none/m.json" >/dev/null 2>"$tmp/err"
+expect_io_error orion_sim $? "orion_sim --manifest-out in a missing dir"
 
 if [ -w /dev/full ]; then
     "$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \

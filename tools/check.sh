@@ -21,18 +21,18 @@
 #                the default (paranoid checks and tracing are
 #                reported, not gated). Noise-bound on shared hosts,
 #                so CI does not run it
-#   5. survive:  kill-and-resume drill — a checkpointed sweep with a
-#                live heartbeat is SIGKILLed once its journal holds
-#                its first cell (it must not have exited); the heartbeat
-#                must still parse (orion_status.py --once) with a
-#                done-count consistent with the journal; the resume
-#                must produce a CSV byte-identical to an uninterrupted
-#                run, report the carried-over cells in its heartbeat,
-#                and leave a valid run manifest beside the journal;
-#                then an --isolate sweep with a deliberately
-#                SIGSEGVing point (--debug-segv-rate) must record a
-#                structured worker-crash failure while every other
-#                point completes
+#   5. survive:  kill-and-resume drill — a checkpointed sweep, whose
+#                run manifest beside the journal is live, is SIGKILLed
+#                once its journal holds its first cell (it must not
+#                have exited); that manifest must still parse
+#                (orion_status.py --once), unfinished, with its
+#                fingerprint and a done-count consistent with the
+#                journal; the resume must produce a CSV byte-identical
+#                to an uninterrupted run and report the carried-over
+#                cells in its manifest; then an --isolate sweep with a
+#                deliberately SIGSEGVing point (--debug-segv-rate) must
+#                record a structured worker-crash failure while every
+#                other point completes
 #   6. lint:     tools/orion_lint.py over the tree (determinism,
 #                ownership, layering, concurrency and Mutex
 #                annotation coverage rules) and its fixture tests;
@@ -153,12 +153,12 @@ if run_leg survive; then
     args="--rates 0.02:0.30:8 --sample 20000 --max-cycles 2000000"
     # Reference: the same grid, uninterrupted.
     $sweep $args --jobs 2 > "$sdir/reference.csv"
-    # Victim: checkpointed with a live heartbeat, then SIGKILLed
-    # (uncatchable — exercises the torn-tail tolerance and the
-    # atomic heartbeat replacement, not the cooperative handlers).
+    # Victim: checkpointed, so its run manifest is live beside the
+    # journal, then SIGKILLed (uncatchable — exercises the torn-tail
+    # tolerance and the atomic manifest replacement, not the
+    # cooperative handlers).
     $sweep $args --jobs 2 --checkpoint "$sdir/journal" \
-        --heartbeat "$sdir/hb.json" --heartbeat-interval 0.2 \
-        > /dev/null 2> /dev/null &
+        --heartbeat-interval 0.2 > /dev/null 2> /dev/null &
     victim=$!
     # Kill once the journal holds its first entry (a line after the
     # header), so progress, not a fixed sleep, sets the kill point on
@@ -177,56 +177,53 @@ if run_leg survive; then
         echo "FAIL: victim exited ($rc) before the SIGKILL landed"
         exit 1
     }
-    # The killed run's heartbeat must still parse (atomic replacement
-    # leaves the last complete snapshot) and its done-count must agree
-    # with the journal: never ahead of it, and at most `jobs` behind
-    # (a worker can die between the journal append and the heartbeat).
-    status=$(python3 "$root/tools/orion_status.py" --once "$sdir/hb.json")
+    # The killed run's manifest (kept before the resume replaces it)
+    # must still parse (atomic replacement leaves the last complete
+    # document), unfinished and with its fingerprint, and its
+    # done-count must agree with the journal: never ahead of it, and
+    # at most `jobs` behind (cells journaled after the last rewrite
+    # began reach only the next one).
+    cp "$sdir/journal.manifest.json" "$sdir/killed.manifest.json"
+    status=$(python3 "$root/tools/orion_status.py" --once \
+        "$sdir/killed.manifest.json")
     echo "killed-run status: $status"
     journal_entries=$(($(wc -l < "$sdir/journal") - 1))
-    python3 - "$status" "$journal_entries" <<'EOF'
+    python3 - "$status" "$journal_entries" "$sdir/killed.manifest.json" <<'EOF'
 import json, sys
 s = json.loads(sys.argv[1])
 journal = int(sys.argv[2])
-assert s["ok"], s
+m = json.load(open(sys.argv[3]))
+assert s["ok"] and s["tool"] == "orion_sweep", s
 assert not s["finished"], "SIGKILLed run cannot have finished"
+assert len(m["fingerprint"]) == 16 and m["build"]["compiler"], m
 done, jobs = s["done"], s["jobs"]
 # The torn tail may drop the journal's final line, so allow done to
 # lead by that one crash artifact.
-assert done <= journal + 1, f"heartbeat done={done} > journal={journal}+1"
+assert done <= journal + 1, f"manifest done={done} > journal={journal}+1"
 assert journal - done <= jobs, \
-    f"heartbeat done={done} lags journal={journal} by more than jobs={jobs}"
-print(f"heartbeat survives SIGKILL: done={done}, journal={journal}")
+    f"manifest done={done} lags journal={journal} by more than jobs={jobs}"
+print(f"manifest survives SIGKILL: fingerprint {m['fingerprint']}, "
+      f"done={done}, journal={journal}")
 EOF
     # Resume at a different job count: merged CSV must be identical,
-    # and the resumed run's heartbeat must account for the cells
+    # and the resumed run's manifest must account for the cells
     # carried over from the journal.
-    $sweep $args --jobs 4 --resume "$sdir/journal" \
-        --heartbeat "$sdir/hb_resumed.json" > "$sdir/resumed.csv" \
+    $sweep $args --jobs 4 --resume "$sdir/journal" > "$sdir/resumed.csv" \
         2> /dev/null
     cmp "$sdir/reference.csv" "$sdir/resumed.csv"
     echo "resumed CSV byte-identical to the uninterrupted run"
     status=$(python3 "$root/tools/orion_status.py" --once \
-        "$sdir/hb_resumed.json")
+        "$sdir/journal.manifest.json")
     echo "resumed-run status: $status"
     python3 - "$status" <<'EOF'
 import json, sys
 s = json.loads(sys.argv[1])
-assert s["ok"] and s["finished"], s
+assert s["ok"] and s["finished"] and s["tool"] == "orion_sweep", s
 assert s["done"] == s["total"], s
 assert s["from_checkpoint"] > 0, \
     "resumed run must report carried-over points"
 print(f"resume accounted: {s['from_checkpoint']}/{s['total']} "
       "from checkpoint")
-EOF
-    # Journaling auto-writes a run manifest beside the journal.
-    python3 - "$sdir/journal.manifest.json" <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))
-assert m["schema"] == "orion-run-manifest-v2", m
-assert m["tool"] == "orion_sweep", m
-print(f"manifest written: fingerprint {m['fingerprint']}, "
-      f"stop {m['stop_reason']}")
 EOF
 
     echo "== survive: --isolate absorbs a SIGSEGVing worker =="

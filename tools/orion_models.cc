@@ -25,7 +25,6 @@ main(int argc, char** argv)
     namespace log = orion::core::log;
     std::vector<std::string> args(argv + 1, argv + argc);
     try {
-        log::configureFromEnv();
         const std::string out = orion::cli::runModelQuery(args);
         std::fputs(out.c_str(), stdout);
         return 0;

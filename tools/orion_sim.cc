@@ -16,8 +16,8 @@
  *   1  usage error or unexpected exception
  *   2  run finished but a deadlock was suspected
  *   3  a runtime check failed (diagnostic on stderr)
- *   4  output I/O failure (--metrics-out / --trace-out / stdout;
- *      disk full, closed pipe...)
+ *   4  output I/O failure (--manifest-out / --metrics-out /
+ *      --trace-out / stdout; disk full, closed pipe...)
  *   5  interrupted by SIGINT/SIGTERM (stopped cooperatively)
  *   6  --point-timeout deadline expired (stopped cooperatively)
  */

@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Live status for a running Orion sweep, from its heartbeat file.
+"""Live status for an Orion run, from its run manifest.
 
-orion_sweep --heartbeat FILE atomically replaces FILE (tmp + rename)
-about once a second with an "orion-heartbeat-v1" JSON snapshot:
-totals, ETA, and the cells each worker slot is simulating right now.
-This tool renders that snapshot without touching the sweep process —
-run it in a second terminal (docs/EXPERIMENTS.md, "Watching a long
-sweep"):
+orion_sweep keeps its run manifest (--manifest-out FILE, or
+JOURNAL.manifest.json beside a --checkpoint/--resume journal) live: it
+atomically replaces the file (tmp + rename) after each finished cell
+and about once a second with an "orion-run-manifest-v3" JSON document:
+what ran and on which build, totals, ETA, and the cells each worker
+slot is simulating right now. This tool renders that document without
+touching the sweep process — run it in a second terminal
+(docs/EXPERIMENTS.md, "Monitor a long sweep"):
 
-  orion_status.py /path/to/hb.json            # live dashboard
-  orion_status.py /path/to/hb.json --once     # one JSON line, exit
-  orion_status.py hb.json --manifest run.manifest.json
+  orion_status.py /path/to/sweep.ckpt.manifest.json          # live
+  orion_status.py /path/to/sweep.ckpt.manifest.json --once   # one line
 
 Because replacement is atomic, a reader never sees a torn file while
-the writer is alive; after SIGKILL the last completed snapshot
+the writer is alive; after SIGKILL the last completed document
 survives. A missing or unparseable file is reported, not crashed on
 (exit 1 with --once; retried forever in live mode).
 
-Exit status: 0 when the heartbeat was read (live mode: the run
+Exit status: 0 when the manifest was read (live mode: the run
 finished or Ctrl-C), 1 when --once could not produce a summary, 2 on
 usage errors.
 """
@@ -29,8 +30,8 @@ import time
 from pathlib import Path
 
 
-def read_heartbeat(path):
-    """Parse the heartbeat; returns (dict, None) or (None, reason)."""
+def read_manifest(path):
+    """Parse the manifest; returns (dict, None) or (None, reason)."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -38,25 +39,14 @@ def read_heartbeat(path):
     except OSError as e:
         return None, f"unreadable: {e}"
     try:
-        hb = json.loads(raw)
+        m = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError):
         return None, "torn or not JSON"
-    if not isinstance(hb, dict):
+    if not isinstance(m, dict):
         return None, "not a JSON object"
-    if hb.get("schema") != "orion-heartbeat-v1":
-        return None, f"unexpected schema {hb.get('schema')!r}"
-    return hb, None
-
-
-def read_manifest(path):
-    """Best-effort manifest parse; None when absent or malformed."""
-    if not path:
-        return None
-    try:
-        m = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    return m if isinstance(m, dict) else None
+    if m.get("schema") != "orion-run-manifest-v3":
+        return None, f"unexpected schema {m.get('schema')!r}"
+    return m, None
 
 
 def fmt_eta(eta_s):
@@ -69,76 +59,73 @@ def fmt_eta(eta_s):
     return f"{eta_s / 3600.0:.1f}h"
 
 
-def staleness(hb, now):
-    updated = hb.get("updated_unix_s")
+def staleness(m, now):
+    updated = m.get("time", {}).get("updated_unix_s")
     if not isinstance(updated, (int, float)):
         return None
     return max(0.0, now - updated)
 
 
-def summarize(hb, now, stale_after):
+def summarize(m, now, stale_after):
     """The --once JSON summary (also the live mode's data source)."""
-    stale_s = staleness(hb, now)
-    done = hb.get("done", 0)
-    total = hb.get("total", 0)
+    stale_s = staleness(m, now)
+    points = m.get("points", {})
+    failed = points.get("failed", 0)
     return {
         "ok": True,
-        "label": hb.get("label", "?"),
-        "pid": hb.get("pid"),
-        "done": done,
-        "total": total,
-        "failed": hb.get("failed", 0),
-        "from_checkpoint": hb.get("from_checkpoint", 0),
-        "jobs": hb.get("jobs"),
-        "finished": bool(hb.get("finished", False)),
-        "eta_s": hb.get("eta_s"),
-        "ema_point_s": hb.get("ema_point_s"),
-        "workers_active": len(hb.get("workers", [])),
+        "tool": m.get("tool", "?"),
+        "pid": m.get("host", {}).get("pid"),
+        "done": points.get("completed", 0) + failed,
+        "total": points.get("total", 0),
+        "failed": failed,
+        "from_checkpoint": points.get("from_checkpoint", 0),
+        "jobs": m.get("jobs"),
+        "finished": bool(m.get("finished", False)),
+        "eta_s": m.get("eta_s"),
+        "ema_point_s": m.get("ema_point_s"),
+        "workers_active": len(m.get("workers", [])),
         "stale_s": None if stale_s is None else round(stale_s, 3),
         # A dead writer leaves finished=false and a growing stale_s;
         # flag it so scripts can tell "running" from "killed".
         "presumed_dead": bool(
-            not hb.get("finished", False)
+            not m.get("finished", False)
             and stale_s is not None and stale_s > stale_after),
     }
 
 
-def render(hb, manifest, now, stale_after):
+def render(m, now, stale_after):
     """Human lines for the live dashboard."""
-    s = summarize(hb, now, stale_after)
+    s = summarize(m, now, stale_after)
     pct = 100.0 * s["done"] / s["total"] if s["total"] else 0.0
     lines = []
     state = "finished" if s["finished"] else (
         "STALLED/DEAD?" if s["presumed_dead"] else "running")
     lines.append(
-        f"{s['label']} (pid {s['pid']}): {state}  "
+        f"{s['tool']} (pid {s['pid']}): {state}  "
         f"{s['done']}/{s['total']} done ({pct:.0f}%), "
         f"{s['failed']} failed, {s['from_checkpoint']} from checkpoint, "
         f"ETA {fmt_eta(s['eta_s'])}")
+    build = m.get("build", {})
+    lines.append(
+        f"  fingerprint {m.get('fingerprint')} "
+        f"[{build.get('compiler', '?')} {build.get('git_sha', '?')}]")
     if s["stale_s"] is not None:
-        lines.append(f"  heartbeat age {s['stale_s']:.1f}s, "
+        lines.append(f"  manifest age {s['stale_s']:.1f}s, "
                      f"jobs {s['jobs']}, "
-                     f"ema point {hb.get('ema_point_s') or '--'}s")
-    for w in hb.get("workers", []):
+                     f"ema point {m.get('ema_point_s') or '--'}s")
+    for w in m.get("workers", []):
         lines.append(
             f"  slot {w.get('slot')}: rate_index {w.get('rate_index')} "
             f"seed {w.get('seed_index')} attempt {w.get('attempt')} — "
             f"{w.get('cycles'):,} cycles, {w.get('running_s'):.1f}s")
-    if manifest:
-        build = manifest.get("build", {})
-        lines.append(
-            f"  manifest: {manifest.get('tool')} "
-            f"fingerprint {manifest.get('fingerprint')} "
-            f"[{build.get('compiler', '?')} {build.get('git_sha', '?')}]")
     return lines
 
 
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("heartbeat", help="heartbeat JSON file "
-                                      "(orion_sweep --heartbeat)")
-    ap.add_argument("--manifest", default=None,
-                    help="also show the run manifest JSON")
+    ap.add_argument("manifest", help="run manifest JSON file "
+                                     "(orion_sweep --manifest-out, or "
+                                     "JOURNAL.manifest.json)")
     ap.add_argument("--once", action="store_true",
                     help="print one machine-readable JSON summary "
                          "line and exit")
@@ -152,28 +139,24 @@ def main(argv):
         ap.error("--interval and --stale-after must be positive")
 
     if args.once:
-        hb, reason = read_heartbeat(args.heartbeat)
-        if hb is None:
+        m, reason = read_manifest(args.manifest)
+        if m is None:
             print(json.dumps({"ok": False, "error": reason,
-                              "path": args.heartbeat}))
+                              "path": args.manifest}))
             return 1
-        print(json.dumps(summarize(hb, time.time(),
-                                   args.stale_after)))
+        print(json.dumps(summarize(m, time.time(), args.stale_after)))
         return 0
 
-    manifest = read_manifest(args.manifest)
     try:
         while True:
-            hb, reason = read_heartbeat(args.heartbeat)
-            if hb is None:
-                print(f"[{args.heartbeat}: {reason}; retrying]",
+            m, reason = read_manifest(args.manifest)
+            if m is None:
+                print(f"[{args.manifest}: {reason}; retrying]",
                       file=sys.stderr)
             else:
-                if manifest is None:
-                    manifest = read_manifest(args.manifest)
-                print("\n".join(render(hb, manifest, time.time(),
+                print("\n".join(render(m, time.time(),
                                        args.stale_after)))
-                if hb.get("finished"):
+                if m.get("finished"):
                     return 0
             time.sleep(args.interval)
     except KeyboardInterrupt:

@@ -10,9 +10,10 @@
  *
  * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
  * more points failed (rows for healthy points still printed); 4 an
- * output could not be written (stdout, a --metrics-dir/--trace-dir
- * file; wins over 3); 5 interrupted by SIGINT/SIGTERM (no CSV; a
- * resume hint is printed when journaling). See docs/ROBUSTNESS.md.
+ * output could not be written (stdout, the run manifest, a
+ * --metrics-dir/--trace-dir file; wins over 3); 5 interrupted by
+ * SIGINT/SIGTERM (no CSV; a resume hint is printed when journaling).
+ * See docs/ROBUSTNESS.md.
  *
  * Example:
  *   orion_sweep --preset vc64 --rates 0.02:0.18:9 --seeds 3 > vc64.csv
@@ -25,6 +26,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/cancel.hh"
@@ -205,6 +207,7 @@ int
 main(int argc, char** argv)
 {
     const std::vector<std::string> args(argv + 1, argv + argc);
+    bool interrupted = false;
     try {
         const cli::Options opts = cli::parse(args, cli::Tool::Sweep);
         if (opts.helpRequested) {
@@ -221,9 +224,6 @@ main(int argc, char** argv)
         // token is already cancelled).
         std::signal(SIGPIPE, SIG_IGN);
         core::installInterruptHandlers();
-
-        const double zero_load = Sweep::zeroLoadLatency(
-            opts.network, opts.traffic, opts.sim);
 
         // Per-point telemetry export (parse() turned it on): make the
         // directories before the sweep runs.
@@ -265,52 +265,29 @@ main(int argc, char** argv)
         const std::string journal_path =
             !opts.resume.empty() ? opts.resume : opts.checkpoint;
 
-        // Run manifest: explicit --manifest-out, or automatically
-        // beside a checkpoint journal so long runs self-describe.
-        std::string manifest_path = opts.manifestOut;
-        if (manifest_path.empty() && !journal_path.empty())
-            manifest_path = journal_path + ".manifest.json";
-        core::RunManifest manifest =
-            core::RunManifest::begin("orion_sweep");
-        manifest.fingerprintHex = core::hex16(fingerprint);
-        manifest.seed = opts.sim.seed;
-        manifest.seeds = seeds;
-        manifest.ratePoints = rates.size();
-        manifest.pointsTotal =
+        // The tracker counts the cells and keeps the run manifest
+        // (--manifest-out, or beside the journal) live; a manifest it
+        // cannot write stops the run here, before anything runs.
+        core::ProgressTracker::Options po;
+        po.manifestPath = opts.manifestOut;
+        po.manifest = core::RunManifest::begin("orion_sweep");
+        po.manifest.fingerprintHex = core::hex16(fingerprint);
+        po.manifest.seed = opts.sim.seed;
+        po.manifest.seeds = seeds;
+        po.manifest.ratePoints = rates.size();
+        po.manifest.pointsTotal =
             static_cast<std::uint64_t>(rates.size()) * seeds;
-        const auto writeManifest = [&](const char* reason) {
-            if (manifest_path.empty())
-                return;
-            manifest.finish(reason);
-            try {
-                core::writeFileAtomic(manifest_path,
-                                      manifest.toJson());
-            } catch (const std::exception& e) {
-                log::diag(log::Level::Warn, "sweep.manifest_failed",
-                          log::strf("orion_sweep: cannot write "
-                                    "manifest '%s': %s\n",
-                                    manifest_path.c_str(), e.what()));
-            }
-        };
-
-        // Live progress: heartbeat file and/or TTY progress line.
-        std::unique_ptr<core::ProgressTracker> tracker;
-        if (!opts.heartbeat.empty() || opts.progress) {
-            core::ProgressTracker::Options po;
-            po.heartbeatPath = opts.heartbeat;
-            po.heartbeatIntervalSeconds = opts.heartbeatIntervalSeconds;
-            po.progressLine = opts.progress;
-            po.totalCells = manifest.pointsTotal;
-            po.jobs = core::resolveJobs(opts.jobs);
-            tracker = std::make_unique<core::ProgressTracker>(po);
-        }
+        po.manifest.jobs = core::resolveJobs(opts.jobs);
+        po.intervalSeconds = opts.heartbeatIntervalSeconds;
+        po.progressLine = opts.progress;
         log::event(log::Level::Info, "sweep.start",
-                   {log::str("fingerprint", manifest.fingerprintHex),
+                   {log::str("fingerprint", po.manifest.fingerprintHex),
                     log::u64("rate_points", rates.size()),
                     log::u64("seeds", seeds),
-                    log::u64("cells", manifest.pointsTotal),
+                    log::u64("cells", po.manifest.pointsTotal),
                     log::boolean("isolate", opts.isolate),
                     log::u64("cached", resume_entries.size())});
+        core::ProgressTracker tracker(std::move(po));
 
         SweepOptions sweep_opts;
         sweep_opts.jobs = opts.jobs;
@@ -321,7 +298,7 @@ main(int argc, char** argv)
         sweep_opts.journal = journal.get();
         sweep_opts.resume =
             opts.resume.empty() ? nullptr : &resume_entries;
-        sweep_opts.progress = tracker.get();
+        sweep_opts.progress = &tracker;
         if (opts.isolate) {
             // Default worker: the orion_sim built next to this binary.
             sweep_opts.workerCommand.push_back(
@@ -337,26 +314,20 @@ main(int argc, char** argv)
             sweep_opts.workerCpuSeconds = opts.isolateCpuSeconds;
         }
 
+        const double zero_load = Sweep::zeroLoadLatency(
+            opts.network, opts.traffic, opts.sim);
         const std::vector<SweepPoint> cells =
             Sweep::overRates(opts.network, opts.traffic, opts.sim, rates,
                              sweep_opts, seeds);
-        if (tracker)
-            tracker->finalize();
-        manifest.pointsFromCheckpoint =
-            tracker ? tracker->fromCheckpoint() : resume_entries.size();
-        for (const SweepPoint& c : cells) {
-            if (!c.ran)
-                continue;
-            if (c.failure)
-                ++manifest.pointsFailed;
-            else
-                ++manifest.pointsCompleted;
-        }
+        const std::uint64_t failed = tracker.snapshot().pointsFailed;
         // An interrupt means no CSV (a partial table masquerading as
         // a full sweep is worse than none): print the resume recipe
-        // instead and exit 5.
-        if (core::interruptToken().cancelled()) {
-            writeManifest("interrupted");
+        // instead and exit 5, even when the manifest is lost too.
+        interrupted = core::interruptToken().cancelled();
+        tracker.finish(interrupted  ? "interrupted"
+                       : failed > 0 ? "failed-points"
+                                    : "ok");
+        if (interrupted) {
             log::diag(log::Level::Warn, "sweep.interrupted",
                       log::strf("orion_sweep: interrupted (signal %d) "
                                 "mid-sweep; no CSV emitted\n",
@@ -402,21 +373,19 @@ main(int argc, char** argv)
             exportTo(opts.traceDir, cells[c].traceJson, "json");
         }
 
-        writeManifest(manifest.pointsFailed > 0 ? "failed-points" : "ok");
         if (seeds == 1)
             printPoints(cells, opts.resources, zero_load);
         else
-            printAveraged(cells, seeds, opts.resources, zero_load,
-                          manifest.pointsFailed);
+            printAveraged(cells, seeds, opts.resources, zero_load, failed);
         printFailures(cells, seeds);
         core::flushStdout();
         // Failure isolation: every healthy point above still printed;
         // failed points carry their diagnosis and flip the exit code.
-        return manifest.pointsFailed > 0 ? 3 : 0;
+        return failed > 0 ? 3 : 0;
     } catch (const core::IoError& e) {
         log::diag(log::Level::Error, "sweep.io_error",
                   log::strf("orion_sweep: %s\n", e.what()));
-        return 4;
+        return interrupted ? 5 : 4;
     } catch (const std::exception& e) {
         log::diag(log::Level::Error, "sweep.error",
                   log::strf("%s\n", e.what()));
