@@ -62,7 +62,8 @@ main()
     for (const auto& c : configs) {
         results.push_back(
             Sweep::overRates(c.net, traffic, sim, rates, sweep_opts));
-        zero_load.push_back(Sweep::zeroLoadLatency(c.net, traffic, sim));
+        zero_load.push_back(
+            Sweep::zeroLoadProbe(c.net, traffic, sim).report.avgLatencyCycles);
     }
 
     // Figure 5(a): latency curves.

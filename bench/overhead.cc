@@ -51,19 +51,13 @@ struct Mode
     double bestSeconds = 0.0;
 };
 
-/** The sweep's reports, exactly (core::serializeEntry per point). */
+/** The sweep's cells, exactly (one journal line per point). */
 std::string
 digest(const std::vector<SweepPoint>& points)
 {
     std::string d;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        core::CheckpointEntry e;
-        e.rateIndex = i;
-        e.attempts = points[i].attempts;
-        e.report = points[i].report;
-        d += core::serializeEntry(e);
-        d += '\n';
-    }
+    for (std::size_t i = 0; i < points.size(); ++i)
+        d += core::serializeEntry({i, 0, points[i]}) + '\n';
     return d;
 }
 

@@ -75,7 +75,8 @@ main()
 
         const auto points = Sweep::overRates(
             cfg, traffic, sim, {0.10, 0.12, 0.14, 0.16, 0.18});
-        const double zl = Sweep::zeroLoadLatency(cfg, traffic, sim);
+        const double zl =
+            Sweep::zeroLoadProbe(cfg, traffic, sim).report.avgLatencyCycles;
         const double sat = Sweep::saturationRate(points, zl);
 
         const power::BufferModel buf(

@@ -294,20 +294,39 @@ checkpointHeader(std::uint64_t fingerprint)
 
 namespace {
 
+/** A failed cell's `f=1` and `flr=`: they restate the stop table's
+ * verdict on `sr=`, so parseEntry refuses a line where they differ. */
+struct Verdict
+{
+    std::uint64_t failed = 0;
+    std::uint64_t reason = ~std::uint64_t{0};
+    bool operator==(const Verdict&) const = default;
+};
+
+Verdict
+verdictOf(StopReason sr)
+{
+    if (!stopRule(sr).failed)
+        return {};
+    return {1, static_cast<std::uint64_t>(sr)};
+}
+
 /**
  * The entry wire format's one field table: every (key, member) pair,
  * in line order. serializeEntry writes the fields flagged present;
  * parseEntry looks each key of a line up here. @p E is
- * CheckpointEntry or const CheckpointEntry.
+ * CheckpointEntry or const CheckpointEntry, @p V Verdict or const
+ * Verdict.
  */
-template <typename E, typename Field>
+template <typename E, typename V, typename Field>
 void
-forEachField(E& e, Field&& field)
+forEachField(E& e, V& verdict, Field&& field)
 {
-    auto& r = e.report;
+    auto& p = e.point;
+    auto& r = p.report;
     field("ri", e.rateIndex);
     field("si", e.seedIndex);
-    field("att", e.attempts);
+    field("att", p.attempts);
     field("al", r.avgLatencyCycles);
     field("q50", r.p50LatencyCycles);
     field("q95", r.p95LatencyCycles);
@@ -344,11 +363,12 @@ forEachField(E& e, Field&& field)
     field("b4", r.breakdownWatts.centralBuffer);
     field("np", r.nodePowerWatts);
     field("ec", r.eventCounts);
-    field("f", e.failed, e.failed);
-    field("flr", e.failureReason, e.failed);
-    field("fms", e.failureMessage, e.failed);
-    field("fjn", e.failureForensics, e.failed);
-    field("wx", e.workerExit, !e.workerExit.empty());
+    const bool failed = verdict.failed != 0;
+    field("f", verdict.failed, failed);
+    field("flr", verdict.reason, failed);
+    field("fms", p.failureMessage, failed);
+    field("fjn", p.failureForensics, failed);
+    field("wx", p.workerExit, !p.workerExit.empty());
 }
 
 /// @name Field encodings, by member type
@@ -454,8 +474,9 @@ std::string
 serializeEntry(const CheckpointEntry& e)
 {
     std::string line = "P";
-    forEachField(e, [&line](const char* key, const auto& value,
-                            bool present = true) {
+    const Verdict verdict = verdictOf(e.point.report.stopReason);
+    forEachField(e, verdict, [&line](const char* key, const auto& value,
+                                     bool present = true) {
         if (!present)
             return;
         line += '|';
@@ -484,6 +505,7 @@ parseEntry(std::string_view line)
         throw CheckpointError("checkpoint: entry checksum mismatch");
 
     CheckpointEntry e;
+    Verdict verdict;
     bool saw_ri = false;
     bool saw_si = false;
     bool saw_ec = false;
@@ -500,7 +522,8 @@ parseEntry(std::string_view line)
                 "checkpoint: field without '=' in entry");
         const std::string_view key = field.substr(0, eq);
         bool known = false;
-        forEachField(e, [&](const char* name, auto& member, bool = true) {
+        forEachField(e, verdict, [&](const char* name, auto& member,
+                                     bool = true) {
             if (!known && key == name) {
                 get(key, field.substr(eq + 1), member);
                 known = true;
@@ -517,6 +540,10 @@ parseEntry(std::string_view line)
     if (!saw_ri || !saw_si || !saw_ec)
         throw CheckpointError(
             "checkpoint: entry missing required fields");
+    const StopReason sr = e.point.report.stopReason;
+    if (sr > StopReason::WorkerCrash || verdict != verdictOf(sr))
+        throw CheckpointError("checkpoint: unknown stop reason, or "
+                              "failure fields that disagree with it");
     return e;
 }
 

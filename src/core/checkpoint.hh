@@ -27,11 +27,11 @@
  *    anywhere earlier is a CheckpointError, never UB or a silent
  *    partial resume.
  *
- * Only deterministic outcomes are journaled (completed runs, cycle
- * caps, watchdog stalls, check failures, worker crashes). Wall-clock
- * outcomes — StopReason::Deadline and StopReason::Interrupted — are
- * never written: they depend on machine load, so the cells rerun on
- * resume.
+ * Only the outcomes the stop table (core/report.hh) journals are
+ * written: completed runs, cycle caps, watchdog stalls, unrecovered
+ * deadlocks, check failures, worker crashes. Wall-clock outcomes —
+ * StopReason::Deadline and StopReason::Interrupted — depend on machine
+ * load, so those cells rerun on resume.
  */
 
 #ifndef ORION_CORE_CHECKPOINT_HH
@@ -45,7 +45,7 @@
 
 #include "base/hash.hh"
 #include "core/config.hh"
-#include "core/simulation.hh"
+#include "core/sweep.hh"
 #include "core/sync.hh"
 
 namespace orion::core {
@@ -60,23 +60,14 @@ class CheckpointError : public std::runtime_error
 };
 
 /** One journaled sweep cell: the (rate index, seed index) coordinate
- * in the sweep grid plus everything its run produced. */
+ * in the sweep grid plus the cell itself. The journal keeps the
+ * point's attempts, report, failure message and snapshot and worker
+ * exit; a loaded point has only those set. */
 struct CheckpointEntry
 {
     std::uint64_t rateIndex = 0;
     std::uint64_t seedIndex = 0;
-    /** Simulation attempts spent (see core::RetryPolicy). */
-    unsigned attempts = 1;
-    Report report;
-    /** Set when the cell failed for good (after retries). */
-    bool failed = false;
-    StopReason failureReason = StopReason::CheckFailure;
-    std::string failureMessage;
-    /** JSON forensic snapshot of the failure (may be empty). */
-    std::string failureForensics;
-    /** Captured worker exit detail in --isolate mode ("signal 11",
-     * "exit 3"); empty for in-process cells. */
-    std::string workerExit;
+    SweepPoint point;
 };
 
 /// @name Exact double round-tripping
@@ -128,7 +119,8 @@ std::uint64_t sweepFingerprint(const NetworkConfig& network,
 std::string serializeEntry(const CheckpointEntry& e);
 
 /** Parse one journal line. @throw CheckpointError on a checksum
- * mismatch, unknown shape, or malformed field. */
+ * mismatch, unknown shape, malformed field, or a failure flag (`f=`,
+ * `flr=`) that disagrees with the stop reason (`sr=`). */
 CheckpointEntry parseEntry(std::string_view line);
 /// @}
 

@@ -363,17 +363,6 @@ const Flag kFlags[] = {
              v.reject("must be > 0 seconds");
          o.pointTimeoutSeconds = sec;
      }},
-    {"--point-retries", "N", kSurvivability,
-     "attempts per cell before it fails (default 2)", kSweep,
-     [](Options& o, Value v) {
-         const unsigned long long n = v.u64();
-         if (n < 1 || n > 32)
-             v.reject("must be in [1, 32]");
-         o.pointRetries = static_cast<unsigned>(n);
-     }},
-    {"--point-backoff-ms", "N", kSurvivability,
-     "sleep before each retry (default 0)", kSweep,
-     [](Options& o, Value v) { o.pointBackoffMs = v.u32(); }},
     {"--checkpoint", "FILE", kSurvivability,
      "journal finished cells to FILE (crash-safe)", kSweep,
      [](Options& o, Value v) { o.checkpoint = v.text; }},
@@ -442,9 +431,6 @@ const Flag kFlags[] = {
     {"--profile-phases", nullptr, kObservability,
      "attribute run time to simulator phases", kBoth,
      [](Options& o, Value) { o.sim.profilePhases = true; }},
-    {"--heartbeat-interval", "SEC", kObservability,
-     "run manifest refresh period (default 1)", kSweep,
-     [](Options& o, Value v) { o.heartbeatIntervalSeconds = v.number(); }},
     {"--progress", nullptr, kObservability,
      "rewriting stderr progress line (TTY only)", kSweep,
      [](Options& o, Value) { o.progress = true; }},
@@ -488,8 +474,6 @@ checkSweep(const Options& o)
              std::to_string(o.seeds) + " seeds is more than the " +
              std::to_string(kMaxSweepCells) + " cells a sweep may hold");
     }
-    if (o.heartbeatIntervalSeconds <= 0.0)
-        fail("--heartbeat-interval must be > 0 seconds");
     const bool journaling = !o.checkpoint.empty() || !o.resume.empty();
     if (!o.checkpoint.empty() && !o.resume.empty()) {
         fail("--checkpoint and --resume are mutually exclusive "
@@ -528,9 +512,29 @@ checkNeeds(const Options& o, const std::set<std::string>& given, Tool tool)
          metrics || trace || (sim && !o.manifestOut.empty()),
          sim ? "--manifest-out, --metrics-out or --trace-out"
              : "--metrics-dir or --trace-dir");
-    need("--heartbeat-interval", !o.manifestOut.empty() || o.progress,
-         "--manifest-out, --checkpoint, --resume or --progress");
     need("--log-level", !o.logOut.empty(), "--log-out");
+}
+
+/** The file @p path names once every symbolic link is followed,
+ * including a dangling one, which names the file its target will be
+ * (relative to the link's directory). */
+std::filesystem::path
+fileNamed(const std::string& path)
+{
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    // absolute() first: weakly_canonical keeps a relative path
+    // relative when no prefix of it exists, so x and ./x differ.
+    fs::path p = fs::absolute(path, ec);
+    // weakly_canonical stops at the first missing file, so it leaves a
+    // dangling link unresolved; 40 hops is the kernel's own limit.
+    for (int hops = 0; hops < 40 &&
+                       fs::is_symlink(fs::symlink_status(p, ec)) &&
+                       !fs::exists(fs::status(p, ec));
+         ++hops)
+        p = p.parent_path() / fs::read_symlink(p, ec);
+    p = fs::weakly_canonical(p, ec);
+    return ec ? fs::path(path) : p;
 }
 
 /** Refuse two of @p files, a map from flag to the file it names, that
@@ -543,13 +547,7 @@ checkDistinct(const std::map<std::string, std::string>& files)
     for (const auto& [flag, path] : files) {
         if (path.empty())
             continue; // names no file
-        // absolute() first: weakly_canonical keeps a relative path
-        // relative when no prefix of it exists, so x and ./x differ.
-        std::error_code ec;
-        const std::filesystem::path key = std::filesystem::weakly_canonical(
-            std::filesystem::absolute(path), ec);
-        const auto [it, fresh] =
-            seen.emplace(ec ? std::filesystem::path(path) : key, flag);
+        const auto [it, fresh] = seen.emplace(fileNamed(path), flag);
         if (!fresh)
             fail(it->second + " and " + flag + " name the same file '" +
                  path + "'");

@@ -66,8 +66,6 @@ struct Options
     /** --jobs: 0 = hardware concurrency; results are identical for
      * every value (SweepOptions::jobs). */
     unsigned jobs = 0;
-    unsigned pointRetries = 2;   ///< --point-retries (RetryPolicy)
-    unsigned pointBackoffMs = 0; ///< --point-backoff-ms
     /** --rates */
     std::vector<double> rates = Sweep::linspace(0.01, 0.20, 10);
     unsigned seeds = 1;                    ///< --seeds
@@ -79,7 +77,6 @@ struct Options
     std::string isolateExe;                ///< --isolate-exe
     std::uint64_t isolateMemMb = 0;        ///< --isolate-mem (MiB)
     std::uint64_t isolateCpuSeconds = 0;   ///< --isolate-cpu
-    double heartbeatIntervalSeconds = 1.0; ///< --heartbeat-interval
     bool progress = false;                 ///< --progress
     bool resources = false;                ///< --resources
 

@@ -82,16 +82,6 @@ struct IsolateResult
     /** Child peak resident set, kilobytes (ru_maxrss on Linux). */
     long maxRssKb = 0;
 
-    /** Healthy protocol completion: exited with code 0-3 (orion_sim's
-     * in-protocol range: ok / deadlock / failed points) and wrote its
-     * report. Anything else is a worker crash. */
-    bool
-    healthyExit() const
-    {
-        return exited && !timedOut && !interrupted && exitCode >= 0 &&
-               exitCode <= 3;
-    }
-
     /** Human-readable exit summary ("exit 0", "signal 11",
      * "timeout (killed)"). */
     std::string describe() const;

@@ -1,10 +1,10 @@
 #include "core/log.hh"
 
 #include <cstdarg>
-#include <stdexcept>
 
 #include "base/clock.hh"
 #include "base/json.hh"
+#include "core/manifest.hh"
 
 namespace orion::core::log {
 
@@ -79,7 +79,7 @@ Logger::configure(const std::string& path, Level level)
         return;
     std::FILE* f = std::fopen(path.c_str(), "a");
     if (f == nullptr)
-        throw std::runtime_error("cannot open log file '" + path + "'");
+        throw IoError("cannot open log file '" + path + "'");
     sink_ = f;
     level_.store(static_cast<int>(level), std::memory_order_relaxed);
 }

@@ -82,8 +82,9 @@ class Logger
 
     /**
      * Attach the JSON-lines sink. An empty path detaches it. Throws
-     * std::runtime_error if the file cannot be opened (append mode, so
-     * several processes may share one log; each line is one write).
+     * core::IoError (a lost output) if the file cannot be opened
+     * (append mode, so several processes may share one log; each line
+     * is one write).
      */
     void configure(const std::string& path, Level level)
         ORION_EXCLUDES(mutex_);

@@ -19,6 +19,9 @@ constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
  * completed-point wall time, and at least kStallFloorSeconds. */
 constexpr double kStallFactor = 4.0;
 constexpr double kStallFloorSeconds = 5.0;
+/** Seconds between refreshes when no cell finishes (a finished cell
+ * refreshes the manifest and the progress line at once). */
+constexpr double kRefreshSeconds = 1.0;
 
 std::string
 fmtEta(double eta)
@@ -46,7 +49,7 @@ ProgressTracker::ProgressTracker(Options opts)
     // fails the run before any cell runs.
     if (!opts_.manifestPath.empty())
         writeFileAtomic(opts_.manifestPath, snapshot().toJson());
-    if (live_ && opts_.intervalSeconds > 0.0)
+    if (live_)
         thread_ = std::thread([this] { threadMain(); });
 }
 
@@ -312,7 +315,9 @@ ProgressTracker::threadMain()
             // the cells that finish during one write share the next.
             LockGuard lock(mutex_);
             if (!changed_ && !stop_)
-                wake_.waitFor(mutex_, opts_.intervalSeconds);
+                wake_.waitFor(mutex_, opts_.intervalSeconds > 0.0
+                                          ? opts_.intervalSeconds
+                                          : kRefreshSeconds);
             if (stop_)
                 return;
             changed_ = false;

@@ -18,7 +18,7 @@
  * background thread. While the run lasts that thread is the only
  * writer of the run's manifest (core/manifest.hh): it replaces the
  * file atomically (tmp + rename, same crash discipline as the
- * checkpoint journal) after each wake and every interval, so a reader
+ * checkpoint journal) after each wake and every second, so a reader
  * — tools/orion_status.py — never sees a torn file, even after
  * SIGKILL, and cells never wait on its fsyncs; the cells that finish
  * during one write share the next. The thread also emits stall
@@ -56,9 +56,9 @@ class ProgressTracker
          * The tracker fills in the counts and the live keys. */
         RunManifest manifest;
         /** Seconds between refreshes of the manifest and the line;
-         * <= 0 starts no thread, so only the constructor and finish()
-         * write the manifest. */
-        double intervalSeconds = 1.0;
+         * 0 keeps the tracker's own period of one second. Tests set
+         * a faster or a slower one. */
+        double intervalSeconds = 0.0;
         /// Rewriting stderr progress line. Forced off when stderr is
         /// not a TTY, so piped/redirected runs stay byte-identical.
         bool progressLine = false;

@@ -3,25 +3,30 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 
 namespace orion {
 
-const char*
-stopReasonName(StopReason reason)
+const StopRule&
+stopRule(StopReason reason)
 {
-    switch (reason) {
-      case StopReason::Completed:     return "completed";
-      case StopReason::MaxCycles:     return "max-cycles";
-      case StopReason::WatchdogStall: return "watchdog-stall";
-      case StopReason::CheckFailure:  return "check-failure";
-      case StopReason::DeadlockUnrecovered:
-          return "deadlock-unrecovered";
-      case StopReason::Deadline:      return "deadline";
-      case StopReason::Interrupted:   return "interrupted";
-      case StopReason::WorkerCrash:   return "worker-crash";
-    }
-    return "unknown";
+    // One row per StopReason, in enum order. orion_sim never stops
+    // with a worker crash itself; 3 is its code for a failed run.
+    static constexpr StopRule kTable[] = {
+        // name                   failed retried journaled exit
+        {"completed",             false, false,  true,     0},
+        {"max-cycles",            false, false,  true,     0},
+        {"watchdog-stall",        false, false,  true,     2},
+        {"check-failure",         true,  true,   true,     3},
+        {"deadlock-unrecovered",  false, false,  true,     2},
+        {"deadline",              true,  false,  false,    6},
+        {"interrupted",           true,  false,  false,    5},
+        {"worker-crash",          true,  true,   true,     3},
+    };
+    static_assert(std::size(kTable) ==
+                  static_cast<std::size_t>(StopReason::WorkerCrash) + 1);
+    return kTable[static_cast<std::size_t>(reason)];
 }
 
 } // namespace orion

@@ -1,6 +1,7 @@
 /**
  * @file
- * Text-table and CSV emission helpers used by the benchmark harnesses
+ * Why a run stopped and what that means (the stop table), plus the
+ * text-table and CSV emission helpers used by the benchmark harnesses
  * to print the rows/series of the paper's tables and figures.
  */
 
@@ -14,7 +15,8 @@ namespace orion {
 
 /**
  * Why a simulation run stopped — the failure taxonomy reports, sweeps,
- * and CLI exit codes are built on (see docs/ROBUSTNESS.md).
+ * and CLI exit codes are built on (see docs/ROBUSTNESS.md). What each
+ * reason means to them is its row of the stop table (stopRule).
  */
 enum class StopReason
 {
@@ -44,10 +46,27 @@ enum class StopReason
     WorkerCrash,
 };
 
-/** Stable lower-case name for @p reason ("completed", "max-cycles",
- * "watchdog-stall", "check-failure", "deadlock-unrecovered",
- * "deadline", "interrupted", "worker-crash"). */
-const char* stopReasonName(StopReason reason);
+/** What one StopReason means to everything that reads it: the sweep
+ * engine, the checkpoint journal, orion_sim's exit code and the
+ * --isolate parent. */
+struct StopRule
+{
+    const char* name; ///< stable lower-case name (CSV status, logs)
+    bool failed;      ///< a sweep cell that stops this way failed
+    bool retried;     ///< such a cell gets a second attempt (transient)
+    bool journaled;   ///< a function of (config, seed): journal keeps it
+    int exitCode;     ///< orion_sim's exit status; --isolate checks it
+};
+
+/** The stop table's row for @p reason. */
+const StopRule& stopRule(StopReason reason);
+
+/** stopRule(@p reason).name: "completed", "max-cycles", ... */
+inline const char*
+stopReasonName(StopReason reason)
+{
+    return stopRule(reason).name;
+}
 
 } // namespace orion
 

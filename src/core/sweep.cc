@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 #include <stdlib.h>
 
 #include "base/clock.hh"
+#include "core/checkpoint.hh"
 #include "core/executor.hh"
 #include "core/forensics.hh"
 #include "core/isolate.hh"
@@ -35,98 +35,40 @@ namespace log = core::log;
  * sibling cell's stream.
  */
 constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
-
-/** What one attempt (or one whole cell) produced. */
-struct CellResult
-{
-    SweepPoint point;
-    /** How the isolated worker of the last attempt ended ("exit 0",
-     * "signal 11"); empty in-process. The journal records it. */
-    std::string workerExit;
-};
+/** A cell's attempts at most: the second runs when the stop table
+ * retries the first one's stop. */
+constexpr unsigned kMaxAttempts = 2;
 
 /**
- * The sweep's failure triage of a finished run, shared by the
- * in-process backend and the isolated worker's report: check
- * failures, deadlines and interrupts are failures, anything else is a
- * result.
+ * What the stop table cannot say about a finished run, shared by the
+ * in-process backend and the isolated worker's report: the message
+ * and forensic snapshot of each kind of failure the run itself
+ * reports.
  */
-std::optional<PointFailure>
-triage(Simulation& run, const Report& r)
+void
+triage(Simulation& run, SweepPoint& p)
 {
-    switch (r.stopReason) {
-    case StopReason::CheckFailure:
-        return PointFailure{
-            StopReason::CheckFailure, r.checkFailureDiagnostic,
-            forensicSnapshot(run, r.checkFailureDiagnostic)};
-    case StopReason::Deadline:
-        return PointFailure{StopReason::Deadline,
-                            "point exceeded its deadline after " +
-                                std::to_string(r.totalCycles) +
-                                " cycles",
-                            forensicSnapshot(run,
-                                             "point deadline expired")};
-    case StopReason::Interrupted:
-        return PointFailure{StopReason::Interrupted,
-                            "interrupted mid-run (SIGINT/SIGTERM)",
-                            std::string{}};
-    default:
-        return std::nullopt;
+    const Report& r = p.report;
+    if (r.stopReason == StopReason::CheckFailure) {
+        p.failureMessage = r.checkFailureDiagnostic;
+        p.failureForensics = forensicSnapshot(run, p.failureMessage);
+    } else if (r.stopReason == StopReason::Deadline) {
+        p.failureMessage = "point exceeded its deadline after " +
+                           std::to_string(r.totalCycles) + " cycles";
+        p.failureForensics = forensicSnapshot(run, "point deadline expired");
+    } else if (r.stopReason == StopReason::Interrupted) {
+        p.failureMessage = "interrupted mid-run (SIGINT/SIGTERM)";
     }
 }
 
-/** Only CheckFailure and WorkerCrash may be transient. A deadline
- * overrun will overrun again, and nobody waits for an interrupted
- * cell. */
-bool
-retryable(const std::optional<PointFailure>& failure)
-{
-    return failure && (failure->reason == StopReason::CheckFailure ||
-                       failure->reason == StopReason::WorkerCrash);
-}
-
-/** A cell outcome worth journaling: deterministic given the seed.
- * Deadline/Interrupted stops depend on wall-clock/machine load and
- * must rerun on resume instead. */
-bool
-journalable(const SweepPoint& p)
-{
-    const StopReason sr =
-        p.failure ? p.failure->reason : p.report.stopReason;
-    return sr != StopReason::Deadline &&
-           sr != StopReason::Interrupted;
-}
-
-core::CheckpointEntry
-makeEntry(std::size_t rate_index, unsigned seed_index,
-          const CellResult& cell)
-{
-    core::CheckpointEntry e;
-    e.rateIndex = rate_index;
-    e.seedIndex = seed_index;
-    e.attempts = cell.point.attempts;
-    e.report = cell.point.report;
-    if (cell.point.failure) {
-        e.failed = true;
-        e.failureReason = cell.point.failure->reason;
-        e.failureMessage = cell.point.failure->message;
-        e.failureForensics = cell.point.failure->forensicsJson;
-    }
-    e.workerExit = cell.workerExit;
-    return e;
-}
-
+/** A failed point that has only a stop reason and a message: the run
+ * never started, threw, or died in its worker. */
 SweepPoint
-pointFromEntry(const core::CheckpointEntry& e)
+failedPoint(StopReason why, std::string message)
 {
     SweepPoint p;
-    p.report = e.report;
-    p.attempts = e.attempts;
-    p.ran = true;
-    if (e.failed) {
-        p.failure = PointFailure{e.failureReason, e.failureMessage,
-                                 e.failureForensics};
-    }
+    p.report.stopReason = why;
+    p.failureMessage = std::move(message);
     return p;
 }
 
@@ -146,16 +88,10 @@ readWorkerEntry(const std::string& path)
     }
 }
 
-/** (rate index, seed index) -> cached entry; duplicates last-wins
+/** (rate index, seed index) -> cached cell; duplicates last-wins
  * (repeated resumes re-journal nothing, but stay safe anyway). */
 using ResumeIndex =
-    std::unordered_map<std::uint64_t, const core::CheckpointEntry*>;
-
-std::uint64_t
-cellKey(std::size_t rate_index, unsigned seed_index)
-{
-    return (static_cast<std::uint64_t>(rate_index) << 32) | seed_index;
-}
+    std::map<std::pair<std::uint64_t, std::uint64_t>, const SweepPoint*>;
 
 /** A private directory for isolated workers' report files, removed
  * with everything in it when the sweep returns. */
@@ -197,8 +133,8 @@ class WorkerDir
 /**
  * The one sweep engine: resolves every (rate index, seed index) cell
  * of a sweep, from the resume journal or by running it. A cell runs
- * up to RetryPolicy::maxAttempts attempts, each on its own seed band,
- * either in-process or in a fork/exec'd worker
+ * up to kMaxAttempts attempts, each on its own seed band, either
+ * in-process or in a fork/exec'd worker
  * (SweepOptions::workerCommand); failures are captured per cell
  * instead of propagating into parallelFor, where an exception
  * would abort the whole sweep and discard every completed point.
@@ -220,23 +156,23 @@ class CellRunner
         for (const core::CheckpointEntry& e : *opts.resume) {
             if (e.rateIndex >= rates.size() || e.seedIndex >= num_seeds)
                 continue; // defensive; the fingerprint binds the grid
-            resume_[cellKey(e.rateIndex,
-                            static_cast<unsigned>(e.seedIndex))] = &e;
+            resume_[{e.rateIndex, e.seedIndex}] = &e.point;
         }
     }
 
     /** Cell (@p i, @p k): merged from the resume journal, or run and
-     * then journaled when its outcome is deterministic. */
+     * then journaled when the stop table journals its outcome. */
     SweepPoint
     run(std::size_t i, unsigned k) const
     {
-        const auto hit = resume_.find(cellKey(i, k));
+        const auto hit = resume_.find({i, k});
         if (hit != resume_.end()) {
-            SweepPoint p = pointFromEntry(*hit->second);
+            SweepPoint p = *hit->second;
             p.injectionRate = rates_[i];
+            p.ran = true;
             p.fromCheckpoint = true;
             if (opts_.progress != nullptr)
-                opts_.progress->noteCached(p.failure.has_value());
+                opts_.progress->noteCached(p.failed());
             return p;
         }
 
@@ -246,50 +182,62 @@ class CellRunner
         core::ProgressScope scope(opts_.progress, i, k);
         const double wall0 = core::monotonicSeconds();
         const double cpu0 = core::threadCpuSeconds();
-        CellResult cell = attempts(i, k, scope);
+        core::CheckpointEntry cell{i, k, attempts(i, k, scope)};
+        SweepPoint& p = cell.point;
         const double wall_s = core::monotonicSeconds() - wall0;
-        PointResources& rs = cell.point.resources;
+        PointResources& rs = p.resources;
         if (opts_.workerCommand.empty()) {
             rs.valid = true;
             rs.cpuSeconds = core::threadCpuSeconds() - cpu0;
         }
         if (rs.valid)
             rs.wallSeconds = wall_s;
-        cell.point.injectionRate = rates_[i];
-        if (opts_.journal != nullptr && journalable(cell.point))
-            opts_.journal->append(makeEntry(i, k, cell));
+        p.injectionRate = rates_[i];
+        if (opts_.journal != nullptr &&
+            stopRule(p.report.stopReason).journaled)
+            opts_.journal->append(cell);
         // End after the journal append so the run manifest's done
         // count never exceeds the journal's entry count.
-        scope.end(cell.point.failure.has_value(), wall_s);
-        return std::move(cell.point);
+        scope.end(p.failed(), wall_s);
+        return std::move(p);
+    }
+
+    /** The zero-load probe: one attempt, on sim.seed, that no tracker
+     * counts (see Sweep::zeroLoadProbe). */
+    SweepPoint
+    probe() const
+    {
+        TrafficConfig t = traffic_;
+        t.injectionRate = 0.002;
+        SimConfig s = sim_;
+        s.samplePackets = std::min<std::uint64_t>(sim_.samplePackets, 500);
+        s.telemetry = {};
+        core::ProgressScope untracked(nullptr, 0, 0);
+        SweepPoint p = runAttempt(t, s, 0, 0, 0, untracked);
+        p.injectionRate = t.injectionRate;
+        p.ran = true;
+        return p;
     }
 
   private:
-    /** The retry loop: one attempt per seed band until one succeeds
-     * or fails for good. */
-    CellResult
+    /** The retry loop: one attempt per seed band until one stops in a
+     * way the stop table does not retry, or kMaxAttempts ran. */
+    SweepPoint
     attempts(std::size_t i, unsigned k,
              core::ProgressScope& scope) const
     {
-        CellResult res;
+        SweepPoint p;
         PointResources used;
-        const unsigned max_attempts =
-            std::max(1u, opts_.retry.maxAttempts);
-        for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
+        TrafficConfig t = traffic_;
+        t.injectionRate = rates_[i];
+        for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
             // An interrupt between attempts ends the cell immediately:
             // retrying a point nobody will wait for helps no one.
             if (opts_.cancel != nullptr && opts_.cancel->cancelled()) {
-                res.point.report = Report{};
-                res.point.report.stopReason = StopReason::Interrupted;
-                res.point.failure = PointFailure{
+                p = failedPoint(
                     StopReason::Interrupted,
-                    "sweep interrupted before the cell could run",
-                    std::string{}};
+                    "sweep interrupted before the cell could run");
                 break;
-            }
-            if (attempt > 0 && opts_.retry.backoffMs > 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(opts_.retry.backoffMs));
             }
 
             SimConfig s = sim_;
@@ -301,22 +249,32 @@ class CellRunner
                 s.debugPoisonRate = -1.0;
             scope.setAttempt(attempt + 1);
 
-            res = opts_.workerCommand.empty()
-                      ? inProcess(s, i, k, scope)
-                      : isolated(s.seed, i, k, attempt);
-            res.point.attempts = attempt + 1;
-            const PointResources& r = res.point.resources;
+            p = runAttempt(t, s, i, k, attempt, scope);
+            p.attempts = attempt + 1;
+            const PointResources& r = p.resources;
             if (r.valid) {
                 used.valid = true;
                 used.cpuSeconds += r.cpuSeconds;
                 used.maxRssKb = std::max(used.maxRssKb, r.maxRssKb);
             }
-            if (!retryable(res.point.failure))
+            if (!stopRule(p.report.stopReason).retried)
                 break;
         }
-        res.point.ran = true;
-        res.point.resources = used;
-        return res;
+        p.ran = true;
+        p.resources = used;
+        return p;
+    }
+
+    /** Attempt @p attempt of cell (@p i, @p k): @p t and @p s, with
+     * its rate and seed set, run in-process or in a worker. */
+    SweepPoint
+    runAttempt(const TrafficConfig& t, const SimConfig& s, std::size_t i,
+               unsigned k, unsigned attempt,
+               core::ProgressScope& scope) const
+    {
+        return opts_.workerCommand.empty()
+                   ? inProcess(t, s, k, scope)
+                   : isolated(t, s, i, k, attempt);
     }
 
     /**
@@ -326,12 +284,10 @@ class CellRunner
      * per-cycle token load. A throwing constructor is a check
      * failure without forensics.
      */
-    CellResult
-    inProcess(SimConfig s, std::size_t i, unsigned k,
+    SweepPoint
+    inProcess(const TrafficConfig& t, SimConfig s, unsigned k,
               core::ProgressScope& scope) const
     {
-        TrafficConfig t = traffic_;
-        t.injectionRate = rates_[i];
         // Publish live cycle counts for the run manifest.
         // Observability only: the periodic hook this installs is a
         // relaxed store, so results stay bit-identical.
@@ -342,8 +298,7 @@ class CellRunner
         if (opts_.pointTimeoutSeconds > 0.0 || opts_.cancel != nullptr)
             s.cancel = &token;
 
-        CellResult res;
-        SweepPoint& p = res.point;
+        SweepPoint p;
         try {
             Simulation run(network_, t, s);
             p.report = run.run();
@@ -353,29 +308,28 @@ class CellRunner
                     "rate " + std::to_string(t.injectionRate) +
                     " seed " + std::to_string(k));
             }
-            p.failure = triage(run, p.report);
+            triage(run, p);
         } catch (const std::exception& e) {
-            p.report = Report{};
-            p.report.stopReason = StopReason::CheckFailure;
+            p = failedPoint(StopReason::CheckFailure, e.what());
             p.report.checkFailureDiagnostic = e.what();
-            p.failure = PointFailure{StopReason::CheckFailure, e.what(),
-                                     std::string{}};
         }
-        return res;
+        return p;
     }
 
     /**
      * One attempt in a fork/exec'd worker: the worker command plus
-     * this attempt's rate and seed. The worker returns its report
-     * through --report-out in the journal's entry format (exact
+     * this attempt's rate, seed and sample. The worker returns its
+     * report through --report-out in the journal's entry format (exact
      * hexfloat doubles, triaged by workerReportLine), so the result is
-     * bit-identical to an in-process attempt. A crash, OOM kill, exec
-     * failure or missing report becomes a WorkerCrash failure with
-     * the exit status and stderr tail attached.
+     * bit-identical to an in-process attempt. The report counts only
+     * when the worker's exit status is the stop table's code for its
+     * stop reason; a crash, OOM kill, exec failure, missing report or
+     * any other exit becomes a WorkerCrash failure with the exit
+     * status and stderr tail attached.
      */
-    CellResult
-    isolated(std::uint64_t seed, std::size_t i, unsigned k,
-             unsigned attempt) const
+    SweepPoint
+    isolated(const TrafficConfig& t, const SimConfig& s, std::size_t i,
+             unsigned k, unsigned attempt) const
     {
         const std::string report_path =
             workerDir_.path() + "/point_" + std::to_string(i) + "_" +
@@ -386,8 +340,9 @@ class CellRunner
         // Appended flags win over the shared command. The rate rides
         // as a hexfloat so the worker rebuilds the identical double.
         const std::string extra[] = {
-            "--rate",       core::exactDouble(rates_[i]),
-            "--seed",       std::to_string(seed),
+            "--rate",       core::exactDouble(t.injectionRate),
+            "--seed",       std::to_string(s.seed),
+            "--sample",     std::to_string(s.samplePackets),
             "--report-out", report_path};
         io.argv.insert(io.argv.end(), std::begin(extra),
                        std::end(extra));
@@ -403,7 +358,7 @@ class CellRunner
         io.cancel = opts_.cancel;
 
         const core::IsolateResult w = core::runIsolated(io);
-        const std::optional<core::CheckpointEntry> entry =
+        std::optional<core::CheckpointEntry> entry =
             readWorkerEntry(report_path);
         std::remove(report_path.c_str());
         if (log::enabled(log::Level::Debug)) {
@@ -417,49 +372,41 @@ class CellRunner
                                            std::max(0L, w.maxRssKb)))});
         }
 
-        CellResult res;
-        SweepPoint& p = res.point;
-        const auto fail = [&p](StopReason why, std::string message) {
-            p.report = Report{};
-            p.report.stopReason = why;
-            p.failure =
-                PointFailure{why, std::move(message), std::string{}};
+        const auto exited = [&w](StopReason why) {
+            return w.exited && w.exitCode == stopRule(why).exitCode;
         };
-        if (w.interrupted || (w.exited && w.exitCode == 5)) {
-            fail(StopReason::Interrupted,
-                 "interrupted mid-run (SIGINT/SIGTERM)");
+        SweepPoint p;
+        if (w.interrupted || exited(StopReason::Interrupted)) {
+            p = failedPoint(StopReason::Interrupted,
+                            "interrupted mid-run (SIGINT/SIGTERM)");
         } else if (w.timedOut) {
             // A wedge the cooperative deadline could not reach.
-            fail(StopReason::Deadline,
-                 "worker exceeded the watchdog deadline and was "
-                 "killed (" +
-                     w.describe() + ")");
-        } else if (entry && (w.healthyExit() ||
-                             (w.exited && w.exitCode == 6))) {
-            // Exit 6 is the worker's cooperative --point-timeout; its
-            // entry carries the deadline forensics.
-            p = pointFromEntry(*entry);
-            res.workerExit = w.describe();
-        } else if (w.exited && w.exitCode == 6) {
-            fail(StopReason::Deadline,
-                 "worker hit --point-timeout (exit 6)");
+            p = failedPoint(StopReason::Deadline,
+                            "worker exceeded the watchdog deadline and "
+                            "was killed (" +
+                                w.describe() + ")");
+        } else if (entry && exited(entry->point.report.stopReason)) {
+            p = std::move(entry->point);
+            p.workerExit = w.describe();
         } else {
-            res.workerExit = w.describe();
+            const std::string status = w.describe();
             std::string message =
-                w.healthyExit()
-                    ? "worker " + res.workerExit +
-                          " but wrote no parseable report"
-                    : "worker crashed (" + res.workerExit + ")";
+                !w.exited ? "worker crashed (" + status + ")"
+                : entry   ? "worker " + status + " but its report says " +
+                              stopReasonName(entry->point.report.stopReason)
+                          : "worker " + status +
+                              " but wrote no parseable report";
             if (!w.stderrTail.empty())
                 message += ": " + w.stderrTail;
-            fail(StopReason::WorkerCrash, std::move(message));
+            p = failedPoint(StopReason::WorkerCrash, std::move(message));
+            p.workerExit = status;
         }
         if (w.haveRusage) {
             p.resources.valid = true;
             p.resources.cpuSeconds = w.cpuSeconds;
             p.resources.maxRssKb = w.maxRssKb;
         }
-        return res;
+        return p;
     }
 
     const NetworkConfig& network_;
@@ -476,11 +423,11 @@ class CellRunner
 std::string
 workerReportLine(Simulation& run, const Report& report)
 {
-    CellResult cell;
-    cell.point.report = report;
-    cell.point.failure = triage(run, report);
     // Coordinates are (0, 0); the parent knows which cell it ran.
-    return core::serializeEntry(makeEntry(0, 0, cell)) + "\n";
+    core::CheckpointEntry cell;
+    cell.point.report = report;
+    triage(run, cell.point);
+    return core::serializeEntry(cell) + "\n";
 }
 
 std::vector<SweepPoint>
@@ -543,10 +490,8 @@ Sweep::average(const std::vector<SweepPoint>& cells, unsigned seeds)
             }
             ++avg.ranSeeds;
             avg.attempts += cell.attempts;
-            if (cell.failure) {
+            if (cell.failed()) {
                 ++avg.failedSeeds;
-                if (avg.firstFailure.empty())
-                    avg.firstFailure = cell.failure->message;
                 avg.allCompleted = false;
                 continue;
             }
@@ -576,16 +521,13 @@ Sweep::average(const std::vector<SweepPoint>& cells, unsigned seeds)
     return points;
 }
 
-double
-Sweep::zeroLoadLatency(const NetworkConfig& network,
-                       const TrafficConfig& traffic, const SimConfig& sim)
+SweepPoint
+Sweep::zeroLoadProbe(const NetworkConfig& network,
+                     const TrafficConfig& traffic, const SimConfig& sim,
+                     const SweepOptions& opts)
 {
-    TrafficConfig t = traffic;
-    t.injectionRate = 0.002;
-    SimConfig s = sim;
-    s.samplePackets = std::min<std::uint64_t>(sim.samplePackets, 500);
-    Simulation run(network, t, s);
-    return run.run().avgLatencyCycles;
+    const std::vector<double> no_cells;
+    return CellRunner(network, traffic, sim, no_cells, 1, opts).probe();
 }
 
 double

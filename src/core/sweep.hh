@@ -12,16 +12,16 @@
 #define ORION_CORE_SWEEP_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "base/cancel.hh"
-#include "core/checkpoint.hh"
 #include "core/config.hh"
 #include "core/simulation.hh"
 
 namespace orion::core {
+class CheckpointJournal;
+struct CheckpointEntry;
 class ProgressTracker;
 } // namespace orion::core
 
@@ -48,48 +48,24 @@ struct PointResources
 };
 
 /**
- * A failed sweep point, isolated from its siblings: the sweep finishes
- * every other point and records what went wrong here instead of
- * aborting the fan-out.
+ * One cell of an injection-rate sweep: one run at one (rate, seed).
+ * A failed cell is isolated from its siblings: the sweep finishes
+ * every other cell and records here what went wrong.
  */
-struct PointFailure
-{
-    /** Why the point failed (CheckFailure for invariant violations
-     * and construction errors). */
-    StopReason reason = StopReason::CheckFailure;
-    /** The diagnostic of the check that fired (or the exception). */
-    std::string message;
-    /** JSON forensic snapshot taken at failure (see
-     * core/forensics.hh); empty if the simulation never got built. */
-    std::string forensicsJson;
-};
-
-/**
- * Bounded retry of a failed sweep cell. Attempt k reruns the cell on
- * the rederived seed stream sim::deriveSeed(seed, rate index,
- * seed index + k * 2^32) — disjoint from every sibling cell — so
- * transient, seed-dependent failures recover while results stay
- * deterministic. Only check failures and worker crashes are retried.
- * Shared by the in-process and isolated backends; the default (2
- * attempts, no backoff) reproduces the historical "one
- * rederived-seed retry" exactly.
- */
-struct RetryPolicy
-{
-    /** Total attempts per cell (>= 1; 1 disables retry). */
-    unsigned maxAttempts = 2;
-    /** Milliseconds slept before each retry attempt, easing transient
-     * resource pressure (ENOMEM, thrashing). 0 = none. */
-    unsigned backoffMs = 0;
-};
-
-/** One cell of an injection-rate sweep: one run at one (rate, seed). */
 struct SweepPoint
 {
     double injectionRate = 0.0;
+    /** The run's report; its stopReason is the cell's outcome. */
     Report report;
-    /** Set when the point failed even after its bounded retries. */
-    std::optional<PointFailure> failure;
+    /** Why a failed cell failed: the diagnostic of the check that
+     * fired, the exception, or the worker's exit; empty otherwise. */
+    std::string failureMessage;
+    /** JSON forensic snapshot taken at failure (see
+     * core/forensics.hh); empty if the simulation never got built. */
+    std::string failureForensics;
+    /** How the isolated worker of the last attempt ended ("exit 0",
+     * "signal 11"); empty in-process. The journal records it. */
+    std::string workerExit;
     /** Simulation attempts spent on this point (2 = retried once on a
      * rederived seed after a transient check failure). */
     unsigned attempts = 1;
@@ -108,6 +84,10 @@ struct SweepPoint
     std::string traceJson;
     /** What the point cost to run (see PointResources). */
     PointResources resources;
+
+    /** The cell failed: the stop table's verdict on its report's
+     * stop reason (core/report.hh). */
+    bool failed() const { return stopRule(report.stopReason).failed; }
 };
 
 /** Execution options for sweep drivers. */
@@ -123,14 +103,12 @@ struct SweepOptions
      * are merged in index order regardless of completion order.
      */
     unsigned jobs = 1;
-    /** Per-cell retry of transient failures (see RetryPolicy). */
-    RetryPolicy retry;
     /**
      * Per-cell wall-clock deadline in seconds (<= 0 disables). An
-     * overrunning cell is cancelled cooperatively and recorded as a
-     * PointFailure with StopReason::Deadline plus forensics; deadline
-     * overruns are never retried (they are not transient) and never
-     * journaled (they are not deterministic).
+     * overrunning cell is cancelled cooperatively and fails with
+     * StopReason::Deadline plus forensics, which the stop table
+     * neither retries (it is not transient) nor journals (it is not
+     * deterministic).
      */
     double pointTimeoutSeconds = 0.0;
     /**
@@ -143,10 +121,9 @@ struct SweepOptions
     core::CancelToken* cancel = nullptr;
     /**
      * Checkpoint journal to append finished cells to (not owned, may
-     * be null). Only deterministic outcomes are written — see
-     * core/checkpoint.hh. Telemetry exports (metricsCsv/traceJson)
-     * are NOT journaled; drivers reject checkpointing combined with
-     * telemetry capture.
+     * be null). Only the outcomes the stop table journals are written
+     * (core/checkpoint.hh). Telemetry exports are NOT journaled;
+     * drivers reject checkpointing combined with telemetry capture.
      */
     core::CheckpointJournal* journal = nullptr;
     /**
@@ -173,12 +150,13 @@ struct SweepOptions
      * in-process: this command — an orion_sim binary followed by the
      * options that describe the same network, traffic and sim
      * configuration as the sweep call — plus `--rate R --seed S
-     * --report-out FILE` for the attempt. Retry, journal and resume
-     * are the in-process ones, and results are bit-identical to
-     * in-process cells. A worker that crashes, is OOM-killed or
-     * writes no report becomes a StopReason::WorkerCrash failure;
-     * one that outlives twice the point timeout (plus 5 s) is killed
-     * as a Deadline. Telemetry is not captured.
+     * --sample N --report-out FILE` for the attempt. Retry, journal
+     * and resume are the in-process ones, and results are
+     * bit-identical to in-process cells. A worker that crashes, is
+     * OOM-killed, or exits without a report its exit code matches
+     * (the stop table) is a StopReason::WorkerCrash; one that
+     * outlives twice the point timeout (plus 5 s) is killed as a
+     * Deadline. Telemetry is not captured.
      */
     std::vector<std::string> workerCommand;
     /** Isolated workers' RLIMIT_AS cap in bytes (0 = none). */
@@ -215,8 +193,6 @@ struct AveragedPoint
     /** Seeds that actually executed (or were merged from a resumed
      * checkpoint); less than `seeds` only after a cancellation. */
     unsigned ranSeeds = 0;
-    /** Diagnostic of the first failed seed, if any. */
-    std::string firstFailure;
     /** Simulation attempts spent over all seeds (seeds that never ran
      * count 0); more than ranSeeds marks a retried seed. */
     unsigned attempts = 0;
@@ -232,9 +208,9 @@ struct AveragedPoint
 
 /**
  * The report an isolated worker hands back (`orion_sim --report-out`):
- * @p report plus the sweep's failure triage, as one checkpoint-journal
- * entry line with its newline. The sweep merges it bit-identically
- * with an in-process run of the same cell.
+ * @p report plus its failure message and snapshot, as one
+ * checkpoint-journal entry line with its newline. The sweep merges it
+ * bit-identically with an in-process run of the same cell.
  */
 std::string workerReportLine(Simulation& run, const Report& report);
 
@@ -252,14 +228,13 @@ class Sweep
      * across workers with results bit-identical to the serial order.
      *
      * Failure isolation: a cell whose run hits a check failure (or
-     * whose construction throws) never aborts the sweep. The cell is
-     * retried on rederived seed streams per opts.retry (transient
-     * failures recover; the default is the historical single retry);
-     * if every attempt fails, SweepPoint::failure records the stop
-     * reason, diagnostic, and a JSON forensic snapshot, and every
-     * other cell still reports normally. Deadlines, cancellation,
-     * checkpoint/resume and crash isolation ride in via opts — see
-     * SweepOptions.
+     * whose construction throws) never aborts the sweep. A cell whose
+     * stop the stop table retries gets a second attempt on a
+     * rederived seed stream (transient failures recover); if that
+     * fails too, the SweepPoint keeps the stop reason, diagnostic and
+     * a JSON forensic snapshot, and every other cell still reports
+     * normally. Deadlines, cancellation, checkpoint/resume and crash
+     * isolation ride in via opts — see SweepOptions.
      */
     static std::vector<SweepPoint> overRates(
         const NetworkConfig& network, const TrafficConfig& traffic,
@@ -277,12 +252,18 @@ class Sweep
         const std::vector<SweepPoint>& cells, unsigned seeds);
 
     /**
-     * Zero-load latency: mean latency at a near-zero injection rate
-     * (0.002 packets/cycle/node with a reduced sample).
+     * The zero-load probe: one run at a near-zero injection rate
+     * (0.002 packets/cycle/node, on sim.seed, with at most 500 sample
+     * packets) whose mean latency is the zero-load latency, unless the
+     * probe failed(). It runs as one attempt of a cell does — in a
+     * worker with opts.workerCommand, under opts' deadline and cancel
+     * token — but it is not a cell: never retried, journaled or
+     * counted by opts.progress.
      */
-    static double zeroLoadLatency(const NetworkConfig& network,
-                                  const TrafficConfig& traffic,
-                                  const SimConfig& sim);
+    static SweepPoint zeroLoadProbe(const NetworkConfig& network,
+                                    const TrafficConfig& traffic,
+                                    const SimConfig& sim,
+                                    const SweepOptions& opts = {});
 
     /**
      * The paper's saturation point: the lowest swept rate whose mean

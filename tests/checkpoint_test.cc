@@ -1,6 +1,6 @@
 /**
  * @file
- * Sweep checkpoint/resume, cooperative cancellation, and retry-policy
+ * Sweep checkpoint/resume, cooperative cancellation, and retry-rule
  * tests (docs/ROBUSTNESS.md, "Survivable runs").
  *
  * The load-bearing property throughout: a sweep interrupted at ANY
@@ -94,32 +94,32 @@ sampleEntry()
     core::CheckpointEntry e;
     e.rateIndex = 7;
     e.seedIndex = 3;
-    e.attempts = 2;
-    e.report.avgLatencyCycles = 18.190000000000001;
-    e.report.p50LatencyCycles = 18.0;
-    e.report.p95LatencyCycles = 27.0;
-    e.report.p99LatencyCycles = 32.5;
-    e.report.maxLatencyCycles = 64.0;
-    e.report.sampleInjected = 200;
-    e.report.sampleEjected = 200;
-    e.report.offeredLoad = 0.05;
-    e.report.acceptedFlitsPerNodePerCycle = 0.2586;
-    e.report.totalCycles = 60000;
-    e.report.measuredCycles = 41234;
-    e.report.stopReason = StopReason::Completed;
-    e.report.completed = true;
-    e.report.moduleCount = 321;
-    e.report.flitsCorrupted = 5;
-    e.report.packetsRetransmitted = 4;
-    e.report.faultLogHash = 0xdeadbeefcafef00dULL;
-    e.report.networkPowerWatts = 2.1557;
-    e.report.dynamicEnergyJoules = 1.25e-6;
-    e.report.energyPerFlitJoules = 3.5e-12;
-    e.report.breakdownWatts = {0.0998, 1.1604, 0.00453, 0.8909,
+    e.point.attempts = 2;
+    e.point.report.avgLatencyCycles = 18.190000000000001;
+    e.point.report.p50LatencyCycles = 18.0;
+    e.point.report.p95LatencyCycles = 27.0;
+    e.point.report.p99LatencyCycles = 32.5;
+    e.point.report.maxLatencyCycles = 64.0;
+    e.point.report.sampleInjected = 200;
+    e.point.report.sampleEjected = 200;
+    e.point.report.offeredLoad = 0.05;
+    e.point.report.acceptedFlitsPerNodePerCycle = 0.2586;
+    e.point.report.totalCycles = 60000;
+    e.point.report.measuredCycles = 41234;
+    e.point.report.stopReason = StopReason::Completed;
+    e.point.report.completed = true;
+    e.point.report.moduleCount = 321;
+    e.point.report.flitsCorrupted = 5;
+    e.point.report.packetsRetransmitted = 4;
+    e.point.report.faultLogHash = 0xdeadbeefcafef00dULL;
+    e.point.report.networkPowerWatts = 2.1557;
+    e.point.report.dynamicEnergyJoules = 1.25e-6;
+    e.point.report.energyPerFlitJoules = 3.5e-12;
+    e.point.report.breakdownWatts = {0.0998, 1.1604, 0.00453, 0.8909,
                                0.0};
-    e.report.nodePowerWatts = {0.25, 0.5, -0.0, 1.0 / 3.0};
-    e.report.eventCounts.fill(11);
-    e.report.eventCounts[2] = 99999;
+    e.point.report.nodePowerWatts = {0.25, 0.5, -0.0, 1.0 / 3.0};
+    e.point.report.eventCounts.fill(11);
+    e.point.report.eventCounts[2] = 99999;
     return e;
 }
 
@@ -178,27 +178,27 @@ TEST(CheckpointEntry, RoundTripsEveryField)
         core::parseEntry(core::serializeEntry(e));
     EXPECT_EQ(back.rateIndex, e.rateIndex);
     EXPECT_EQ(back.seedIndex, e.seedIndex);
-    EXPECT_EQ(back.attempts, e.attempts);
-    EXPECT_EQ(back.failed, false);
-    expectReportsEqual(back.report, e.report);
+    EXPECT_EQ(back.point.attempts, e.point.attempts);
+    EXPECT_FALSE(back.point.failed());
+    expectReportsEqual(back.point.report, e.point.report);
 }
 
 TEST(CheckpointEntry, RoundTripsFailureWithHostileStrings)
 {
     core::CheckpointEntry e = sampleEntry();
-    e.failed = true;
-    e.failureReason = StopReason::WorkerCrash;
+    SweepPoint& p = e.point;
+    p.report.stopReason = StopReason::WorkerCrash;
     // Every byte the wire format treats specially, plus a few more.
-    e.failureMessage = "pipe | eq = pct % nl \n cr \r end";
-    e.failureForensics = "{\"reason\":\"x|y=z\",\n\"cycle\":9}";
-    e.workerExit = "signal 11";
+    p.failureMessage = "pipe | eq = pct % nl \n cr \r end";
+    p.failureForensics = "{\"reason\":\"x|y=z\",\n\"cycle\":9}";
+    p.workerExit = "signal 11";
     const core::CheckpointEntry back =
         core::parseEntry(core::serializeEntry(e));
-    EXPECT_TRUE(back.failed);
-    EXPECT_EQ(back.failureReason, StopReason::WorkerCrash);
-    EXPECT_EQ(back.failureMessage, e.failureMessage);
-    EXPECT_EQ(back.failureForensics, e.failureForensics);
-    EXPECT_EQ(back.workerExit, e.workerExit);
+    EXPECT_TRUE(back.point.failed());
+    EXPECT_EQ(back.point.report.stopReason, StopReason::WorkerCrash);
+    EXPECT_EQ(back.point.failureMessage, p.failureMessage);
+    EXPECT_EQ(back.point.failureForensics, p.failureForensics);
+    EXPECT_EQ(back.point.workerExit, p.workerExit);
 }
 
 /** A failed entry in which every field holds a value no other field
@@ -209,8 +209,8 @@ knownAnswerEntry()
     core::CheckpointEntry e;
     e.rateIndex = 4;
     e.seedIndex = 9;
-    e.attempts = 3;
-    Report& r = e.report;
+    e.point.attempts = 3;
+    Report& r = e.point.report;
     r.avgLatencyCycles = 21.75;
     r.p50LatencyCycles = 19.0;
     r.p95LatencyCycles = 33.0;
@@ -244,11 +244,9 @@ knownAnswerEntry()
     r.nodePowerWatts = {0.1, -0.0, 1.5};
     for (std::size_t i = 0; i < r.eventCounts.size(); ++i)
         r.eventCounts[i] = 1000 + i;
-    e.failed = true;
-    e.failureReason = StopReason::CheckFailure;
-    e.failureMessage = "pipe | eq = pct % nl \n cr \r end";
-    e.failureForensics = "{\"reason\":\"x|y=z\",\n\"cycle\":9}";
-    e.workerExit = "exit 3";
+    e.point.failureMessage = "pipe | eq = pct % nl \n cr \r end";
+    e.point.failureForensics = "{\"reason\":\"x|y=z\",\n\"cycle\":9}";
+    e.point.workerExit = "exit 3";
     return e;
 }
 
@@ -276,13 +274,36 @@ TEST(CheckpointEntry, KnownAnswerLine)
     const core::CheckpointEntry back = core::parseEntry(line);
     EXPECT_EQ(back.rateIndex, e.rateIndex);
     EXPECT_EQ(back.seedIndex, e.seedIndex);
-    EXPECT_EQ(back.attempts, e.attempts);
-    expectReportsEqual(back.report, e.report);
-    EXPECT_TRUE(back.failed);
-    EXPECT_EQ(back.failureReason, e.failureReason);
-    EXPECT_EQ(back.failureMessage, e.failureMessage);
-    EXPECT_EQ(back.failureForensics, e.failureForensics);
-    EXPECT_EQ(back.workerExit, e.workerExit);
+    EXPECT_EQ(back.point.attempts, e.point.attempts);
+    expectReportsEqual(back.point.report, e.point.report);
+    EXPECT_TRUE(back.point.failed());
+    EXPECT_EQ(back.point.report.stopReason, StopReason::CheckFailure);
+    EXPECT_EQ(back.point.failureMessage, e.point.failureMessage);
+    EXPECT_EQ(back.point.failureForensics, e.point.failureForensics);
+    EXPECT_EQ(back.point.workerExit, e.point.workerExit);
+}
+
+TEST(CheckpointEntry, RefusesFailureFieldsThatDisagreeWithTheStopReason)
+{
+    // f= and flr= restate the stop table's verdict on sr=; a sealed
+    // line whose restatement differs is malformed, not a second
+    // opinion.
+    const auto sealed = [](const std::string& payload) {
+        return payload + "|c=" + core::hex16(core::fnv1a64(payload));
+    };
+    const std::string head =
+        "P|ri=1|si=2|ec=1,2,3,4,5,6,7,8,9,10,11|sr=";
+    EXPECT_TRUE(core::parseEntry(sealed(head + "3|f=1|flr=3"))
+                    .point.failed());
+    EXPECT_FALSE(core::parseEntry(sealed(head + "0")).point.failed());
+    for (const std::string& bad :
+         {sealed(head + "3"), sealed(head + "3|f=1"),
+          sealed(head + "3|f=1|flr=7"), sealed(head + "3|flr=3"),
+          sealed(head + "0|f=1|flr=0"), sealed(head + "0|flr=3"),
+          sealed(head + "7|f=1|flr=3"), sealed(head + "8")}) {
+        EXPECT_THROW(core::parseEntry(bad), core::CheckpointError)
+            << bad;
+    }
 }
 
 TEST(CheckpointEntry, ChecksumCatchesEveryOneByteCorruption)
@@ -319,7 +340,7 @@ TEST(CheckpointEntry, RejectsTruncationsAndUnknownKeys)
         core::parseEntry(sealed("P|ri=1|si=2|" + ec));
     EXPECT_EQ(min.rateIndex, 1u);
     EXPECT_EQ(min.seedIndex, 2u);
-    EXPECT_EQ(min.report.eventCounts[10], 11u);
+    EXPECT_EQ(min.point.report.eventCounts[10], 11u);
     for (const std::string& bad :
          {sealed("P|si=2|" + ec), sealed("P|ri=1|" + ec),
           sealed("P|ri=1|si=2"), sealed("P|ri=1|si=2|" + ec + "|zz=1"),
@@ -590,7 +611,7 @@ TEST_F(ResumeFixture, PrefixResumeMergesBitIdenticallyAtAnyJobs)
         for (std::size_t i = 0; i < fresh.size(); ++i) {
             SCOPED_TRACE("point " + std::to_string(i));
             expectReportsEqual(resumed[i].report, fresh[i].report);
-            EXPECT_FALSE(resumed[i].failure.has_value());
+            EXPECT_FALSE(resumed[i].failed());
             // Entries found in the journal are marked as cached.
             bool cached = false;
             for (const auto& e : prefix)
@@ -661,24 +682,24 @@ TEST_F(ResumeFixture, FailedCellsAreJournaledAndResumed)
         SweepOptions o = SweepOptions::withJobs(1);
         o.journal = &j;
         const auto pts = Sweep::overRates(net, traffic, sim, rates, o);
-        ASSERT_TRUE(pts[1].failure.has_value());
+        ASSERT_TRUE(pts[1].failed());
         EXPECT_EQ(pts[1].attempts, 2u);
     }
     const core::CheckpointLoad load = core::loadCheckpoint(path, fp);
     ASSERT_EQ(load.entries.size(), rates.size());
-    const core::CheckpointEntry& failed = load.entries[1];
-    EXPECT_TRUE(failed.failed);
+    const SweepPoint& failed = load.entries[1].point;
+    EXPECT_TRUE(failed.failed());
     EXPECT_EQ(failed.attempts, 2u);
-    EXPECT_EQ(failed.failureReason, StopReason::CheckFailure);
+    EXPECT_EQ(failed.report.stopReason, StopReason::CheckFailure);
     EXPECT_NE(failed.failureForensics.find("\"reason\""),
               std::string::npos);
 
     SweepOptions o = SweepOptions::withJobs(1);
     o.resume = &load.entries;
     const auto resumed = Sweep::overRates(net, traffic, sim, rates, o);
-    ASSERT_TRUE(resumed[1].failure.has_value());
+    ASSERT_TRUE(resumed[1].failed());
     EXPECT_TRUE(resumed[1].fromCheckpoint);
-    EXPECT_EQ(resumed[1].failure->message, failed.failureMessage);
+    EXPECT_EQ(resumed[1].failureMessage, failed.failureMessage);
 }
 
 // --- deadlines and cancellation ---------------------------------------
@@ -735,11 +756,10 @@ TEST_F(ResumeFixture, DeadlineStopsPointAndIsNeverJournaled)
         const auto pts =
             Sweep::overRates(net, traffic, sim, one_rate, o);
         ASSERT_EQ(pts.size(), 1u);
-        ASSERT_TRUE(pts[0].failure.has_value());
-        EXPECT_EQ(pts[0].failure->reason, StopReason::Deadline);
+        ASSERT_TRUE(pts[0].failed());
         EXPECT_EQ(pts[0].report.stopReason, StopReason::Deadline);
         EXPECT_EQ(pts[0].attempts, 1u); // deadlines are not retried
-        EXPECT_NE(pts[0].failure->forensicsJson.find("\"reason\""),
+        EXPECT_NE(pts[0].failureForensics.find("\"reason\""),
                   std::string::npos);
     }
     const core::CheckpointLoad load = core::loadCheckpoint(path, fp);
@@ -761,27 +781,26 @@ TEST_F(ResumeFixture, CancelledSweepLeavesUndispensedCellsUnran)
     }
 }
 
-// --- retry policy -----------------------------------------------------
+// --- retry rule -------------------------------------------------------
 
-TEST_F(ResumeFixture, RetryPolicyBoundsAttempts)
+TEST_F(ResumeFixture, RetryRuleGivesACellTwoAttempts)
 {
     sim.debugPoisonRate = 0.04;
+
+    // A transient check failure recovers on the second attempt.
     sim.debugPoisonTransient = true; // clean on any retry
+    const auto transient = Sweep::overRates(net, traffic, sim, {0.04},
+                                            SweepOptions::withJobs(1));
+    EXPECT_FALSE(transient[0].failed());
+    EXPECT_EQ(transient[0].attempts, 2u);
 
-    // maxAttempts = 1: retry disabled, the transient failure sticks.
-    SweepOptions one = SweepOptions::withJobs(1);
-    one.retry.maxAttempts = 1;
-    const auto no_retry =
-        Sweep::overRates(net, traffic, sim, {0.04}, one);
-    ASSERT_TRUE(no_retry[0].failure.has_value());
-    EXPECT_EQ(no_retry[0].attempts, 1u);
-
-    // Default policy: recovered on the second attempt.
-    const auto with_retry = Sweep::overRates(net, traffic, sim,
-                                             {0.04},
+    // A persistent one fails after the second.
+    sim.debugPoisonTransient = false;
+    const auto persistent = Sweep::overRates(net, traffic, sim, {0.04},
                                              SweepOptions::withJobs(1));
-    EXPECT_FALSE(with_retry[0].failure.has_value());
-    EXPECT_EQ(with_retry[0].attempts, 2u);
+    ASSERT_TRUE(persistent[0].failed());
+    EXPECT_EQ(persistent[0].report.stopReason, StopReason::CheckFailure);
+    EXPECT_EQ(persistent[0].attempts, 2u);
 }
 
 TEST_F(ResumeFixture, AveragedSweepRecordsAttemptsPerSeed)

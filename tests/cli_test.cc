@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <regex>
 #include <set>
@@ -278,33 +279,28 @@ parseError(const std::vector<std::string>& args, Tool tool)
     return "";
 }
 
-TEST(CliSweep, RetryAndJobsFlags)
+TEST(CliSweep, JobsFlagAndRetiredFlags)
 {
-    const Options o = parse({"--point-retries", "3", "--point-backoff-ms",
-                             "50", "--jobs", "4"},
-                            Tool::Sweep);
-    EXPECT_EQ(o.pointRetries, 3u);
-    EXPECT_EQ(o.pointBackoffMs, 50u);
-    EXPECT_EQ(o.jobs, 4u);
-
-    // Defaults: the historical single retry, no backoff, all cores.
-    const Options d = parse({}, Tool::Sweep);
-    EXPECT_EQ(d.pointRetries, 2u);
-    EXPECT_EQ(d.pointBackoffMs, 0u);
-    EXPECT_EQ(d.jobs, 0u);
-
-    const std::string retries = "orion_sweep: --point-retries: must be "
-                                "in [1, 32] (--help for usage)";
-    EXPECT_EQ(parseError({"--point-retries", "0"}, Tool::Sweep), retries);
-    EXPECT_EQ(parseError({"--point-retries", "64"}, Tool::Sweep), retries);
-    EXPECT_EQ(parseError({"--point-backoff-ms", "junk"}, Tool::Sweep),
-              "orion_sweep: --point-backoff-ms: not a number: 'junk' "
-              "(--help for usage)");
+    EXPECT_EQ(parse({"--jobs", "4"}, Tool::Sweep).jobs, 4u);
+    // Default: all cores.
+    EXPECT_EQ(parse({}, Tool::Sweep).jobs, 0u);
     EXPECT_EQ(parseError({"--jobs", "0"}, Tool::Sweep),
               "orion_sweep: --jobs: must be >= 1 (--help for usage)");
     EXPECT_EQ(parseError({"--jobs", "4294967296"}, Tool::Sweep),
               "orion_sweep: --jobs: out of range: '4294967296' "
               "(--help for usage)");
+
+    // Retry is the stop table's rule and the manifest's refresh period
+    // a constant: their flags are gone.
+    for (const char* flag : {"--point-retries", "--point-backoff-ms",
+                             "--heartbeat-interval"}) {
+        for (const Tool tool : {Tool::Sim, Tool::Sweep}) {
+            EXPECT_NE(parseError({flag, "1"}, tool)
+                          .find(std::string("unknown option '") + flag),
+                      std::string::npos)
+                << flag;
+        }
+    }
 }
 
 TEST(CliSweep, GridAndCrossFlagChecks)
@@ -330,8 +326,6 @@ TEST(CliSweep, GridAndCrossFlagChecks)
                   .find("50000 rates x 3 seeds is more than the 100000 "
                         "cells a sweep may hold"),
               std::string::npos);
-    EXPECT_NE(error({"--heartbeat-interval", "0"}).find("must be > 0"),
-              std::string::npos);
     EXPECT_NE(error({"--checkpoint", "a", "--resume", "b"})
                   .find("mutually exclusive"),
               std::string::npos);
@@ -354,8 +348,7 @@ TEST(CliParse, EachToolRejectsTheOthersFlags)
                   std::string("orion_sweep: ") + flag +
                       " is an orion_sim option (--help for usage)");
     }
-    for (const char* flag :
-         {"--jobs", "--point-retries", "--point-backoff-ms"}) {
+    for (const char* flag : {"--jobs", "--seeds", "--checkpoint"}) {
         EXPECT_EQ(parseError({flag, "1"}, Tool::Sim),
                   std::string("orion_sim: ") + flag +
                       " is an orion_sweep option (--help for usage)");
@@ -369,8 +362,7 @@ TEST(CliSweep, WorkersGetTheCellFlagsOnly)
     const std::vector<std::string> args = {
         "--preset", "vc64", "--jobs", "2", "--seeds", "2", "--isolate",
         "--point-timeout", "5", "--log-out", "l.jsonl",
-        "--link-ber", "1e-6", "--mesh", "--point-retries", "3",
-        "--seed", "7"};
+        "--link-ber", "1e-6", "--mesh", "--resources", "--seed", "7"};
     ASSERT_NO_THROW(parse(args, Tool::Sweep));
     EXPECT_EQ(workerArgs(args),
               (std::vector<std::string>{"--preset", "vc64",
@@ -398,7 +390,7 @@ TEST(CliHelp, EachToolsHelpNamesExactlyTheFlagsItTakes)
     std::set<std::string> all = sim;
     all.insert(sweep.begin(), sweep.end());
     EXPECT_EQ(sim.size(), 43u);
-    EXPECT_EQ(sweep.size(), 53u);
+    EXPECT_EQ(sweep.size(), 50u);
     EXPECT_EQ(usage(Tool::Sim).rfind("usage: orion_sim ", 0), 0u);
     EXPECT_EQ(usage(Tool::Sweep).rfind("usage: orion_sweep ", 0), 0u);
     for (const Tool tool : {Tool::Sim, Tool::Sweep}) {
@@ -494,8 +486,6 @@ TEST(CliParse, FlagsThatShapeAnAbsentOutputAreRefused)
     // orion_sweep's manifest carries no phase gauges.
     refused({"--profile-phases", "--manifest-out", "m.json"}, Tool::Sweep,
             "--metrics-dir or --trace-dir");
-    refused({"--heartbeat-interval", "2"}, Tool::Sweep,
-            "--manifest-out, --checkpoint, --resume or --progress");
     refused({"--log-level", "debug"}, Tool::Sim, "--log-out");
     refused({"--log-level", "info"}, Tool::Sweep, "--log-out");
 
@@ -505,8 +495,6 @@ TEST(CliParse, FlagsThatShapeAnAbsentOutputAreRefused)
                                    "--metrics-dir", "m"},
           {"--trace-capacity", "64", "--trace-dir", "t"},
           {"--profile-phases", "--metrics-dir", "m"},
-          {"--heartbeat-interval", "2", "--checkpoint", "j"},
-          {"--heartbeat-interval", "2", "--progress"},
           {"--log-level", "warn", "--log-out", "l"}})
         EXPECT_EQ(parseError(ok, Tool::Sweep), "");
     EXPECT_EQ(parseError({"--profile-phases", "--manifest-out", "m.json"},
@@ -565,6 +553,33 @@ TEST(CliParse, FilesOfOneRunMustDiffer)
     EXPECT_EQ(parseError({"--log-out", "", "--manifest-out", ""},
                          Tool::Sweep),
               "");
+}
+
+TEST(CliParse, ADanglingLinkNamesItsTarget)
+{
+    // Opening a link whose target does not exist yet creates the
+    // target, so the link and the target are one file.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "orion_cli_links";
+    fs::remove_all(dir);
+    fs::create_directories(dir / "sub");
+    fs::create_symlink("target", dir / "link");
+    fs::create_symlink("../sub/../target", dir / "sub" / "up");
+    fs::create_symlink("link", dir / "chain");
+    const std::string target = (dir / "target").string();
+    for (const char* name : {"link", "sub/up", "chain"}) {
+        EXPECT_EQ(parseError({"--checkpoint", (dir / name).string(),
+                              "--log-out", target},
+                             Tool::Sweep),
+                  "orion_sweep: --checkpoint and --log-out name the same "
+                  "file '" + target + "' (--help for usage)")
+            << name;
+    }
+    EXPECT_EQ(parseError({"--checkpoint", (dir / "link").string(),
+                          "--log-out", (dir / "other").string()},
+                         Tool::Sweep),
+              "");
+    fs::remove_all(dir);
 }
 
 TEST(CliParse, RateAcceptsExactHexfloat)

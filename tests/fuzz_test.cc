@@ -175,15 +175,16 @@ validJournal(std::uint64_t fingerprint, unsigned entries)
 {
     std::string out = core::checkpointHeader(fingerprint) + "\n";
     core::CheckpointEntry e;
-    e.report.avgLatencyCycles = 18.19;
-    e.report.sampleInjected = 200;
-    e.report.sampleEjected = 200;
-    e.report.completed = true;
-    e.report.stopReason = StopReason::Completed;
-    e.report.nodePowerWatts = {0.25, 1.0 / 3.0};
+    Report& r = e.point.report;
+    r.avgLatencyCycles = 18.19;
+    r.sampleInjected = 200;
+    r.sampleEjected = 200;
+    r.completed = true;
+    r.stopReason = StopReason::Completed;
+    r.nodePowerWatts = {0.25, 1.0 / 3.0};
     for (unsigned i = 0; i < entries; ++i) {
         e.rateIndex = i;
-        e.report.offeredLoad = 0.01 * (i + 1);
+        r.offeredLoad = 0.01 * (i + 1);
         out += core::serializeEntry(e) + "\n";
     }
     return out;
@@ -248,8 +249,8 @@ TEST_P(JournalFuzz, MutatedJournalLoadsCleanlyOrThrowsStructured)
             EXPECT_LE(load.entries.size(), 5u);
             for (const auto& e : load.entries) {
                 EXPECT_LT(e.rateIndex, 5u);
-                EXPECT_EQ(e.report.sampleEjected, 200u);
-                EXPECT_EQ(e.report.offeredLoad,
+                EXPECT_EQ(e.point.report.sampleEjected, 200u);
+                EXPECT_EQ(e.point.report.offeredLoad,
                           0.01 * (static_cast<double>(e.rateIndex) +
                                   1.0));
             }

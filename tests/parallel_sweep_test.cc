@@ -175,18 +175,18 @@ TEST(ParallelSweep, PoisonedPointIsIsolatedFromSiblings)
                                          SweepOptions::withJobs(3));
     ASSERT_EQ(points.size(), 3u);
     EXPECT_TRUE(points[0].report.completed);
-    EXPECT_FALSE(points[0].failure.has_value());
+    EXPECT_FALSE(points[0].failed());
     EXPECT_TRUE(points[2].report.completed);
-    EXPECT_FALSE(points[2].failure.has_value());
+    EXPECT_FALSE(points[2].failed());
 
-    ASSERT_TRUE(points[1].failure.has_value());
-    EXPECT_EQ(points[1].failure->reason, StopReason::CheckFailure);
-    EXPECT_NE(points[1].failure->message.find("poisoned"),
+    ASSERT_TRUE(points[1].failed());
+    EXPECT_EQ(points[1].report.stopReason, StopReason::CheckFailure);
+    EXPECT_NE(points[1].failureMessage.find("poisoned"),
               std::string::npos)
-        << points[1].failure->message;
+        << points[1].failureMessage;
     // A forensic snapshot was captured while the failed simulation
     // was still alive.
-    EXPECT_NE(points[1].failure->forensicsJson.find("\"reason\""),
+    EXPECT_NE(points[1].failureForensics.find("\"reason\""),
               std::string::npos);
     // The retry on a rederived seed was spent before giving up.
     EXPECT_EQ(points[1].attempts, 2u);
@@ -204,7 +204,7 @@ TEST(ParallelSweep, TransientFailureRecoversViaRetry)
     const auto points =
         Sweep::overRates(NetworkConfig::vc16(), t, s, {0.04});
     ASSERT_EQ(points.size(), 1u);
-    EXPECT_FALSE(points[0].failure.has_value());
+    EXPECT_FALSE(points[0].failed());
     EXPECT_TRUE(points[0].report.completed);
     EXPECT_EQ(points[0].attempts, 2u);
 }
@@ -216,18 +216,18 @@ TEST(ParallelSweep, AveragedSweepExcludesFailedSeeds)
     s.maxCycles = 60000;
     s.debugPoisonRate = 0.04;
     TrafficConfig t;
-    const auto pts = Sweep::average(
+    const auto cells =
         Sweep::overRates(NetworkConfig::vc16(), t, s, {0.02, 0.04},
-                         SweepOptions::withJobs(2), 2),
-        2);
+                         SweepOptions::withJobs(2), 2);
+    const auto pts = Sweep::average(cells, 2);
     ASSERT_EQ(pts.size(), 2u);
     EXPECT_TRUE(pts[0].allCompleted);
     EXPECT_EQ(pts[0].failedSeeds, 0u);
     // Every seed of the poisoned rate fails; the point is marked, the
-    // sweep still returns it.
+    // sweep still returns it, and each failed cell keeps its message.
     EXPECT_FALSE(pts[1].allCompleted);
     EXPECT_EQ(pts[1].failedSeeds, 2u);
-    EXPECT_NE(pts[1].firstFailure.find("poisoned"), std::string::npos);
+    EXPECT_NE(cells[2].failureMessage.find("poisoned"), std::string::npos);
 }
 
 TEST(ParallelSweep, PointsIndependentOfSweptSet)

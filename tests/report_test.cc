@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the table/CSV report formatting helpers.
+ * Tests for the stop table and the table/CSV report formatting
+ * helpers.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,38 @@
 namespace {
 
 using namespace orion::report;
+
+TEST(StopTable, PinsWhatEachStopReasonMeans)
+{
+    using orion::StopReason;
+    // name, failed, retried, journaled, orion_sim's exit code.
+    const struct
+    {
+        StopReason reason;
+        const char* name;
+        bool failed, retried, journaled;
+        int exitCode;
+    } rows[] = {
+        {StopReason::Completed, "completed", false, false, true, 0},
+        {StopReason::MaxCycles, "max-cycles", false, false, true, 0},
+        {StopReason::WatchdogStall, "watchdog-stall", false, false, true, 2},
+        {StopReason::CheckFailure, "check-failure", true, true, true, 3},
+        {StopReason::DeadlockUnrecovered, "deadlock-unrecovered", false,
+         false, true, 2},
+        {StopReason::Deadline, "deadline", true, false, false, 6},
+        {StopReason::Interrupted, "interrupted", true, false, false, 5},
+        {StopReason::WorkerCrash, "worker-crash", true, true, true, 3},
+    };
+    for (const auto& row : rows) {
+        const orion::StopRule& rule = orion::stopRule(row.reason);
+        EXPECT_STREQ(rule.name, row.name);
+        EXPECT_STREQ(orion::stopReasonName(row.reason), row.name);
+        EXPECT_EQ(rule.failed, row.failed) << row.name;
+        EXPECT_EQ(rule.retried, row.retried) << row.name;
+        EXPECT_EQ(rule.journaled, row.journaled) << row.name;
+        EXPECT_EQ(rule.exitCode, row.exitCode) << row.name;
+    }
+}
 
 TEST(Fmt, FixedPrecision)
 {

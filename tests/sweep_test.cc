@@ -45,8 +45,10 @@ TEST(Sweep, ZeroLoadLatencyIsSane)
     SimConfig s;
     s.maxCycles = 300000;
     TrafficConfig t;
-    const double zl =
-        Sweep::zeroLoadLatency(NetworkConfig::vc16(), t, s);
+    const SweepPoint probe =
+        Sweep::zeroLoadProbe(NetworkConfig::vc16(), t, s);
+    EXPECT_FALSE(probe.failed());
+    const double zl = probe.report.avgLatencyCycles;
     EXPECT_GT(zl, 10.0);
     EXPECT_LT(zl, 30.0);
 }

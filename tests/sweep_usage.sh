@@ -12,14 +12,21 @@
 # (both found next to orion_sweep) refuse each with exit 1 and a
 # diagnostic in their own name, and each tool's --help names it. So
 # do orion_sweep and orion_sim for a flag whose output the command
-# line does not ask for, and for two flags that name one file.
-# ORION_LOG attaches no log sink.
+# line does not ask for, for two flags that name one file (a dangling
+# symbolic link names its target), and for an input file they cannot
+# read; the tool's name prefixes each diagnostic once. The retired
+# retry and refresh flags are unknown options. ORION_LOG attaches no
+# log sink.
 #
 # Lost output: orion_sweep and orion_sim must exit 4 with a diagnostic
-# when stdout or an output file cannot be written: a run manifest in a
-# missing directory (orion_sweep before it runs a cell), and, where
-# /dev/full is writable (it fails every write), stdout and the metrics
-# files.
+# when stdout or an output file cannot be written: a run manifest or a
+# log file in a missing directory (orion_sweep before it runs a cell),
+# and, where /dev/full is writable (it fails every write), stdout and
+# the metrics files.
+#
+# A zero-load probe that fails (poisoned, or its --isolate worker
+# crashes) leaves the CSV whole, stays out of the journal, and makes
+# orion_sweep exit 3.
 #
 # A bench harness (HARNESS) exits 2 on an ORION_JOBS its worker count
 # cannot hold.
@@ -45,9 +52,19 @@ expect_refusal() {
     if [ "$rc" -ne 1 ]; then
         echo "sweep_usage: $tool '$*' exited $rc, expected 1" >&2
         status=1
-    elif ! grep -q "^$tool: " "$tmp/err"; then
+    elif ! grep -q "^$tool: " "$tmp/err" ||
+        grep -q "^$tool: $tool: " "$tmp/err"; then
         echo "sweep_usage: $tool '$*' printed no $tool diagnostic:" >&2
         cat "$tmp/err" >&2
+        status=1
+    fi
+}
+
+# expect_unknown TOOL FLAG: TOOL refuses FLAG as an unknown option.
+expect_unknown() {
+    expect_refusal "$1" --sample 50 "$2" 1
+    if ! grep -q "unknown option '$2'" "$tmp/err"; then
+        echo "sweep_usage: $1 does not call $2 unknown" >&2
         status=1
     fi
 }
@@ -61,10 +78,6 @@ expect_usage --seeds -1
 expect_usage --seeds 0
 expect_usage --seeds 4294967296
 expect_usage --seeds
-expect_usage --heartbeat-interval nan
-expect_usage --heartbeat-interval inf
-expect_usage --heartbeat-interval 0
-expect_usage --heartbeat-interval 1s
 expect_usage --isolate --isolate-mem -1
 # 2^44 MiB is 2^64 bytes: one past what the byte limit can hold.
 expect_usage --isolate --isolate-mem 17592186044416
@@ -89,15 +102,17 @@ expect_usage --metrics-out "$tmp/m.csv"
 expect_usage --trace-out "$tmp/t.json"
 # orion_sweep's flags, which one run has no use for.
 expect_refusal orion_sim --sample 50 --jobs 3
-expect_refusal orion_sim --sample 50 --point-retries 5
-expect_refusal orion_sim --sample 50 --point-backoff-ms 100
+# Retry is the stop table's rule; the manifest's refresh period is fixed.
+for flag in --point-retries --point-backoff-ms --heartbeat-interval; do
+    expect_unknown orion_sweep $flag
+    expect_unknown orion_sim $flag
+done
 # The run manifest replaced the heartbeat file.
 expect_usage --heartbeat "$tmp/hb.json"
 # Flags that only shape an output the command line does not ask for.
 expect_usage --sample-interval 10
 expect_usage --trace-capacity 64
 expect_usage --profile-phases
-expect_usage --heartbeat-interval 2
 expect_usage --log-level debug
 expect_refusal orion_sim --sample 50 --sample-interval 10
 expect_refusal orion_sim --sample 50 --trace-capacity 64
@@ -112,6 +127,17 @@ expect_refusal orion_sim --sample 50 --metrics-out "$tmp/o" \
 printf '0 0 1\n' >"$tmp/trace.txt"
 expect_refusal orion_sim --sample 50 --pattern trace \
     --trace "$tmp/trace.txt" --trace-out "$tmp/trace.txt"
+# Writing through a dangling link creates its target.
+ln -s target "$tmp/link"
+expect_usage --checkpoint "$tmp/link" --log-out "$tmp/target"
+if [ -e "$tmp/target" ]; then
+    echo "sweep_usage: a clash through a dangling link wrote its target" >&2
+    status=1
+fi
+# Input files that cannot be read.
+expect_refusal orion_sim --sample 50 --pattern trace --trace "$tmp/none.txt"
+expect_usage --pattern trace --trace "$tmp/none.txt"
+expect_usage --resume "$tmp/none.ckpt"
 # Component keys that are misspelt or belong to another component.
 expect_refusal orion_models buffer --flits 4 --bits 64 --read-prots 3
 expect_refusal orion_models crossbar --inputs 5 --outputs 5 --width 64 \
@@ -181,6 +207,47 @@ fi
 "$sim" --preset vc16 --rate 0.02 --sample 200 \
     --manifest-out "$tmp/none/m.json" >/dev/null 2>"$tmp/err"
 expect_io_error orion_sim $? "orion_sim --manifest-out in a missing dir"
+"$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \
+    --checkpoint "$tmp/log.ckpt" --log-out "$tmp/none/l.jsonl" \
+    >/dev/null 2>"$tmp/err"
+expect_io_error orion_sweep $? "orion_sweep --log-out in a missing dir"
+if [ -e "$tmp/log.ckpt" ]; then
+    echo "sweep_usage: a sweep whose log cannot be opened started" >&2
+    status=1
+fi
+"$sim" --preset vc16 --rate 0.02 --sample 200 \
+    --log-out "$tmp/none/l.jsonl" >/dev/null 2>"$tmp/err"
+expect_io_error orion_sim $? "orion_sim --log-out in a missing dir"
+
+# expect_probe_failure WHAT ARGS...: a sweep of two rates whose
+# zero-load probe fails prints both rows and an unknown zero-load
+# latency, and exits 3.
+expect_probe_failure() {
+    what=$1
+    shift
+    "$sweep" --rates 0.01:0.02:2 --sample 100 --jobs 1 "$@" \
+        >"$tmp/probe.csv" 2>"$tmp/err"
+    rc=$?
+    rows=$(($(wc -l <"$tmp/probe.csv") - 1))
+    if [ "$rc" -ne 3 ] || [ "$rows" -ne 2 ] ||
+        ! grep -q '^# zero-load latency: unknown' "$tmp/err" ||
+        ! grep -q '^orion_sweep: zero-load probe failed' "$tmp/err"; then
+        echo "sweep_usage: $what exited $rc with $rows rows" >&2
+        cat "$tmp/err" >&2
+        status=1
+    fi
+}
+expect_probe_failure "a poisoned probe" --debug-poison-rate 0.002 \
+    --checkpoint "$tmp/probe.ckpt"
+# The journal holds its header and the two cells, not the probe.
+if [ "$(wc -l < "$tmp/probe.ckpt")" -ne 3 ]; then
+    echo "sweep_usage: the journal of a failed probe is not 3 lines" >&2
+    status=1
+fi
+expect_probe_failure "a poisoned probe at --seeds 2" \
+    --debug-poison-rate 0.002 --seeds 2
+expect_probe_failure "a crashed --isolate probe" --isolate \
+    --debug-segv-rate 0.002
 
 if [ -w /dev/full ]; then
     "$sweep" --preset vc16 --rates 0.02:0.04:2 --sample 200 --jobs 1 \

@@ -158,7 +158,7 @@ if run_leg survive; then
     # tolerance and the atomic manifest replacement, not the
     # cooperative handlers).
     $sweep $args --jobs 2 --checkpoint "$sdir/journal" \
-        --heartbeat-interval 0.2 > /dev/null 2> /dev/null &
+        > /dev/null 2> /dev/null &
     victim=$!
     # Kill once the journal holds its first entry (a line after the
     # header), so progress, not a fixed sleep, sets the kill point on

@@ -11,20 +11,23 @@
  *             --pattern hotspot --hotspot 27 --rate 0.03 --csv
  *   orion_sim --preset cb --pattern trace --trace workload.txt
  *
- * Exit codes (documented in docs/ROBUSTNESS.md):
+ * Exit codes (documented in docs/ROBUSTNESS.md): a run that stopped
+ * exits with its stop reason's code in the stop table (core/report.hh):
  *   0  run completed (or hit the cycle cap without incident)
- *   1  usage error or unexpected exception
  *   2  run finished but a deadlock was suspected
  *   3  a runtime check failed (diagnostic on stderr)
- *   4  output I/O failure (--manifest-out / --metrics-out /
- *      --trace-out / stdout; disk full, closed pipe...)
  *   5  interrupted by SIGINT/SIGTERM (stopped cooperatively)
  *   6  --point-timeout deadline expired (stopped cooperatively)
+ * and one that did not:
+ *   1  usage error, unreadable input or unexpected exception
+ *   4  output I/O failure (--log-out / --manifest-out / --metrics-out
+ *      / --trace-out / stdout; disk full, closed pipe...)
  */
 
 #include <csignal>
 #include <cstdio>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -75,12 +78,9 @@ main(int argc, char** argv)
         Simulation simulation(opts.network, opts.traffic, opts.sim);
         const Report report = simulation.run();
 
-        const bool run_failed =
-            report.stopReason == StopReason::CheckFailure ||
-            report.stopReason == StopReason::Deadline ||
-            report.stopReason == StopReason::Interrupted;
-        manifest.pointsCompleted = run_failed ? 0 : 1;
-        manifest.pointsFailed = run_failed ? 1 : 0;
+        const bool failed = stopRule(report.stopReason).failed;
+        manifest.pointsCompleted = failed ? 0 : 1;
+        manifest.pointsFailed = failed ? 1 : 0;
         // The manifest's metrics: the phase gauges, when profiling.
         telemetry::MetricsRegistry phases;
         if (const core::PhaseProfiler* pp = simulation.phaseProfiler())
@@ -111,36 +111,36 @@ main(int argc, char** argv)
                                     : cli::formatReport(opts, report);
         std::fputs(out.c_str(), stdout);
         core::flushStdout();
-        switch (report.stopReason) {
-        case StopReason::CheckFailure:
+        if (report.stopReason == StopReason::CheckFailure) {
             log::diag(log::Level::Error, "sim.check_failure",
                       log::strf("orion_sim: check failure: %s\n",
                                 report.checkFailureDiagnostic.c_str()));
-            return 3;
-        case StopReason::Interrupted:
+        } else if (report.stopReason == StopReason::Interrupted) {
             log::diag(log::Level::Warn, "sim.interrupted",
                       log::strf("orion_sim: interrupted (signal %d); "
                                 "partial report above\n",
                                 core::interruptSignal()));
-            return 5;
-        case StopReason::Deadline:
+        } else if (report.stopReason == StopReason::Deadline) {
             log::diag(log::Level::Warn, "sim.deadline",
                       log::strf("orion_sim: --point-timeout expired "
                                 "after %llu cycles; partial report "
                                 "above\n",
                                 static_cast<unsigned long long>(
                                     report.totalCycles)));
-            return 6;
-        default:
-            return report.deadlockSuspected ? 2 : 0;
         }
+        return stopRule(report.stopReason).exitCode;
     } catch (const core::IoError& e) {
         log::diag(log::Level::Error, "sim.io_error",
                   log::strf("orion_sim: %s\n", e.what()));
         return 4;
-    } catch (const std::exception& e) {
+    } catch (const std::invalid_argument& e) {
+        // cli::parse's usage errors carry the tool prefix already.
         log::diag(log::Level::Error, "sim.error",
                   log::strf("%s\n", e.what()));
+        return 1;
+    } catch (const std::exception& e) {
+        log::diag(log::Level::Error, "sim.error",
+                  log::strf("orion_sim: %s\n", e.what()));
         return 1;
     }
 }

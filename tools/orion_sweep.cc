@@ -8,9 +8,10 @@
  * 2x-zero-load saturation point. `orion_sweep --help` lists its
  * options (core/cli.cc declares them).
  *
- * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
- * more points failed (rows for healthy points still printed); 4 an
- * output could not be written (stdout, the run manifest, a
+ * Exit codes: 0 ok; 1 usage error, unreadable input or unexpected
+ * exception; 3 one or more points or the zero-load probe failed (rows
+ * for healthy points still printed); 4 an output could not be written
+ * (stdout, the run manifest, the --log-out file, a
  * --metrics-dir/--trace-dir file; wins over 3); 5 interrupted by
  * SIGINT/SIGTERM (no CSV; a resume hint is printed when journaling).
  * See docs/ROBUSTNESS.md.
@@ -19,12 +20,14 @@
  *   orion_sweep --preset vc64 --rates 0.02:0.18:9 --seeds 3 > vc64.csv
  */
 
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,50 +80,87 @@ seedDir(const std::string& dir, unsigned k, unsigned seeds)
 }
 
 /**
- * Each failed rate's diagnosis on stderr, then the forensic snapshot
- * of each of its failed cells, in cell order.
+ * A failed probe's diagnosis on stderr, then each failed rate's, each
+ * followed by the forensic snapshot of each of its failed cells, in
+ * cell order.
  */
 void
-printFailures(const std::vector<SweepPoint>& cells, unsigned seeds)
+printFailures(const SweepPoint& probe, const std::vector<SweepPoint>& cells,
+              unsigned seeds)
 {
+    if (probe.failed()) {
+        const char* why = stopReasonName(probe.report.stopReason);
+        log::diag(log::Level::Error, "sweep.probe_failed",
+                  log::strf("orion_sweep: zero-load probe failed (%s): %s\n",
+                            why, probe.failureMessage.c_str()),
+                  {log::str("reason", why)});
+        log::rawStderr(probe.failureForensics);
+    }
     for (std::size_t first = 0; first < cells.size(); first += seeds) {
-        std::vector<const PointFailure*> failed;
+        std::vector<const SweepPoint*> failed;
         for (std::size_t c = first; c < first + seeds; ++c) {
-            if (cells[c].failure)
-                failed.push_back(&*cells[c].failure);
+            if (cells[c].failed())
+                failed.push_back(&cells[c]);
         }
         if (failed.empty())
             continue;
         const double rate = cells[first].injectionRate;
-        const PointFailure& f = *failed.front();
+        const SweepPoint& f = *failed.front();
         if (seeds == 1) {
+            const char* why = stopReasonName(f.report.stopReason);
             log::diag(log::Level::Error, "sweep.point_failed",
                       log::strf("orion_sweep: rate %.4f failed (%s): %s\n",
-                                rate, stopReasonName(f.reason),
-                                f.message.c_str()),
-                      {log::num("rate", rate),
-                       log::str("reason", stopReasonName(f.reason))});
+                                rate, why, f.failureMessage.c_str()),
+                      {log::num("rate", rate), log::str("reason", why)});
         } else {
             log::diag(log::Level::Error, "sweep.point_failed",
                       log::strf("orion_sweep: rate %.4f: %zu of %u seeds "
                                 "failed: %s\n",
                                 rate, failed.size(), seeds,
-                                f.message.c_str()));
+                                f.failureMessage.c_str()));
         }
-        for (const PointFailure* cell : failed) {
-            if (!cell->forensicsJson.empty())
-                log::rawStderr(cell->forensicsJson);
-        }
+        for (const SweepPoint* cell : failed)
+            log::rawStderr(cell->failureForensics);
     }
 }
 
 /**
- * The single-seed output: one row per rate with the full report, then
- * the saturation line.
+ * The `#` line under the CSV: the zero-load latency, unknown when the
+ * probe failed or delivered no sample packet, then the saturation
+ * rate of a single-seed sweep or the seed count of a multi-seed one.
  */
 void
-printPoints(const std::vector<SweepPoint>& points, bool resources,
-            double zero_load)
+printZeroLoad(const SweepPoint& probe, const std::vector<SweepPoint>& cells,
+              unsigned seeds, std::uint64_t failed_seeds)
+{
+    const double z = probe.report.avgLatencyCycles;
+    const bool known = !probe.failed() && z > 0.0;
+    const std::string latency =
+        known ? log::strf("%.2f cycles", z)
+              : log::strf("unknown (the probe stopped with %s)",
+                          stopReasonName(probe.report.stopReason));
+    if (seeds > 1) {
+        log::diag(log::Level::Info, "sweep.done",
+                  log::strf("# zero-load latency: %s; %u seeds per point\n",
+                            latency.c_str(), seeds),
+                  {log::u64("failed_seeds", failed_seeds)});
+        return;
+    }
+    const double sat = known ? Sweep::saturationRate(cells, z) : std::nan("");
+    log::diag(log::Level::Info, "sweep.done",
+              log::strf("# zero-load latency: %s; "
+                        "saturation (2x zero-load): %s\n",
+                        latency.c_str(),
+                        !known    ? "unknown"
+                        : sat < 0 ? "beyond swept range"
+                                  : report::fmt(sat, 3).c_str()),
+              {log::num("zero_load_cycles", known ? z : std::nan("")),
+               log::num("saturation_rate", sat)});
+}
+
+/** The single-seed output: one row per rate with the full report. */
+void
+printPoints(const std::vector<SweepPoint>& points, bool resources)
 {
     report::Table t;
     t.headers = {"rate",    "completed", "latency", "p95",
@@ -149,16 +189,6 @@ printPoints(const std::vector<SweepPoint>& points, bool resources,
         t.addRow(std::move(row));
     }
     std::fputs(report::formatCsv(t).c_str(), stdout);
-
-    const double sat = Sweep::saturationRate(points, zero_load);
-    log::diag(log::Level::Info, "sweep.done",
-              log::strf("# zero-load latency: %.2f cycles; "
-                        "saturation (2x zero-load): %s\n",
-                        zero_load,
-                        sat < 0 ? "beyond swept range"
-                                : report::fmt(sat, 3).c_str()),
-              {log::num("zero_load_cycles", zero_load),
-               log::num("saturation_rate", sat)});
 }
 
 /**
@@ -167,8 +197,7 @@ printPoints(const std::vector<SweepPoint>& points, bool resources,
  */
 void
 printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
-              bool resources, double zero_load,
-              std::uint64_t failed_seeds)
+              bool resources)
 {
     report::Table t;
     t.headers = {"rate",        "completed",   "latency_mean",
@@ -193,12 +222,6 @@ printAveraged(const std::vector<SweepPoint>& cells, unsigned seeds,
         t.addRow(std::move(row));
     }
     std::fputs(report::formatCsv(t).c_str(), stdout);
-
-    log::diag(log::Level::Info, "sweep.done",
-              log::strf("# zero-load latency: %.2f cycles; "
-                        "%u seeds per point\n",
-                        zero_load, seeds),
-              {log::u64("failed_seeds", failed_seeds)});
 }
 
 } // namespace
@@ -278,7 +301,6 @@ main(int argc, char** argv)
         po.manifest.pointsTotal =
             static_cast<std::uint64_t>(rates.size()) * seeds;
         po.manifest.jobs = core::resolveJobs(opts.jobs);
-        po.intervalSeconds = opts.heartbeatIntervalSeconds;
         po.progressLine = opts.progress;
         log::event(log::Level::Info, "sweep.start",
                    {log::str("fingerprint", po.manifest.fingerprintHex),
@@ -291,8 +313,6 @@ main(int argc, char** argv)
 
         SweepOptions sweep_opts;
         sweep_opts.jobs = opts.jobs;
-        sweep_opts.retry =
-            RetryPolicy{opts.pointRetries, opts.pointBackoffMs};
         sweep_opts.pointTimeoutSeconds = opts.pointTimeoutSeconds;
         sweep_opts.cancel = &core::interruptToken();
         sweep_opts.journal = journal.get();
@@ -314,8 +334,8 @@ main(int argc, char** argv)
             sweep_opts.workerCpuSeconds = opts.isolateCpuSeconds;
         }
 
-        const double zero_load = Sweep::zeroLoadLatency(
-            opts.network, opts.traffic, opts.sim);
+        const SweepPoint probe = Sweep::zeroLoadProbe(
+            opts.network, opts.traffic, opts.sim, sweep_opts);
         const std::vector<SweepPoint> cells =
             Sweep::overRates(opts.network, opts.traffic, opts.sim, rates,
                              sweep_opts, seeds);
@@ -324,9 +344,10 @@ main(int argc, char** argv)
         // a full sweep is worse than none): print the resume recipe
         // instead and exit 5, even when the manifest is lost too.
         interrupted = core::interruptToken().cancelled();
-        tracker.finish(interrupted  ? "interrupted"
-                       : failed > 0 ? "failed-points"
-                                    : "ok");
+        tracker.finish(interrupted      ? "interrupted"
+                       : failed > 0     ? "failed-points"
+                       : probe.failed() ? "failed-probe"
+                                        : "ok");
         if (interrupted) {
             log::diag(log::Level::Warn, "sweep.interrupted",
                       log::strf("orion_sweep: interrupted (signal %d) "
@@ -374,21 +395,28 @@ main(int argc, char** argv)
         }
 
         if (seeds == 1)
-            printPoints(cells, opts.resources, zero_load);
+            printPoints(cells, opts.resources);
         else
-            printAveraged(cells, seeds, opts.resources, zero_load, failed);
-        printFailures(cells, seeds);
+            printAveraged(cells, seeds, opts.resources);
+        printZeroLoad(probe, cells, seeds, failed);
+        printFailures(probe, cells, seeds);
         core::flushStdout();
         // Failure isolation: every healthy point above still printed;
-        // failed points carry their diagnosis and flip the exit code.
-        return failed > 0 ? 3 : 0;
+        // failed points and a failed probe carry their diagnosis and
+        // flip the exit code.
+        return failed > 0 || probe.failed() ? 3 : 0;
     } catch (const core::IoError& e) {
         log::diag(log::Level::Error, "sweep.io_error",
                   log::strf("orion_sweep: %s\n", e.what()));
         return interrupted ? 5 : 4;
-    } catch (const std::exception& e) {
+    } catch (const std::invalid_argument& e) {
+        // cli::parse's usage errors carry the tool prefix already.
         log::diag(log::Level::Error, "sweep.error",
                   log::strf("%s\n", e.what()));
+        return 1;
+    } catch (const std::exception& e) {
+        log::diag(log::Level::Error, "sweep.error",
+                  log::strf("orion_sweep: %s\n", e.what()));
         return 1;
     }
 }
